@@ -43,7 +43,7 @@ print(f"observed law: {len(law.z_grid)} z sites, 8x8 cells per conditional")
 
 model, error = nontestability_demo(law, depth=6)
 print(f"replication error at depth 6: {error!r}")
-print(f"model asserts instrument independence: {model.independent}")
+print(f"model asserts instrument independence: {model.to_json_dict()['independence']}")
 
 # ---------------------------------------------------------------------------
 # 3. The permutations are what make the first stage injective across z;

@@ -19,11 +19,8 @@ from .errors import (
 )
 from .generator import (
     GeneratorMap,
-    PartitionNode,
     StructuralModel,
-    ZCell,
     build_generator,
-    build_generator_with_atoms,
     collision_fraction,
     compose_structural_model,
     group_collision_matrix,
@@ -35,13 +32,7 @@ from .measures import (
     CouplingMatrix,
     GridDistribution,
     JointLaw,
-    MeasurableSet,
-    cdf_distance_sup,
-    fosd_check,
     fosd_violation,
-    hausdorff_support_distance,
-    quantile,
-    split_equal_measure,
     winf_distance,
 )
 from .simulate import (
@@ -86,27 +77,20 @@ __all__ = [
     "InfeasibilityCertificate",
     "JointLaw",
     "MarginalMismatchError",
-    "MeasurableSet",
     "NonAtomicityError",
     "NonInvertibleError",
-    "PartitionNode",
     "StructuralModel",
     "TestReport",
     "TupleCoupling",
     "ValidationError",
-    "ZCell",
     "build_generator",
-    "build_generator_with_atoms",
-    "cdf_distance_sup",
     "collision_fraction",
     "compose_structural_model",
     "continuity_moment_statistic",
     "discrete_generator_feasible",
     "discretize",
-    "fosd_check",
     "fosd_violation",
     "group_collision_matrix",
-    "hausdorff_support_distance",
     "instrumental_inequality",
     "invert_generator",
     "jump_test",
@@ -117,10 +101,8 @@ __all__ = [
     "nontestability_demo",
     "population_law",
     "product_conditional",
-    "quantile",
     "run_experiment",
     "sample",
-    "split_equal_measure",
     "verify_replication",
     "winf_distance",
 ]

@@ -15,12 +15,17 @@ With ``k`` point masses in the z law, the latent interval is cut into
 ``(k+2)**depth`` cells instead; atoms receive cyclic within-block shifts and
 the two halves of the continuum receive the two remaining shifts, which
 separates all top-level groups after one level.
+
+The layout is flat.  The continuum z cells are the intervals between the
+``2**depth + 1`` equal-mass cut points of the atom-free part of pz, and all
+permutations sit in one ``(n_z_cells, n_u_cells)`` integer matrix: one row
+per atom, then one row per continuum cell in z order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -34,109 +39,64 @@ from .errors import (
     ValidationError,
 )
 from .measures import (
+    INPUT_TOL,
     Conditional2D,
     GridDistribution,
     JointLaw,
-    MeasurableSet,
     Site,
     sites_of,
-    split_equal_measure,
 )
 
-INTERNAL_TOL = 1e-12
+# Largest permutation matrix a generator may hold, in entries (128 MiB of
+# int64): depth 12 at arity 2.  Memory grows like 4**depth, so larger depths
+# are refused before anything is allocated.
+MAX_CELL_ENTRIES = 2**24
 
 
 def _address_str(address: tuple[int, ...]) -> str:
     return "".join(str(s) for s in address)
 
 
-@dataclass(frozen=True, eq=False)
-class ZCell:
-    """A leaf of the z partition: either a set of continuum z values or one atom.
-
-    ``perm`` maps latent-cell index to image-cell index at the generator's
-    final resolution.
-    """
-
-    address: tuple[int, ...]
-    perm: np.ndarray
-    z_set: MeasurableSet | None = None
-    atom: float | None = None
-
-    def __post_init__(self):
-        perm = np.array(self.perm, dtype=np.int64)
-        perm.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        if (self.z_set is None) == (self.atom is None):
-            raise ValidationError("cell must hold either a z set or an atom")
-        if sorted(perm.tolist()) != list(range(len(perm))):
-            raise ValidationError("perm must be a permutation of cell indices")
-
-    @property
-    def address_str(self) -> str:
-        return _address_str(self.address)
-
-    def contains(self, z: float) -> bool:
-        if self.atom is not None:
-            return z == self.atom
-        return self.z_set.contains(z)
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionNode:
-    """One node of the iterative z/u partition.
-
-    ``u_cells`` is the current equal-measure decomposition of the latent
-    interval at this node's level; ``x_cells`` is its image decomposition
-    under the representative conditional, each of conditional measure
-    ``arity**-level``.
-    """
-
-    address: tuple[int, ...]
-    z_set: MeasurableSet
-    level: int
-    arity: int
-    rep_marginal: GridDistribution
-    children: tuple["PartitionNode", ...] = ()
-
-    @property
-    def u_cells(self) -> tuple[MeasurableSet, ...]:
-        n = self.arity**self.level
-        return tuple(
-            MeasurableSet.interval(j / n, (j + 1) / n) for j in range(n)
-        )
-
-    @property
-    def x_cells(self) -> tuple[MeasurableSet, ...]:
-        n = self.arity**self.level
-        qs = self.rep_marginal.quantile(np.arange(n + 1) / n)
-        return tuple(
-            MeasurableSet.interval(float(qs[j]), float(qs[j + 1])) for j in range(n)
-        )
+def _continuum_law(
+    pz: GridDistribution, sites: Sequence[Site]
+) -> tuple[float, GridDistribution | None]:
+    """Bin mass of pz and its atom-free law normalised to 1 (None without bins)."""
+    mass = sum(s.mass for s in sites if s.kind == "bin")
+    if mass <= 0:
+        return 0.0, None
+    masses = np.asarray(pz.masses) / mass if mass != 1.0 else pz.masses
+    return mass, GridDistribution(pz.edges, masses)
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMap:
-    """A first-stage map: per-site quantile transforms behind cell permutations."""
+    """A first-stage map: per-site quantile transforms behind cell permutations.
+
+    ``cells[r]`` maps latent-cell index to image-cell index for z-cell row
+    ``r``.  Rows ``0..k-1`` belong to the atoms of pz (``atoms``, in z order);
+    the remaining ``2**depth`` rows are the continuum cells
+    ``[cuts[i], cuts[i+1])`` in z order, so continuum rows ``2i`` and
+    ``2i+1`` are the two halves of row ``i`` one level up.
+    """
 
     depth: int
     arity: int
     pz: GridDistribution
     z_grid: np.ndarray
     marginals: tuple[GridDistribution, ...]
-    cells: tuple[ZCell, ...]
-    root: PartitionNode | None = None
+    cells: np.ndarray
 
     def __post_init__(self):
         zg = np.array(self.z_grid, dtype=float)
         zg.setflags(write=False)
         object.__setattr__(self, "z_grid", zg)
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        object.__setattr__(self, "cells", tuple(self.cells))
-        n = self.n_u_cells
-        for c in self.cells:
-            if len(c.perm) != n:
-                raise ValidationError("cell permutation length does not match depth")
+        cells = np.array(self.cells, dtype=np.int64)
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        rows = len(self.atoms) + max(len(self.cuts) - 1, 0)
+        if cells.shape != (rows, self.n_u_cells):
+            raise ValidationError("cell permutation length does not match depth")
 
     @property
     def n_u_cells(self) -> int:
@@ -146,36 +106,115 @@ class GeneratorMap:
     def sites(self) -> list[Site]:
         return sites_of(self.pz, self.z_grid)
 
-    def site_index(self, z: float) -> int:
-        for i, s in enumerate(self.sites):
-            if s.kind == "atom" and z == s.z_value:
-                return i
-        for i, s in enumerate(self.sites):
-            if s.kind == "bin" and s.lo <= z < s.hi:
-                return i
-        raise ValidationError(f"z value {z} carries no conditional")
+    @cached_property
+    def _atom_sites(self) -> np.ndarray:
+        return np.array([i for i, s in enumerate(self.sites) if s.kind == "atom"], dtype=np.int64)
 
-    def cell_of(self, z: float) -> ZCell:
-        for c in self.cells:
-            if c.atom is not None and z == c.atom:
-                return c
-        for c in self.cells:
-            if c.z_set is not None and c.z_set.contains(z):
-                return c
-        raise ValidationError(f"z value {z} lies outside every cell")
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """z value of each atom row, in row order (which is z order)."""
+        return np.array([self.sites[i].z_value for i in self._atom_sites], dtype=float)
 
-    def permuted_level(self, perm: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Relocate latent levels within their cells according to ``perm``."""
+    @cached_property
+    def _continuum(self) -> tuple[float, GridDistribution | None]:
+        return _continuum_law(self.pz, self.sites)
+
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Equal-mass cut points of the continuum cells; empty without bins."""
+        _, cont = self._continuum
+        if cont is None:
+            return np.empty(0)
+        m = 2**self.depth
+        cuts = np.asarray(cont.quantile(np.arange(m + 1) / m))
+        cuts.setflags(write=False)
+        return cuts
+
+    @cached_property
+    def addresses(self) -> tuple[tuple[int, ...], ...]:
+        """z-cell address of every row: atom j is ``(j+1,)``; a continuum cell
+        appends ``k+1`` for each left half and ``k+2`` for each right half."""
+        k = len(self.atoms)
+        out = [(j + 1,) for j in range(k)]
+        if len(self.cuts):
+            shifts = np.arange(self.depth - 1, -1, -1)
+            bits = (np.arange(2**self.depth)[:, None] >> shifts) & 1
+            out += [tuple(a) for a in (k + 1 + bits).tolist()]
+        return tuple(out)
+
+    @cached_property
+    def _bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower edges, upper edges and site indices of the positive-mass bins."""
+        idx = [i for i, s in enumerate(self.sites) if s.kind == "bin" and s.mass > 0]
+        lo = np.array([self.sites[i].lo for i in idx], dtype=float)
+        hi = np.array([self.sites[i].hi for i in idx], dtype=float)
+        return lo, hi, np.array(idx, dtype=np.int64)
+
+    def _bin_site(self, z: np.ndarray) -> np.ndarray:
+        """Site of the positive-mass bin holding each z, or -1."""
+        lo, hi, idx = self._bins
+        if len(lo) == 0:
+            return np.full(z.shape, -1, dtype=np.int64)
+        j = np.clip(np.searchsorted(lo, z, side="right") - 1, 0, len(lo) - 1)
+        return np.where((z >= lo[j]) & (z < hi[j]), idx[j], -1)
+
+    def _continuum_row(self, z: np.ndarray) -> np.ndarray:
+        last = max(len(self.cuts) - 2, 0)
+        return len(self.atoms) + np.clip(np.searchsorted(self.cuts, z, side="right") - 1, 0, last)
+
+    def locate(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Cell row and site index of every z value.
+
+        Atoms match first; any other z must lie in a positive-mass bin of pz,
+        and raises ``ValidationError`` otherwise.
+        """
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        rows = self._continuum_row(zs)
+        sites = self._bin_site(zs)
+        k = len(self.atoms)
+        if k:
+            j = np.minimum(np.searchsorted(self.atoms, zs), k - 1)
+            hit = self.atoms[j] == zs
+            rows = np.where(hit, j, rows)
+            sites = np.where(hit, self._atom_sites[j], sites)
+        if np.any(sites < 0):
+            raise ValidationError(f"z value {zs[sites < 0][0]} carries no conditional")
+        return rows, sites
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell row, site and z mass of every piece, in (cell, site) order.
+
+        A piece, one site inside one cell, is the largest unit on which the
+        map is a single function.  Each atom row is one piece; the continuum
+        pieces are the positive-mass segments between the merged cut points
+        and bin edges, which come out in z order.
+        """
+        atom_mass = np.array([self.sites[i].mass for i in self._atom_sites], dtype=float)
+        cell, site, weight = [np.arange(len(self.atoms))], [self._atom_sites], [atom_mass]
+        mass, cont = self._continuum
+        if cont is not None:
+            lo, hi, _ = self._bins
+            bp = np.union1d(self.cuts, np.concatenate([lo, hi]))
+            w = mass * np.diff(cont.cdf_left(bp))
+            s = self._bin_site(bp[:-1])
+            keep = (s >= 0) & (w > 0)
+            cell.append(self._continuum_row(bp[:-1][keep]))
+            site.append(s[keep])
+            weight.append(w[keep])
+        return np.concatenate(cell), np.concatenate(site), np.concatenate(weight)
+
+    def permuted_level(self, rows, u: np.ndarray) -> np.ndarray:
+        """Relocate latent levels within their cells by the permutations of ``rows``."""
         n = self.n_u_cells
         idx = np.minimum((u * n).astype(np.int64), n - 1)
         offset = u * n - idx
-        return (perm[idx] + offset) / n
+        return (self.cells[rows, idx] + offset) / n
 
     def __call__(self, z: float, u) -> np.ndarray | float:
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        cell = self.cell_of(z)
-        marg = self.marginals[self.site_index(z)]
-        out = marg.quantile(self.permuted_level(cell.perm, us))
+        rows, sites = self.locate(z)
+        out = self.marginals[sites[0]].quantile(self.permuted_level(rows[0], us))
         return float(out[0]) if np.asarray(u).ndim == 0 else out
 
     # -- serialization ------------------------------------------------------
@@ -184,8 +223,8 @@ class GeneratorMap:
         return {
             "depth": self.depth,
             "cells": [
-                {"z_addr": c.address_str, "perm": [int(v) for v in c.perm]}
-                for c in self.cells
+                {"z_addr": _address_str(a), "perm": p}
+                for a, p in zip(self.addresses, self.cells.tolist())
             ],
         }
 
@@ -201,16 +240,19 @@ class GeneratorMap:
         try:
             depth = int(obj["depth"])
             perms = {c["z_addr"]: np.asarray(c["perm"], dtype=np.int64) for c in obj["cells"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed generator object: {exc}") from exc
-        rebuilt = _build(marginals, pz, z_grid, depth)
-        if {c.address_str for c in rebuilt.cells} != set(perms):
+        rebuilt = build_generator(marginals, pz, z_grid, depth)
+        order = [_address_str(a) for a in rebuilt.addresses]
+        if set(order) != set(perms) or len(obj["cells"]) != len(perms):
             raise ValidationError("cell addresses do not match this pz")
-        cells = tuple(
-            ZCell(c.address, perms[c.address_str], z_set=c.z_set, atom=c.atom)
-            for c in rebuilt.cells
-        )
-        return cls(depth, rebuilt.arity, pz, rebuilt.z_grid, rebuilt.marginals, cells, rebuilt.root)
+        n = rebuilt.n_u_cells
+        if any(p.shape != (n,) for p in perms.values()):
+            raise ValidationError("cell permutation length does not match depth")
+        cells = np.array([perms[a] for a in order], dtype=np.int64)
+        if not np.array_equal(np.sort(cells, axis=1), np.broadcast_to(np.arange(n), cells.shape)):
+            raise ValidationError("perm must be a permutation of cell indices")
+        return replace(rebuilt, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -218,32 +260,18 @@ class GeneratorMap:
 # ---------------------------------------------------------------------------
 
 
-def _refine_and_shift(perm: np.ndarray, arity: int, shift: int) -> np.ndarray:
-    """One level of the iteration applied to an inherited permutation.
+def _refine_and_shift(perms: np.ndarray, arity: int, shift) -> np.ndarray:
+    """One level of the iteration applied to every row of inherited permutations.
 
     Each coarse cell splits into ``arity`` children preserving within-block
     order; the new level then rotates images within every image block by
-    ``shift``.  Shift 0 keeps the inherited map.
+    ``shift`` (a scalar, or one value per row as a column).  Shift 0 keeps
+    the inherited map.
     """
     k = arity
-    j = np.repeat(perm, k) * k  # image block of each refined index
-    r = np.tile(np.arange(k), len(perm))
+    j = np.repeat(perms, k, axis=1) * k  # image block of each refined index
+    r = np.arange(perms.shape[1] * k) % k
     return j + (r + shift) % k
-
-
-def _continuum_support(pz: GridDistribution) -> MeasurableSet:
-    ivs = []
-    atom_locs = {loc for loc, m in pz.atoms if m > 0}
-    for k, m in enumerate(pz.masses):
-        if m > 0:
-            ivs.append((float(pz.edges[k]), float(pz.edges[k + 1])))
-    s = MeasurableSet(tuple(ivs))
-    for loc in sorted(atom_locs):
-        left, right = s.split_at(loc)
-        # drop the atom point itself from the continuum set
-        right = right.intersect_interval(np.nextafter(loc, np.inf), np.inf)
-        s = left.union(right)
-    return s
 
 
 def _already_one_to_one(
@@ -266,12 +294,22 @@ def _already_one_to_one(
     return True
 
 
-def _build(
+def build_generator(
     marginals: Sequence[GridDistribution],
     pz: GridDistribution,
     z_grid: Sequence[float],
     depth: int,
 ) -> GeneratorMap:
+    """Build the injectivity-improving map for a z law with finitely many atoms.
+
+    ``marginals`` are the conditional x-marginals in z-grid order.  With k
+    atoms in pz the latent interval is cut ``(k+2)``-fold per level; atom j
+    rotates images within blocks by j, and the continuum halves take the two
+    remaining rotations.  Without atoms the cut is binary.  Raises
+    ``NonAtomicityError`` when a marginal carries point masses and
+    ``ValidationError`` when the permutation matrix would exceed
+    ``MAX_CELL_ENTRIES`` entries.
+    """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
     sites = sites_of(pz, z_grid)
@@ -282,87 +320,38 @@ def _build(
             raise NonAtomicityError("conditional x-marginals must be non-atomic")
     k = sum(1 for s in sites if s.kind == "atom")
     arity = k + 2 if k > 0 else 2
+    _, cont = _continuum_law(pz, sites)
+    # past the cap's bit length a single row overflows it at arity >= 2
+    if depth >= MAX_CELL_ENTRIES.bit_length() or (
+        (k + (2**depth if cont is not None else 0)) * arity**depth > MAX_CELL_ENTRIES
+    ):
+        raise ValidationError(
+            f"depth {depth} at arity {arity} needs more than "
+            f"{MAX_CELL_ENTRIES} permutation entries"
+        )
     n_cells = arity**depth
 
-    atom_sites = [(i, s) for i, s in enumerate(sites) if s.kind == "atom"]
-    cont_mass = sum(s.mass for s in sites if s.kind == "bin")
-
-    identity = np.arange(n_cells, dtype=np.int64)
     if _already_one_to_one(marginals, sites, max(n_cells, 1)):
         # purely atomic z with pairwise distinct image cells: keep the
         # base map, every permutation is the identity
-        cells = [
-            ZCell((j + 1,), identity.copy(), atom=s.z_value)
-            for j, (_, s) in enumerate(atom_sites)
-        ]
-        return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), tuple(cells), None)
+        cells = np.tile(np.arange(n_cells, dtype=np.int64), (k, 1))
+        return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
 
     # atoms: atom j applies a within-block rotation by j at every level
-    atom_cells = []
-    for j, (_, s) in enumerate(atom_sites):
-        perm = np.zeros(1, dtype=np.int64)
-        for _ in range(depth):
-            perm = _refine_and_shift(perm, arity, j)
-        atom_cells.append(ZCell((j + 1,), perm, atom=s.z_value))
-
-    # continuum: breadth-first halving; the first child takes shift k+1,
+    atom_cells = np.zeros((k, 1), dtype=np.int64)
+    shifts = np.arange(k)[:, None]
+    # continuum: halving level by level; the first child takes shift k+1,
     # the second keeps the inherited map via shift k
-    cont_cells: list[ZCell] = []
-    root = None
-    if cont_mass > 0:
-        support = _continuum_support(pz)
-        cont_bins = GridDistribution(
-            pz.edges, np.asarray(pz.masses) / cont_mass if cont_mass != 1.0 else pz.masses
-        )
-        rep = marginals[0]
-
-        def grow(address, z_set, perm, level):
-            if level == depth:
-                cont_cells.append(ZCell(address, perm, z_set=z_set))
-                return PartitionNode(address, z_set, level, arity, rep)
-            left, right = split_equal_measure(cont_bins, z_set)
-            kids = (
-                grow(address + (k + 1,), left, _refine_and_shift(perm, arity, k + 1), level + 1),
-                grow(address + (k + 2,), right, _refine_and_shift(perm, arity, k), level + 1),
-            )
-            return PartitionNode(address, z_set, level, arity, rep, kids)
-
-        root = grow((), support, np.zeros(1, dtype=np.int64), 0)
-
-    cells = tuple(atom_cells + cont_cells)
-    return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells, root)
-
-
-def build_generator(
-    marginals: Sequence[GridDistribution],
-    pz: GridDistribution,
-    z_grid: Sequence[float],
-    depth: int,
-) -> GeneratorMap:
-    """Build the injectivity-improving map for a non-atomic z law.
-
-    ``marginals`` are the conditional x-marginals in z-grid order.  Raises
-    ``NonAtomicityError`` when pz carries point masses (use
-    :func:`build_generator_with_atoms`) or when a marginal does.
-    """
-    if any(m > 0 for _, m in pz.atoms):
-        raise NonAtomicityError("pz has atoms; use build_generator_with_atoms")
-    return _build(marginals, pz, z_grid, depth)
-
-
-def build_generator_with_atoms(
-    marginals: Sequence[GridDistribution],
-    pz: GridDistribution,
-    z_grid: Sequence[float],
-    depth: int,
-) -> GeneratorMap:
-    """Variant for a z law with finitely many atoms (``pz.atoms``).
-
-    With k atoms the latent interval is cut ``(k+2)``-fold per level; atom j
-    rotates images within blocks by j, the continuum halves take the two
-    remaining rotations.  With k = 0 this is exactly :func:`build_generator`.
-    """
-    return _build(marginals, pz, z_grid, depth)
+    cont_cells = np.zeros((1 if cont is not None else 0, 1), dtype=np.int64)
+    for _ in range(depth):
+        atom_cells = _refine_and_shift(atom_cells, arity, shifts)
+        if len(cont_cells):
+            left = _refine_and_shift(cont_cells, arity, k + 1)
+            right = _refine_and_shift(cont_cells, arity, k)
+            # the halves of row i become rows 2i and 2i+1
+            cont_cells = np.stack([left, right], axis=1).reshape(2 * len(cont_cells), -1)
+    cells = np.concatenate([atom_cells, cont_cells.reshape(-1, atom_cells.shape[1])])
+    return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -370,52 +359,28 @@ def build_generator_with_atoms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """Largest unit on which the map is a single function: one site inside one cell."""
-
-    cell_idx: int
-    site_idx: int
-    weight: float
-    is_atom: bool
-
-
-def _pieces(gen: GeneratorMap) -> list[_Piece]:
-    out = []
-    for ci, cell in enumerate(gen.cells):
-        if cell.atom is not None:
-            si = gen.site_index(cell.atom)
-            out.append(_Piece(ci, si, gen.sites[si].mass, True))
-            continue
-        for si, site in enumerate(gen.sites):
-            if site.kind != "bin":
-                continue
-            w = gen.pz.measure_of(cell.z_set.intersect_interval(site.lo, site.hi))
-            if w > 0:
-                out.append(_Piece(ci, si, w, False))
-    return out
-
-
-def _image_codes(gen: GeneratorMap, pieces: list[_Piece], u_resolution: int) -> np.ndarray:
+def _image_codes(gen: GeneratorMap, u_resolution: int) -> np.ndarray:
     """Integer code of the image cell interval for each (piece, u point).
 
     Two entries get the same code iff the image intervals are identical as
     real intervals, which is the cell-resolution notion of collision.
     """
+    cell, site, _ = gen.pieces
     n = gen.n_u_cells
     t = (np.arange(u_resolution) + 0.5) / u_resolution
     ucell = np.minimum((t * n).astype(np.int64), n - 1)
     grid = np.arange(n + 1) / n
-    qs = {si: gen.marginals[si].quantile(grid) for si in {p.site_idx for p in pieces}}
-    lo = np.empty((len(pieces), u_resolution))
-    hi = np.empty((len(pieces), u_resolution))
-    for r, p in enumerate(pieces):
-        mapped = gen.cells[p.cell_idx].perm[ucell]
-        lo[r] = qs[p.site_idx][mapped]
-        hi[r] = qs[p.site_idx][mapped + 1]
+    lo = np.empty((len(cell), u_resolution))
+    hi = np.empty((len(cell), u_resolution))
+    for si in np.unique(site):
+        at = site == si
+        mapped = gen.cells[cell[at][:, None], ucell]
+        qs = gen.marginals[si].quantile(grid)
+        lo[at] = qs[mapped]
+        hi[at] = qs[mapped + 1]
     flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
     _, codes = np.unique(flat, axis=0, return_inverse=True)
-    return codes.reshape(len(pieces), u_resolution).astype(np.int32)
+    return codes.reshape(len(cell), u_resolution).astype(np.int32)
 
 
 def collision_fraction(
@@ -433,12 +398,11 @@ def collision_fraction(
     pairs are Monte Carlo sampled, deterministically in ``seed``.  A draw of
     the same atom twice gives z_i = z_j and never counts as a collision.
     """
-    pieces = _pieces(gen)
+    cell, _, w = gen.pieces
     res = u_resolution or gen.n_u_cells
-    codes = _image_codes(gen, pieces, res)
-    w = np.array([p.weight for p in pieces])
-    self_collides = np.array([not p.is_atom for p in pieces], dtype=float)
-    P = len(pieces)
+    codes = _image_codes(gen, res)
+    self_collides = (cell >= len(gen.atoms)).astype(float)
+    P = len(cell)
     if P * P <= max(z_pairs, P):
         total = 0.0
         for i in range(P):
@@ -466,22 +430,24 @@ def group_collision_matrix(
     image cells, weighted over the piece pairs of the two groups.  The
     diagonal uses the same-z convention as :func:`collision_fraction`.
     """
-    pieces = _pieces(gen)
+    cell, _, weight = gen.pieces
     res = u_resolution or gen.n_u_cells
-    codes = _image_codes(gen, pieces, res)
-    labels = sorted({_address_str(gen.cells[p.cell_idx].address[:1]) for p in pieces})
+    codes = _image_codes(gen, res)
+    group = [_address_str(gen.addresses[c][:1]) for c in cell]
+    labels = sorted(set(group))
     index = {lab: g for g, lab in enumerate(labels)}
     G = len(labels)
     mass = np.zeros((G, G))
     hits = np.zeros((G, G))
-    for a, pa in enumerate(pieces):
-        ga = index[_address_str(gen.cells[pa.cell_idx].address[:1])]
-        for b, pb in enumerate(pieces):
-            gb = index[_address_str(gen.cells[pb.cell_idx].address[:1])]
-            wab = pa.weight * pb.weight
+    k = len(gen.atoms)
+    for a in range(len(cell)):
+        ga = index[group[a]]
+        for b in range(len(cell)):
+            gb = index[group[b]]
+            wab = weight[a] * weight[b]
             mass[ga, gb] += wab
             if a == b:
-                hits[ga, gb] += wab * (0.0 if pa.is_atom else 1.0)
+                hits[ga, gb] += wab * (0.0 if cell[a] < k else 1.0)
             else:
                 hits[ga, gb] += wab * float((codes[a] == codes[b]).mean())
     out = np.zeros((G, G))
@@ -501,39 +467,39 @@ class StructuralModel:
 
     The first stage is the generator; the outcome stage maps an independent
     uniform through the per-(x bin, z site) conditional outcome quantiles.
-    ``independent`` asserts that the instrument is drawn without reading the
-    latent pair, which the sampler honors by construction.
+    Both latents are uniform on [0, 1) and the instrument is drawn without
+    reading them, so the instrument is independent by construction.
     """
 
     generator: GeneratorMap
     joint: JointLaw
     outcome: tuple[tuple[GridDistribution | None, ...], ...]
-    u_law: GridDistribution
-    v_law: GridDistribution
-    independent: bool = True
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw (y, x, z) rows; the latent pair never reads z."""
         if n < 1:
             raise ValidationError("need n >= 1")
+        gen = self.generator
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        u = self.u_law.quantile(rng.uniform(size=n))
-        v = self.v_law.quantile(rng.uniform(size=n))
-        z = self.generator.pz.quantile(rng.uniform(size=n))
+        u = rng.uniform(size=n)
+        v = rng.uniform(size=n)
+        z = gen.pz.quantile(rng.uniform(size=n))
+        rows, sites = gen.locate(z)
+        levels = gen.permuted_level(rows, u)
         y = np.empty(n)
         x = np.empty(n)
-        for i in range(n):
-            si = self.generator.site_index(float(z[i]))
-            cell = self.generator.cell_of(float(z[i]))
-            lvl = self.generator.permuted_level(cell.perm, np.array([u[i]]))
-            x[i] = self.generator.marginals[si].quantile(float(lvl[0]))
+        for si in np.unique(sites):
+            at = np.flatnonzero(sites == si)
+            x[at] = gen.marginals[si].quantile(levels[at])
             cond = self.joint.conditionals[si]
-            xb = int(np.searchsorted(cond.x_edges, x[i], side="right")) - 1
-            xb = min(max(xb, 0), cond.mass.shape[1] - 1)
-            col = self.outcome[si][xb]
-            if col is None:
-                raise ValidationError("sampled an x bin with zero conditional mass")
-            y[i] = col.quantile(float(v[i]))
+            xb = np.searchsorted(cond.x_edges, x[at], side="right") - 1
+            xb = np.clip(xb, 0, cond.mass.shape[1] - 1)
+            for b in np.unique(xb):
+                col = self.outcome[si][b]
+                if col is None:
+                    raise ValidationError("sampled an x bin with zero conditional mass")
+                hit = at[xb == b]
+                y[hit] = col.quantile(v[hit])
         return np.column_stack([y, x, z])
 
     def induced_conditional(self, site_idx: int) -> np.ndarray:
@@ -551,7 +517,7 @@ class StructuralModel:
         return {
             "joint": self.joint.to_json_dict(),
             "generator": self.generator.to_json_dict(),
-            "independence": self.independent,
+            "independence": True,
         }
 
 
@@ -568,7 +534,7 @@ def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralMo
     for a, b in zip(margs, gen.marginals):
         if len(a.masses) != len(b.masses) or np.max(np.abs(a.edges - b.edges)) > 0:
             raise MarginalMismatchError("marginal grids differ")
-        if 0.5 * float(np.abs(a.masses - b.masses).sum()) > 1e-9:
+        if 0.5 * float(np.abs(a.masses - b.masses).sum()) > INPUT_TOL:
             raise MarginalMismatchError("marginal masses differ beyond tolerance")
     outcome = []
     for c in joint.conditionals:
@@ -580,8 +546,7 @@ def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralMo
             else:
                 cols.append(None)
         outcome.append(tuple(cols))
-    unit = GridDistribution.uniform(0.0, 1.0)
-    return StructuralModel(gen, joint, tuple(outcome), unit, unit, independent=True)
+    return StructuralModel(gen, joint, tuple(outcome))
 
 
 def _induced_conditional_fractions(model: StructuralModel, site_idx: int):
@@ -610,23 +575,19 @@ def _induced_conditional_fractions(model: StructuralModel, site_idx: int):
     h = cum[-1] / n
 
     if site.kind == "atom":
-        overlapping = [(gen.cell_of(site.z_value), Fraction(1))]
+        rows, _ = gen.locate(site.z_value)
+        overlapping = [(int(rows[0]), Fraction(1))]
     else:
-        weighted = []
-        for cell in gen.cells:
-            if cell.z_set is None:
-                continue
-            w = gen.pz.measure_of(cell.z_set.intersect_interval(site.lo, site.hi))
-            if w > 0:
-                weighted.append((cell, Fraction(float(w))))
+        cell, piece_site, weight = gen.pieces
+        at = piece_site == site_idx
+        weighted = [(int(c), Fraction(float(w))) for c, w in zip(cell[at], weight[at])]
         total = sum(w for _, w in weighted)
-        overlapping = [(cell, w / total) for cell, w in weighted]
+        overlapping = [(row, w / total) for row, w in weighted]
 
     out = [[Fraction(0)] * nx for _ in range(ny)]
-    for cell, cell_weight in overlapping:
+    for row, cell_weight in overlapping:
         xbin_mass = [Fraction(0)] * nx
-        for j in range(n):
-            c = int(cell.perm[j])
+        for c in gen.cells[row].tolist():
             lo, hi = c * h, (c + 1) * h
             b = max(bisect_right(cum, lo) - 1, 0)
             while b < nx and cum[b] < hi:
@@ -673,25 +634,23 @@ def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
     (nothing to distinguish) or when two or more cells match (depth too
     small for this point).
     """
-    groups = {c.address for c in gen.cells}
-    if len(groups) <= 1:
+    if len(gen.cells) <= 1:
         raise NonInvertibleError("generator has a single z group at this resolution")
     n = gen.n_u_cells
     j = min(int(u * n), n - 1)
     grid = np.arange(n + 1) / n
-    matches: set[tuple[int, ...]] = set()
-    for p in _pieces(gen):
-        cell = gen.cells[p.cell_idx]
-        c = int(cell.perm[j])
-        qs = gen.marginals[p.site_idx].quantile(grid[[c, c + 1]])
+    matches: set[int] = set()
+    for row, si, _ in zip(*gen.pieces):
+        c = int(gen.cells[row, j])
+        qs = gen.marginals[si].quantile(grid[[c, c + 1]])
         lo, hi = float(qs[0]), float(qs[1])
         inside = lo <= x < hi or (c == n - 1 and x == hi)
         if inside:
-            matches.add(cell.address)
+            matches.add(int(row))
     if not matches:
         raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
     if len(matches) > 1:
         raise NonInvertibleError(
             f"{len(matches)} z cells match at this resolution; increase depth"
         )
-    return _address_str(next(iter(matches)))
+    return _address_str(gen.addresses[next(iter(matches))])

@@ -2,9 +2,9 @@
 
 A grid distribution is piecewise uniform over bins plus an optional list of
 point masses.  Its CDF is therefore piecewise linear with jumps, and every
-operation in this module (quantiles, equal-measure splitting, sup distances,
-stochastic-dominance checks) is computed from that exact profile rather than
-by sampling.  Downstream constructions rely on this measure arithmetic being
+operation in this module (quantiles, the sup-quantile distance,
+stochastic-dominance violations) is computed from that exact profile rather
+than by sampling.  Downstream constructions rely on this measure arithmetic being
 reproducible to float precision.
 
 Conventions fixed here and used everywhere else:
@@ -13,8 +13,7 @@ Conventions fixed here and used everywhere else:
   exactly one cell of a partition;
 * the quantile function is the generalized inverse ``Q(p) = inf {x: F(x) >= p}``
   with linear interpolation inside bins;
-* normalization of user inputs is checked at ``INPUT_TOL``, internal
-  construction arithmetic at ``INTERNAL_TOL``.
+* normalization of user inputs is checked at ``INPUT_TOL``.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonAtomicityError, ValidationError
+from .errors import ValidationError
 
 INPUT_TOL = 1e-9
-INTERNAL_TOL = 1e-12
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
@@ -229,12 +227,6 @@ class GridDistribution:
         iv = self.support_intervals()
         return iv[0][0], iv[-1][1]
 
-    def measure_of(self, mset: "MeasurableSet") -> float:
-        """Mass of a finite union of half-open intervals."""
-        return float(
-            sum(self.cdf_left(b) - self.cdf_left(a) for a, b in mset.intervals)
-        )
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -260,70 +252,6 @@ class GridDistribution:
             f"GridDistribution({len(self.masses)} bins on "
             f"[{self.edges[0]:g}, {self.edges[-1]:g}], {len(self.atoms)} atoms)"
         )
-
-
-# ---------------------------------------------------------------------------
-# MeasurableSet
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasurableSet:
-    """Finite disjoint union of half-open intervals ``[a, b)``.
-
-    Intervals are normalized on construction: sorted, empties dropped,
-    touching pieces merged.  Overlaps are rejected.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pieces = sorted((float(a), float(b)) for a, b in self.intervals if b > a)
-        for (a1, b1), (a2, b2) in zip(pieces, pieces[1:]):
-            if a2 < b1:
-                raise ValidationError("intervals overlap")
-        merged: list[tuple[float, float]] = []
-        for a, b in pieces:
-            if merged and a == merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        object.__setattr__(self, "intervals", tuple(merged))
-
-    @classmethod
-    def interval(cls, a: float, b: float) -> "MeasurableSet":
-        return cls(((a, b),))
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, x: float) -> bool:
-        return any(a <= x < b for a, b in self.intervals)
-
-    def bounds(self) -> tuple[float, float]:
-        if self.is_empty():
-            raise ValidationError("empty set has no bounds")
-        return self.intervals[0][0], self.intervals[-1][1]
-
-    def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(self.intervals + other.intervals)
-
-    def intersect_interval(self, lo: float, hi: float) -> "MeasurableSet":
-        out = [(max(a, lo), min(b, hi)) for a, b in self.intervals]
-        return MeasurableSet(tuple(p for p in out if p[1] > p[0]))
-
-    def split_at(self, x: float) -> tuple["MeasurableSet", "MeasurableSet"]:
-        """Left part ``set ∩ [-inf, x)`` and right part ``set ∩ [x, +inf)``."""
-        left, right = [], []
-        for a, b in self.intervals:
-            if b <= x:
-                left.append((a, b))
-            elif a >= x:
-                right.append((a, b))
-            else:
-                left.append((a, x))
-                right.append((x, b))
-        return MeasurableSet(tuple(left)), MeasurableSet(tuple(right))
 
 
 # ---------------------------------------------------------------------------
@@ -504,78 +432,8 @@ class CouplingMatrix:
 # ---------------------------------------------------------------------------
 
 
-def quantile(dist: GridDistribution, p: float) -> float:
-    """Generalized inverse CDF at level ``p``; rejects p outside [0, 1]."""
-    return dist.quantile(p)
-
-
-def split_equal_measure(
-    dist: GridDistribution, mset: MeasurableSet
-) -> tuple[MeasurableSet, MeasurableSet]:
-    """Split ``mset`` into two pieces of equal ``dist`` measure.
-
-    The split point is found by accumulating measure left to right, bisecting
-    inside a bin when the half-measure point falls there.  Raises
-    ``NonAtomicityError`` when a point mass intersects the set, since an atom
-    can make an exact half impossible.
-    """
-    for loc, m in dist.atoms:
-        if m > 0 and mset.contains(loc):
-            raise NonAtomicityError(
-                f"atom at {loc} intersects the set; equal split not guaranteed"
-            )
-    total = dist.measure_of(mset)
-    if total <= 0:
-        raise ValidationError("set has zero measure; nothing to split")
-    target = total / 2.0
-    cum = 0.0
-    for a, b in mset.intervals:
-        piece = dist.cdf_left(b) - dist.cdf_left(a)
-        if cum + piece < target:
-            cum += piece
-            continue
-        # half-measure point lands inside [a, b): invert the CDF there
-        p_star = dist.cdf_left(a) + (target - cum)
-        x_star = float(dist.quantile(min(p_star, 1.0)))
-        x_star = min(max(x_star, a), b)
-        return mset.split_at(x_star)
-    # fell through on float dust: split at the far end
-    return mset.split_at(mset.intervals[-1][1])
-
-
 def _eval_points(a: GridDistribution, b: GridDistribution) -> np.ndarray:
     return np.unique(np.concatenate([a._profile[0], b._profile[0]]))
-
-
-def cdf_distance_sup(a: GridDistribution, b: GridDistribution) -> float:
-    """Kolmogorov-Smirnov distance ``sup_x |F_a(x) - F_b(x)|``, exact.
-
-    Both CDFs are piecewise linear, so the sup is attained at a breakpoint of
-    either, approached from the left or the right.
-    """
-    xs = _eval_points(a, b)
-    right = np.max(np.abs(a.cdf(xs) - b.cdf(xs)))
-    left = np.max(np.abs(a.cdf_left(xs) - b.cdf_left(xs)))
-    return float(max(right, left))
-
-
-def hausdorff_support_distance(a: GridDistribution, b: GridDistribution) -> float:
-    """Hausdorff distance between the positive-mass supports."""
-
-    def dist_to(x: float, intervals: list[tuple[float, float]]) -> float:
-        return min(max(lo - x, x - hi, 0.0) for lo, hi in intervals)
-
-    def directed(src: list[tuple[float, float]], dst: list[tuple[float, float]]) -> float:
-        candidates = [p for lo, hi in src for p in (lo, hi)]
-        # interior maxima of dist(., dst) sit at midpoints of dst gaps
-        for (_, h1), (l2, _) in zip(dst, dst[1:]):
-            mid = 0.5 * (h1 + l2)
-            if any(lo <= mid <= hi for lo, hi in src):
-                candidates.append(mid)
-        return max(dist_to(x, dst) for x in candidates)
-
-    sa, sb = a.support_intervals(), b.support_intervals()
-    return max(directed(sa, sb), directed(sb, sa))
 
 
 def _quantile_levels(a: GridDistribution, b: GridDistribution) -> np.ndarray:
@@ -603,20 +461,6 @@ def winf_distance(a: GridDistribution, b: GridDistribution) -> float:
     ps_r = np.concatenate([[0.0], ps])
     gap_right = np.max(np.abs(a.quantile_right(ps_r) - b.quantile_right(ps_r)))
     return float(max(gap_left, gap_right))
-
-
-def fosd_check(lower: GridDistribution, upper: GridDistribution, tol: float) -> bool:
-    """True iff ``upper`` first-order stochastically dominates ``lower``.
-
-    Checked as ``F_upper(x) <= F_lower(x) + tol`` at every breakpoint of
-    either CDF, from both sides.
-    """
-    xs = _eval_points(lower, upper)
-    if np.any(upper.cdf(xs) > lower.cdf(xs) + tol):
-        return False
-    if np.any(upper.cdf_left(xs) > lower.cdf_left(xs) + tol):
-        return False
-    return True
 
 
 def fosd_violation(lower: GridDistribution, upper: GridDistribution) -> float:

@@ -15,11 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyBinError, NonAtomicityError, ValidationError
+from .errors import EmptyBinError, IVTestError, NonAtomicityError, ValidationError
 from .generator import (
     StructuralModel,
     build_generator,
-    build_generator_with_atoms,
     compose_structural_model,
     verify_replication,
 )
@@ -288,8 +287,11 @@ def run_experiment(
                         report = fn(law)
                         rejected[(row, name)] += report.decision == "reject"
                         stat_sum[(row, name)] += report.statistic
-            except Exception as exc:
+            except IVTestError as exc:
+                # package errors keep their type, which the CLI's exit code reads
                 raise type(exc)(f"spec {spec.name!r}, replication {rep}: {exc}") from exc
+            except Exception as exc:
+                raise IVTestError(f"spec {spec.name!r}, replication {rep}: {exc!r}") from exc
         for row in rows:
             for name, _ in tests:
                 results[(row, name)] = CellStats(
@@ -306,11 +308,12 @@ def run_experiment(
 def nontestability_demo(joint: JointLaw, depth: int) -> tuple[StructuralModel, float]:
     """Replicate an arbitrary observed law with a valid-instrument model.
 
-    Builds the depth-``depth`` first stage for the law's x-marginals (the
-    atomic-z variant when pz carries point masses), composes the outcome
-    stage, and returns the model with its exact replication error, which is
-    0 at cell resolution.  Laws whose treatment marginals are atomic at grid
-    resolution are refused: for those the first stage may simply not exist.
+    Builds the depth-``depth`` first stage for the law's x-marginals (with
+    cyclic shifts for the atoms when pz carries point masses), composes the
+    outcome stage, and returns the model with its exact replication error,
+    which is 0 at cell resolution.  Laws whose treatment marginals are atomic
+    at grid resolution are refused: for those the first stage may simply not
+    exist.
     """
     margs = joint.x_marginals()
     degenerate = []
@@ -333,9 +336,7 @@ def nontestability_demo(joint: JointLaw, depth: int) -> tuple[StructuralModel, f
         raise NonAtomicityError(
             f"x-marginals at z sites {degenerate} are atomic at grid resolution{detail}"
         )
-    has_atoms = any(m > 0 for _, m in joint.pz.atoms)
-    builder = build_generator_with_atoms if has_atoms else build_generator
-    gen = builder(margs, joint.pz, joint.z_grid, depth)
+    gen = build_generator(margs, joint.pz, joint.z_grid, depth)
     model = compose_structural_model(joint, gen)
     return model, verify_replication(model, joint)
 

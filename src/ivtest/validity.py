@@ -27,14 +27,13 @@ from scipy.optimize import linprog
 
 from .errors import DegenerateGridError, DeskScaleError, ValidationError
 from .measures import (
+    INPUT_TOL,
     CouplingMatrix,
     GridDistribution,
     JointLaw,
     fosd_violation,
     winf_distance,
 )
-
-INPUT_TOL = 1e-9
 
 MAX_SUPPORT = 6
 MAX_Z_POINTS = 4

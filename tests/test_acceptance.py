@@ -13,7 +13,6 @@ from ivtest import (
     DGPSpec,
     GridDistribution,
     build_generator,
-    build_generator_with_atoms,
     collision_fraction,
     discrete_generator_feasible,
     discretize,
@@ -122,7 +121,7 @@ def test_criterion_3_atomic_variant():
         z_grid = sorted([a for a, _ in atoms] + [0.95])
         margs = [GridDistribution.uniform(0, 1)] * (k + 1)
         for depth in (1, 2):
-            gen = build_generator_with_atoms(margs, pz, z_grid, depth)
+            gen = build_generator(margs, pz, z_grid, depth)
             _, mat = group_collision_matrix(gen)
             off = mat.copy()
             np.fill_diagonal(off, 0.0)

@@ -1,5 +1,7 @@
 """Construction invariants: measure preservation, injectivity decay, replication."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from ivtest import (
     MarginalMismatchError,
     NonAtomicityError,
     NonInvertibleError,
+    ValidationError,
     build_generator,
-    build_generator_with_atoms,
     collision_fraction,
     compose_structural_model,
     group_collision_matrix,
@@ -22,34 +24,35 @@ from ivtest.measures import Conditional2D, JointLaw
 from conftest import identical_conditional_setup, random_joint_law
 
 
+def address_str(gen, row):
+    return "".join(str(d) for d in gen.addresses[row])
+
+
 def pointwise_collision_oracle(gen, u_points=256):
     """Independent collision estimate: evaluate g(z, u) through the public
     map at one representative z per piece and compare values exactly.
 
-    Pieces of continuum cells share the map among all their z values, so a
-    same-piece pair is a full collision; an atom paired with itself is the
-    same z twice and never counts.
+    Pieces are the segments between the merged cut points and site edges,
+    represented by their midpoints.  Pieces of continuum cells share the map
+    among all their z values, so a same-piece pair is a full collision; an
+    atom paired with itself is the same z twice and never counts.
     """
     reps, weights, is_atom = [], [], []
-    for cell in gen.cells:
-        if cell.atom is not None:
-            reps.append(cell.atom)
-            weights.append(gen.sites[gen.site_index(cell.atom)].mass)
-            is_atom.append(True)
+    for z in gen.atoms:
+        reps.append(float(z))
+        weights.append(next(s.mass for s in gen.sites if s.kind == "atom" and s.z_value == z))
+        is_atom.append(True)
+    bins = [s for s in gen.sites if s.kind == "bin" and s.mass > 0]
+    bp = sorted(set(gen.cuts.tolist()) | {e for s in bins for e in (s.lo, s.hi)})
+    for a, b in zip(bp, bp[1:]):
+        if not any(s.lo <= a and b <= s.hi for s in bins):
             continue
-        for s in gen.sites:
-            if s.kind != "bin":
-                continue
-            piece = cell.z_set.intersect_interval(s.lo, s.hi)
-            if piece.is_empty():
-                continue
-            w = gen.pz.measure_of(piece)
-            if w <= 0:
-                continue
-            a, b = piece.intervals[0]
-            reps.append(0.5 * (a + b))
-            weights.append(w)
-            is_atom.append(False)
+        w = gen.pz.cdf_left(b) - gen.pz.cdf_left(a)
+        if w <= 0:
+            continue
+        reps.append(0.5 * (a + b))
+        weights.append(w)
+        is_atom.append(False)
     us = (np.arange(u_points) + 0.5) / u_points
     values = np.array([gen(z, us) for z in reps])
     total = 0.0
@@ -99,15 +102,27 @@ def test_collision_monte_carlo_mode_close_to_exact():
     assert abs(mc - exact) < 0.05
 
 
-def test_rejects_atomic_marginal_or_pz():
+def test_rejects_atomic_marginal_accepts_atomic_pz():
     margs, pz, zg = identical_conditional_setup()
     with pytest.raises(NonAtomicityError):
         build_generator([GridDistribution.point_mass(0.5)] * 4, pz, zg, 1)
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
-    with pytest.raises(NonAtomicityError):
-        build_generator(
-            [GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 1
-        )
+    gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 1)
+    assert gen.arity == 3
+    assert gen.cells.shape == (3, 3)
+
+
+def test_depth_cap_refused_before_allocating():
+    margs, pz, zg = identical_conditional_setup()
+    for depth in (13, 40):  # 2**depth rows of 2**depth entries each
+        with pytest.raises(ValidationError, match="permutation entries"):
+            build_generator(margs, pz, zg, depth)
+    with pytest.raises(ValidationError, match="permutation entries"):
+        GeneratorMap.from_json_dict({"depth": 40, "cells": []}, margs, pz, zg)
+    # one atom: 3**10 entries for each of 1 + 2**10 rows
+    pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
+    with pytest.raises(ValidationError, match="permutation entries"):
+        build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 10)
 
 
 def test_disjoint_supports_zero_collision():
@@ -116,7 +131,7 @@ def test_disjoint_supports_zero_collision():
         np.array([-0.5, 4.5]), np.array([0.0]), ((0.0, 0.3), (2.0, 0.3), (4.0, 0.4))
     )
     margs = [GridDistribution.uniform(2 * k, 2 * k + 1, 2) for k in range(3)]
-    gen = build_generator_with_atoms(margs, pz, [0.0, 2.0, 4.0], 2)
+    gen = build_generator(margs, pz, [0.0, 2.0, 4.0], 2)
     assert collision_fraction(gen) == 0.0
 
 
@@ -129,9 +144,9 @@ def test_atoms_cyclic_three_groups_depth1():
     # one atom plus the two continuum halves: three distinct shifts of 3 cells
     pz = GridDistribution(np.array([0.0, 1.0]), np.array([2 / 3]), ((0.5, 1 / 3),))
     margs = [GridDistribution.uniform(0, 1)] * 2
-    gen = build_generator_with_atoms(margs, pz, [0.25, 0.5], 1)
+    gen = build_generator(margs, pz, [0.25, 0.5], 1)
     assert gen.arity == 3
-    perms = {c.address_str: tuple(c.perm) for c in gen.cells}
+    perms = {c["z_addr"]: tuple(c["perm"]) for c in gen.to_json_dict()["cells"]}
     assert perms["1"] == (0, 1, 2)  # first atom keeps the base map
     assert len({p for p in perms.values()}) == 3  # all groups distinct
     labels, mat = group_collision_matrix(gen)
@@ -148,7 +163,7 @@ def test_atoms_cross_group_zero_after_level1(k):
     z_grid = sorted([a for a, _ in atoms] + [0.95])
     margs = [GridDistribution.uniform(0, 1)] * (k + 1)
     for depth in (1, 2):
-        gen = build_generator_with_atoms(margs, pz, z_grid, depth)
+        gen = build_generator(margs, pz, z_grid, depth)
         assert gen.arity == k + 2
         labels, mat = group_collision_matrix(gen)
         assert len(labels) == k + 2
@@ -157,22 +172,46 @@ def test_atoms_cross_group_zero_after_level1(k):
         assert off.max() == 0.0
 
 
+def reference_perms(gen):
+    """Every row's permutation rebuilt one row and one level at a time.
+
+    Atom j rotates by j at every level; a continuum cell rotates by k+1 on
+    each left half (address digit k+1) and by k on each right half.
+    """
+    k, K = len(gen.atoms), gen.arity
+    out = []
+    for row, address in enumerate(gen.addresses):
+        shifts = [row] * gen.depth if row < k else [k + 1 if d == k + 1 else k for d in address]
+        perm = [0]
+        for shift in shifts:
+            perm = [p * K + (r + shift) % K for p in perm for r in range(K)]
+        out.append(perm)
+    return out
+
+
 def test_atoms_k0_delegates_to_binary():
     margs, pz, zg = identical_conditional_setup()
-    g_plain = build_generator(margs, pz, zg, 3)
-    g_atoms = build_generator_with_atoms(margs, pz, zg, 3)
-    assert g_plain.arity == g_atoms.arity == 2
-    assert [c.address for c in g_plain.cells] == [c.address for c in g_atoms.cells]
-    for a, b in zip(g_plain.cells, g_atoms.cells):
-        assert np.array_equal(a.perm, b.perm)
+    gen = build_generator(margs, pz, zg, 3)
+    assert gen.arity == 2
+    assert len(gen.atoms) == 0
+    assert gen.addresses == tuple(
+        tuple(1 + int(b) for b in format(i, "03b")) for i in range(8)
+    )
+    assert gen.cells.tolist() == reference_perms(gen)
+    atomic = GridDistribution(
+        np.array([0.0, 1.0]), np.array([0.6]), ((0.1, 0.2), (0.3, 0.2))
+    )
+    gen = build_generator([GridDistribution.uniform(0, 1)] * 3, atomic, [0.1, 0.3, 0.95], 3)
+    assert gen.arity == 4
+    assert gen.cells.tolist() == reference_perms(gen)
 
 
 def test_atoms_already_injective_identity_perms():
     # distinct supports at depth 0: nothing to permute
     pz = GridDistribution(np.array([-0.5, 3.5]), np.array([0.0]), ((0.0, 0.5), (3.0, 0.5)))
     margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(3, 4, 2)]
-    gen = build_generator_with_atoms(margs, pz, [0.0, 3.0], 0)
-    assert all(np.array_equal(c.perm, np.arange(len(c.perm))) for c in gen.cells)
+    gen = build_generator(margs, pz, [0.0, 3.0], 0)
+    assert all(np.array_equal(row, np.arange(len(row))) for row in gen.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +220,33 @@ def test_atoms_already_injective_identity_perms():
 
 
 def test_partition_tree_invariants():
-    margs, pz, zg = identical_conditional_setup()
-    gen = build_generator(margs, pz, zg, 3)
-
-    def walk(node):
-        k = gen.arity**node.level
-        u_measures = [
-            sum(b - a for a, b in cell.intervals) for cell in node.u_cells
-        ]
-        assert all(abs(m - 1.0 / k) <= 1e-12 for m in u_measures)
-        x_measures = [
-            node.rep_marginal.measure_of(cell) for cell in node.x_cells
-        ]
-        assert all(abs(m - 1.0 / k) <= 1e-12 for m in x_measures)
-        if node.children:
-            assert len(node.children) == 2
-            union = node.children[0].z_set.union(node.children[1].z_set)
-            assert union.intervals == node.z_set.intervals
-            m1 = gen.pz.measure_of(node.children[0].z_set)
-            m2 = gen.pz.measure_of(node.children[1].z_set)
+    """The flat rows form the halving tree: continuum rows 2i and 2i+1 of
+    one level are the two equal-mass halves of row i one level up, and each
+    inherits row i's map on its coarse blocks."""
+    pz = GridDistribution(np.array([0.0, 0.1, 0.5, 0.6, 1.0]), np.array([0.1, 0.4, 0.2, 0.3]))
+    zg = [0.05, 0.3, 0.55, 0.8]
+    margs = [GridDistribution.uniform(0.0, 1.0)] * 4
+    gens = [build_generator(margs, pz, zg, level) for level in range(4)]
+    for level, gen in enumerate(gens):
+        n = 2**level
+        assert gen.cells.shape == (n, gen.n_u_cells)
+        mass = np.diff(pz.cdf_left(gen.cuts))
+        assert np.all(np.abs(mass - 1.0 / n) <= 1e-12)
+        u_cells = np.arange(gen.n_u_cells + 1) / gen.n_u_cells
+        x_mass = np.diff(margs[0].cdf_left(margs[0].quantile(u_cells)))
+        assert np.all(np.abs(x_mass - 1.0 / gen.n_u_cells) <= 1e-12)
+    for parent, child in zip(gens, gens[1:]):
+        for i in range(len(parent.cells)):
+            for half in (0, 1):
+                assert child.addresses[2 * i + half] == parent.addresses[i] + (1 + half,)
+                coarse = child.cells[2 * i + half] // 2
+                assert np.array_equal(coarse, np.repeat(parent.cells[i], 2))
+            lo, mid, hi = child.cuts[2 * i : 2 * i + 3]
+            assert (lo, hi) == (parent.cuts[i], parent.cuts[i + 1])
+            assert lo < mid < hi
+            m1 = pz.cdf_left(mid) - pz.cdf_left(lo)
+            m2 = pz.cdf_left(hi) - pz.cdf_left(mid)
             assert abs(m1 - m2) <= 1e-12
-            for child in node.children:
-                assert child.address[: node.level] == node.address
-                walk(child)
-
-    walk(gen.root)
 
 
 def test_measure_preservation_per_cell():
@@ -215,9 +256,9 @@ def test_measure_preservation_per_cell():
     margs = law.x_marginals()
     gen = build_generator(margs, law.pz, law.z_grid, 3)
     n = gen.n_u_cells
-    for cell in gen.cells:
+    for row in gen.cells:
         # each image cell is hit by exactly one latent cell
-        assert sorted(cell.perm.tolist()) == list(range(n))
+        assert sorted(row.tolist()) == list(range(n))
     model = compose_structural_model(law, gen)
     for i in range(len(law.z_grid)):
         induced = model.induced_conditional(i)
@@ -269,7 +310,6 @@ def test_monotone_model_class_soundness():
     law = location_family_law([0.0, 0.25, 0.5, 0.75])
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
     model = compose_structural_model(law, gen)
-    assert model.independent
     from ivtest import monotonicity_test
 
     report = monotonicity_test(model.induced_law(), tol=0.0)
@@ -330,7 +370,6 @@ def test_model_sampling_never_reads_z_for_latents(rng):
     law = random_joint_law(rng, nz=3, ny=4, nx=4)
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
     model = compose_structural_model(law, gen)
-    assert model.independent
     rows = model.sample(200, seed=4)
     assert rows.shape == (200, 3)
     again = model.sample(200, seed=4)
@@ -344,6 +383,45 @@ def test_induced_law_equals_input_bitwise(rng):
     induced = model.induced_law()
     for a, b in zip(induced.conditionals, law.conditionals):
         assert np.array_equal(a.mass, b.mass)
+
+
+def test_model_sample_golden_rows(rng):
+    """Seeded rows are pinned: layout changes must keep sampling bit for bit."""
+    law = random_joint_law(rng, nz=3, ny=4, nx=4)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
+    rows = compose_structural_model(law, gen).sample(5, seed=11)
+    expected = [
+        [1.4347636167063034, 0.7430885038255626, 0.368993123729791],
+        [-0.4258693972855616, 0.18338942683944, 0.5113900218032627],
+        [0.5180287633060221, 2.0480515095898357, 0.6628429525167993],
+        [1.903939717029712, 1.4557313597579191, 0.2753088157611293],
+        [1.6732688534241984, 2.673118681604231, 0.13796807286695534],
+    ]
+    assert rows.tolist() == expected
+
+
+def test_support_gap_and_atom_inside_a_bin(rng):
+    """A zero-mass pz bin is a gap no z cell serves; an atom inside a bin
+    gets its own row while the rest of that bin stays continuum."""
+    pz = GridDistribution(
+        np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([0.3, 0.0, 0.3, 0.2]), ((0.6, 0.2),)
+    )
+    base = random_joint_law(rng, nz=4, ny=4, nx=4)
+    law = JointLaw([0.1, 0.6, 0.7, 0.9], pz, base.conditionals)
+    gen = build_generator(law.x_marginals(), pz, law.z_grid, 3)
+    assert gen.cells.shape == (1 + 8, 27)
+    model = compose_structural_model(law, gen)
+    assert verify_replication(model, law) == 0.0
+    z = model.sample(2000, seed=3)[:, 2]
+    assert not np.any((z >= 0.25) & (z < 0.5))
+    assert np.any(z == 0.6)
+    rows, sites = gen.locate([0.6, 0.55, 0.1])
+    assert rows[0] == 0 and sites.tolist() == [1, 2, 0]
+    cell, _, weight = gen.pieces
+    assert weight.sum() == pytest.approx(1.0, abs=1e-12)
+    for z_gap in (0.3, 0.25, 1.0):
+        with pytest.raises(ValidationError):
+            gen(z_gap, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +449,7 @@ def test_invert_from_support_alone():
         np.array([-0.5, 4.5]), np.array([0.0]), ((0.0, 0.5), (4.0, 0.5))
     )
     margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(4, 5, 2)]
-    gen = build_generator_with_atoms(margs, pz, [0.0, 4.0], 0)
+    gen = build_generator(margs, pz, [0.0, 4.0], 0)
     assert invert_generator(gen, x=4.5, u=0.3) == "2"
     assert invert_generator(gen, x=0.5, u=0.3) == "1"
 
@@ -385,7 +463,8 @@ def test_invert_roundtrip_when_injective():
         u = float(rng.uniform(0, 1))
         x = gen(z, u)
         addr = invert_generator(gen, x, u)
-        assert gen.cell_of(z).address_str == addr
+        rows, _ = gen.locate(z)
+        assert address_str(gen, rows[0]) == addr
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +479,36 @@ def test_generator_json_roundtrip():
     assert obj["depth"] == 3
     assert all(set(c) == {"z_addr", "perm"} for c in obj["cells"])
     back = GeneratorMap.from_json_dict(obj, margs, pz, zg)
-    assert [c.address for c in back.cells] == [c.address for c in gen.cells]
-    for a, b in zip(back.cells, gen.cells):
-        assert np.array_equal(a.perm, b.perm)
+    assert back.addresses == gen.addresses
+    assert np.array_equal(back.cells, gen.cells)
+    assert json.dumps(back.to_json_dict()) == json.dumps(obj)
+
+
+def test_generator_json_rejects_bad_rows():
+    margs, pz, zg = identical_conditional_setup()
+    obj = build_generator(margs, pz, zg, 2).to_json_dict()
+
+    def load(edit):
+        bad = json.loads(json.dumps(obj))
+        edit(bad["cells"])
+        return GeneratorMap.from_json_dict(bad, margs, pz, zg)
+
+    def repeat_entry(cells):
+        cells[1]["perm"][0] = cells[1]["perm"][1]
+
+    def drop_entry(cells):
+        cells[1]["perm"].pop()
+
+    def rename(cells):
+        cells[1]["z_addr"] = "13"
+
+    with pytest.raises(ValidationError, match="permutation"):
+        load(repeat_entry)
+    with pytest.raises(ValidationError, match="length"):
+        load(drop_entry)
+    with pytest.raises(ValidationError, match="addresses"):
+        load(rename)
+    with pytest.raises(ValidationError, match="addresses"):
+        load(lambda cells: cells.pop())
+    with pytest.raises(ValidationError, match="addresses"):
+        load(lambda cells: cells.append(dict(cells[0], perm=cells[1]["perm"])))

@@ -5,14 +5,9 @@ import pytest
 
 from ivtest import (
     GridDistribution,
-    MeasurableSet,
-    NonAtomicityError,
     ValidationError,
-    cdf_distance_sup,
-    fosd_check,
-    hausdorff_support_distance,
-    quantile,
-    split_equal_measure,
+    build_generator,
+    fosd_violation,
     winf_distance,
 )
 
@@ -43,19 +38,19 @@ def oracle_quantile(dist, p, grid_n=400_001):
     return float(xs[min(idx, grid_n - 1)])
 
 
-def oracle_set_measure(dist, mset, grid_n=2_000_001):
+def oracle_set_measure(dist, intervals, grid_n=2_000_001):
     """Measure of a union of half-open intervals by Riemann counting."""
     lo, hi = float(dist.edges[0]) - 1.0, float(dist.edges[-1]) + 1.0
     xs = np.linspace(lo, hi, grid_n)
     inside = np.zeros(len(xs), dtype=bool)
-    for a, b in mset.intervals:
+    for a, b in intervals:
         inside |= (xs >= a) & (xs < b)
     dens = np.zeros(len(xs))
     for i, (a, b) in enumerate(zip(dist.edges[:-1], dist.edges[1:])):
         sel = (xs >= a) & (xs < b)
         dens[sel] = dist.masses[i] / (b - a)
     cont = float(np.sum(dens[inside]) * (xs[1] - xs[0]))
-    atom = sum(m for loc, m in dist.atoms if mset.contains(loc))
+    atom = sum(m for loc, m in dist.atoms if any(a <= loc < b for a, b in intervals))
     return cont + atom
 
 
@@ -66,27 +61,27 @@ def oracle_set_measure(dist, mset, grid_n=2_000_001):
 
 def test_quantile_uniform_identity():
     u = GridDistribution.uniform(0, 1)
-    assert quantile(u, 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert u.quantile(0.3) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_quantile_point_mass():
     pm = GridDistribution.point_mass(2.0)
-    assert quantile(pm, 0.5) == 2.0
+    assert pm.quantile(0.5) == 2.0
 
 
 def test_quantile_two_bins_hand_cdf():
     # CDF: 0.5x on [0,1), 0.5 + 0.25(x-1) on [1,3); F(2) = 0.75
     d = GridDistribution(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.5]))
-    assert quantile(d, 0.75) == pytest.approx(2.0, abs=1e-12)
-    assert quantile(d, 0.75) == pytest.approx(oracle_quantile(d, 0.75), abs=1e-4)
+    assert d.quantile(0.75) == pytest.approx(2.0, abs=1e-12)
+    assert d.quantile(0.75) == pytest.approx(oracle_quantile(d, 0.75), abs=1e-4)
 
 
 def test_quantile_rejects_out_of_range():
     u = GridDistribution.uniform(0, 1)
     with pytest.raises(ValidationError):
-        quantile(u, 1.5)
+        u.quantile(1.5)
     with pytest.raises(ValidationError):
-        quantile(u, -0.1)
+        u.quantile(-0.1)
 
 
 def test_quantile_matches_oracle_on_random_mixtures(rng):
@@ -113,116 +108,78 @@ def test_quantile_cdf_identity_on_edges(rng):
 
 
 # ---------------------------------------------------------------------------
-# split_equal_measure
+# equal-measure splitting: the generator's continuum cells
 # ---------------------------------------------------------------------------
 
 
+def continuum_cells(pz, z_grid, depth):
+    """Generator on pz with uniform marginals; its cuts are the equal-mass splits."""
+    margs = [GridDistribution.uniform(0, 1)] * len(z_grid)
+    return build_generator(margs, pz, z_grid, depth)
+
+
 def test_split_uniform_symmetry():
-    u = GridDistribution.uniform(0, 1)
-    a, b = split_equal_measure(u, MeasurableSet.interval(0, 1))
-    assert a.intervals == ((0.0, 0.5),)
-    assert b.intervals == ((0.5, 1.0),)
+    gen = continuum_cells(GridDistribution.uniform(0, 1), [0.5], 1)
+    assert gen.cuts.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_split_disconnected_set_piecewise():
-    u = GridDistribution.uniform(0, 1)
-    s = MeasurableSet(((0.0, 0.25), (0.5, 0.75)))
-    a, b = split_equal_measure(u, s)
-    assert a.intervals == ((0.0, 0.25),)
-    assert b.intervals == ((0.5, 0.75),)
+    # mass on [0, 0.25) and [0.5, 0.75): the half-mass cut is the gap's left end
+    pz = GridDistribution(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([0.5, 0.0, 0.5, 0.0]))
+    gen = continuum_cells(pz, [0.1, 0.6], 1)
+    assert gen.cuts.tolist() == [0.0, 0.25, 0.75]
+    cell, site, weight = gen.pieces
+    assert cell.tolist() == [0, 1]
+    assert site.tolist() == [0, 1]
+    assert weight.tolist() == [0.5, 0.5]
 
 
 def test_split_triangular_at_median():
     # cumulative-sum oracle: cum(1/3) = .25, target .5 -> 1/3 + (.25/.5)/3 = .5
     tri = GridDistribution(np.array([0, 1 / 3, 2 / 3, 1.0]), np.array([0.25, 0.5, 0.25]))
-    a, b = split_equal_measure(tri, MeasurableSet.interval(0, 1))
-    assert a.intervals[-1][1] == pytest.approx(0.5, abs=1e-12)
+    gen = continuum_cells(tri, [1 / 6, 0.5, 5 / 6], 1)
+    assert gen.cuts[1] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_split_refuses_atom_in_set():
-    d = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
-    with pytest.raises(NonAtomicityError):
-        split_equal_measure(d, MeasurableSet.interval(0, 1))
+def test_split_keeps_atom_out_of_continuum():
+    # half the mass sits on an atom inside the bin: the cuts split the other half
+    pz = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
+    gen = continuum_cells(pz, [0.25, 0.5], 1)
+    assert gen.atoms.tolist() == [0.5]
+    assert gen.cuts.tolist() == [0.0, 0.5, 1.0]
+    rows, sites = gen.locate([0.5, np.nextafter(0.5, 1.0), 0.25])
+    assert rows.tolist() == [0, 2, 1]
+    assert sites.tolist() == [1, 0, 0]
+    cell, site, weight = gen.pieces
+    assert cell.tolist() == [0, 1, 2]
+    assert weight.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_split_exactness_and_reassembly_random(rng):
-    """Halves are equal within 1e-12 and reassemble the set bin for bin."""
+    """Cells carry equal mass within 1e-12 and tile the support bin for bin."""
     for _ in range(40):
         nb = int(rng.integers(1, 6))
         edges = np.cumsum(rng.uniform(0.2, 1.0, nb + 1))
         masses = rng.dirichlet(np.ones(nb))
         d = GridDistribution(edges, masses)
-        lo, hi = float(edges[0]), float(edges[-1])
-        cuts = np.sort(rng.uniform(lo, hi, 4))
-        s = MeasurableSet(((cuts[0], cuts[1]), (cuts[2], cuts[3])))
-        if d.measure_of(s) <= 1e-6:
-            continue
-        a, b = split_equal_measure(d, s)
-        assert abs(d.measure_of(a) - d.measure_of(b)) <= 1e-12
-        assert a.union(b).intervals == s.intervals
-        assert d.measure_of(a) == pytest.approx(oracle_set_measure(d, a), abs=5e-5)
+        z_grid = 0.5 * (edges[:-1] + edges[1:])
+        depth = int(rng.integers(1, 4))
+        gen = continuum_cells(d, z_grid, depth)
+        m = 2**depth
+        cell_mass = np.diff(d.cdf_left(gen.cuts))
+        assert np.all(np.abs(cell_mass - 1.0 / m) <= 1e-12)
+        assert gen.cuts[0] == edges[0]
+        assert gen.cuts[-1] == pytest.approx(edges[-1], abs=1e-12)
+        cell, _, weight = gen.pieces
+        per_cell = np.bincount(cell, weights=weight, minlength=m)
+        assert np.all(np.abs(per_cell - 1.0 / m) <= 1e-12)
+        first = [(gen.cuts[0], gen.cuts[1])]
+        assert cell_mass[0] == pytest.approx(oracle_set_measure(d, first), abs=5e-5)
 
 
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
-
-
-def test_cdf_distance_examples():
-    u = GridDistribution.uniform(0, 1)
-    assert cdf_distance_sup(u, u) == 0.0
-    shifted = GridDistribution.uniform(0.5, 1.5)
-    assert cdf_distance_sup(u, shifted) == pytest.approx(0.5, abs=1e-12)
-    assert cdf_distance_sup(
-        GridDistribution.point_mass(0.0), GridDistribution.point_mass(1.0)
-    ) == pytest.approx(1.0)
-
-
-def test_cdf_distance_matches_dense_scan(rng):
-    for _ in range(20):
-        d1 = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet([1, 1, 1]))
-        d2 = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet([1, 1, 1]))
-        xs = np.linspace(-0.5, 2.5, 200_001)
-        dense = float(np.max(np.abs(oracle_cdf(d1, xs) - oracle_cdf(d2, xs))))
-        assert cdf_distance_sup(d1, d2) == pytest.approx(dense, abs=1e-3)
-        assert cdf_distance_sup(d1, d2) >= dense - 1e-12  # exact >= scanned
-
-
-def test_hausdorff_examples():
-    assert hausdorff_support_distance(
-        GridDistribution.uniform(0, 1), GridDistribution.uniform(2, 3)
-    ) == pytest.approx(2.0)
-    u = GridDistribution.uniform(0, 1)
-    assert hausdorff_support_distance(u, u) == 0.0
-    assert hausdorff_support_distance(
-        GridDistribution.uniform(0, 2), GridDistribution.uniform(1, 3)
-    ) == pytest.approx(1.0)
-
-
-def test_hausdorff_matches_grid_enumeration(rng):
-    def oracle(d1, d2, n=40_001):
-        lo = min(d1.edges[0], d2.edges[0]) - 0.1
-        hi = max(d1.edges[-1], d2.edges[-1]) + 0.1
-        xs = np.linspace(lo, hi, n)
-        in1 = np.zeros(n, dtype=bool)
-        in2 = np.zeros(n, dtype=bool)
-        for iv in d1.support_intervals():
-            in1 |= (xs >= iv[0]) & (xs <= iv[1])
-        for iv in d2.support_intervals():
-            in2 |= (xs >= iv[0]) & (xs <= iv[1])
-        a, b = xs[in1], xs[in2]
-        d_ab = np.max([np.min(np.abs(b - x)) for x in a])
-        d_ba = np.max([np.min(np.abs(a - x)) for x in b])
-        return max(d_ab, d_ba)
-
-    for _ in range(10):
-        m1 = rng.dirichlet([1, 1, 1]) * np.array([1, 0, 1])
-        m2 = rng.dirichlet([1, 1, 1])
-        d1 = GridDistribution(np.sort(rng.uniform(0, 3, 4)), m1 / m1.sum())
-        d2 = GridDistribution(np.sort(rng.uniform(0, 3, 4)), m2 / m2.sum())
-        assert hausdorff_support_distance(d1, d2) == pytest.approx(
-            oracle(d1, d2), abs=2e-3
-        )
 
 
 def test_winf_examples():
@@ -257,10 +214,9 @@ def test_distance_symmetry_and_triangle(rng):
         GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         for _ in range(12)
     ]
-    for f in (cdf_distance_sup, winf_distance):
-        for a, b, c in zip(dists[::3], dists[1::3], dists[2::3]):
-            assert f(a, b) == pytest.approx(f(b, a), abs=1e-9)
-            assert f(a, c) <= f(a, b) + f(b, c) + 1e-9
+    for a, b, c in zip(dists[::3], dists[1::3], dists[2::3]):
+        assert winf_distance(a, b) == pytest.approx(winf_distance(b, a), abs=1e-9)
+        assert winf_distance(a, c) <= winf_distance(a, b) + winf_distance(b, c) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +227,20 @@ def test_distance_symmetry_and_triangle(rng):
 def test_fosd_examples():
     u = GridDistribution.uniform(0, 1)
     shifted = GridDistribution.uniform(0.5, 1.5)
-    assert fosd_check(u, shifted, 0.0)
-    assert fosd_check(u, u, 0.0)
-    assert not fosd_check(shifted, u, 0.0)
+    assert fosd_violation(u, shifted) == 0.0
+    assert fosd_violation(u, u) == 0.0
+    assert fosd_violation(shifted, u) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mutual_fosd_bounds_cdf_distance(rng):
+    xs = np.linspace(-0.5, 2.5, 200_001)
     for _ in range(20):
         base = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         other = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         tol = float(rng.uniform(0.0, 0.5))
-        if fosd_check(base, other, tol) and fosd_check(other, base, tol):
-            assert cdf_distance_sup(base, other) <= tol + 1e-9
+        if fosd_violation(base, other) <= tol and fosd_violation(other, base) <= tol:
+            dense = float(np.max(np.abs(oracle_cdf(base, xs) - oracle_cdf(other, xs))))
+            assert dense <= tol + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +257,6 @@ def test_grid_distribution_validation():
         GridDistribution(np.array([0.0, 1.0]), np.array([-0.2, 1.2]))
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((5.0, 0.5),))
-
-
-def test_measurable_set_normalization():
-    s = MeasurableSet(((0.5, 1.0), (0.0, 0.5)))
-    assert s.intervals == ((0.0, 1.0),)
-    with pytest.raises(ValidationError):
-        MeasurableSet(((0.0, 0.6), (0.5, 1.0)))
 
 
 def test_grid_distribution_json_roundtrip(rng):

@@ -8,6 +8,7 @@ from ivtest import (
     Dataset,
     EmptyBinError,
     GridDistribution,
+    IVTestError,
     NonAtomicityError,
     ValidationError,
     discretize,
@@ -201,6 +202,24 @@ def test_run_experiment_propagates_spec_context():
         )
 
 
+def test_run_experiment_wraps_foreign_errors():
+    """An exception whose constructor takes other arguments surfaces as an
+    IVTestError naming the spec, chained to the original."""
+
+    class FirstStageError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(code, detail)
+
+    def broken(z, u):
+        raise FirstStageError(7, "no such stage")
+
+    spec = DGPSpec(name="broken-stage", first_stage="custom", first_stage_fn=broken)
+    with pytest.raises(IVTestError, match="broken-stage") as info:
+        run_experiment([spec], [make_test("fosd")], n=50, reps=1, seed=1)
+    assert isinstance(info.value.__cause__, FirstStageError)
+    assert info.value.__cause__.args == (7, "no such stage")
+
+
 def test_run_experiment_twin_rows_match():
     specs = [DGPSpec(name="inv", instrument_valid=False, copula_weight=1.0, copula_target="v")]
     tests = [make_test("fosd", tol=0.12), make_test("moment")]
@@ -234,7 +253,7 @@ def test_demo_replicates_invalid_copula_law(rng):
     law = discretize(sample(spec, 10_000, seed=5), 8, 8, 8)
     model, err = nontestability_demo(law, 6)
     assert err == 0.0
-    assert model.independent
+    assert model.to_json_dict()["independence"] is True
 
 
 def test_demo_constant_conditionals_depth0(rng):
