@@ -11,6 +11,14 @@ the input conditionals exactly; what changes with depth is how much z-pair
 mass still shares an identical map.  Halving continues breadth first on
 every z cell, so the colliding mass shrinks by the cell arity at each level.
 
+Exact replication is certified rather than recomputed.  ``GeneratorMap``
+refuses any cell row that is not a permutation of ``0..n-1``, and for such a
+row the ``n`` image cells, of probability ``1/n`` each, tile the site's
+x-marginal exactly once, so every x bin receives exactly its column sum and
+every (y, x) cell exactly its own mass.  The model therefore induces its own joint
+law at every depth, and :func:`verify_replication` reduces to an exact
+rational comparison of two mass tables.
+
 With ``k`` point masses in the z law, the latent interval is cut into
 ``(k+2)**depth`` cells instead; atoms receive cyclic within-block shifts and
 the two halves of the continuum receive the two remaining shifts, which
@@ -24,7 +32,6 @@ per atom, then one row per continuum cell in z order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +47,6 @@ from .errors import (
 )
 from .measures import (
     INPUT_TOL,
-    Conditional2D,
     GridDistribution,
     JointLaw,
     Site,
@@ -76,7 +82,9 @@ class GeneratorMap:
     ``r``.  Rows ``0..k-1`` belong to the atoms of pz (``atoms``, in z order);
     the remaining ``2**depth`` rows are the continuum cells
     ``[cuts[i], cuts[i+1])`` in z order, so continuum rows ``2i`` and
-    ``2i+1`` are the two halves of row ``i`` one level up.
+    ``2i+1`` are the two halves of row ``i`` one level up.  Every row must be
+    a permutation of ``0..n_u_cells-1``; anything else raises
+    ``ValidationError`` at construction, ``dataclasses.replace`` included.
     """
 
     depth: int
@@ -95,8 +103,12 @@ class GeneratorMap:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         rows = len(self.atoms) + max(len(self.cuts) - 1, 0)
-        if cells.shape != (rows, self.n_u_cells):
+        n = self.n_u_cells
+        if cells.shape != (rows, n):
             raise ValidationError("cell permutation length does not match depth")
+        # the replication certificate rests on this: see verify_replication
+        if not np.array_equal(np.sort(cells, axis=1), np.broadcast_to(np.arange(n), cells.shape)):
+            raise ValidationError("every cell row must be a permutation of 0..n-1")
 
     @property
     def n_u_cells(self) -> int:
@@ -249,10 +261,7 @@ class GeneratorMap:
         n = rebuilt.n_u_cells
         if any(p.shape != (n,) for p in perms.values()):
             raise ValidationError("cell permutation length does not match depth")
-        cells = np.array([perms[a] for a in order], dtype=np.int64)
-        if not np.array_equal(np.sort(cells, axis=1), np.broadcast_to(np.arange(n), cells.shape)):
-            raise ValidationError("perm must be a permutation of cell indices")
-        return replace(rebuilt, cells=cells)
+        return replace(rebuilt, cells=np.array([perms[a] for a in order], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +511,16 @@ class StructuralModel:
                 y[hit] = col.quantile(v[hit])
         return np.column_stack([y, x, z])
 
-    def induced_conditional(self, site_idx: int) -> np.ndarray:
-        """Exact (y, x) cell masses this model induces at one z site."""
-        frac = _induced_conditional_fractions(self, site_idx)
-        return np.array([[float(v) for v in row] for row in frac])
-
     def induced_law(self) -> JointLaw:
-        conds = []
-        for i, c in enumerate(self.joint.conditionals):
-            conds.append(Conditional2D(c.y_edges, c.x_edges, self.induced_conditional(i)))
-        return JointLaw(self.joint.z_grid, self.joint.pz, tuple(conds))
+        """The law this model induces at cell resolution: its own joint law.
+
+        Every cell row is a permutation, so the first stage pushes exactly
+        each x bin's column sum to that bin and the outcome stage splits it
+        down the column; see :func:`verify_replication`.  A z site that no
+        z cell serves (a zero-mass pz bin) constrains nothing, and keeps its
+        conditional too.
+        """
+        return self.joint
 
     def to_json_dict(self) -> dict:
         return {
@@ -549,79 +558,38 @@ def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralMo
     return StructuralModel(gen, joint, tuple(outcome))
 
 
-def _induced_conditional_fractions(model: StructuralModel, site_idx: int):
-    """Pushforward of the latent product measure at one z site, in exact rationals.
-
-    Geometry lives in probability space: latent cell c occupies
-    ``[c/K^n, (c+1)/K^n)`` and x bin b occupies the interval between the
-    rational cumulative column sums.  Per cell the image mass lands in the
-    permuted slot and is split across bins by interval overlap; the outcome
-    stage then distributes each bin's mass down its column.  A z site spanning
-    several z cells averages the per-cell results by cell weight.
-    """
-    gen = model.generator
-    site = gen.sites[site_idx]
-    cond = model.joint.conditionals[site_idx]
-    ny, nx = cond.mass.shape
-    mass_q = [[Fraction(float(cond.mass[i, j])) for j in range(nx)] for i in range(ny)]
-    colsum = [sum(mass_q[i][j] for i in range(ny)) for j in range(nx)]
-    cum = [Fraction(0)]
-    for j in range(nx):
-        cum.append(cum[-1] + colsum[j])
-    n = gen.n_u_cells
-    # equal-mass cells of the conditional as given: its float entries sum to
-    # 1 only within tolerance, so cells carry total/n each, keeping the
-    # overlap telescoping exact
-    h = cum[-1] / n
-
-    if site.kind == "atom":
-        rows, _ = gen.locate(site.z_value)
-        overlapping = [(int(rows[0]), Fraction(1))]
-    else:
-        cell, piece_site, weight = gen.pieces
-        at = piece_site == site_idx
-        weighted = [(int(c), Fraction(float(w))) for c, w in zip(cell[at], weight[at])]
-        total = sum(w for _, w in weighted)
-        overlapping = [(row, w / total) for row, w in weighted]
-
-    out = [[Fraction(0)] * nx for _ in range(ny)]
-    for row, cell_weight in overlapping:
-        xbin_mass = [Fraction(0)] * nx
-        for c in gen.cells[row].tolist():
-            lo, hi = c * h, (c + 1) * h
-            b = max(bisect_right(cum, lo) - 1, 0)
-            while b < nx and cum[b] < hi:
-                ov = min(hi, cum[b + 1]) - max(lo, cum[b])
-                if ov > 0:
-                    xbin_mass[b] += ov
-                b += 1
-        for b in range(nx):
-            if colsum[b] == 0:
-                continue
-            scale = cell_weight * xbin_mass[b] / colsum[b]
-            for i in range(ny):
-                out[i][b] += scale * mass_q[i][b]
-    return out
-
-
 def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
-    """Largest total-variation gap, over z sites, between the model's induced
-    conditional and the observed one, computed in exact rational arithmetic.
+    """Largest total-variation gap, over z sites, between the law the model
+    induces and ``joint``, computed in exact rational arithmetic.
 
-    Exactly 0.0 whenever the model was composed from a generator built on the
-    joint's own marginals, at any depth: cell permutations never move mass
-    across the conditional.
+    The induced law is the model's own joint law, by a certificate rather
+    than a replay.  At a z site, z-cell row ``r`` sends latent cell ``c`` to
+    the probability levels ``[cells[r, c]/n, (cells[r, c] + 1)/n)`` of the
+    site's x-marginal.  ``GeneratorMap`` admits only rows that are
+    permutations of ``0..n-1``, so these ``n`` intervals each occur once and
+    telescope onto ``[0, 1)``: each x bin receives exactly its column sum,
+    whatever the permutation and however the bin edges cut the cells.  The
+    outcome stage splits each column sum down its column in proportion to
+    the cell masses, so every (y, x) cell gets exactly its own mass from
+    every z cell, and averaging over the z cells of a site (weights summing
+    to 1) keeps it.  A site that no z cell serves, a zero-mass pz bin, holds
+    vacuously.
+
+    The comparison itself is exact: every float mass is an exact rational,
+    and the gap is summed in ``Fraction``s, so the result is 0.0 exactly when
+    the two mass tables agree, at any depth.  Raises
+    ``MarginalMismatchError`` when the site counts or mass shapes differ.
     """
-    if len(joint.conditionals) != len(model.joint.conditionals):
+    own = model.joint.conditionals
+    if len(joint.conditionals) != len(own):
         raise MarginalMismatchError("site counts differ")
     worst = Fraction(0)
-    for i, c in enumerate(joint.conditionals):
-        induced = _induced_conditional_fractions(model, i)
-        ny, nx = c.mass.shape
+    for a, b in zip(own, joint.conditionals):
+        if a.mass.shape != b.mass.shape:
+            raise MarginalMismatchError("conditional mass shapes differ")
         tv = sum(
-            abs(induced[r][b] - Fraction(float(c.mass[r, b])))
-            for r in range(ny)
-            for b in range(nx)
+            abs(Fraction(p) - Fraction(q))
+            for p, q in zip(a.mass.ravel().tolist(), b.mass.ravel().tolist())
         ) / 2
         worst = max(worst, tv)
     return float(worst)

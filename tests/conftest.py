@@ -1,4 +1,7 @@
-"""Shared builders for analytic test laws."""
+"""Shared builders for analytic test laws, and the exact replay oracle."""
+
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +85,95 @@ def random_joint_law(rng, nz=8, ny=8, nx=8):
     pz = GridDistribution.uniform(0.0, 1.0, nz)
     z_grid = (np.arange(nz) + 0.5) / nz
     return JointLaw(z_grid, pz, tuple(conds))
+
+
+def perturbed_law(law, site=1, eps=0.04):
+    """``law`` with ``eps`` moved from the heaviest to the lightest positive
+    cell of one conditional, renormalised."""
+    m = law.conditionals[site].mass.copy()
+    hi = np.unravel_index(np.argmax(m), m.shape)
+    lo = np.unravel_index(np.argmin(m + (m == 0)), m.shape)
+    m[lo] += eps
+    m[hi] -= eps
+    m = np.clip(m, 0, None)
+    m /= m.sum()
+    conds = list(law.conditionals)
+    c = law.conditionals[site]
+    conds[site] = Conditional2D(c.y_edges, c.x_edges, m)
+    return JointLaw(law.z_grid, law.pz, tuple(conds))
+
+
+def replay_induced_conditional(model, site_idx):
+    """Pushforward of the latent product measure at one z site, in exact rationals.
+
+    An independent oracle for the replication certificate: it walks every
+    latent cell of every z cell through the permutation rows instead of
+    relying on them being permutations.  Latent cell c occupies
+    ``[c/n, (c+1)/n)`` of the site's total mass and x bin b the interval
+    between the rational cumulative column sums.  Per z cell the image mass
+    lands in the permuted slot and is split across bins by interval overlap;
+    the outcome stage then distributes each bin's mass down its column.  A z
+    site spanning several z cells averages the per-cell results by cell
+    weight.  A site no z cell serves (a zero-mass pz bin) is returned as the
+    model's own conditional, which is what it holds vacuously.
+    """
+    gen = model.generator
+    site = gen.sites[site_idx]
+    cond = model.joint.conditionals[site_idx]
+    ny, nx = cond.mass.shape
+    mass_q = [[Fraction(float(cond.mass[i, j])) for j in range(nx)] for i in range(ny)]
+    colsum = [sum(mass_q[i][j] for i in range(ny)) for j in range(nx)]
+    cum = [Fraction(0)]
+    for j in range(nx):
+        cum.append(cum[-1] + colsum[j])
+    n = gen.n_u_cells
+    h = cum[-1] / n
+
+    if site.kind == "atom":
+        rows, _ = gen.locate(site.z_value)
+        overlapping = [(int(rows[0]), Fraction(1))]
+    else:
+        cell, piece_site, weight = gen.pieces
+        at = piece_site == site_idx
+        weighted = [(int(c), Fraction(float(w))) for c, w in zip(cell[at], weight[at])]
+        if not weighted:
+            return mass_q
+        total = sum(w for _, w in weighted)
+        overlapping = [(row, w / total) for row, w in weighted]
+
+    out = [[Fraction(0)] * nx for _ in range(ny)]
+    for row, cell_weight in overlapping:
+        xbin_mass = [Fraction(0)] * nx
+        for c in gen.cells[row].tolist():
+            lo, hi = c * h, (c + 1) * h
+            b = max(bisect_right(cum, lo) - 1, 0)
+            while b < nx and cum[b] < hi:
+                ov = min(hi, cum[b + 1]) - max(lo, cum[b])
+                if ov > 0:
+                    xbin_mass[b] += ov
+                b += 1
+        for b in range(nx):
+            if colsum[b] == 0:
+                continue
+            scale = cell_weight * xbin_mass[b] / colsum[b]
+            for i in range(ny):
+                out[i][b] += scale * mass_q[i][b]
+    return out
+
+
+def replay_replication_error(model, law):
+    """Largest exact total-variation gap between the replayed law and ``law``."""
+    worst = Fraction(0)
+    for i, c in enumerate(law.conditionals):
+        induced = replay_induced_conditional(model, i)
+        ny, nx = c.mass.shape
+        tv = sum(
+            abs(induced[r][b] - Fraction(float(c.mass[r, b])))
+            for r in range(ny)
+            for b in range(nx)
+        ) / 2
+        worst = max(worst, tv)
+    return float(worst)
 
 
 @pytest.fixture

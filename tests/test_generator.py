@@ -1,6 +1,7 @@
 """Construction invariants: measure preservation, injectivity decay, replication."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from ivtest import (
 )
 from ivtest.measures import Conditional2D, JointLaw
 
-from conftest import identical_conditional_setup, random_joint_law
+from conftest import (
+    identical_conditional_setup,
+    perturbed_law,
+    random_joint_law,
+    replay_induced_conditional,
+    replay_replication_error,
+)
 
 
 def address_str(gen, row):
@@ -261,7 +268,7 @@ def test_measure_preservation_per_cell():
         assert sorted(row.tolist()) == list(range(n))
     model = compose_structural_model(law, gen)
     for i in range(len(law.z_grid)):
-        induced = model.induced_conditional(i)
+        induced = np.array(replay_induced_conditional(model, i), dtype=float)
         np.testing.assert_allclose(
             induced.sum(axis=0), law.conditionals[i].mass.sum(axis=0), atol=1e-15
         )
@@ -322,16 +329,7 @@ def test_replication_detects_perturbation(rng):
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
     model = compose_structural_model(law, gen)
     eps = 0.04
-    m = law.conditionals[1].mass.copy()
-    hi = np.unravel_index(np.argmax(m), m.shape)
-    lo = np.unravel_index(np.argmin(m + (m == 0)), m.shape)
-    m[lo] += eps
-    m[hi] -= eps
-    m = np.clip(m, 0, None)
-    m /= m.sum()
-    conds = list(law.conditionals)
-    conds[1] = Conditional2D(law.conditionals[1].y_edges, law.conditionals[1].x_edges, m)
-    perturbed = JointLaw(law.z_grid, law.pz, tuple(conds))
+    perturbed = perturbed_law(law, site=1, eps=eps)
     assert verify_replication(model, perturbed) >= eps / 2 - 1e-9
 
 
@@ -400,14 +398,29 @@ def test_model_sample_golden_rows(rng):
     assert rows.tolist() == expected
 
 
-def test_support_gap_and_atom_inside_a_bin(rng):
-    """A zero-mass pz bin is a gap no z cell serves; an atom inside a bin
-    gets its own row while the rest of that bin stays continuum."""
+def zero_mass_site_law(rng):
+    """Two pz atoms, a positive bin, and a z value in a zero-mass bin."""
+    pz = GridDistribution(
+        np.array([0.0, 0.5, 1.0]), np.array([0.6, 0.0]), ((0.1, 0.2), (0.3, 0.2))
+    )
+    base = random_joint_law(rng, nz=4, ny=4, nx=4)
+    return JointLaw([0.1, 0.3, 0.4, 0.8], pz, base.conditionals)
+
+
+def support_gap_law(rng):
+    """A zero-mass pz bin between positive bins and an atom inside a bin."""
     pz = GridDistribution(
         np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([0.3, 0.0, 0.3, 0.2]), ((0.6, 0.2),)
     )
     base = random_joint_law(rng, nz=4, ny=4, nx=4)
-    law = JointLaw([0.1, 0.6, 0.7, 0.9], pz, base.conditionals)
+    return JointLaw([0.1, 0.6, 0.7, 0.9], pz, base.conditionals)
+
+
+def test_support_gap_and_atom_inside_a_bin(rng):
+    """A zero-mass pz bin is a gap no z cell serves; an atom inside a bin
+    gets its own row while the rest of that bin stays continuum."""
+    law = support_gap_law(rng)
+    pz = law.pz
     gen = build_generator(law.x_marginals(), pz, law.z_grid, 3)
     assert gen.cells.shape == (1 + 8, 27)
     model = compose_structural_model(law, gen)
@@ -422,6 +435,86 @@ def test_support_gap_and_atom_inside_a_bin(rng):
     for z_gap in (0.3, 0.25, 1.0):
         with pytest.raises(ValidationError):
             gen(z_gap, 0.5)
+
+
+def test_zero_mass_z_site_replicates(rng):
+    """No z cell serves a z value in a zero-mass pz bin: its conditional is
+    unconstrained and the model keeps it."""
+    from ivtest import nontestability_demo
+
+    law = zero_mass_site_law(rng)
+    assert law.sites[3].kind == "bin" and law.sites[3].mass == 0.0
+    for depth in (0, 3):
+        model, error = nontestability_demo(law, depth)
+        assert error == 0.0
+        induced = model.induced_law()
+        for a, b in zip(induced.conditionals, law.conditionals):
+            assert np.array_equal(a.mass, b.mass)
+
+
+def oracle_cases(rng):
+    """(label, model, law) triples: own laws, cross-law pairs, a perturbation."""
+    a = random_joint_law(rng, nz=3, ny=4, nx=5)
+    b = random_joint_law(rng, nz=3, ny=4, nx=5)
+    # atoms raise the arity to k + 2, so their laws stop at smaller depths
+    for label, law, depths in (("random", a, (0, 2, 6)),
+                               ("zero-mass", zero_mass_site_law(rng), (0, 2, 4)),
+                               ("gap", support_gap_law(rng), (0, 3, 5))):
+        for depth in depths:
+            gen = build_generator(law.x_marginals(), law.pz, law.z_grid, depth)
+            yield f"{label}@{depth}", compose_structural_model(law, gen), law
+    for depth in (1, 4):
+        gen = build_generator(a.x_marginals(), a.pz, a.z_grid, depth)
+        model = compose_structural_model(a, gen)
+        yield f"a-vs-b@{depth}", model, b
+        yield f"a-vs-perturbed@{depth}", model, perturbed_law(a)
+    gen = build_generator(b.x_marginals(), b.pz, b.z_grid, 3)
+    yield "b-vs-a@3", compose_structural_model(b, gen), a
+
+
+def test_certificate_agrees_with_replay_oracle(rng):
+    """verify_replication and induced_law equal the exact cell-by-cell replay."""
+    for label, model, law in oracle_cases(rng):
+        assert verify_replication(model, law) == replay_replication_error(model, law), label
+        induced = model.induced_law()
+        for i, c in enumerate(induced.conditionals):
+            replayed = [[float(v) for v in row] for row in replay_induced_conditional(model, i)]
+            assert c.mass.tolist() == replayed, label
+
+
+def test_generator_rejects_non_permutation_rows():
+    margs, pz, zg = identical_conditional_setup()
+    gen = build_generator(margs, pz, zg, 2)
+    n = gen.n_u_cells
+    for r, c, v in ((1, 0, 1), (2, 3, -1), (0, 1, n)):  # duplicate, out of range
+        bad = gen.cells.copy()
+        bad[r, c] = v
+        with pytest.raises(ValidationError, match="permutation"):
+            replace(gen, cells=bad)
+        with pytest.raises(ValidationError, match="permutation"):
+            GeneratorMap(gen.depth, gen.arity, pz, zg, tuple(margs), bad)
+
+
+def test_replay_oracle_sees_a_non_permutation_row(rng):
+    """The check is load-bearing: a duplicated image cell, forced past
+    construction, makes the replay miss the law."""
+    law = random_joint_law(rng, nz=3, ny=4, nx=4)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
+    bad = gen.cells.copy()
+    bad[1, 0] = bad[1, 1]
+    object.__setattr__(gen, "cells", bad)
+    model = compose_structural_model(law, gen)
+    assert replay_replication_error(model, law) > 0.0
+
+
+def test_verify_rejects_mismatched_shapes(rng):
+    law = random_joint_law(rng, nz=3, ny=4, nx=4)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 1)
+    model = compose_structural_model(law, gen)
+    with pytest.raises(MarginalMismatchError):
+        verify_replication(model, random_joint_law(rng, nz=2, ny=4, nx=4))
+    with pytest.raises(MarginalMismatchError):
+        verify_replication(model, random_joint_law(rng, nz=3, ny=5, nx=4))
 
 
 # ---------------------------------------------------------------------------
