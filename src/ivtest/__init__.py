@@ -53,6 +53,7 @@ from .validity import (
     TupleCoupling,
     continuity_moment_statistic,
     discrete_generator_feasible,
+    feasibility_report,
     instrumental_inequality,
     jump_test,
     make_test,
@@ -89,6 +90,7 @@ __all__ = [
     "continuity_moment_statistic",
     "discrete_generator_feasible",
     "discretize",
+    "feasibility_report",
     "fosd_violation",
     "group_collision_matrix",
     "instrumental_inequality",

@@ -26,13 +26,12 @@ from .simulate import (
     run_experiment,
 )
 from .validity import (
+    REGISTRY,
     InfeasibilityCertificate,
     discrete_generator_feasible,
     make_test,
-    minimal_collision_mass,
+    witness_report,
 )
-
-TEST_NAMES = ("moment", "jump", "fosd", "sure-decrease", "pearl", "feasibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run validity tests on a joint law or dataset")
     common(p)
     p.add_argument("--bins", default="4,4,4", help="Y,X,Z bin counts for dataset input")
-    p.add_argument("--test", action="append", choices=TEST_NAMES, dest="tests",
+    p.add_argument("--test", action="append", choices=tuple(REGISTRY), dest="tests",
                    help="test to run (repeatable; default: all applicable)")
     p.add_argument("--K", type=float, default=1.0, help="jump / sure-decrease threshold")
     p.add_argument("--tol", type=float, default=0.0, help="FOSD tolerance")
@@ -78,12 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return obj
 
 
 def _write_text(path: str | None, text: str):
@@ -99,6 +107,19 @@ def _parse_bins(spec: str) -> tuple[int, int, int]:
     except ValueError as exc:
         raise ValidationError(f"--bins must be Y,X,Z integers: {exc}") from exc
     return y, x, z
+
+
+def _config_bins(value) -> tuple[int, int, int]:
+    if not (isinstance(value, list) and len(value) == 3 and all(type(v) is int for v in value)):
+        raise ValidationError(f"config 'bins' must be a list of three integers: {value!r}")
+    return value[0], value[1], value[2]
+
+
+def _config_int(obj: dict, key: str, default: int) -> int:
+    try:
+        return int(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config {key!r} must be an integer: {exc}") from exc
 
 
 def _effective_seed(args) -> int:
@@ -133,29 +154,17 @@ def cmd_feasibility(args) -> int:
     obj = _read_json(args.input)
     try:
         conditionals = [np.asarray(c, dtype=float) for c in obj["conditionals"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"feasibility input needs 'conditionals': {exc}") from exc
-    weights = obj.get("weights")
-    feasible, witness = discrete_generator_feasible(conditionals, weights)
-    report = {
-        "test": "feasibility",
-        "statistic": (
-            minimal_collision_mass(conditionals[0], conditionals[1])
-            if len(conditionals) == 2
-            else float(not feasible)
-        ),
-        "threshold": 0.0,
-        "decision": "feasible" if feasible else "infeasible",
-        "diagnostics": {},
-    }
+        weights = obj.get("weights")
+        weights = None if weights is None else np.asarray(weights, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"feasibility input needs numeric 'conditionals': {exc}") from exc
+    _, witness = discrete_generator_feasible(conditionals, weights)
+    payload = witness_report(witness).to_json_dict()
     if isinstance(witness, InfeasibilityCertificate):
-        report["diagnostics"]["excess"] = witness.excess
-        if witness.x_index is not None:
-            report["diagnostics"]["x_index"] = float(witness.x_index)
-        report["reason"] = witness.reason
-    elif feasible and hasattr(witness, "plan"):
-        report["coupling"] = [[float(v) for v in row] for row in witness.plan]
-    _write_text(args.output, json.dumps(report))
+        payload["reason"] = witness.reason
+    elif hasattr(witness, "plan"):
+        payload["coupling"] = witness.plan.tolist()
+    _write_text(args.output, json.dumps(payload))
     return 0
 
 
@@ -164,50 +173,23 @@ def _load_law(args) -> JointLaw:
         raise ValidationError("test needs --input")
     path = args.input
     if path.endswith(".csv"):
-        data = Dataset.from_csv_text(Path(path).read_text())
+        data = Dataset.from_csv_text(_read_text(path))
         return discretize(data, *_parse_bins(args.bins))
     return JointLaw.from_json_dict(_read_json(path))
 
 
 def cmd_test(args) -> int:
     law = _load_law(args)
-    names = args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]
     reports = []
-    for name in names:
-        if name == "feasibility":
-            conds = [c.x_marginal().masses for c in law.conditionals]
-            feasible, witness = discrete_generator_feasible(
-                [c / c.sum() for c in conds]
-            )
-            stat = 0.0 if feasible else getattr(witness, "excess", 1.0)
-            reports.append(
-                {
-                    "test": "feasibility",
-                    "statistic": stat,
-                    "threshold": 0.0,
-                    "decision": "feasible" if feasible else "infeasible",
-                    "diagnostics": {},
-                }
-            )
-            continue
-        params = {}
-        if name in ("jump", "sure-decrease"):
-            params["K"] = args.K
-        if name == "fosd":
-            params["tol"] = args.tol
-        if name == "moment":
-            params.update(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
-        _, fn = make_test(name, **params)
-        reports.append(fn(law).to_json_dict())
+    for name in args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]:
+        defaults, _ = REGISTRY[name]
+        params = {k: getattr(args, k) for k in defaults if hasattr(args, k)}
+        reports.append(make_test(name, **params)[1](law))
     if args.format == "csv":
-        lines = ["test,statistic,threshold,decision"]
-        lines += [
-            f"{r['test']},{r['statistic']!r},{r['threshold']!r},{r['decision']}"
-            for r in reports
-        ]
+        lines = ["test,statistic,threshold,decision"] + [r.csv_row() for r in reports]
         _write_text(args.output, "\n".join(lines) + "\n")
     else:
-        _write_text(args.output, json.dumps(reports))
+        _write_text(args.output, json.dumps([r.to_json_dict() for r in reports]))
     return 0
 
 
@@ -220,15 +202,19 @@ def cmd_simulate(args) -> int:
         test_objs = obj.get("tests", [])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed simulation config: {exc}") from exc
+    if not isinstance(test_objs, list):
+        raise ValidationError("config 'tests' must be a list")
     tests = []
     for t in test_objs:
+        if not isinstance(t, dict) or "name" not in t:
+            raise ValidationError(f"each config test needs a 'name': {t!r}")
         t = dict(t)
         tests.append(make_test(t.pop("name"), **t))
-    n = int(obj.get("n", args.n))
-    reps = int(obj.get("reps", args.reps))
+    n = _config_int(obj, "n", args.n)
+    reps = _config_int(obj, "reps", args.reps)
     if reps < 1:
         raise ValidationError("reps must be at least 1")
-    bins = tuple(obj.get("bins", _parse_bins(args.bins)))
+    bins = _config_bins(obj["bins"]) if "bins" in obj else _parse_bins(args.bins)
     depth = obj.get("nontestability_depth")
     result = run_experiment(
         specs,
@@ -236,7 +222,7 @@ def cmd_simulate(args) -> int:
         n=n,
         reps=reps,
         seed=_effective_seed(args),
-        bins=bins,  # type: ignore[arg-type]
+        bins=bins,
         nontestability_depth=depth,
     )
     if args.format == "json":

@@ -201,31 +201,18 @@ class GridDistribution:
 
     # -- support ------------------------------------------------------------
 
-    def support_intervals(self) -> list[tuple[float, float]]:
-        """Maximal closed intervals carrying positive mass (atoms are points)."""
-        B, CL, CR = self._profile
-        raw: list[tuple[float, float]] = []
-        for k in range(len(B) - 1):
-            if CL[k + 1] > CR[k]:
-                raw.append((float(B[k]), float(B[k + 1])))
-        for k in range(len(B)):
-            if CR[k] > CL[k]:
-                raw.append((float(B[k]), float(B[k])))
-        if not raw:
-            raise ValidationError("distribution has empty support")
-        raw.sort()
-        merged = [raw[0]]
-        for a, b in raw[1:]:
-            la, lb = merged[-1]
-            if a <= lb:
-                merged[-1] = (la, max(lb, b))
-            else:
-                merged.append((a, b))
-        return merged
-
     def support_bounds(self) -> tuple[float, float]:
-        iv = self.support_intervals()
-        return iv[0][0], iv[-1][1]
+        """Smallest closed interval carrying all the mass (atoms are points)."""
+        if "_bounds" not in self.__dict__:  # computed once, kept like a cached_property
+            B, CL, CR = self._profile
+            filled = CL[1:] > CR[:-1]  # segment [B[k], B[k+1]] carries mass
+            atom = CR > CL
+            starts = np.flatnonzero(np.append(filled, False) | atom)
+            ends = np.flatnonzero(np.insert(filled, 0, False) | atom)
+            if len(starts) == 0:
+                raise ValidationError("distribution has empty support")
+            self.__dict__["_bounds"] = (float(B[starts[0]]), float(B[ends[-1]]))
+        return self.__dict__["_bounds"]
 
     # -- serialization ------------------------------------------------------
 

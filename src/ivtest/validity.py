@@ -94,21 +94,17 @@ class TestReport:
     test_name: str
     statistic: float
     threshold: float
-    decision: str
     diagnostics: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = "reject" if self.statistic > self.threshold else "consistent"
-        if self.decision != expected:
-            raise ValidationError("decision must match statistic vs threshold")
+        object.__setattr__(self, "statistic", float(self.statistic))
+        object.__setattr__(self, "threshold", float(self.threshold))
+        diag = {k: float(v) for k, v in self.diagnostics.items()}
+        object.__setattr__(self, "diagnostics", diag)
 
-    @classmethod
-    def build(cls, name: str, statistic: float, threshold: float, diagnostics=None) -> "TestReport":
-        statistic = float(statistic)
-        threshold = float(threshold)
-        decision = "reject" if statistic > threshold else "consistent"
-        diag = {k: float(v) for k, v in (diagnostics or {}).items()}
-        return cls(name, statistic, threshold, decision, diag)
+    @property
+    def decision(self) -> str:
+        return "reject" if self.statistic > self.threshold else "consistent"
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,6 +255,25 @@ def discrete_generator_feasible(
     )
 
 
+def witness_report(witness) -> TestReport:
+    """Statistic 1 for an infeasibility certificate, else 0, against threshold 0.
+
+    Diagnostics: ``excess`` (0 when feasible) and the certificate's ``x_index``.
+    """
+    diagnostics = {"excess": 0.0}
+    infeasible = isinstance(witness, InfeasibilityCertificate)
+    if infeasible:
+        diagnostics["excess"] = witness.excess
+        if witness.x_index is not None:
+            diagnostics["x_index"] = witness.x_index
+    return TestReport("feasibility", float(infeasible), 0.0, diagnostics)
+
+
+def feasibility_report(conditionals: Sequence[Sequence[float]]) -> TestReport:
+    """Reject iff no one-to-one first stage fits the discrete conditionals."""
+    return witness_report(discrete_generator_feasible(conditionals)[1])
+
+
 def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
     """Pearl's instrumental inequality for finite (y, x, z).
 
@@ -279,7 +294,7 @@ def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
     stacked = np.stack(mats)  # (z, y, x)
     per_x = stacked.max(axis=0).sum(axis=0)
     worst = int(np.argmax(per_x))
-    return TestReport.build(
+    return TestReport(
         "pearl",
         float(per_x[worst]),
         1.0,
@@ -356,7 +371,7 @@ def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> Te
         ratios[finest[r]] >= ratios[finest[r + 1]] for r in range(len(finest) - 1)
     )
     diagnostics["ratio_increasing_as_gap_shrinks"] = float(trend)
-    return TestReport.build("moment", statistic, params.c_bound, diagnostics)
+    return TestReport("moment", statistic, params.c_bound, diagnostics)
 
 
 def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
@@ -393,7 +408,7 @@ def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
     diagnostics["distance_decreasing_with_gap"] = float(
         all(dists[r] <= dists[r + 1] for r in range(len(dists) - 1))
     )
-    return TestReport.build("jump", min(dists), K, diagnostics)
+    return TestReport("jump", min(dists), K, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +432,7 @@ def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
         v = max(fosd_violation(xms[i], xms[i + 1]), fosd_violation(yms[i], yms[i + 1]))
         if v > worst:
             worst, worst_pair = v, float(i)
-    return TestReport.build(
+    return TestReport(
         "fosd", worst, tol, {"worst_pair_index": worst_pair, "n_pairs": float(len(zs) - 1)}
     )
 
@@ -448,7 +463,7 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
                 gap = bounds[i][axis][0] - bounds[j][axis][1]
                 if gap > worst:
                     worst, worst_pair = float(gap), float(i)
-    return TestReport.build(
+    return TestReport(
         "sure-decrease", max(worst, 0.0), K, {"worst_low_z_index": worst_pair}
     )
 
@@ -458,48 +473,56 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
+def _jump(K: float, z_star: float | None):
+    return lambda law: jump_test(law, K, float(np.max(law.z_grid)) if z_star is None else z_star)
+
+
+def _moment(**params):
+    cp = ContinuityParams(**params)  # refuses bad constants before any law is seen
+    return lambda law: continuity_moment_statistic(law, cp)
+
+
+def _run_feasibility(law: JointLaw) -> TestReport:
+    xs = [c.x_marginal().masses for c in law.conditionals]
+    return feasibility_report([m / m.sum() for m in xs])
+
+
+# name -> (parameter defaults, build(**params) -> runner(law)).  Runners look
+# the test functions up as module globals at call time, so a wrapper installed
+# on ``ivtest.validity.<function>`` sees every call.
+REGISTRY = {
+    "fosd": ({"tol": 0.0}, lambda tol: lambda law: monotonicity_test(law, tol)),
+    "sure-decrease": ({"K": 1.0}, lambda K: lambda law: monotonicity_sure_decrease_test(law, K)),
+    "jump": ({"K": 1.0, "z_star": None}, _jump),
+    "pearl": ({}, lambda: lambda law: instrumental_inequality([c.mass for c in law.conditionals])),
+    "moment": (
+        {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0, "ky": 1.0, "kx": 1.0},
+        _moment,
+    ),
+    "feasibility": ({}, lambda: _run_feasibility),
+}
+
+
 def make_test(name: str, **params):
-    """Build a ``(name, JointLaw -> TestReport)`` pair for a named test.
+    """Build a ``(name, JointLaw -> TestReport)`` pair for a registered test.
 
-    Known names: ``fosd`` (tol), ``sure-decrease`` (K), ``jump`` (K, z_star
-    defaulting to the largest grid point), ``moment`` (ContinuityParams
-    fields), ``pearl`` (no parameters).
+    Parameters not given take the defaults in ``REGISTRY``; ``jump``'s
+    ``z_star`` defaults to the largest grid point.  Unknown names, unknown
+    parameters, values that are not numbers and constants the test refuses
+    raise ``ValidationError``.
     """
-    if name == "fosd":
-        tol = float(params.pop("tol", 0.0))
-        _reject_unknown(name, params)
-        return name, lambda law: monotonicity_test(law, tol)
-    if name == "sure-decrease":
-        K = float(params.pop("K", 1.0))
-        _reject_unknown(name, params)
-        return name, lambda law: monotonicity_sure_decrease_test(law, K)
-    if name == "jump":
-        K = float(params.pop("K", 1.0))
-        z_star = params.pop("z_star", None)
-        _reject_unknown(name, params)
-
-        def run_jump(law: JointLaw) -> TestReport:
-            zs = float(np.max(law.z_grid)) if z_star is None else float(z_star)
-            return jump_test(law, K, zs)
-
-        return name, run_jump
-    if name == "moment":
-        cp = ContinuityParams(
-            alpha=float(params.pop("alpha", 2.0)),
-            beta=float(params.pop("beta", 1.0)),
-            gamma=float(params.pop("gamma", 2.0)),
-            delta=float(params.pop("delta", 1.0)),
-            ky=float(params.pop("ky", 1.0)),
-            kx=float(params.pop("kx", 1.0)),
-        )
-        _reject_unknown(name, params)
-        return name, lambda law: continuity_moment_statistic(law, cp)
-    if name == "pearl":
-        _reject_unknown(name, params)
-        return name, lambda law: instrumental_inequality([c.mass for c in law.conditionals])
-    raise ValidationError(f"unknown test name {name!r}")
-
-
-def _reject_unknown(name: str, params: dict):
-    if params:
-        raise ValidationError(f"unknown parameters for test {name!r}: {sorted(params)}")
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise ValidationError(f"unknown test name {name!r}")
+    defaults, build = REGISTRY[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValidationError(f"unknown parameters for test {name!r}: {unknown}")
+    bound = dict(defaults)
+    for key, value in params.items():
+        if value is None and defaults[key] is None:
+            continue
+        try:
+            bound[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"parameter {key!r} of test {name!r}: {exc}") from exc
+    return name, build(**bound)

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from ivtest import DGPSpec, discretize, sample
+from ivtest import (
+    Conditional2D,
+    DGPSpec,
+    GridDistribution,
+    JointLaw,
+    discretize,
+    make_test,
+    sample,
+)
 from ivtest.cli import main
+from ivtest.validity import REGISTRY
 
 from conftest import bernoulli_support_jump_law, location_family_law
 
@@ -95,7 +104,8 @@ def test_feasibility_infeasible_example(tmp_path, capsys):
     rc = main(["feasibility", "--input", str(path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["decision"] == "infeasible"
+    assert report["decision"] == "reject"
+    assert report["statistic"] == 1.0 and report["threshold"] == 0.0
     assert report["diagnostics"]["excess"] == pytest.approx(0.2, abs=1e-12)
 
 
@@ -105,7 +115,8 @@ def test_feasibility_feasible_with_coupling(tmp_path, capsys):
     rc = main(["feasibility", "--input", str(path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["decision"] == "feasible"
+    assert report["decision"] == "consistent"
+    assert report["statistic"] == 0.0 and report["diagnostics"] == {"excess": 0.0}
     plan = np.array(report["coupling"])
     assert float(np.trace(plan)) <= 1e-9
 
@@ -161,6 +172,86 @@ def test_cmd_test_feasibility_selection(law_file, capsys):
     assert rc == 0
     [report] = json.loads(capsys.readouterr().out)
     assert report["test"] == "feasibility"
+
+
+def x_only_law(x_masses):
+    """One y bin, one conditional per row of ``x_masses``, uniform pz."""
+    nz, nx = len(x_masses), len(x_masses[0])
+    conds = tuple(
+        Conditional2D([0.0, 1.0], np.arange(nx + 1.0), np.array([row])) for row in x_masses
+    )
+    return JointLaw((np.arange(nz) + 0.5) / nz, GridDistribution.uniform(0.0, 1.0, nz), conds)
+
+
+@pytest.mark.parametrize(
+    "x_masses, decision",
+    [
+        ([[0.5 + 4e-10, 0.5 - 4e-10]] * 2, "consistent"),
+        ([[0.5, 0.5, 0.0, 0.0]] * 3, "reject"),
+    ],
+)
+def test_feasibility_commands_agree(tmp_path, capsys, x_masses, decision):
+    cond_path, law_path = tmp_path / "feas.json", tmp_path / "law.json"
+    cond_path.write_text(json.dumps({"conditionals": x_masses}))
+    law_path.write_text(json.dumps(x_only_law(x_masses).to_json_dict()))
+    assert main(["feasibility", "--input", str(cond_path)]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert main(["test", "--input", str(law_path), "--test", "feasibility"]) == 0
+    [via_test] = json.loads(capsys.readouterr().out)
+    for report in (direct, via_test):
+        assert report["decision"] == decision
+        assert (report["statistic"] > report["threshold"]) == (decision == "reject")
+    assert direct["statistic"] == via_test["statistic"]
+    assert direct["diagnostics"] == via_test["diagnostics"]
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_cmd_test_prints_the_registered_report(law_file, capsys, name):
+    law = JointLaw.from_json_dict(json.loads(law_file.read_text()))
+    report = make_test(name)[1](law)
+    assert main(["test", "--input", str(law_file), "--test", name]) == 0
+    assert capsys.readouterr().out == json.dumps([report.to_json_dict()]) + "\n"
+    assert main(["test", "--input", str(law_file), "--test", name, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == f"test,statistic,threshold,decision\n{report.csv_row()}\n"
+
+
+BAD_CONFIGS = {
+    "test-without-name": {"tests": [{"tol": 0.1}]},
+    "test-not-an-object": {"tests": ["fosd"]},
+    "tests-not-a-list": {"tests": {"name": "fosd"}},
+    "non-numeric-parameter": {"tests": [{"name": "fosd", "tol": "abc"}]},
+    "non-numeric-n": {"n": "abc"},
+    "non-numeric-reps": {"reps": [3]},
+    "two-bins": {"bins": [4, 4]},
+    "non-integer-bins": {"bins": [4, "four", 4]},
+    "bins-not-a-list": {"bins": 4},
+    "fractional-bins": {"bins": [4.5, 4, 4]},
+    "boolean-bins": {"bins": [True, 4, 4]},
+    "bins-as-a-string": {"bins": "4,4,4"},
+    "bad-moment-constant": {"tests": [{"name": "moment", "alpha": -1}]},
+    "config-not-an-object": None,
+}
+
+
+@pytest.mark.parametrize("case", ["missing-csv-input", "non-numeric-weights", *BAD_CONFIGS])
+def test_bad_input_exits_1(tmp_path, capsys, case):
+    if case == "missing-csv-input":
+        argv = ["test", "--input", str(tmp_path / "missing.csv")]
+    elif case == "non-numeric-weights":
+        path = tmp_path / "feas.json"
+        path.write_text(json.dumps({"conditionals": [[0.5, 0.5]] * 2, "weights": ["a", 1]}))
+        argv = ["feasibility", "--input", str(path)]
+    else:
+        base = {"specs": [{"name": "loc"}], "tests": [{"name": "fosd"}], "n": 200, "reps": 1}
+        override = BAD_CONFIGS[case]
+        config = [base] if override is None else {**base, **override}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--input", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "replication" not in err  # refused before any data is sampled
 
 
 def test_simulate_deterministic_csv(sim_config, tmp_path):

@@ -248,6 +248,51 @@ def test_mutual_fosd_bounds_cdf_distance(rng):
 # ---------------------------------------------------------------------------
 
 
+def oracle_support_bounds(dist):
+    """Scan every bin and atom; keep the ones with positive mass."""
+    pieces = [(a, b) for a, b, m in zip(dist.edges[:-1], dist.edges[1:], dist.masses) if m > 0]
+    pieces += [(loc, loc) for loc, m in dist.atoms if m > 0]
+    return min(a for a, _ in pieces), max(b for _, b in pieces)
+
+
+SUPPORT_CASES = {
+    "gap": GridDistribution([0.0, 1.0, 2.0, 3.0], [0.5, 0.0, 0.5]),
+    "atom-on-left-edge": GridDistribution([0.0, 1.0, 2.0], [0.0, 0.7], ((0.0, 0.3),)),
+    "atom-on-right-edge": GridDistribution([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.0], ((3.0, 0.4),)),
+    "atom-on-inner-edge": GridDistribution([0.0, 1.0, 2.0], [0.0, 0.5], ((1.0, 0.5),)),
+    "zero-mass-edge-bins": GridDistribution([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 0.5, 0.0]),
+    "atom-in-zero-mass-bin": GridDistribution([0.0, 1.0, 2.0, 3.0], [0.0, 0.8, 0.0], ((2.5, 0.2),)),
+    "zero-mass-atom": GridDistribution([0.0, 1.0, 2.0], [1.0, 0.0], ((2.0, 0.0),)),
+    "atoms-only": GridDistribution.from_atoms([(0.2, 0.5), (0.8, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("case", list(SUPPORT_CASES))
+def test_support_bounds_matches_scan(case):
+    dist = SUPPORT_CASES[case]
+    lo, hi = dist.support_bounds()
+    assert (lo, hi) == oracle_support_bounds(dist)
+    assert oracle_cdf(dist, np.nextafter(lo, -np.inf))[0] == 0.0
+    assert oracle_cdf(dist, hi)[0] == pytest.approx(1.0, abs=1e-12)
+    assert dist.quantile(0.0) == lo
+    assert dist.support_bounds() is dist.support_bounds()  # computed once
+
+
+def test_support_bounds_matches_scan_random(rng):
+    for _ in range(200):
+        nb = int(rng.integers(1, 7))
+        edges = np.cumsum(rng.uniform(0.1, 1.0, nb + 1))
+        masses = rng.gamma(1.0, size=nb) * (rng.random(nb) < 0.5)
+        locs = rng.choice(np.concatenate([edges, rng.uniform(edges[0], edges[-1], 3)]), 2, replace=False)
+        atom_mass = rng.gamma(1.0, size=2) * (rng.random(2) < 0.5)
+        total = masses.sum() + atom_mass.sum()
+        if total == 0:
+            continue
+        atoms = tuple(zip(locs, atom_mass / total))
+        dist = GridDistribution(edges, masses / total, atoms)
+        assert dist.support_bounds() == oracle_support_bounds(dist)
+
+
 def test_grid_distribution_validation():
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 0.0]), np.array([1.0]))  # not increasing

@@ -15,6 +15,7 @@ from ivtest import (
     ValidationError,
     continuity_moment_statistic,
     discrete_generator_feasible,
+    feasibility_report,
     instrumental_inequality,
     jump_test,
     make_test,
@@ -446,18 +447,23 @@ def test_sure_decrease_overlapping_supports_consistent():
 
 
 def test_report_invariant_enforced():
-    with pytest.raises(ValidationError):
+    # the decision is derived from statistic > threshold and cannot be given
+    with pytest.raises(TypeError):
         TestReport("x", 2.0, 1.0, "consistent", {})
-    r = TestReport.build("x", 2.0, 1.0, {"a": 1})
+    r = TestReport("x", np.float64(2.0), 1, {"a": np.int64(1)})
     assert r.decision == "reject"
-    tie = TestReport.build("x", 1.0, 1.0)
+    with pytest.raises(AttributeError):
+        r.decision = "consistent"
+    assert type(r.statistic) is float and type(r.threshold) is float
+    assert r.diagnostics == {"a": 1.0} and type(r.diagnostics["a"]) is float
+    tie = TestReport("x", 1.0, 1.0)
     assert tie.decision == "consistent"  # ties are consistent, strict rejection
 
 
 def test_report_serialization():
     import json
 
-    r = TestReport.build("jump", 3.0, 1.0, {"gap_0": 1.0})
+    r = TestReport("jump", 3.0, 1.0, {"gap_0": 1.0})
     obj = r.to_json_dict()
     assert json.dumps(obj)  # serializable
     assert obj["test"] == "jump" and obj["decision"] == "reject"
@@ -470,7 +476,40 @@ def test_make_test_registry():
         test_name, fn = make_test(name)
         report = fn(law)
         assert report.test_name == test_name
-    with pytest.raises(ValidationError):
-        make_test("nope")
-    with pytest.raises(ValidationError):
-        make_test("fosd", bogus=1)
+    for name, params in [
+        ("nope", {}),
+        (["fosd"], {}),
+        ("fosd", {"bogus": 1}),
+        ("pearl", {"K": 1.0}),
+        ("fosd", {"tol": "abc"}),
+        ("jump", {"K": None}),
+        ("moment", {"alpha": [1.0]}),
+        ("moment", {"alpha": -1}),
+        ("moment", {"kx": 0.0}),
+    ]:
+        with pytest.raises(ValidationError):
+            make_test(name, **params)
+
+
+@pytest.mark.parametrize(
+    "conditionals, x_index",
+    [
+        ([[0.5 + 4e-10, 0.5 - 4e-10]] * 2, None),  # stacks 1 + 8e-10, within INPUT_TOL
+        ([[0.5, 0.5], [0.5, 0.5]], None),
+        ([[0.7, 0.3], [0.5, 0.5]], 0),
+        ([[0.5, 0.5, 0.0, 0.0]] * 3, None),  # no tuple plan, no pair stacks > 1
+        ([[0.1, 0.9, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]], 1),
+        ([[1.0, 0.0]] * 3, None),  # support smaller than the z points
+    ],
+)
+def test_feasibility_report_decision_follows_statistic(conditionals, x_index):
+    feasible, witness = discrete_generator_feasible(conditionals)
+    report = feasibility_report(conditionals)
+    assert report.test_name == "feasibility"
+    assert report.statistic == (0.0 if feasible else 1.0)
+    assert report.threshold == 0.0
+    assert report.decision == ("reject" if report.statistic > report.threshold else "consistent")
+    assert report.decision == ("consistent" if feasible else "reject")
+    excess = 0.0 if feasible else witness.excess
+    assert report.diagnostics["excess"] == excess
+    assert report.diagnostics.get("x_index") == x_index
