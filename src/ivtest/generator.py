@@ -32,6 +32,7 @@ per atom, then one row per continuum cell in z order.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +58,8 @@ from .measures import (
 # int64): depth 12 at arity 2.  Memory grows like 4**depth, so larger depths
 # are refused before anything is allocated.
 MAX_CELL_ENTRIES = 2**24
+
+_log = logging.getLogger(__name__)
 
 
 def _address_str(address: tuple[int, ...]) -> str:
@@ -372,24 +375,23 @@ def _image_codes(gen: GeneratorMap, u_resolution: int) -> np.ndarray:
     """Integer code of the image cell interval for each (piece, u point).
 
     Two entries get the same code iff the image intervals are identical as
-    real intervals, which is the cell-resolution notion of collision.
+    real intervals, which is the cell-resolution notion of collision.  The
+    ``n`` image intervals of every site that holds a piece are coded once,
+    all sites together so that equal intervals on different sites share a
+    code, and each (piece, u point) then looks its code up through the
+    piece's permutation row.
     """
     cell, site, _ = gen.pieces
     n = gen.n_u_cells
     t = (np.arange(u_resolution) + 0.5) / u_resolution
     ucell = np.minimum((t * n).astype(np.int64), n - 1)
     grid = np.arange(n + 1) / n
-    lo = np.empty((len(cell), u_resolution))
-    hi = np.empty((len(cell), u_resolution))
-    for si in np.unique(site):
-        at = site == si
-        mapped = gen.cells[cell[at][:, None], ucell]
-        qs = gen.marginals[si].quantile(grid)
-        lo[at] = qs[mapped]
-        hi[at] = qs[mapped + 1]
-    flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
-    _, codes = np.unique(flat, axis=0, return_inverse=True)
-    return codes.reshape(len(cell), u_resolution).astype(np.int32)
+    used, slot = np.unique(site, return_inverse=True)
+    qs = np.array([gen.marginals[si].quantile(grid) for si in used])
+    intervals = np.stack([qs[:, :-1].ravel(), qs[:, 1:].ravel()], axis=1)
+    _, interval_code = np.unique(intervals, axis=0, return_inverse=True)
+    mapped = gen.cells[cell[:, None], ucell]
+    return interval_code.reshape(-1)[slot[:, None] * n + mapped].astype(np.int32)
 
 
 def collision_fraction(
@@ -406,13 +408,23 @@ def collision_fraction(
     ``z_pairs`` budget the pair expectation is enumerated exactly; otherwise
     pairs are Monte Carlo sampled, deterministically in ``seed``.  A draw of
     the same atom twice gives z_i = z_j and never counts as a collision.
+    The ``ivtest.generator`` logger gets one DEBUG record of the mode
+    (``exact`` or ``monte-carlo``), the piece count and the pairs used, as
+    the record attributes ``mode``, ``pieces`` and ``pairs``.
     """
     cell, _, w = gen.pieces
     res = u_resolution or gen.n_u_cells
     codes = _image_codes(gen, res)
     self_collides = (cell >= len(gen.atoms)).astype(float)
     P = len(cell)
-    if P * P <= max(z_pairs, P):
+    exact = P * P <= max(z_pairs, P)
+    if _log.isEnabledFor(logging.DEBUG):
+        mode, pairs = ("exact", P * P) if exact else ("monte-carlo", z_pairs)
+        _log.debug(
+            "collision_fraction: %s over %d pairs of %d pieces", mode, pairs, P,
+            extra={"mode": mode, "pieces": P, "pairs": pairs},
+        )
+    if exact:
         total = 0.0
         for i in range(P):
             agree = (codes == codes[i]).mean(axis=1)

@@ -268,6 +268,13 @@ def run_experiment(
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
+    depth = nontestability_depth
+    if depth is not None and (
+        isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0
+    ):
+        raise ValidationError(
+            f"nontestability_depth must be None or a non-negative integer: {depth!r}"
+        )
     results: dict[tuple[str, str], CellStats] = {}
     for spec in specs:
         rows = [spec.name]

@@ -317,8 +317,13 @@ def _pair_quantile_moment(
     """E[((Qx1-Qx2)^2 + (Qy1-Qy2)^2)^(power/2)] under the common-level coupling.
 
     The four quantile functions are piecewise linear between the merged CDF
-    breakpoints, so Gauss-Legendre quadrature per segment is exact to float
-    precision for these smooth integrands.
+    breakpoints, so on each segment the integrand is a function of two linear
+    displacements.  16-point Gauss-Legendre quadrature per segment is exact
+    (to rounding) when that function is a polynomial of degree at most 31,
+    as for even integer powers up to 30.  Otherwise it is approximate.  Where
+    ``dx`` or ``dy`` changes sign inside a segment the integrand has a kink:
+    with one kink at the middle of a single segment the error is 2.5e-3 at
+    power 0.5 and 3.8e-4 at power 1.
     """
     cums = []
     for d in (xm1, xm2, ym1, ym2):

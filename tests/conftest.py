@@ -1,4 +1,5 @@
-"""Shared builders for analytic test laws, and the exact replay oracle."""
+"""Shared builders for analytic test laws, the exact replay oracle and the
+pairwise image-code oracle."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -174,6 +175,32 @@ def replay_replication_error(model, law):
         ) / 2
         worst = max(worst, tv)
     return float(worst)
+
+
+def pairwise_image_codes(gen, u_resolution):
+    """Image-interval codes of every (piece, u point), from the pairs themselves.
+
+    An independent oracle for ``generator._image_codes``: it evaluates the
+    ``(lo, hi)`` image interval of every piece at every u point and codes
+    all of them with one ``np.unique`` over the pairs, so two entries share a
+    code exactly when their image intervals are equal as real intervals.
+    """
+    cell, site, _ = gen.pieces
+    n = gen.n_u_cells
+    t = (np.arange(u_resolution) + 0.5) / u_resolution
+    ucell = np.minimum((t * n).astype(np.int64), n - 1)
+    grid = np.arange(n + 1) / n
+    lo = np.empty((len(cell), u_resolution))
+    hi = np.empty((len(cell), u_resolution))
+    for si in np.unique(site):
+        at = site == si
+        mapped = gen.cells[cell[at][:, None], ucell]
+        qs = gen.marginals[si].quantile(grid)
+        lo[at] = qs[mapped]
+        hi[at] = qs[mapped + 1]
+    flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
+    _, codes = np.unique(flat, axis=0, return_inverse=True)
+    return codes.reshape(len(cell), u_resolution)
 
 
 @pytest.fixture

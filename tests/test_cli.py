@@ -229,6 +229,10 @@ BAD_CONFIGS = {
     "boolean-bins": {"bins": [True, 4, 4]},
     "bins-as-a-string": {"bins": "4,4,4"},
     "bad-moment-constant": {"tests": [{"name": "moment", "alpha": -1}]},
+    "string-depth": {"nontestability_depth": "abc"},
+    "fractional-depth": {"nontestability_depth": 2.5},
+    "negative-depth": {"nontestability_depth": -1},
+    "boolean-depth": {"nontestability_depth": True},
     "config-not-an-object": None,
 }
 
@@ -252,6 +256,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "replication" not in err  # refused before any data is sampled
+    if case.endswith("-depth"):
+        assert "nontestability_depth" in err
 
 
 def test_simulate_deterministic_csv(sim_config, tmp_path):

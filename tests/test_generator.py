@@ -1,6 +1,7 @@
 """Construction invariants: measure preservation, injectivity decay, replication."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,13 @@ from ivtest import (
     invert_generator,
     verify_replication,
 )
+from ivtest.generator import _image_codes
 from ivtest.measures import Conditional2D, JointLaw
 
 from conftest import (
+    bernoulli_support_jump_law,
     identical_conditional_setup,
+    pairwise_image_codes,
     perturbed_law,
     random_joint_law,
     replay_induced_conditional,
@@ -140,6 +144,114 @@ def test_disjoint_supports_zero_collision():
     margs = [GridDistribution.uniform(2 * k, 2 * k + 1, 2) for k in range(3)]
     gen = build_generator(margs, pz, [0.0, 2.0, 4.0], 2)
     assert collision_fraction(gen) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# collision codes: oracle, golden values, mode record
+# ---------------------------------------------------------------------------
+
+
+def atomic_setup(k):
+    """k z atoms of total mass 0.4 below a uniform continuum, all uniform[0, 1]."""
+    atoms = tuple((0.1 + 0.2 * j, 0.4 / k) for j in range(k))
+    pz = GridDistribution(np.array([0.0, 1.0]), np.array([0.6]), atoms)
+    z_grid = sorted([a for a, _ in atoms] + [0.95])
+    return [GridDistribution.uniform(0, 1)] * (k + 1), pz, z_grid
+
+
+def collision_case(name):
+    """Generator named ``<law>-<depth>``: random, identical, atomic1..3, bernoulli."""
+    law_name, depth = name.rsplit("-", 1)
+    if law_name == "random":
+        law = random_joint_law(np.random.default_rng(20240817))
+    elif law_name == "bernoulli":
+        law = bernoulli_support_jump_law()
+    if law_name in ("random", "bernoulli"):
+        setup = (law.x_marginals(), law.pz, law.z_grid)
+    elif law_name == "identical":
+        setup = identical_conditional_setup()
+    else:
+        setup = atomic_setup(int(law_name[len("atomic"):]))
+    return build_generator(*setup, int(depth))
+
+
+# collision_fraction with z_pairs=10**6 (exact) and z_pairs=400, seed=5
+# (Monte Carlo), pinned bit for bit
+GOLDEN_COLLISIONS = {
+    "random-0": (0.625, 0.625),
+    "random-3": (0.125, 0.125),
+    "random-6": (0.015625, 0.0075),
+    "identical-0": (1.0, 1.0),
+    "identical-3": (0.125, 0.125),
+    "identical-6": (0.015625, 0.0075),
+    "atomic1-1": (0.18, 0.18),
+    "atomic1-2": (0.09, 0.09),
+    "atomic2-1": (0.18, 0.18),
+    "atomic2-2": (0.09, 0.09),
+    "atomic3-1": (0.18, 0.18),
+    "atomic3-2": (0.09, 0.09),
+    "bernoulli-0": (0.0, 0.0),
+    "bernoulli-4": (0.0, 0.0),
+}
+
+# group_collision_matrix is diagonal on the atomic laws: atoms never meet
+# themselves, and each continuum half collides with itself at 2**(1 - depth)
+GOLDEN_GROUP_DIAGONALS = {
+    "atomic1-1": [0.0, 1.0, 1.0],
+    "atomic1-2": [0.0, 0.5, 0.5],
+    "atomic2-1": [0.0, 0.0, 1.0, 1.0],
+    "atomic2-2": [0.0, 0.0, 0.5, 0.5],
+    "atomic3-1": [0.0, 0.0, 0.0, 1.0, 1.0],
+    "atomic3-2": [0.0, 0.0, 0.0, 0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COLLISIONS))
+def test_image_codes_match_pairwise_oracle(name):
+    """Both codings induce the same partition: their code values pair up one to one."""
+    gen = collision_case(name)
+    n = gen.n_u_cells
+    for res in sorted({1, 7, n, 3 * n}):
+        new = _image_codes(gen, res)
+        old = pairwise_image_codes(gen, res)
+        assert new.shape == old.shape == (len(gen.pieces[0]), res)
+        pairs = np.unique(np.stack([new.ravel(), old.ravel()], axis=1), axis=0)
+        assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COLLISIONS))
+def test_collision_golden_values(name):
+    gen = collision_case(name)
+    exact, monte_carlo = GOLDEN_COLLISIONS[name]
+    assert collision_fraction(gen, z_pairs=10**6) == exact
+    assert collision_fraction(gen, z_pairs=400, seed=5) == monte_carlo
+    if name in GOLDEN_GROUP_DIAGONALS:
+        diagonal = GOLDEN_GROUP_DIAGONALS[name]
+        labels, mat = group_collision_matrix(gen)
+        assert labels == [str(g + 1) for g in range(len(diagonal))]
+        assert np.array_equal(mat, np.diag(diagonal))
+
+
+def test_collision_golden_value_depth10():
+    # the benchmark's model-query shape: one random 8x8x8 law at depth 10
+    law = random_joint_law(np.random.default_rng(901))
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 10)
+    assert collision_fraction(gen) == 0.0009765625
+
+
+def test_collision_mode_logged_at_debug_only(caplog):
+    gen = collision_case("identical-3")
+    with caplog.at_level(logging.INFO, logger="ivtest.generator"):
+        collision_fraction(gen)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="ivtest.generator"):
+        collision_fraction(gen, z_pairs=10**6)
+        collision_fraction(gen, z_pairs=10, seed=5)
+    exact, monte_carlo = caplog.records
+    assert (exact.name, exact.levelno) == ("ivtest.generator", logging.DEBUG)
+    assert (exact.mode, exact.pieces, exact.pairs) == ("exact", 8, 64)
+    assert (monte_carlo.mode, monte_carlo.pieces, monte_carlo.pairs) == ("monte-carlo", 8, 10)
+    assert "monte-carlo" in monte_carlo.getMessage()
 
 
 # ---------------------------------------------------------------------------
