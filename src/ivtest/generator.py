@@ -32,7 +32,6 @@ per atom, then one row per continuum cell in z order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -58,8 +57,6 @@ from .measures import (
 # int64): depth 12 at arity 2.  Memory grows like 4**depth, so larger depths
 # are refused before anything is allocated.
 MAX_CELL_ENTRIES = 2**24
-
-_log = logging.getLogger(__name__)
 
 
 def _address_str(address: tuple[int, ...]) -> str:
@@ -286,24 +283,40 @@ def _refine_and_shift(perms: np.ndarray, arity: int, shift) -> np.ndarray:
     return j + (r + shift) % k
 
 
+def _interval_codes(marginals: Sequence[GridDistribution], n: int) -> np.ndarray:
+    """Integer code of every image interval ``[q(c/n), q((c+1)/n))`` of every
+    marginal, shape ``(len(marginals), n)``.
+
+    Two entries share a code iff their intervals are equal as real intervals,
+    on the same marginal or on different ones, which is the cell-resolution
+    notion of collision.
+    """
+    grid = np.arange(n + 1) / n
+    qs = np.array([m.quantile(grid) for m in marginals])
+    lo, hi = qs[:, :-1].ravel(), qs[:, 1:].ravel()
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes.reshape(len(marginals), n)
+
+
 def _already_one_to_one(
     marginals: Sequence[GridDistribution], sites: Sequence[Site], n_cells: int
 ) -> bool:
     """True when no two atom sites share an image cell and no continuum exists.
 
     A continuum site always collides with itself (nearby z share the map), so
-    the shortcut only applies to purely atomic z laws.
+    the shortcut only applies to purely atomic z laws.  Under the identity
+    permutations latent cell c lands on image cell c at every site, so each
+    column of interval codes must hold distinct codes.
     """
     if any(s.kind == "bin" and s.mass > 0 for s in sites):
         return False
-    grids = np.arange(n_cells + 1) / n_cells
-    images = [m.quantile(grids) for m in marginals]
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            same = (images[i][:-1] == images[j][:-1]) & (images[i][1:] == images[j][1:])
-            if np.any(same):
-                return False
-    return True
+    columns = np.sort(_interval_codes(marginals, n_cells), axis=0)
+    return not np.any(columns[1:] == columns[:-1])
 
 
 def build_generator(
@@ -371,110 +384,86 @@ def build_generator(
 # ---------------------------------------------------------------------------
 
 
-def _image_codes(gen: GeneratorMap, u_resolution: int) -> np.ndarray:
-    """Integer code of the image cell interval for each (piece, u point).
+def _image_codes(gen: GeneratorMap) -> np.ndarray:
+    """Interval code of every (latent cell, piece), shape ``(n_u_cells, pieces)``.
 
-    Two entries get the same code iff the image intervals are identical as
-    real intervals, which is the cell-resolution notion of collision.  The
-    ``n`` image intervals of every site that holds a piece are coded once,
-    all sites together so that equal intervals on different sites share a
-    code, and each (piece, u point) then looks its code up through the
-    piece's permutation row.
+    Each site that holds a piece has its ``n`` image intervals coded once, all
+    sites together, and each piece looks its codes up through its permutation
+    row.  The array is C-contiguous, one latent cell per row.
     """
     cell, site, _ = gen.pieces
     n = gen.n_u_cells
-    t = (np.arange(u_resolution) + 0.5) / u_resolution
-    ucell = np.minimum((t * n).astype(np.int64), n - 1)
-    grid = np.arange(n + 1) / n
     used, slot = np.unique(site, return_inverse=True)
-    qs = np.array([gen.marginals[si].quantile(grid) for si in used])
-    intervals = np.stack([qs[:, :-1].ravel(), qs[:, 1:].ravel()], axis=1)
-    _, interval_code = np.unique(intervals, axis=0, return_inverse=True)
-    mapped = gen.cells[cell[:, None], ucell]
-    return interval_code.reshape(-1)[slot[:, None] * n + mapped].astype(np.int32)
+    codes = _interval_codes([gen.marginals[si] for si in used], n).ravel()
+    return codes[np.ascontiguousarray(gen.cells[cell].T) + slot * n]
 
 
-def collision_fraction(
-    gen: GeneratorMap,
-    z_pairs: int = 4096,
-    u_resolution: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Probability mass of (z_i, z_j, u) triples on which the map is not one-to-one.
+def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
+    """Colliding z-pair mass between every pair of piece groups, exact.
 
-    z_i and z_j are independent draws from pz; u is scanned on a regular grid
-    of ``u_resolution`` points (defaulting to one per latent cell, which makes
-    the u average exact).  When the full set of piece pairs fits inside the
-    ``z_pairs`` budget the pair expectation is enumerated exactly; otherwise
-    pairs are Monte Carlo sampled, deterministically in ``seed``.  A draw of
-    the same atom twice gives z_i = z_j and never counts as a collision.
-    The ``ivtest.generator`` logger gets one DEBUG record of the mode
-    (``exact`` or ``monte-carlo``), the piece count and the pairs used, as
-    the record attributes ``mode``, ``pieces`` and ``pairs``.
+    Entry (g, h) sums ``w_i w_j`` times the share of latent cells on which
+    piece i of group g and piece j of group h map onto the same image
+    interval; a piece paired with itself counts fully on the continuum
+    (nearby z share the map) and not at all for an atom (the same z twice).
+    Per latent cell, with ``W_h`` the mass of group h on each code, piece i
+    adds ``w_i (W_h[code_i] - w_i [h = g])``, which sums to ``Σ W_g W_h``
+    without the self pairs and cancels exactly where pieces never meet.
     """
     cell, _, w = gen.pieces
-    res = u_resolution or gen.n_u_cells
-    codes = _image_codes(gen, res)
-    self_collides = (cell >= len(gen.atoms)).astype(float)
-    P = len(cell)
-    exact = P * P <= max(z_pairs, P)
-    if _log.isEnabledFor(logging.DEBUG):
-        mode, pairs = ("exact", P * P) if exact else ("monte-carlo", z_pairs)
-        _log.debug(
-            "collision_fraction: %s over %d pairs of %d pieces", mode, pairs, P,
-            extra={"mode": mode, "pieces": P, "pairs": pairs},
-        )
-    if exact:
-        total = 0.0
-        for i in range(P):
-            agree = (codes == codes[i]).mean(axis=1)
-            total += w[i] * float(agree @ w)
-            # replace the self term: full collision for continuum, none for atoms
-            total += w[i] * w[i] * (self_collides[i] - float(agree[i]))
-        return float(total)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0111DE)))
-    probs = w / w.sum()
-    ii = rng.choice(P, size=z_pairs, p=probs)
-    jj = rng.choice(P, size=z_pairs, p=probs)
-    vals = (codes[ii] == codes[jj]).mean(axis=1)
-    same = ii == jj
-    vals[same] = self_collides[ii[same]]
-    return float(vals.mean())
+    codes = _image_codes(gen)
+    n_groups = int(group.max()) + 1
+    n_codes = int(codes.max()) + 1
+    offset = group * n_codes
+    spread = (np.arange(n_groups) * n_codes)[:, None]
+    member = np.zeros((len(w), n_groups))
+    member[np.arange(len(w)), group] = w
+    own = member.T
+    cross = np.zeros((n_groups, n_groups))
+    for row in codes:
+        W = np.bincount(row + offset, weights=w, minlength=n_groups * n_codes)
+        cross += (W[row + spread] - own) @ member
+    continuum = cell >= len(gen.atoms)
+    self_mass = np.bincount(
+        group[continuum], weights=w[continuum] ** 2, minlength=n_groups
+    )
+    return cross.T / gen.n_u_cells + np.diag(self_mass)
 
 
-def group_collision_matrix(
-    gen: GeneratorMap, u_resolution: int | None = None
-) -> tuple[list[str], np.ndarray]:
+def collision_fraction(gen: GeneratorMap) -> float:
+    """Probability mass of (z_i, z_j, u) triples on which the map is not one-to-one.
+
+    z_i and z_j are independent draws from pz and u is uniform; the map is
+    not one-to-one at (z_i, z_j, u) when both z put u's latent cell onto the
+    same image interval.  The value is exact, with no sampling: per latent
+    cell it is ``Σ_code W(code)²`` over the z mass ``W`` on each interval
+    code, averaged over the latent cells, less ``Σ w_i²`` over the atoms,
+    since a draw of the same atom twice gives z_i = z_j and never counts as a
+    collision.
+    """
+    cell = gen.pieces[0]
+    return float(_collision_mass(gen, np.zeros(len(cell), dtype=np.int64))[0, 0])
+
+
+def group_collision_matrix(gen: GeneratorMap) -> tuple[list[str], np.ndarray]:
     """Collision fraction between every pair of top-level z groups, exact.
 
-    Entry (g, h) is the u fraction on which groups g and h share identical
-    image cells, weighted over the piece pairs of the two groups.  The
-    diagonal uses the same-z convention as :func:`collision_fraction`.
+    Entry (g, h) is the colliding mass of :func:`collision_fraction`
+    restricted to z_i in group g and z_j in group h, divided by the mass of
+    such pairs, so the u fraction on which the two groups share identical
+    image cells.  The diagonal uses the same-z convention of
+    :func:`collision_fraction`.
     """
     cell, _, weight = gen.pieces
-    res = u_resolution or gen.n_u_cells
-    codes = _image_codes(gen, res)
-    group = [_address_str(gen.addresses[c][:1]) for c in cell]
-    labels = sorted(set(group))
-    index = {lab: g for g, lab in enumerate(labels)}
-    G = len(labels)
-    mass = np.zeros((G, G))
-    hits = np.zeros((G, G))
-    k = len(gen.atoms)
-    for a in range(len(cell)):
-        ga = index[group[a]]
-        for b in range(len(cell)):
-            gb = index[group[b]]
-            wab = weight[a] * weight[b]
-            mass[ga, gb] += wab
-            if a == b:
-                hits[ga, gb] += wab * (0.0 if cell[a] < k else 1.0)
-            else:
-                hits[ga, gb] += wab * float((codes[a] == codes[b]).mean())
-    out = np.zeros((G, G))
+    labels, group = np.unique(
+        [_address_str(gen.addresses[c][:1]) for c in cell], return_inverse=True
+    )
+    hits = _collision_mass(gen, group)
+    group_mass = np.bincount(group, weights=weight)
+    mass = np.outer(group_mass, group_mass)
+    out = np.zeros_like(mass)
     nz = mass > 0
     out[nz] = hits[nz] / mass[nz]
-    return labels, out
+    return labels.tolist(), out
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ class GridDistribution:
         return float(out[0]) if scalar else out
 
     def quantile(self, p) -> np.ndarray | float:
-        """Generalized inverse CDF, ``inf {x: F(x) >= p}``, linear in bins."""
+        """Generalized inverse CDF, ``inf {x: F(x) >= p}``, linear in bins;
+        level 1 gives the support's upper end exactly."""
         return self._quantile_eval(p, strict=False)
 
     def quantile_right(self, p) -> np.ndarray | float:
@@ -196,6 +197,10 @@ class GridDistribution:
             vals = B[prev] + frac * (B[kk] - B[prev])
             vals[~safe] = B[kk][~safe]
             out[rest] = vals
+        if not strict:
+            # the level that exhausts the mass is the support's upper end, even
+            # when rounding leaves the cumulative mass a few ulps off 1
+            out[ps >= min(CR[-1], 1.0)] = hi
         out[ps <= 0.0] = lo
         return float(out[0]) if scalar else out
 

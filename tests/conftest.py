@@ -1,5 +1,5 @@
 """Shared builders for analytic test laws, the exact replay oracle and the
-pairwise image-code oracle."""
+pairwise image-code and collision oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -177,30 +177,72 @@ def replay_replication_error(model, law):
     return float(worst)
 
 
-def pairwise_image_codes(gen, u_resolution):
-    """Image-interval codes of every (piece, u point), from the pairs themselves.
+def pairwise_image_codes(gen):
+    """Image-interval codes of every (piece, latent cell), from the pairs themselves.
 
     An independent oracle for ``generator._image_codes``: it evaluates the
-    ``(lo, hi)`` image interval of every piece at every u point and codes
-    all of them with one ``np.unique`` over the pairs, so two entries share a
-    code exactly when their image intervals are equal as real intervals.
+    ``(lo, hi)`` image interval of every piece at every latent cell and codes
+    all of them with one ``np.unique`` over the pairs, taken as the complex
+    numbers ``lo + i hi``, so two entries share a code exactly when their
+    image intervals are equal as real intervals.
     """
     cell, site, _ = gen.pieces
     n = gen.n_u_cells
-    t = (np.arange(u_resolution) + 0.5) / u_resolution
-    ucell = np.minimum((t * n).astype(np.int64), n - 1)
     grid = np.arange(n + 1) / n
-    lo = np.empty((len(cell), u_resolution))
-    hi = np.empty((len(cell), u_resolution))
+    lo = np.empty((len(cell), n))
+    hi = np.empty((len(cell), n))
     for si in np.unique(site):
         at = site == si
-        mapped = gen.cells[cell[at][:, None], ucell]
+        mapped = gen.cells[cell[at]]
         qs = gen.marginals[si].quantile(grid)
         lo[at] = qs[mapped]
         hi[at] = qs[mapped + 1]
-    flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
-    _, codes = np.unique(flat, axis=0, return_inverse=True)
-    return codes.reshape(len(cell), u_resolution)
+    _, codes = np.unique(lo.ravel() + 1j * hi.ravel(), return_inverse=True)
+    return codes.reshape(len(cell), n).astype(np.int32)
+
+
+def pairwise_collision_fraction(gen):
+    """Collision fraction summed over every ordered pair of pieces.
+
+    An independent oracle for ``generator.collision_fraction``: each pair of
+    pieces adds its z mass times the share of latent cells on which their
+    image intervals agree; a piece paired with itself counts fully on the
+    continuum and not at all for an atom.
+    """
+    cell, _, w = gen.pieces
+    codes = pairwise_image_codes(gen)
+    self_collides = (cell >= len(gen.atoms)).astype(float)
+    total = 0.0
+    for i in range(len(cell)):
+        agree = (codes == codes[i]).mean(axis=1)
+        total += w[i] * float(agree @ w)
+        # replace the self term: full collision for continuum, none for atoms
+        total += w[i] * w[i] * (self_collides[i] - float(agree[i]))
+    return float(total)
+
+
+def pairwise_group_collision_matrix(gen):
+    """``generator.group_collision_matrix`` summed over piece pairs, one row of
+    pairs at a time."""
+    cell, _, weight = gen.pieces
+    codes = pairwise_image_codes(gen)
+    labels, group = np.unique(
+        ["".join(str(d) for d in gen.addresses[c][:1]) for c in cell], return_inverse=True
+    )
+    G = len(labels)
+    mass = np.zeros((G, G))
+    hits = np.zeros((G, G))
+    for a in range(len(cell)):
+        pair = weight[a] * weight
+        agree = np.count_nonzero(codes == codes[a], axis=1) / codes.shape[1]
+        # the self pair: full collision for continuum, none for atoms
+        agree[a] = 0.0 if cell[a] < len(gen.atoms) else 1.0
+        mass[group[a]] += np.bincount(group, weights=pair, minlength=G)
+        hits[group[a]] += np.bincount(group, weights=pair * agree, minlength=G)
+    out = np.zeros((G, G))
+    nz = mass > 0
+    out[nz] = hits[nz] / mass[nz]
+    return labels.tolist(), out
 
 
 @pytest.fixture

@@ -98,7 +98,7 @@ def test_criterion_2_injectivity_convergence():
     exact = []
     for n in range(11):
         gen = build_generator(margs, pz, zg, n)
-        cf = collision_fraction(gen, z_pairs=2 * 10**6)
+        cf = collision_fraction(gen)
         exact.append(cf == 2.0**-n)
         assert cf == 2.0**-n, f"depth {n}: {cf!r} != 2^-{n}"
     verdict(

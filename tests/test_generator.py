@@ -1,7 +1,6 @@
 """Construction invariants: measure preservation, injectivity decay, replication."""
 
 import json
-import logging
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,8 @@ from ivtest.measures import Conditional2D, JointLaw
 from conftest import (
     bernoulli_support_jump_law,
     identical_conditional_setup,
+    pairwise_collision_fraction,
+    pairwise_group_collision_matrix,
     pairwise_image_codes,
     perturbed_law,
     random_joint_law,
@@ -90,27 +91,19 @@ def test_identical_conditionals_depth0_full_collision():
 
 def test_identical_conditionals_dyadic_decay_exact():
     margs, pz, zg = identical_conditional_setup()
-    for n in range(7):
+    # from depth 8 on (256 pieces) the default call is exact too
+    for n in range(9):
         gen = build_generator(margs, pz, zg, n)
-        assert collision_fraction(gen, z_pairs=10**7) == 2.0**-n
+        assert collision_fraction(gen) == 2.0**-n
 
 
 def test_collision_matches_pointwise_oracle():
     margs, pz, zg = identical_conditional_setup()
     for n in (1, 2, 3, 4):
         gen = build_generator(margs, pz, zg, n)
-        assert collision_fraction(gen, z_pairs=10**6) == pytest.approx(
+        assert collision_fraction(gen) == pytest.approx(
             pointwise_collision_oracle(gen), abs=1e-12
         )
-
-
-def test_collision_monte_carlo_mode_close_to_exact():
-    margs, pz, zg = identical_conditional_setup(n_sites=8)
-    gen = build_generator(margs, pz, zg, 4)
-    exact = collision_fraction(gen, z_pairs=10**6)
-    mc = collision_fraction(gen, z_pairs=400, seed=5)
-    assert mc == collision_fraction(gen, z_pairs=400, seed=5)  # deterministic
-    assert abs(mc - exact) < 0.05
 
 
 def test_rejects_atomic_marginal_accepts_atomic_pz():
@@ -147,7 +140,7 @@ def test_disjoint_supports_zero_collision():
 
 
 # ---------------------------------------------------------------------------
-# collision codes: oracle, golden values, mode record
+# collision codes and kernel: oracles, golden values
 # ---------------------------------------------------------------------------
 
 
@@ -175,23 +168,22 @@ def collision_case(name):
     return build_generator(*setup, int(depth))
 
 
-# collision_fraction with z_pairs=10**6 (exact) and z_pairs=400, seed=5
-# (Monte Carlo), pinned bit for bit
+# collision_fraction, pinned bit for bit
 GOLDEN_COLLISIONS = {
-    "random-0": (0.625, 0.625),
-    "random-3": (0.125, 0.125),
-    "random-6": (0.015625, 0.0075),
-    "identical-0": (1.0, 1.0),
-    "identical-3": (0.125, 0.125),
-    "identical-6": (0.015625, 0.0075),
-    "atomic1-1": (0.18, 0.18),
-    "atomic1-2": (0.09, 0.09),
-    "atomic2-1": (0.18, 0.18),
-    "atomic2-2": (0.09, 0.09),
-    "atomic3-1": (0.18, 0.18),
-    "atomic3-2": (0.09, 0.09),
-    "bernoulli-0": (0.0, 0.0),
-    "bernoulli-4": (0.0, 0.0),
+    "random-0": 1.0,  # every site maps onto [0, 3) at depth 0
+    "random-3": 0.125,
+    "random-6": 0.015625,
+    "identical-0": 1.0,
+    "identical-3": 0.125,
+    "identical-6": 0.015625,
+    "atomic1-1": 0.18,
+    "atomic1-2": 0.09,
+    "atomic2-1": 0.18,
+    "atomic2-2": 0.09,
+    "atomic3-1": 0.18,
+    "atomic3-2": 0.09,
+    "bernoulli-0": 0.0,
+    "bernoulli-4": 0.0,
 }
 
 # group_collision_matrix is diagonal on the atomic laws: atoms never meet
@@ -210,21 +202,20 @@ GOLDEN_GROUP_DIAGONALS = {
 def test_image_codes_match_pairwise_oracle(name):
     """Both codings induce the same partition: their code values pair up one to one."""
     gen = collision_case(name)
-    n = gen.n_u_cells
-    for res in sorted({1, 7, n, 3 * n}):
-        new = _image_codes(gen, res)
-        old = pairwise_image_codes(gen, res)
-        assert new.shape == old.shape == (len(gen.pieces[0]), res)
-        pairs = np.unique(np.stack([new.ravel(), old.ravel()], axis=1), axis=0)
-        assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
+    new = _image_codes(gen)
+    old = pairwise_image_codes(gen)
+    assert new.shape == (gen.n_u_cells, len(gen.pieces[0]))
+    assert new.flags["C_CONTIGUOUS"]
+    new = new.T
+    assert new.shape == old.shape
+    pairs = np.unique(np.stack([new.ravel(), old.ravel()], axis=1), axis=0)
+    assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COLLISIONS))
 def test_collision_golden_values(name):
     gen = collision_case(name)
-    exact, monte_carlo = GOLDEN_COLLISIONS[name]
-    assert collision_fraction(gen, z_pairs=10**6) == exact
-    assert collision_fraction(gen, z_pairs=400, seed=5) == monte_carlo
+    assert collision_fraction(gen) == GOLDEN_COLLISIONS[name]
     if name in GOLDEN_GROUP_DIAGONALS:
         diagonal = GOLDEN_GROUP_DIAGONALS[name]
         labels, mat = group_collision_matrix(gen)
@@ -239,19 +230,37 @@ def test_collision_golden_value_depth10():
     assert collision_fraction(gen) == 0.0009765625
 
 
-def test_collision_mode_logged_at_debug_only(caplog):
-    gen = collision_case("identical-3")
-    with caplog.at_level(logging.INFO, logger="ivtest.generator"):
-        collision_fraction(gen)
-    assert caplog.records == []
-    with caplog.at_level(logging.DEBUG, logger="ivtest.generator"):
-        collision_fraction(gen, z_pairs=10**6)
-        collision_fraction(gen, z_pairs=10, seed=5)
-    exact, monte_carlo = caplog.records
-    assert (exact.name, exact.levelno) == ("ivtest.generator", logging.DEBUG)
-    assert (exact.mode, exact.pieces, exact.pairs) == ("exact", 8, 64)
-    assert (monte_carlo.mode, monte_carlo.pieces, monte_carlo.pairs) == ("monte-carlo", 8, 10)
-    assert "monte-carlo" in monte_carlo.getMessage()
+def oracle_cases():
+    """Generators for the kernel-against-oracle check, named ``<law>-<depth>``."""
+    cases = {}
+    for seed in (7, 11):
+        law = random_joint_law(np.random.default_rng(seed))
+        for depth in range(9):
+            cases[f"random{seed}-{depth}"] = (law.x_marginals(), law.pz, law.z_grid, depth)
+    for k in (1, 2, 3):
+        for depth in (1, 2):
+            cases[f"atomic{k}-{depth}"] = (*atomic_setup(k), depth)
+    for depth in range(11):
+        cases[f"identical-{depth}"] = (*identical_conditional_setup(), depth)
+    law = bernoulli_support_jump_law()
+    for depth in (0, 4):
+        cases[f"bernoulli-{depth}"] = (law.x_marginals(), law.pz, law.z_grid, depth)
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_collision_kernel_matches_pairwise_oracle(name):
+    """The Σ W² kernel equals the sum over piece pairs: bit for bit for the
+    fraction, within rounding of the per-group normalisation for the matrix."""
+    gen = build_generator(*ORACLE_CASES[name])
+    assert collision_fraction(gen) == pairwise_collision_fraction(gen)
+    labels, mat = group_collision_matrix(gen)
+    oracle_labels, oracle = pairwise_group_collision_matrix(gen)
+    assert labels == oracle_labels
+    assert np.max(np.abs(mat - oracle)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from ivtest import (
     winf_distance,
 )
 
+from conftest import random_joint_law
+
 # ---------------------------------------------------------------------------
 # Oracles: brute numeric versions that never reuse the library's profile code
 # ---------------------------------------------------------------------------
@@ -82,6 +84,14 @@ def test_quantile_rejects_out_of_range():
         u.quantile(1.5)
     with pytest.raises(ValidationError):
         u.quantile(-0.1)
+
+
+def test_quantile_level_one_is_support_upper_end():
+    # two of these marginals accumulate their masses to 1 + 2**-52
+    law = random_joint_law(np.random.default_rng(20240817))
+    for m in law.x_marginals():
+        assert m.quantile(1.0) == m.support_bounds()[1] == 3.0
+        assert m.quantile(np.array([0.0, 1.0]))[1] == 3.0
 
 
 def test_quantile_matches_oracle_on_random_mixtures(rng):
