@@ -577,8 +577,9 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
     vacuously.
 
     The comparison itself is exact: every float mass is an exact rational,
-    and the gap is summed in ``Fraction``s, so the result is 0.0 exactly when
-    the two mass tables agree, at any depth.  Raises
+    and the gap of a site whose two tables differ is summed in
+    ``Fraction``s (a site with equal tables has gap 0 outright), so the
+    result is 0.0 exactly when the two mass tables agree, at any depth.  Raises
     ``MarginalMismatchError`` when the site counts or mass shapes differ.
     """
     own = model.joint.conditionals
@@ -588,6 +589,8 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
     for a, b in zip(own, joint.conditionals):
         if a.mass.shape != b.mass.shape:
             raise MarginalMismatchError("conditional mass shapes differ")
+        if np.array_equal(a.mass, b.mass):
+            continue  # equal floats are equal rationals: the gap is exactly 0
         tv = sum(
             abs(Fraction(p) - Fraction(q))
             for p, q in zip(a.mass.ravel().tolist(), b.mass.ravel().tolist())

@@ -279,11 +279,22 @@ class Conditional2D:
         if abs(float(self.mass.sum()) - 1.0) > INPUT_TOL:
             raise ValidationError("conditional mass matrix must sum to 1")
 
-    def x_marginal(self) -> GridDistribution:
+    @cached_property
+    def _x_marginal(self) -> GridDistribution:
         return GridDistribution(self.x_edges, self.mass.sum(axis=0))
 
-    def y_marginal(self) -> GridDistribution:
+    @cached_property
+    def _y_marginal(self) -> GridDistribution:
         return GridDistribution(self.y_edges, self.mass.sum(axis=1))
+
+    def x_marginal(self) -> GridDistribution:
+        """The x marginal, built once per conditional; every caller shares it,
+        and with it its CDF profile and support bounds."""
+        return self._x_marginal
+
+    def y_marginal(self) -> GridDistribution:
+        """The y marginal, built once per conditional like :meth:`x_marginal`."""
+        return self._y_marginal
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,6 +10,8 @@ and reproducible bit for bit.
 from __future__ import annotations
 
 import io
+import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,6 +29,8 @@ from .validity import TestReport, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
 OUTCOME_KINDS = ("location", "jump", "custom")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,10 @@ def run_experiment(
     construction, which is what bounds any test's power by its size here: a
     law from an invalid process and the law induced by its replicating valid
     model are the same object at cell resolution.
+
+    Each finished replication logs one INFO record on ``ivtest.simulate``;
+    its ``spec``, ``rep`` (0-based) and ``elapsed_s`` attributes give the
+    process name, the replication index and its wall-clock seconds.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
@@ -284,6 +292,7 @@ def run_experiment(
         stat_sum = {(row, name): 0.0 for row in rows for name, _ in tests}
         for rep in range(reps):
             rep_seed = replication_seed(seed, rep)
+            t0 = time.perf_counter()
             try:
                 laws = {spec.name: discretize(sample(spec, n, rep_seed), *bins)}
                 if nontestability_depth is not None:
@@ -299,6 +308,13 @@ def run_experiment(
                 raise type(exc)(f"spec {spec.name!r}, replication {rep}: {exc}") from exc
             except Exception as exc:
                 raise IVTestError(f"spec {spec.name!r}, replication {rep}: {exc!r}") from exc
+            if log.isEnabledFor(logging.INFO):
+                elapsed = time.perf_counter() - t0
+                log.info(
+                    "spec %r, replication %d of %d: %.3f s",
+                    spec.name, rep, reps, elapsed,
+                    extra={"spec": spec.name, "rep": rep, "elapsed_s": elapsed},
+                )
         for row in rows:
             for name, _ in tests:
                 results[(row, name)] = CellStats(

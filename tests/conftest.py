@@ -1,5 +1,5 @@
-"""Shared builders for analytic test laws, the exact replay oracle and the
-pairwise image-code and collision oracles."""
+"""Shared builders for analytic test laws, the exact replay oracle, the
+pairwise image-code and collision oracles and the segment-loop moment oracle."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -243,6 +243,31 @@ def pairwise_group_collision_matrix(gen):
     nz = mass > 0
     out[nz] = hits[nz] / mass[nz]
     return labels.tolist(), out
+
+
+def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):
+    """``validity._pair_quantile_moment`` one merged-breakpoint segment at a time.
+
+    An independent oracle for the vectorised statistic: it rebuilds the
+    Gauss-Legendre rule and makes four ``quantile`` calls per segment, then
+    adds the segment's weighted sum to the running total in segment order.
+    """
+    cums = []
+    for d in (xm1, xm2, ym1, ym2):
+        _, cl, cr = d._profile
+        cums.extend([cl, cr])
+    ps = np.unique(np.clip(np.concatenate(cums), 0.0, 1.0))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for a, b in zip(ps[:-1], ps[1:]):
+        if b <= a:
+            continue
+        t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        dx = xm1.quantile(t) - xm2.quantile(t)
+        dy = ym1.quantile(t) - ym2.quantile(t)
+        vals = (dx * dx + dy * dy) ** (power / 2.0)
+        total += 0.5 * (b - a) * float(weights @ vals)
+    return total
 
 
 @pytest.fixture

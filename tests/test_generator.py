@@ -454,6 +454,27 @@ def test_replication_detects_perturbation(rng):
     assert verify_replication(model, perturbed) >= eps / 2 - 1e-9
 
 
+def test_verify_sees_a_one_ulp_difference(rng):
+    """Sites with equal tables skip the rational sum; a site one ulp off still
+    gets its exact positive gap."""
+    law = random_joint_law(rng, nz=3, ny=4, nx=4)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
+    model = compose_structural_model(law, gen)
+    m = law.conditionals[1].mass.copy().ravel()
+    hi, lo = int(np.argmax(m)), int(np.argmin(m))
+    nudged = np.nextafter(m[hi], 1.0)
+    m[lo] -= nudged - m[hi]  # the partner mass compensates
+    m[hi] = nudged
+    conds = list(law.conditionals)
+    c = conds[1]
+    conds[1] = Conditional2D(c.y_edges, c.x_edges, m.reshape(c.mass.shape))
+    near = JointLaw(law.z_grid, law.pz, tuple(conds))
+    gap = verify_replication(model, near)
+    assert 0.0 < gap < 1e-15
+    assert gap == replay_replication_error(model, near)
+    assert verify_replication(model, law) == 0.0
+
+
 def test_degenerate_outcome_replicates_exactly():
     # Y concentrated on the diagonal of (y, x) cells: outcome map is x itself
     edges = np.linspace(0.0, 1.0, 5)

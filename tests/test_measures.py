@@ -303,6 +303,21 @@ def test_support_bounds_matches_scan_random(rng):
         assert dist.support_bounds() == oracle_support_bounds(dist)
 
 
+def test_conditional_marginals_built_once(rng):
+    law = random_joint_law(rng, nz=2, ny=4, nx=5)
+    c = law.conditionals[0]
+    for marginal, edges, axis in ((c.x_marginal, c.x_edges, 0), (c.y_marginal, c.y_edges, 1)):
+        m = marginal()
+        assert marginal() is m
+        np.testing.assert_array_equal(m.edges, edges)
+        np.testing.assert_array_equal(m.masses, c.mass.sum(axis=axis))
+        assert not m.masses.flags.writeable and not m.edges.flags.writeable
+        with pytest.raises(AttributeError):
+            m.masses = np.zeros(len(m.masses))
+    assert law.x_marginals()[0] is c.x_marginal()
+    assert law.y_marginals()[1] is law.conditionals[1].y_marginal()
+
+
 def test_grid_distribution_validation():
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 0.0]), np.array([1.0]))  # not increasing

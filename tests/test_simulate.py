@@ -1,5 +1,7 @@
 """Harness behavior: determinism, discretization convergence, experiments."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,22 @@ def test_run_experiment_monotone_soundness_and_power():
     res = run_experiment(specs, tests, n=10_000, reps=40, seed=99)
     assert res.entries[("loc-valid", "fosd")].rejection_rate == 0.0
     assert res.entries[("flip", "fosd")].rejection_rate >= 0.95
+
+
+def test_run_experiment_logs_progress_at_info(caplog):
+    specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
+    tests = [make_test("fosd")]
+    run_experiment(specs, tests, n=200, reps=2, seed=1)
+    assert not [r for r in caplog.records if r.name == "ivtest.simulate"]
+
+    caplog.set_level(logging.INFO, logger="ivtest.simulate")
+    run_experiment(specs, tests, n=200, reps=2, seed=1)
+    records = [r for r in caplog.records if r.name == "ivtest.simulate"]
+    assert [(r.levelno, r.spec, r.rep) for r in records] == [
+        (logging.INFO, name, rep) for name in ("loc", "scale") for rep in (0, 1)
+    ]
+    assert all(r.elapsed_s >= 0.0 and f"replication {r.rep} of 2" in r.getMessage()
+               for r in records)
 
 
 def test_run_experiment_empty_tests():

@@ -26,7 +26,13 @@ from ivtest import (
     product_conditional,
 )
 
-from conftest import bernoulli_support_jump_law, location_family_law
+from ivtest.validity import _pair_quantile_moment
+
+from conftest import (
+    bernoulli_support_jump_law,
+    location_family_law,
+    segment_loop_quantile_moment,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -64,30 +70,48 @@ def backtracking_feasible(units_per_law, total_units):
     """Exhaustive integer search for a distinct-coordinate transport plan.
 
     Laws are given as integer unit vectors summing to ``total_units``; the
-    plan assigns units to tuples of pairwise distinct support values.
+    plan assigns units to tuples of pairwise distinct support values.  The
+    outcome from a tuple index on depends only on the units left, so each
+    ``(tuple index, units left, remaining units)`` state is searched once,
+    and a state that leaves units on a value no later tuple draws on fails
+    at once.
     """
     m = len(units_per_law)
     support = len(units_per_law[0])
     tuples = [
         t for t in itertools.product(range(support), repeat=m) if len(set(t)) == m
     ]
+    # end[zi][x]: one past the last tuple that draws on value x of law zi
+    end = [[0] * support for _ in range(m)]
+    for ti, t in enumerate(tuples):
+        for zi, x in enumerate(t):
+            end[zi][x] = ti + 1
     remaining = [list(u) for u in units_per_law]
+    seen = {}
 
     def rec(ti, left):
         if left == 0:
             return all(all(v == 0 for v in r) for r in remaining)
         if ti == len(tuples):
             return False
+        if any(r[x] and end[zi][x] <= ti for zi, r in enumerate(remaining) for x in range(support)):
+            return False
+        key = (ti, left, tuple(v for r in remaining for v in r))
+        if key in seen:
+            return seen[key]
+        found = False
         cap = min(remaining[zi][x] for zi, x in enumerate(tuples[ti]))
         cap = min(cap, left)
         for take in range(cap, -1, -1):
             for zi, x in enumerate(tuples[ti]):
                 remaining[zi][x] -= take
-            if rec(ti + 1, left - take):
-                return True
+            found = rec(ti + 1, left - take)
             for zi, x in enumerate(tuples[ti]):
                 remaining[zi][x] += take
-        return False
+            if found:
+                break
+        seen[key] = found
+        return found
 
     return rec(0, total_units)
 
@@ -316,6 +340,47 @@ def test_moment_support_jump_diverges():
     r = continuity_moment_statistic(law, params)
     assert r.decision == "reject"
     assert r.statistic > 100.0
+
+
+def random_marginal(rng, atoms=False, gaps=False):
+    """Random grid law; ``gaps`` zeroes some bins, leaving holes in the support
+    (and zero-mass bins at its ends), ``atoms`` adds point masses."""
+    bins = int(rng.integers(1, 7))
+    edges = np.cumsum(np.concatenate([[rng.uniform(-2, 2)], rng.uniform(0.1, 1.5, bins)]))
+    masses = rng.gamma(1.0, size=bins)
+    if gaps:
+        masses[rng.random(bins) < 0.5] = 0.0
+    locs = rng.choice(edges[0] + np.arange(1, 12) * (edges[-1] - edges[0]) / 12,
+                      size=int(rng.integers(1, 4)) if atoms else 0, replace=False)
+    weights = rng.gamma(1.0, size=len(locs))
+    if masses.sum() + weights.sum() == 0:
+        masses[0] = 1.0
+    total = masses.sum() + weights.sum()
+    return GridDistribution(edges, masses / total, tuple(zip(locs, weights / total)))
+
+
+@pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("kind", ["plain", "atoms", "gaps", "atoms+gaps"])
+def test_pair_moment_matches_segment_loop_bit_for_bit(rng, power, kind):
+    """One quantile sweep per marginal gives the per-segment loop's float exactly."""
+    for _ in range(12):
+        margs = [random_marginal(rng, "atoms" in kind, "gaps" in kind) for _ in range(4)]
+        got = _pair_quantile_moment(*margs, power)
+        assert got == segment_loop_quantile_moment(*margs, power)
+
+
+def test_pair_moment_makes_one_quantile_call_per_marginal(rng, monkeypatch):
+    calls = []
+    quantile = GridDistribution.quantile
+
+    def counted(self, p):
+        calls.append(id(self))
+        return quantile(self, p)
+
+    margs = [random_marginal(rng, gaps=True) for _ in range(4)]
+    monkeypatch.setattr(GridDistribution, "quantile", counted)
+    _pair_quantile_moment(*margs, 4.0)
+    assert sorted(calls) == sorted(id(m) for m in margs)
 
 
 def test_moment_needs_three_z_points():
