@@ -18,6 +18,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -33,6 +34,23 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(what: str, values: np.ndarray) -> None:
+    """Refuse NaN and infinities, which slip past every order comparison."""
+    if not np.isfinite(values).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        index = at[0] if len(at) == 1 else at
+        raise ValidationError(f"{what} must be finite: {values[at]} at index {index}")
+
+
+def _require_increasing(what: str, edges: np.ndarray) -> None:
+    """Refuse edges that are not finite and strictly increasing.  Increasing
+    edges with finite ends are all finite, so the element-wise finite check
+    runs only when that fails, to name the value."""
+    if not (np.all(np.diff(edges) > 0) and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        _require_finite(what, edges)
+        raise ValidationError(f"{what} must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +84,15 @@ class GridDistribution:
             raise ValidationError("need len(edges) == len(masses) + 1")
         if len(self.edges) < 2:
             raise ValidationError("need at least one bin")
-        if not np.all(np.diff(self.edges) > 0):
-            raise ValidationError("edges must be strictly increasing")
+        _require_increasing("edges", self.edges)
+        total = float(self.masses.sum()) + sum(m for _, m in self.atoms)
+        if not math.isfinite(total):  # a non-finite mass; atoms are checked below
+            _require_finite("bin masses", self.masses)
         if np.any(self.masses < 0):
             raise ValidationError("bin masses must be non-negative")
         for loc, m in self.atoms:
+            if not (math.isfinite(loc) and math.isfinite(m)):
+                raise ValidationError(f"atom ({loc}, {m}) must be finite")
             if m < 0:
                 raise ValidationError("atom masses must be non-negative")
             if not (self.edges[0] <= loc <= self.edges[-1]):
@@ -80,7 +102,6 @@ class GridDistribution:
         locs = [a for a, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise ValidationError("atom locations must be distinct")
-        total = float(self.masses.sum()) + sum(m for _, m in self.atoms)
         if abs(total - 1.0) > INPUT_TOL:
             raise ValidationError(f"total mass {total} differs from 1 by more than {INPUT_TOL}")
 
@@ -138,25 +159,34 @@ class GridDistribution:
         """P(X < x)."""
         return self._cdf_eval(x, left=True)
 
-    def _cdf_eval(self, x, left: bool):
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, ...]:
+        """``(start, width, base, rise, cl)`` per index ``j = searchsorted(B, x,
+        "right")``: slot ``j`` holds the segment from ``B[j-1]`` (``CR`` at its
+        start, ``CL`` at its end less that as its rise); slot 0, below the
+        support, is flat at 0, and the last slot, from ``B[-1]`` on, flat at
+        ``CR[-1]``."""
         B, CL, CR = self._profile
+        return (
+            np.concatenate([B[:1], B]),
+            np.concatenate([[1.0], np.diff(B), [1.0]]),
+            np.concatenate([[0.0], CR]),
+            np.concatenate([[0.0], CL[1:] - CR[:-1], [0.0]]),
+            np.concatenate([[0.0], CL]),
+        )
+
+    def _cdf_eval(self, x, left: bool):
+        B = self._profile[0]
+        start, width, base, rise, cl = self._cdf_table
         xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = np.empty_like(xs)
-        below = xs < B[0]
-        above = xs >= B[-1]
-        out[below] = 0.0
-        out[above] = CR[-1] if not left else np.where(xs[above] > B[-1], CR[-1], CL[-1])
-        mid = ~below & ~above
-        if np.any(mid):
-            k = np.searchsorted(B, xs[mid], side="right") - 1
-            at_break = xs[mid] == B[k]
-            base = np.where(at_break, CL[k] if left else CR[k], 0.0)
-            frac = (xs[mid] - B[k]) / (B[k + 1] - B[k])
-            interp = CR[k] + frac * (CL[k + 1] - CR[k])
-            out[mid] = np.where(at_break, base, interp)
-        return float(out[0]) if scalar else out
+        j = np.searchsorted(B, xs, side="right")
+        # CR[k] + frac * (CL[k+1] - CR[k]) with frac = (x - B[k]) / (B[k+1] - B[k]),
+        # taken at x clipped to the profile so the flat slots add exactly 0
+        xc = np.minimum(np.maximum(xs, B[0]), B[-1])
+        out = base[j] + (xc - start[j]) / width[j] * rise[j]
+        if left:
+            out = np.where(xs == start[j], cl[j], out)
+        return float(out) if out.ndim == 0 else out
 
     def quantile(self, p) -> np.ndarray | float:
         """Generalized inverse CDF, ``inf {x: F(x) >= p}``, linear in bins;
@@ -167,42 +197,43 @@ class GridDistribution:
         """Right-continuous version ``inf {x: F(x) > p}``."""
         return self._quantile_eval(p, strict=True)
 
-    def _quantile_eval(self, p, strict: bool):
+    @cached_property
+    def _quantile_table(self) -> tuple[np.ndarray, ...]:
+        """``(B, CL, CR, B[prev], CR[prev], B - B[prev], denominator, safe)``
+        per index ``k = searchsorted(CR, p)``, with ``prev = max(k - 1, 0)``;
+        the denominator ``CL - CR[prev]`` reads 1 where no mass is left to
+        interpolate over, and index ``len(B)`` repeats the last slot."""
         B, CL, CR = self._profile
+        prev = np.maximum(np.arange(len(B)) - 1, 0)
+        denom = CL - CR[prev]
+        safe = denom > 0
+        cols = (B, CL, CR, B[prev], CR[prev], B - B[prev], np.where(safe, denom, 1.0), safe)
+        return tuple(np.append(c, c[-1:]) for c in cols)
+
+    def _quantile_eval(self, p, strict: bool):
+        Bk, CLk, CRk, Bp, CRp, span, denom, safe = self._quantile_table
         ps = np.asarray(p, dtype=float)
-        scalar = ps.ndim == 0
-        ps = np.atleast_1d(ps).copy()
-        if np.any(ps < -INPUT_TOL) or np.any(ps > 1.0 + INPUT_TOL):
+        if ps.size and (ps.min() < -INPUT_TOL or ps.max() > 1.0 + INPUT_TOL):
             raise ValidationError("probability level outside [0, 1]")
-        np.clip(ps, 0.0, CR[-1], out=ps)
+        top = CRk[-1]
+        ps = np.minimum(np.maximum(ps, 0.0), top)
         lo, hi = self.support_bounds()
-        out = np.empty_like(ps)
-        side = "right" if strict else "left"
-        k = np.searchsorted(CR, ps, side=side)
-        k = np.minimum(k, len(B) - 1)
+        k = np.searchsorted(CRk[:-1], ps, side="right" if strict else "left")
         # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict)
         if strict:
-            at_jump = (CL[k] <= ps) & (ps < CR[k])
+            at_jump = (CLk[k] <= ps) & (ps < CRk[k])
         else:
-            at_jump = (CL[k] < ps) & (ps <= CR[k])
-        out[at_jump] = B[k][at_jump]
-        rest = ~at_jump
-        if np.any(rest):
-            kk = k[rest]
-            prev = np.maximum(kk - 1, 0)
-            denom = CL[kk] - CR[prev]
-            safe = denom > 0
-            frac = np.zeros_like(denom)
-            frac[safe] = (ps[rest][safe] - CR[prev][safe]) / denom[safe]
-            vals = B[prev] + frac * (B[kk] - B[prev])
-            vals[~safe] = B[kk][~safe]
-            out[rest] = vals
+            at_jump = (CLk[k] < ps) & (ps <= CRk[k])
+        # otherwise interpolate on the segment ending at B[k]; a segment
+        # without mass gives its right end
+        frac = (ps - CRp[k]) / denom[k]
+        out = np.where(safe[k] & ~at_jump, Bp[k] + frac * span[k], Bk[k])
         if not strict:
             # the level that exhausts the mass is the support's upper end, even
             # when rounding leaves the cumulative mass a few ulps off 1
-            out[ps >= min(CR[-1], 1.0)] = hi
-        out[ps <= 0.0] = lo
-        return float(out[0]) if scalar else out
+            out = np.where(ps >= min(top, 1.0), hi, out)
+        out = np.where(ps <= 0.0, lo, out)
+        return float(out) if out.ndim == 0 else out
 
     # -- support ------------------------------------------------------------
 
@@ -272,11 +303,14 @@ class Conditional2D:
         ny, nx = self.mass.shape
         if len(self.y_edges) != ny + 1 or len(self.x_edges) != nx + 1:
             raise ValidationError("edge lengths do not match the mass matrix")
-        if not (np.all(np.diff(self.y_edges) > 0) and np.all(np.diff(self.x_edges) > 0)):
-            raise ValidationError("edges must be strictly increasing")
+        _require_increasing("y edges", self.y_edges)
+        _require_increasing("x edges", self.x_edges)
+        total = float(self.mass.sum())
+        if not math.isfinite(total):
+            _require_finite("cell masses", self.mass)
         if np.any(self.mass < 0):
             raise ValidationError("cell masses must be non-negative")
-        if abs(float(self.mass.sum()) - 1.0) > INPUT_TOL:
+        if abs(total - 1.0) > INPUT_TOL:
             raise ValidationError("conditional mass matrix must sum to 1")
 
     @cached_property

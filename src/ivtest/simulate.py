@@ -10,6 +10,7 @@ and reproducible bit for bit.
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .generator import (
     compose_structural_model,
     verify_replication,
 )
-from .measures import Conditional2D, GridDistribution, JointLaw
+from .measures import Conditional2D, GridDistribution, JointLaw, _require_finite
 from .validity import TestReport, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
@@ -119,8 +120,7 @@ class Dataset:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3 or rows.shape[0] == 0:
             raise ValidationError("rows must be a non-empty (n, 3) array")
-        if not np.all(np.isfinite(rows)):
-            raise ValidationError("rows must be finite")
+        _require_finite("rows", rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -133,14 +133,22 @@ class Dataset:
 
     @classmethod
     def from_csv_text(cls, text: str, seed: int = 0, spec_name: str = "file") -> "Dataset":
-        lines = [ln for ln in text.strip().splitlines() if ln]
+        """Parse ``y,x,z`` rows; every field is read by ``float``, in one pass."""
+        lines = list(filter(None, text.strip().splitlines()))
         if not lines or lines[0].replace(" ", "") != "y,x,z":
             raise ValidationError("dataset CSV must start with header y,x,z")
+        body = lines[1:]
+        commas = list(map(str.count, body, itertools.repeat(",")))
+        if commas.count(2) != len(body):
+            i = next(i for i, c in enumerate(commas) if c != 2)
+            raise ValidationError(
+                f"malformed dataset row {i + 1}: need 3 fields, got {body[i]!r}"
+            )
         try:
-            rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+            flat = np.fromiter(map(float, ",".join(body).split(",")), float, 3 * len(body))
         except ValueError as exc:
             raise ValidationError(f"malformed dataset row: {exc}") from exc
-        return cls(rows, seed, spec_name)
+        return cls(flat.reshape(-1, 3), seed, spec_name)
 
 
 def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
@@ -190,16 +198,19 @@ def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw
         z_edges = np.array([z.min() - 0.5, z.min() + 0.5])
     else:
         z_edges = axis_edges(z, z_bins)
-    zi = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, z_bins - 1)
-    conds = []
-    counts = np.zeros(z_bins)
-    for b in range(z_bins):
-        mask = zi == b
-        counts[b] = mask.sum()
-        if counts[b] == 0:
-            raise EmptyBinError(f"z bin {b} received no samples")
-        mat, _, _ = np.histogram2d(y[mask], x[mask], bins=[y_edges, x_edges])
-        conds.append(Conditional2D(y_edges, x_edges, mat / mat.sum()))
+    # histogramdd's binning: half-open bins, the last edge closed; every value
+    # lies inside its axis' edges, so one bincount over the flat index counts all
+    zi, yi, xi = (
+        np.minimum(np.searchsorted(e, v, side="right") - 1, len(e) - 2)
+        for e, v in ((z_edges, z), (y_edges, y), (x_edges, x))
+    )
+    cells = np.bincount((zi * y_bins + yi) * x_bins + xi, minlength=z_bins * y_bins * x_bins)
+    cells = cells.reshape(z_bins, y_bins, x_bins).astype(float)
+    counts = cells.sum(axis=(1, 2))
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        raise EmptyBinError(f"z bin {empty[0]} received no samples")
+    conds = [Conditional2D(y_edges, x_edges, mat / mat.sum()) for mat in cells]
     pz = GridDistribution(z_edges, counts / counts.sum())
     z_grid = 0.5 * (z_edges[:-1] + z_edges[1:])
     return JointLaw(z_grid, pz, tuple(conds))

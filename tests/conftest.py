@@ -1,5 +1,6 @@
 """Shared builders for analytic test laws, the exact replay oracle, the
-pairwise image-code and collision oracles and the segment-loop moment oracle."""
+pairwise image-code and collision oracles, the segment-loop moment oracle and
+the masked quantile/CDF and per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -9,11 +10,14 @@ import pytest
 
 from ivtest import (
     Conditional2D,
+    EmptyBinError,
     GridDistribution,
     JointLaw,
+    ValidationError,
     population_law,
     product_conditional,
 )
+from ivtest.measures import INPUT_TOL
 
 
 def uniform_grid(lo, hi, bins=1):
@@ -268,6 +272,114 @@ def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):
         vals = (dx * dx + dy * dy) ** (power / 2.0)
         total += 0.5 * (b - a) * float(weights @ vals)
     return total
+
+
+def masked_cdf_eval(dist, x, left: bool):
+    """``GridDistribution._cdf_eval`` with boolean masks, scattering the
+    below-support, at-or-above-support and interior points separately.
+
+    The bit-for-bit oracle for the one-search kernel.
+    """
+    B, CL, CR = dist._profile
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    out = np.empty_like(xs)
+    below = xs < B[0]
+    above = xs >= B[-1]
+    out[below] = 0.0
+    out[above] = CR[-1] if not left else np.where(xs[above] > B[-1], CR[-1], CL[-1])
+    mid = ~below & ~above
+    if np.any(mid):
+        k = np.searchsorted(B, xs[mid], side="right") - 1
+        at_break = xs[mid] == B[k]
+        base = np.where(at_break, CL[k] if left else CR[k], 0.0)
+        frac = (xs[mid] - B[k]) / (B[k + 1] - B[k])
+        interp = CR[k] + frac * (CL[k + 1] - CR[k])
+        out[mid] = np.where(at_break, base, interp)
+    return float(out[0]) if scalar else out
+
+
+def masked_quantile_eval(dist, p, strict: bool):
+    """``GridDistribution._quantile_eval`` with boolean masks: jump levels and
+    interpolated levels are scattered into the output separately.
+
+    The bit-for-bit oracle for the one-search kernel.
+    """
+    B, CL, CR = dist._profile
+    ps = np.asarray(p, dtype=float)
+    scalar = ps.ndim == 0
+    ps = np.atleast_1d(ps).copy()
+    if np.any(ps < -INPUT_TOL) or np.any(ps > 1.0 + INPUT_TOL):
+        raise ValidationError("probability level outside [0, 1]")
+    np.clip(ps, 0.0, CR[-1], out=ps)
+    lo, hi = dist.support_bounds()
+    out = np.empty_like(ps)
+    side = "right" if strict else "left"
+    k = np.searchsorted(CR, ps, side=side)
+    k = np.minimum(k, len(B) - 1)
+    # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict)
+    if strict:
+        at_jump = (CL[k] <= ps) & (ps < CR[k])
+    else:
+        at_jump = (CL[k] < ps) & (ps <= CR[k])
+    out[at_jump] = B[k][at_jump]
+    rest = ~at_jump
+    if np.any(rest):
+        kk = k[rest]
+        prev = np.maximum(kk - 1, 0)
+        denom = CL[kk] - CR[prev]
+        safe = denom > 0
+        frac = np.zeros_like(denom)
+        frac[safe] = (ps[rest][safe] - CR[prev][safe]) / denom[safe]
+        vals = B[prev] + frac * (B[kk] - B[prev])
+        vals[~safe] = B[kk][~safe]
+        out[rest] = vals
+    if not strict:
+        # the level that exhausts the mass is the support's upper end, even
+        # when rounding leaves the cumulative mass a few ulps off 1
+        out[ps >= min(CR[-1], 1.0)] = hi
+    out[ps <= 0.0] = lo
+    return float(out[0]) if scalar else out
+
+
+def per_bin_discretize(data, y_bins, x_bins, z_bins):
+    """``simulate.discretize`` with one mask and one ``np.histogram2d`` per z bin.
+
+    The bit-for-bit oracle for the one-bincount version.
+    """
+    for name, b in (("y_bins", y_bins), ("x_bins", x_bins), ("z_bins", z_bins)):
+        if b < 2:
+            raise ValidationError(f"{name} must be at least 2")
+    y, x, z = data.rows[:, 0], data.rows[:, 1], data.rows[:, 2]
+
+    def axis_edges(vals, bins):
+        lo, hi = float(vals.min()), float(vals.max())
+        if hi <= lo:
+            hi = lo + 1.0
+        return np.linspace(lo, hi, bins + 1)
+
+    y_edges = axis_edges(y, y_bins)
+    x_edges = axis_edges(x, x_bins)
+    if float(z.max()) == float(z.min()):
+        # constant instrument: a single populated bin is the whole grid
+        z_bins = 1
+        z_edges = np.array([z.min() - 0.5, z.min() + 0.5])
+    else:
+        z_edges = axis_edges(z, z_bins)
+    zi = np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, z_bins - 1)
+    conds = []
+    counts = np.zeros(z_bins)
+    for b in range(z_bins):
+        mask = zi == b
+        counts[b] = mask.sum()
+        if counts[b] == 0:
+            raise EmptyBinError(f"z bin {b} received no samples")
+        mat, _, _ = np.histogram2d(y[mask], x[mask], bins=[y_edges, x_edges])
+        conds.append(Conditional2D(y_edges, x_edges, mat / mat.sum()))
+    pz = GridDistribution(z_edges, counts / counts.sum())
+    z_grid = 0.5 * (z_edges[:-1] + z_edges[1:])
+    return JointLaw(z_grid, pz, tuple(conds))
 
 
 @pytest.fixture

@@ -167,6 +167,33 @@ def test_cmd_test_dataset_csv_autodiscretized(tmp_path, capsys):
     assert report["decision"] == "consistent"
 
 
+MALFORMED_CSVS = {
+    "header-only": "y,x,z\n",
+    "ragged-row": "y,x,z\n1,2,3\n4,5\n",
+    "empty-field": "y,x,z\n1,,3\n",
+    "non-numeric-field": "y,x,z\n1,2,3\n1,two,3\n",
+    "nan": "y,x,z\n1,2,3\nnan,2,3\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CSVS))
+def test_cmd_test_malformed_csv_exits_1(tmp_path, capsys, case):
+    path = tmp_path / "rows.csv"
+    path.write_text(MALFORMED_CSVS[case])
+    assert main(["test", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["replicate", "test"])
+def test_nan_cell_in_joint_law_exits_1(law_file, tmp_path, capsys, command):
+    obj = json.loads(law_file.read_text())
+    obj["conditionals"][1]["mass"][2][1] = float("nan")
+    path = tmp_path / "nan_law.json"
+    path.write_text(json.dumps(obj))  # written as the NaN literal json reads back
+    assert main([command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: cell masses must be finite: nan at index (2, 1)\n"
+
+
 def test_cmd_test_feasibility_selection(law_file, capsys):
     rc = main(["test", "--input", str(law_file), "--test", "feasibility"])
     assert rc == 0

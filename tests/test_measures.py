@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ivtest import (
+    Conditional2D,
     GridDistribution,
     ValidationError,
     build_generator,
     fosd_violation,
     winf_distance,
 )
+from ivtest.measures import INPUT_TOL
 
-from conftest import random_joint_law
+from conftest import masked_cdf_eval, masked_quantile_eval, random_joint_law
 
 # ---------------------------------------------------------------------------
 # Oracles: brute numeric versions that never reuse the library's profile code
@@ -115,6 +119,83 @@ def test_quantile_cdf_identity_on_edges(rng):
         d = GridDistribution(edges, masses)
         for e in edges[1:-1]:
             assert d.quantile(d.cdf(e)) == pytest.approx(e, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one-search kernels against the masked oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def grid_distributions(draw):
+    """Grids with zero-mass bins (support gaps included) and atoms on edges,
+    inside bins and at the support's ends, some of them of zero mass."""
+    nb = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.01, 4.0), min_size=nb, max_size=nb))
+    edges = draw(st.floats(-5.0, 5.0)) + np.cumsum([0.0] + widths)
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 3.0))
+    masses = np.array(draw(st.lists(weight, min_size=nb, max_size=nb)))
+    atoms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            loc = float(edges[draw(st.integers(0, nb))])
+        else:
+            loc = draw(st.floats(float(edges[0]), float(edges[-1])))
+        atoms[loc] = draw(weight)
+    total = masses.sum() + sum(atoms.values())
+    if total == 0:
+        masses[-1], total = 1.0, 1.0
+    return GridDistribution(
+        edges, masses / total, tuple((a, m / total) for a, m in atoms.items())
+    )
+
+
+def _same_bits(new, old):
+    if isinstance(old, float):
+        return type(new) is float and np.float64(new).tobytes() == np.float64(old).tobytes()
+    return new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
+def _shapes(values):
+    """The values as one array, one by one as floats and 0-d arrays, and empty."""
+    yield values
+    yield values.reshape(1, -1)
+    for v in values:
+        yield float(v)
+        yield np.asarray(v)
+    yield np.array([])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dist=grid_distributions(), extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_quantile_kernel_matches_masked_oracle(dist, extra):
+    _, CL, CR = dist._profile
+    cums = np.concatenate([CL, CR])
+    levels = np.concatenate([
+        [0.0, 1.0, -0.5 * INPUT_TOL, -INPUT_TOL, 1.0 + 0.5 * INPUT_TOL, 1.0 + INPUT_TOL],
+        cums, np.nextafter(cums, -1.0), np.nextafter(cums, 2.0), extra,
+    ])
+    levels = levels[(levels >= -INPUT_TOL) & (levels <= 1.0 + INPUT_TOL)]
+    for strict, method in ((False, dist.quantile), (True, dist.quantile_right)):
+        for p in _shapes(levels):
+            assert _same_bits(method(p), masked_quantile_eval(dist, p, strict))
+        for bad in (-2 * INPUT_TOL, 1.0 + 2 * INPUT_TOL, [0.5, 1.5], [-0.1, 0.5]):
+            for fn in (method, lambda p: masked_quantile_eval(dist, p, strict)):
+                with pytest.raises(ValidationError, match=r"level outside \[0, 1\]"):
+                    fn(bad)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dist=grid_distributions(), extra=st.lists(st.floats(-10.0, 10.0), max_size=4))
+def test_cdf_kernel_matches_masked_oracle(dist, extra):
+    B = dist._profile[0]
+    points = np.concatenate([
+        B, np.nextafter(B, -np.inf), np.nextafter(B, np.inf),
+        [B[0] - 1.0, B[-1] + 1.0, -np.inf, np.inf], extra,
+    ])
+    for left, method in ((False, dist.cdf), (True, dist.cdf_left)):
+        for x in _shapes(points):
+            assert _same_bits(method(x), masked_cdf_eval(dist, x, left))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +408,38 @@ def test_grid_distribution_validation():
         GridDistribution(np.array([0.0, 1.0]), np.array([-0.2, 1.2]))
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((5.0, 0.5),))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([0.0, np.nan], [1.0]), "edges must be finite: nan at index 1"),
+        (([0.0, 1.0, np.inf], [0.5, 0.5]), "edges must be finite: inf at index 2"),
+        (([0.0, 1.0, 2.0], [np.nan, 1.0]), "bin masses must be finite: nan at index 0"),
+        (([0.0, 1.0], [0.5], ((np.nan, 0.5),)), r"atom \(nan, 0.5\) must be finite"),
+        (([0.0, 1.0], [0.5], ((0.5, np.inf),)), r"atom \(0.5, inf\) must be finite"),
+    ],
+)
+def test_grid_distribution_refuses_non_finite(args, message):
+    # NaN passes every order comparison the other checks make
+    with pytest.raises(ValidationError, match=message):
+        GridDistribution(*args)
+
+
+@pytest.mark.parametrize(
+    "y_edges, x_edges, mass, message",
+    [
+        ([0.0, np.nan], [0.0, 1.0, 2.0], [[0.5, 0.5]], "y edges must be finite"),
+        ([0.0, 1.0], [-np.inf, 1.0, 2.0], [[0.5, 0.5]], "x edges must be finite"),
+        (
+            [0.0, 1.0], [0.0, 1.0, 2.0], [[0.5, np.nan]],
+            r"cell masses must be finite: nan at index \(0, 1\)",
+        ),
+    ],
+)
+def test_conditional_refuses_non_finite(y_edges, x_edges, mass, message):
+    with pytest.raises(ValidationError, match=message):
+        Conditional2D(np.array(y_edges), np.array(x_edges), np.array(mass))
 
 
 def test_grid_distribution_json_roundtrip(rng):

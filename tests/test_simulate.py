@@ -22,7 +22,7 @@ from ivtest import (
 from ivtest.measures import Conditional2D, JointLaw
 from ivtest.simulate import replication_seed
 
-from conftest import random_joint_law
+from conftest import per_bin_discretize, random_joint_law
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,39 @@ def test_dataset_csv_roundtrip():
         Dataset.from_csv_text("a,b\n1,2\n")
 
 
+def test_dataset_csv_accepts_float_grammar():
+    # blank lines, CRLF endings, spaces in the header and around fields, and
+    # an underscore literal: every field is read by float()
+    text = "\r\n y , x , z \r\n\r\n 1.5 ,2, -3e2\r\n\n\t4,1_0,+.25 \r\n\n"
+    rows = Dataset.from_csv_text(text).rows
+    assert rows.tolist() == [[1.5, 2.0, -300.0], [4.0, 10.0, 0.25]]
+
+
+def test_dataset_csv_seventeen_digits_round_trip_bitwise():
+    values = np.random.default_rng(5).normal(scale=1e3, size=(40, 3))
+    values[0] = [np.nextafter(1.0, 2.0), 5e-324, -1.7976931348623157e308]
+    text = "y,x,z\n" + "".join(f"{y:.17g},{x:.17g},{z:.17g}\n" for y, x, z in values)
+    assert Dataset.from_csv_text(text).rows.tobytes() == values.tobytes()
+
+
+BAD_CSVS = {
+    "header-only": ("y,x,z\n", "non-empty"),
+    "ragged-row": ("y,x,z\n1,2,3\n4,5\n6,7,8\n", "row 2: need 3 fields, got '4,5'"),
+    "long-row": ("y,x,z\n1,2,3,4\n", "row 1: need 3 fields"),
+    "empty-field": ("y,x,z\n1,,3\n", "malformed dataset row"),
+    "non-numeric-field": ("y,x,z\n1,2,3\n1,two,3\n", "malformed dataset row"),
+    "nan": ("y,x,z\n1,2,3\nnan,2,3\n", "rows must be finite: nan at index \\(1, 0\\)"),
+    "no-header": ("1,2,3\n", "header y,x,z"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CSVS))
+def test_dataset_csv_refuses_malformed(case):
+    text, message = BAD_CSVS[case]
+    with pytest.raises(ValidationError, match=message):
+        Dataset.from_csv_text(text)
+
+
 # ---------------------------------------------------------------------------
 # discretize
 # ---------------------------------------------------------------------------
@@ -136,6 +169,51 @@ def test_discretize_empty_z_bin_error():
     data = Dataset(rows, seed=0, spec_name="gap")
     with pytest.raises(EmptyBinError):
         discretize(data, 2, 2, 5)  # middle z bins are empty
+
+
+def assert_same_law(a, b):
+    """Bit-for-bit equality of two joint laws."""
+    assert a.z_grid.tobytes() == b.z_grid.tobytes()
+    assert a.pz.edges.tobytes() == b.pz.edges.tobytes()
+    assert a.pz.masses.tobytes() == b.pz.masses.tobytes()
+    assert a.pz.atoms == b.pz.atoms
+    assert len(a.conditionals) == len(b.conditionals)
+    for c, d in zip(a.conditionals, b.conditionals):
+        assert c.y_edges.tobytes() == d.y_edges.tobytes()
+        assert c.x_edges.tobytes() == d.x_edges.tobytes()
+        assert c.mass.tobytes() == d.mass.tobytes()
+
+
+@pytest.mark.parametrize("first_stage", ["location", "scale", "jump", "sign_flip"])
+@pytest.mark.parametrize("n, bins", [(500, (4, 4, 4)), (3_000, (8, 5, 3)), (20_000, (2, 7, 6))])
+def test_discretize_matches_per_bin_oracle(first_stage, n, bins):
+    spec = DGPSpec(name=first_stage, first_stage=first_stage)
+    data = sample(spec, n, seed=n + len(first_stage))
+    assert_same_law(discretize(data, *bins), per_bin_discretize(data, *bins))
+
+
+def test_discretize_matches_per_bin_oracle_on_edges():
+    # integer rows on the equal-width edges 0, 1, ..., 4 of every axis: each
+    # value sits on an edge, and 4 on the closed last one
+    grid = np.array([[y, x, z] for y in range(5) for x in range(5) for z in range(5)], float)
+    rows = np.concatenate([grid, grid[grid[:, 2] == 4.0], grid[::7]])
+    data = Dataset(rows, seed=0, spec_name="edges")
+    law = discretize(data, 4, 4, 4)
+    assert_same_law(law, per_bin_discretize(data, 4, 4, 4))
+    assert law.conditionals[3].mass[3, 3] > 0  # (4, 4, 4) lands in the last cell
+    # constant instrument: one z bin around the single value
+    const = Dataset(np.column_stack([rows[:, :2], np.full(len(rows), 2.0)]), 0, "const")
+    law = discretize(const, 3, 2, 5)
+    assert_same_law(law, per_bin_discretize(const, 3, 2, 5))
+    assert law.pz.edges.tolist() == [1.5, 2.5]
+
+
+def test_discretize_empty_z_bin_matches_per_bin_oracle():
+    rows = np.column_stack([np.arange(6.0), np.arange(6.0), [0, 0, 0, 4, 4, 1]])
+    data = Dataset(rows, seed=0, spec_name="gap")
+    for fn in (discretize, per_bin_discretize):
+        with pytest.raises(EmptyBinError, match="^z bin 2 received no samples$"):
+            fn(data, 2, 2, 4)
 
 
 def test_discretize_sample_converges_sqrt_n():
