@@ -385,17 +385,46 @@ def build_generator(
 
 
 def _image_codes(gen: GeneratorMap) -> np.ndarray:
-    """Interval code of every (latent cell, piece), shape ``(n_u_cells, pieces)``.
+    """Interval code of every (piece, latent cell), shape ``(pieces, n_u_cells)``.
 
     Each site that holds a piece has its ``n`` image intervals coded once, all
     sites together, and each piece looks its codes up through its permutation
-    row.  The array is C-contiguous, one latent cell per row.
+    row, one row-major gather per piece.  The codes come in the narrowest
+    signed integer type that holds ``n_codes * n``, so
+    ``code * n + latent cell`` fits in place.
     """
     cell, site, _ = gen.pieces
     n = gen.n_u_cells
     used, slot = np.unique(site, return_inverse=True)
-    codes = _interval_codes([gen.marginals[si] for si in used], n).ravel()
-    return codes[np.ascontiguousarray(gen.cells[cell].T) + slot * n]
+    codes = _interval_codes([gen.marginals[si] for si in used], n)
+    span = (int(codes.max()) + 1) * n
+    dtype = np.int32 if span <= 2**31 else np.int64
+    image = gen.cells[cell]
+    image += (slot * n)[:, None]
+    return codes.astype(dtype).ravel()[image]
+
+
+def _shared_key_mass(keys: np.ndarray, w: np.ndarray, group: np.ndarray, n_groups: int):
+    """``Σ_key W_key W_keyᵀ`` less the self pairs, over the keys held by two or
+    more pieces, with ``W_key`` the z mass of each group on that key."""
+    # the piece index goes into the low bits: keys are below pieces * n**2,
+    # so a tagged key is below 2 (pieces * n)**2 and int64 holds it for any
+    # key array that fits in memory
+    bits = max(len(w) - 1, 1).bit_length()
+    tagged = keys.astype(np.int64)
+    tagged <<= bits
+    tagged |= np.arange(len(w))[:, None]
+    tagged = np.sort(tagged, axis=None)
+    key, piece = tagged >> bits, tagged & ((1 << bits) - 1)
+    same = key[1:] == key[:-1]
+    shared = np.r_[same, False] | np.r_[False, same]
+    key, piece = key[shared], piece[shared]
+    run = np.cumsum(np.r_[False, key[1:] != key[:-1]])
+    slot = group[piece]
+    W = np.bincount(run * n_groups + slot, weights=w[piece], minlength=(run[-1] + 1) * n_groups)
+    own = np.bincount(slot, weights=w[piece] ** 2, minlength=n_groups)
+    W = W.reshape(-1, n_groups)
+    return W.T @ W - np.diag(own)
 
 
 def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
@@ -405,28 +434,32 @@ def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
     piece i of group g and piece j of group h map onto the same image
     interval; a piece paired with itself counts fully on the continuum
     (nearby z share the map) and not at all for an atom (the same z twice).
-    Per latent cell, with ``W_h`` the mass of group h on each code, piece i
-    adds ``w_i (W_h[code_i] - w_i [h = g])``, which sums to ``Σ W_g W_h``
-    without the self pairs and cancels exactly where pieces never meet.
+    Every (piece i, latent cell u) gets the key ``code_iu * n + u``, so two
+    pieces meet at u exactly when their keys there are equal.  One sort of
+    all keys tells whether any key is held more than once; a key held once
+    is a piece meeting only itself and adds nothing across pieces.  Only when
+    some key is shared does a second sort, of the keys tagged with their
+    piece, find who holds it.  Over the shared keys, with ``W`` the z mass of
+    each group on a key, the cross mass is ``Σ W Wᵀ`` less each piece's own
+    ``w_i²``, averaged over the ``n`` latent cells; the continuum's
+    ``Σ w_i²`` self mass is added once.
     """
     cell, _, w = gen.pieces
-    codes = _image_codes(gen)
+    n = gen.n_u_cells
+    keys = _image_codes(gen)
+    keys *= n
+    keys += np.arange(n, dtype=keys.dtype)
     n_groups = int(group.max()) + 1
-    n_codes = int(codes.max()) + 1
-    offset = group * n_codes
-    spread = (np.arange(n_groups) * n_codes)[:, None]
-    member = np.zeros((len(w), n_groups))
-    member[np.arange(len(w)), group] = w
-    own = member.T
-    cross = np.zeros((n_groups, n_groups))
-    for row in codes:
-        W = np.bincount(row + offset, weights=w, minlength=n_groups * n_codes)
-        cross += (W[row + spread] - own) @ member
+    ranked = np.sort(keys, axis=None)
+    if np.any(ranked[1:] == ranked[:-1]):
+        cross = _shared_key_mass(keys, w, group, n_groups)
+    else:
+        cross = np.zeros((n_groups, n_groups))
     continuum = cell >= len(gen.atoms)
     self_mass = np.bincount(
         group[continuum], weights=w[continuum] ** 2, minlength=n_groups
     )
-    return cross.T / gen.n_u_cells + np.diag(self_mass)
+    return cross / n + np.diag(self_mass)
 
 
 def collision_fraction(gen: GeneratorMap) -> float:
@@ -434,11 +467,12 @@ def collision_fraction(gen: GeneratorMap) -> float:
 
     z_i and z_j are independent draws from pz and u is uniform; the map is
     not one-to-one at (z_i, z_j, u) when both z put u's latent cell onto the
-    same image interval.  The value is exact, with no sampling: per latent
-    cell it is ``Σ_code W(code)²`` over the z mass ``W`` on each interval
-    code, averaged over the latent cells, less ``Σ w_i²`` over the atoms,
-    since a draw of the same atom twice gives z_i = z_j and never counts as a
-    collision.
+    same image interval.  The value is exact, with no sampling: over the
+    (image interval, latent cell) keys that two or more z pieces share, it
+    is ``Σ W² − Σ w_i²`` with ``W`` the z mass on each key, divided by the
+    number of latent cells, plus ``Σ w_i²`` over the continuum pieces; a draw
+    of the same atom twice gives z_i = z_j and never counts as a collision.
+    See :func:`_collision_mass`.
     """
     cell = gen.pieces[0]
     return float(_collision_mass(gen, np.zeros(len(cell), dtype=np.int64))[0, 0])

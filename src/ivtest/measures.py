@@ -194,7 +194,8 @@ class GridDistribution:
         return self._quantile_eval(p, strict=False)
 
     def quantile_right(self, p) -> np.ndarray | float:
-        """Right-continuous version ``inf {x: F(x) > p}``."""
+        """Right-continuous version ``inf {x: F(x) > p}``; the level that
+        exhausts the mass gives the support's upper end."""
         return self._quantile_eval(p, strict=True)
 
     @cached_property
@@ -228,10 +229,11 @@ class GridDistribution:
         # without mass gives its right end
         frac = (ps - CRp[k]) / denom[k]
         out = np.where(safe[k] & ~at_jump, Bp[k] + frac * span[k], Bk[k])
-        if not strict:
-            # the level that exhausts the mass is the support's upper end, even
-            # when rounding leaves the cumulative mass a few ulps off 1
-            out = np.where(ps >= min(top, 1.0), hi, out)
+        # the level that exhausts the mass is the support's upper end, even
+        # when rounding leaves the cumulative mass a few ulps off 1; for the
+        # strict version no x has F(x) > top, and the segment formula would
+        # run past the last breakpoint
+        out = np.where(ps >= (top if strict else min(top, 1.0)), hi, out)
         out = np.where(ps <= 0.0, lo, out)
         return float(out) if out.ndim == 0 else out
 

@@ -146,8 +146,14 @@ class Dataset:
             )
         try:
             flat = np.fromiter(map(float, ",".join(body).split(",")), float, 3 * len(body))
-        except ValueError as exc:
-            raise ValidationError(f"malformed dataset row: {exc}") from exc
+        except ValueError:
+            # only now look for the row, so the parse above stays one pass
+            for i, row in enumerate(body, 1):
+                try:
+                    list(map(float, row.split(",")))
+                except ValueError as exc:
+                    raise ValidationError(f"malformed dataset row {i}: {exc}") from exc
+            raise
         return cls(flat.reshape(-1, 3), seed, spec_name)
 
 

@@ -335,10 +335,9 @@ def masked_quantile_eval(dist, p, strict: bool):
         vals = B[prev] + frac * (B[kk] - B[prev])
         vals[~safe] = B[kk][~safe]
         out[rest] = vals
-    if not strict:
-        # the level that exhausts the mass is the support's upper end, even
-        # when rounding leaves the cumulative mass a few ulps off 1
-        out[ps >= min(CR[-1], 1.0)] = hi
+    # the level that exhausts the mass is the support's upper end, even
+    # when rounding leaves the cumulative mass a few ulps off 1
+    out[ps >= (CR[-1] if strict else min(CR[-1], 1.0))] = hi
     out[ps <= 0.0] = lo
     return float(out[0]) if scalar else out
 

@@ -264,10 +264,16 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", ["missing-csv-input", "non-numeric-weights", *BAD_CONFIGS])
+@pytest.mark.parametrize(
+    "case", ["missing-csv-input", "non-numeric-csv-field", "non-numeric-weights", *BAD_CONFIGS]
+)
 def test_bad_input_exits_1(tmp_path, capsys, case):
     if case == "missing-csv-input":
         argv = ["test", "--input", str(tmp_path / "missing.csv")]
+    elif case == "non-numeric-csv-field":
+        path = tmp_path / "rows.csv"
+        path.write_text("y,x,z\n1,2,3\n4,5,6\n1,two,3\n")
+        argv = ["test", "--input", str(path)]
     elif case == "non-numeric-weights":
         path = tmp_path / "feas.json"
         path.write_text(json.dumps({"conditionals": [[0.5, 0.5]] * 2, "weights": ["a", 1]}))
@@ -285,6 +291,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
     assert "replication" not in err  # refused before any data is sampled
     if case.endswith("-depth"):
         assert "nontestability_depth" in err
+    if case == "non-numeric-csv-field":
+        assert "row 3" in err and "'two'" in err
 
 
 def test_simulate_deterministic_csv(sim_config, tmp_path):

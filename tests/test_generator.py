@@ -204,9 +204,8 @@ def test_image_codes_match_pairwise_oracle(name):
     gen = collision_case(name)
     new = _image_codes(gen)
     old = pairwise_image_codes(gen)
-    assert new.shape == (gen.n_u_cells, len(gen.pieces[0]))
+    assert new.shape == (len(gen.pieces[0]), gen.n_u_cells)
     assert new.flags["C_CONTIGUOUS"]
-    new = new.T
     assert new.shape == old.shape
     pairs = np.unique(np.stack([new.ravel(), old.ravel()], axis=1), axis=0)
     assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
@@ -261,6 +260,55 @@ def test_collision_kernel_matches_pairwise_oracle(name):
     oracle_labels, oracle = pairwise_group_collision_matrix(gen)
     assert labels == oracle_labels
     assert np.max(np.abs(mat - oracle)) <= 1e-15
+
+
+def permuted_case(law_name, rows, seed):
+    """A generator whose cell rows are arbitrary permutations, set with
+    ``dataclasses.replace``: random rows, or random rows with row 1 a copy
+    of row 0."""
+    if law_name == "random":
+        law = random_joint_law(np.random.default_rng(seed), nz=3, ny=3, nx=4)
+        gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
+    elif law_name == "identical":
+        # three sites on a two-cell grid: cells straddle the site edges
+        gen = build_generator(*identical_conditional_setup(n_sites=3), 2)
+    else:
+        gen = build_generator(*atomic_setup(2), 2)
+    rng = np.random.default_rng(seed)
+    cells = rng.permuted(np.tile(np.arange(gen.n_u_cells), (len(gen.cells), 1)), axis=1)
+    if rows == "equal":
+        cells[1] = cells[0]
+    return replace(gen, cells=cells)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rows", ["random", "equal"])
+@pytest.mark.parametrize("law_name", ["random", "identical", "atomic"])
+def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, rows, seed):
+    """Rows that the construction never makes: pieces meet on scattered
+    latent cells, so the kernel's shared-key path carries the cross mass."""
+    gen = permuted_case(law_name, rows, seed)
+    assert abs(collision_fraction(gen) - pairwise_collision_fraction(gen)) <= 1e-15
+    labels, mat = group_collision_matrix(gen)
+    oracle_labels, oracle = pairwise_group_collision_matrix(gen)
+    assert labels == oracle_labels
+    assert np.max(np.abs(mat - oracle)) <= 1e-15
+
+
+def test_collision_kernel_wide_keys():
+    """Two z atoms at depth 8: 4**8 latent cells, each with its own interval
+    code, so ``n_codes * n`` is 2**32 and keys need 64 bits; with both atom
+    rows equal the two atoms meet on every latent cell."""
+    pz = GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.25), (1.0, 0.75)))
+    margs = [GridDistribution.uniform(0, 1, 3)] * 2
+    gen = build_generator(margs, pz, [0.0, 1.0], 8)
+    assert gen.n_u_cells == 65536
+    gen = replace(gen, cells=np.stack([gen.cells[1], gen.cells[1]]))
+    assert _image_codes(gen).dtype == np.int64
+    assert collision_fraction(gen) == pairwise_collision_fraction(gen) == 0.375
+    labels, mat = group_collision_matrix(gen)
+    assert labels == ["1", "2"]
+    assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

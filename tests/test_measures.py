@@ -98,6 +98,15 @@ def test_quantile_level_one_is_support_upper_end():
         assert m.quantile(np.array([0.0, 1.0]))[1] == 3.0
 
 
+def test_quantile_right_level_one_is_support_upper_end():
+    # an atom on the top edge: the segment formula used to extrapolate to 2.0
+    d = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((1.0, 0.5),))
+    assert d.quantile_right(1.0) == d.quantile(1.0) == 1.0
+    assert d.quantile_right(np.array([0.25, 0.5, 1.0])).tolist() == [0.5, 1.0, 1.0]
+    # the quantile functions differ by at most 0.5, at p = 0.5
+    assert winf_distance(d, GridDistribution.uniform(0, 1)) == 0.5
+
+
 def test_quantile_matches_oracle_on_random_mixtures(rng):
     for _ in range(25):
         nb = rng.integers(1, 6)

@@ -111,8 +111,8 @@ BAD_CSVS = {
     "header-only": ("y,x,z\n", "non-empty"),
     "ragged-row": ("y,x,z\n1,2,3\n4,5\n6,7,8\n", "row 2: need 3 fields, got '4,5'"),
     "long-row": ("y,x,z\n1,2,3,4\n", "row 1: need 3 fields"),
-    "empty-field": ("y,x,z\n1,,3\n", "malformed dataset row"),
-    "non-numeric-field": ("y,x,z\n1,2,3\n1,two,3\n", "malformed dataset row"),
+    "empty-field": ("y,x,z\n1,,3\n", "malformed dataset row 1: could not convert"),
+    "non-numeric-field": ("y,x,z\n1,2,3\n1,two,3\n", "row 2: could not convert string to float: 'two'"),
     "nan": ("y,x,z\n1,2,3\nnan,2,3\n", "rows must be finite: nan at index \\(1, 0\\)"),
     "no-header": ("1,2,3\n", "header y,x,z"),
 }
