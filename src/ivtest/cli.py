@@ -2,8 +2,8 @@
 
 Exit codes: 0 clean run, 1 input error, 2 domain refusal (atomic marginals
 or infeasible discrete first stage in ``replicate``).  Statistical decisions
-are data, not exit codes.  The environment variable ``IVT_SEED`` overrides
-``--seed``.
+are data, not exit codes.  Only ``simulate`` draws random numbers and takes
+``--seed``, which the environment variable ``IVT_SEED`` overrides.
 """
 
 from __future__ import annotations
@@ -44,33 +44,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
+    def files(p):
         p.add_argument("--input", help="input file path")
         p.add_argument("--output", help="output file path")
-        p.add_argument("--seed", type=int, default=seed_default, help="RNG seed (IVT_SEED overrides)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("replicate", help="replicate a joint-law JSON with a valid-instrument model")
-    common(p)
+    files(p)
     p.add_argument("--depth", type=int, default=6, help="partition depth (default 6)")
 
     p = sub.add_parser("feasibility", help="discrete first-stage feasibility and related checks")
-    common(p)
+    files(p)
 
     p = sub.add_parser("test", help="run validity tests on a joint law or dataset")
-    common(p)
+    files(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--bins", default="4,4,4", help="Y,X,Z bin counts for dataset input")
     p.add_argument("--test", action="append", choices=tuple(REGISTRY), dest="tests",
                    help="test to run (repeatable; default: all applicable)")
-    p.add_argument("--K", type=float, default=1.0, help="jump / sure-decrease threshold")
-    p.add_argument("--tol", type=float, default=0.0, help="FOSD tolerance")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1.0)
+    # no defaults here: a flag left out takes the test's default in REGISTRY
+    p.add_argument("--K", type=float, help="jump / sure-decrease threshold")
+    p.add_argument("--tol", type=float, help="FOSD tolerance")
+    for name in ("alpha", "beta", "gamma", "delta"):
+        p.add_argument(f"--{name}", type=float, help="moment test constant")
 
     p = sub.add_parser("simulate", help="run a size/power experiment from a spec config")
-    common(p, seed_default=7)
+    files(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=7, help="RNG seed (IVT_SEED overrides)")
     p.add_argument("--bins", default="4,4,4")
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=200)
@@ -183,7 +183,7 @@ def cmd_test(args) -> int:
     reports = []
     for name in args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]:
         defaults, _ = REGISTRY[name]
-        params = {k: getattr(args, k) for k in defaults if hasattr(args, k)}
+        params = {k: getattr(args, k) for k in defaults if getattr(args, k, None) is not None}
         reports.append(make_test(name, **params)[1](law))
     if args.format == "csv":
         lines = ["test,statistic,threshold,decision"] + [r.csv_row() for r in reports]

@@ -507,17 +507,28 @@ def group_collision_matrix(gen: GeneratorMap) -> tuple[list[str], np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class StructuralModel:
-    """A full two-equation model replicating an observed joint law.
+    """A full two-equation model replicating an observed joint law, held as
+    the pair of its first stage and that law.
 
     The first stage is the generator; the outcome stage maps an independent
-    uniform through the per-(x bin, z site) conditional outcome quantiles.
-    Both latents are uniform on [0, 1) and the instrument is drawn without
-    reading them, so the instrument is independent by construction.
+    uniform through the sampled (z site, x bin) column of the joint law,
+    normalised.  Both latents are uniform on [0, 1) and the instrument is
+    drawn without reading them, so the instrument is independent by
+    construction.
     """
 
     generator: GeneratorMap
     joint: JointLaw
-    outcome: tuple[tuple[GridDistribution | None, ...], ...]
+
+    @cached_property
+    def _outcome_columns(self) -> tuple[tuple[GridDistribution | None, ...], ...]:
+        """Outcome law of every (z site, x bin), None for a zero-mass column;
+        built on the first ``sample`` call."""
+        return tuple(
+            tuple(GridDistribution(c.y_edges, c.mass[:, b] / s) if s > 0 else None
+                  for b, s in enumerate(c.mass.sum(axis=0)))
+            for c in self.joint.conditionals
+        )
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw (y, x, z) rows; the latent pair never reads z."""
@@ -539,7 +550,7 @@ class StructuralModel:
             xb = np.searchsorted(cond.x_edges, x[at], side="right") - 1
             xb = np.clip(xb, 0, cond.mass.shape[1] - 1)
             for b in np.unique(xb):
-                col = self.outcome[si][b]
+                col = self._outcome_columns[si][b]
                 if col is None:
                     raise ValidationError("sampled an x bin with zero conditional mass")
                 hit = at[xb == b]
@@ -566,11 +577,12 @@ class StructuralModel:
 
 
 def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralModel:
-    """Assemble the model whose first stage is ``gen`` and whose outcome stage
-    realizes each conditional outcome law by a quantile transform.
+    """Pair ``gen`` with ``joint`` as the model whose outcome stage realizes
+    each conditional outcome law by a quantile transform.
 
-    Raises ``MarginalMismatchError`` when the generator was built from
-    different x-marginals than the joint law provides.
+    Nothing is built here: ``sample`` reads the outcome laws off the joint's
+    columns.  Raises ``MarginalMismatchError`` when the generator was built
+    from different x-marginals than the joint law provides.
     """
     margs = joint.x_marginals()
     if len(margs) != len(gen.marginals):
@@ -580,17 +592,7 @@ def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralMo
             raise MarginalMismatchError("marginal grids differ")
         if 0.5 * float(np.abs(a.masses - b.masses).sum()) > INPUT_TOL:
             raise MarginalMismatchError("marginal masses differ beyond tolerance")
-    outcome = []
-    for c in joint.conditionals:
-        cols: list[GridDistribution | None] = []
-        colsums = c.mass.sum(axis=0)
-        for b in range(c.mass.shape[1]):
-            if colsums[b] > 0:
-                cols.append(GridDistribution(c.y_edges, c.mass[:, b] / colsums[b]))
-            else:
-                cols.append(None)
-        outcome.append(tuple(cols))
-    return StructuralModel(gen, joint, tuple(outcome))
+    return StructuralModel(gen, joint)
 
 
 def verify_replication(model: StructuralModel, joint: JointLaw) -> float:

@@ -47,28 +47,24 @@ class ContinuityParams:
     """Hoelder constants of the two stages and the derived rejection bound.
 
     ``alpha``/``ky``/``beta`` bound the outcome stage moments, ``gamma``/
-    ``kx``/``delta`` the first stage; ``d`` is the common dimension, fixed to
-    1 in this package.  ``c_bound`` defaults to the constant delivered by the
-    Pythagorean bound on the joint process, 2 * max(ky * kx**(beta/alpha),
-    ky * kx).
+    ``kx``/``delta`` the first stage.  The package is one-dimensional, so
+    the common dimension of the two stages is 1.  ``c_bound`` defaults to
+    the constant delivered by the Pythagorean bound on the joint process,
+    2 * max(ky * kx**(beta/alpha), ky * kx).
     """
 
     alpha: float
     beta: float
     gamma: float
     delta: float
-    d: int = 1
     ky: float = 1.0
     kx: float = 1.0
-    jump_threshold: float = 1.0
     c_bound: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "ky", "kx", "jump_threshold"):
+        for name in ("alpha", "beta", "gamma", "delta", "ky", "kx"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.d != 1:
-            raise ValidationError("only d = 1 is supported")
         if self.c_bound is None:
             c = 2.0 * max(self.ky * self.kx ** (self.beta / self.alpha), self.ky * self.kx)
             object.__setattr__(self, "c_bound", c)
@@ -80,12 +76,12 @@ class ContinuityParams:
 
         With beta <= alpha the joint path regularity is beta*gamma /
         (2*alpha*delta), certified by moments of order 2*alpha*delta against
-        gap**(d + beta*gamma); otherwise the first stage binds and the pair
-        is (2*delta, d + gamma).
+        gap**(1 + beta*gamma); otherwise the first stage binds and the pair
+        is (2*delta, 1 + gamma).
         """
         if self.beta <= self.alpha:
-            return 2.0 * self.alpha * self.delta, self.d + self.beta * self.gamma
-        return 2.0 * self.delta, self.d + self.gamma
+            return 2.0 * self.alpha * self.delta, 1 + self.beta * self.gamma
+        return 2.0 * self.delta, 1 + self.gamma
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared builders for analytic test laws, the exact replay oracle, the
-pairwise image-code and collision oracles, the segment-loop moment oracle and
-the masked quantile/CDF and per-bin discretize oracles."""
+eager-table sampling oracle, the pairwise image-code and collision oracles,
+the segment-loop moment oracle and the masked quantile/CDF and per-bin
+discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -179,6 +180,47 @@ def replay_replication_error(model, law):
         ) / 2
         worst = max(worst, tv)
     return float(worst)
+
+
+def eager_table_sample(model, n, seed):
+    """``StructuralModel.sample`` with the outcome table built up front.
+
+    The bit-for-bit oracle for the lazy column laws: one ``GridDistribution``
+    per (z site, x bin) of positive mass, None otherwise, built before any
+    row is drawn, then the same draws and lookups as the model.
+    """
+    outcome = []
+    for c in model.joint.conditionals:
+        cols = []
+        colsums = c.mass.sum(axis=0)
+        for b in range(c.mass.shape[1]):
+            if colsums[b] > 0:
+                cols.append(GridDistribution(c.y_edges, c.mass[:, b] / colsums[b]))
+            else:
+                cols.append(None)
+        outcome.append(tuple(cols))
+    gen = model.generator
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    u = rng.uniform(size=n)
+    v = rng.uniform(size=n)
+    z = gen.pz.quantile(rng.uniform(size=n))
+    rows, sites = gen.locate(z)
+    levels = gen.permuted_level(rows, u)
+    y = np.empty(n)
+    x = np.empty(n)
+    for si in np.unique(sites):
+        at = np.flatnonzero(sites == si)
+        x[at] = gen.marginals[si].quantile(levels[at])
+        cond = model.joint.conditionals[si]
+        xb = np.searchsorted(cond.x_edges, x[at], side="right") - 1
+        xb = np.clip(xb, 0, cond.mass.shape[1] - 1)
+        for b in np.unique(xb):
+            col = outcome[si][b]
+            if col is None:
+                raise ValidationError("sampled an x bin with zero conditional mass")
+            hit = at[xb == b]
+            y[hit] = col.quantile(v[hit])
+    return np.column_stack([y, x, z])
 
 
 def pairwise_image_codes(gen):

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from ivtest import (
     make_test,
     sample,
 )
-from ivtest.cli import main
+from ivtest.cli import build_parser, main
 from ivtest.validity import REGISTRY
 
 from conftest import bernoulli_support_jump_law, location_family_law
@@ -342,3 +343,31 @@ def test_json_written_by_commands_reparses(law_file, tmp_path):
         payload["generator"], law.x_marginals(), law.pz, law.z_grid
     )
     assert gen.depth == 2
+
+
+SUBCOMMAND_OPTIONS = {
+    "replicate": {"--input", "--output", "--depth"},
+    "feasibility": {"--input", "--output"},
+    "test": {"--input", "--output", "--format", "--bins", "--test",
+             "--K", "--tol", "--alpha", "--beta", "--gamma", "--delta"},
+    "simulate": {"--input", "--output", "--format", "--seed", "--bins", "--n", "--reps"},
+}
+
+
+def test_each_subcommand_has_only_the_flags_its_handler_reads():
+    """A flag no handler reads (``replicate --seed``, ``replicate --format``)
+    must not come back unnoticed."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, expected in SUBCOMMAND_OPTIONS.items():
+        options = {o for a in sub.choices[name]._actions for o in a.option_strings}
+        assert options == expected | {"-h", "--help"}, name
+
+
+def test_cmd_test_flags_default_to_the_registry(law_file, capsys, monkeypatch):
+    """A flag left out takes the registered default; a flag given wins."""
+    monkeypatch.setitem(REGISTRY, "fosd", ({"tol": 0.5}, REGISTRY["fosd"][1]))
+    for flags, tol in (([], 0.5), (["--tol", "0.25"], 0.25)):
+        assert main(["test", "--input", str(law_file), "--test", "fosd", *flags]) == 0
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["threshold"] == tol

@@ -25,6 +25,7 @@ from ivtest.measures import Conditional2D, JointLaw
 
 from conftest import (
     bernoulli_support_jump_law,
+    eager_table_sample,
     identical_conditional_setup,
     pairwise_collision_fraction,
     pairwise_group_collision_matrix,
@@ -640,6 +641,71 @@ def test_zero_mass_z_site_replicates(rng):
         induced = model.induced_law()
         for a, b in zip(induced.conditionals, law.conditionals):
             assert np.array_equal(a.mass, b.mass)
+
+
+def zero_column_law(rng):
+    """A random 8x8x8 law whose site 2 puts no mass in x bin 3."""
+    law = random_joint_law(rng)
+    conds = list(law.conditionals)
+    c = conds[2]
+    m = c.mass.copy()
+    m[:, 3] = 0.0
+    conds[2] = Conditional2D(c.y_edges, c.x_edges, m / m.sum())
+    return JointLaw(law.z_grid, law.pz, tuple(conds))
+
+
+SAMPLING_LAWS = {
+    "random": random_joint_law,
+    "zero-mass-site": zero_mass_site_law,
+    "zero-column": zero_column_law,
+}
+
+
+@pytest.mark.parametrize("depth", [0, 6])
+@pytest.mark.parametrize("case", list(SAMPLING_LAWS))
+def test_sample_matches_eager_table_oracle(rng, case, depth):
+    """Column laws read off the joint on demand sample bit for bit like the
+    outcome table built up front."""
+    law = SAMPLING_LAWS[case](rng)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, depth)
+    model = compose_structural_model(law, gen)
+    for seed in (0, 11):
+        rows = model.sample(10_000, seed)
+        assert rows.tobytes() == eager_table_sample(model, 10_000, seed).tobytes()
+
+
+def test_outcome_columns_built_once_on_first_sample(rng, monkeypatch):
+    """compose builds no distribution; two samples build each positive-mass
+    column law exactly once between them."""
+    law = zero_column_law(rng)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
+    built = []
+    post_init = GridDistribution.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GridDistribution, "__post_init__", counting)
+    model = compose_structural_model(law, gen)
+    assert built == []
+    model.sample(500, seed=1)
+    model.sample(500, seed=2)
+    assert len(built) == 8 * 8 - 1
+    columns = [col for site in model._outcome_columns for col in site]
+    assert sorted(map(id, built)) == sorted(id(col) for col in columns if col is not None)
+    assert columns.count(None) == 1 and model._outcome_columns[2][3] is None
+
+
+def test_sampling_a_zero_mass_column_is_refused(rng):
+    """A column the joint gives no mass has no outcome law to sample."""
+    law = zero_column_law(rng)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
+    model = compose_structural_model(law, gen)
+    # forced past compose's checks: first-stage marginals that give x bin 3 mass
+    object.__setattr__(gen, "marginals", tuple(random_joint_law(rng).x_marginals()))
+    with pytest.raises(ValidationError, match="zero conditional mass"):
+        model.sample(2_000, seed=0)
 
 
 def oracle_cases(rng):

@@ -389,6 +389,17 @@ def test_moment_needs_three_z_points():
         continuity_moment_statistic(law, ContinuityParams(2, 1, 2, 1))
 
 
+@pytest.mark.parametrize("field, value", [("d", 1), ("jump_threshold", 1.0)])
+def test_continuity_params_refuse_removed_fields(field, value):
+    """The dimension is always 1 and the jump test takes its own K, so
+    neither is a setting of the moment constants."""
+    with pytest.raises(TypeError, match=field):
+        ContinuityParams(alpha=2, beta=1, gamma=2, delta=1, **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        make_test("moment", **{field: value})
+    assert ContinuityParams(2, 1, 2, 1).moment_exponents() == (4.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # jump test
 # ---------------------------------------------------------------------------
