@@ -145,6 +145,11 @@ def cmd_replicate(args) -> int:
     payload["replication_error"] = error
     _write_text(args.output, json.dumps(payload))
     print(f"replication error: {error!r}")
+    gen = model.generator
+    print(
+        f"generator: depth {gen.depth}, arity {gen.arity}, "
+        f"{len(gen.cells)} z cells, {gen.n_u_cells} latent cells"
+    )
     return 0
 
 

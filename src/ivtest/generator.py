@@ -11,23 +11,29 @@ the input conditionals exactly; what changes with depth is how much z-pair
 mass still shares an identical map.  Halving continues breadth first on
 every z cell, so the colliding mass shrinks by the cell arity at each level.
 
-Exact replication is certified rather than recomputed.  ``GeneratorMap``
-refuses any cell row that is not a permutation of ``0..n-1``, and for such a
-row the ``n`` image cells, of probability ``1/n`` each, tile the site's
-x-marginal exactly once, so every x bin receives exactly its column sum and
-every (y, x) cell exactly its own mass.  The model therefore induces its own joint
-law at every depth, and :func:`verify_replication` reduces to an exact
-rational comparison of two mass tables.
+Every permutation is a digitwise rotation.  Write latent cell ``c`` in base
+``K`` with digits ``c_1 .. c_depth``, most significant first; z-cell row
+``r`` rotates digit ``l`` by its shift ``s_l(r)``, so ``c`` lands on image
+cell ``Σ_l ((c_l + s_l(r)) mod K) · K**(depth - l)``.  Atom j shifts by j at
+every level; a continuum cell shifts by ``k+1`` at each level where it is a
+left half and by ``k`` where it is a right half (without atoms the image is
+``c XOR ~r``), which separates all top-level groups after one level.  With
+``k`` point masses in the z law, ``K`` is ``k+2``; without, it is 2.
 
-With ``k`` point masses in the z law, the latent interval is cut into
-``(k+2)**depth`` cells instead; atoms receive cyclic within-block shifts and
-the two halves of the continuum receive the two remaining shifts, which
-separates all top-level groups after one level.
+Exact replication is certified rather than recomputed.  A digitwise rotation
+is a bijection of ``0..n-1`` by construction, so for every row the ``n``
+image cells, of probability ``1/n`` each, tile the site's x-marginal exactly
+once, so every x bin receives exactly its column sum and every (y, x) cell
+exactly its own mass.  The model therefore induces its own joint law at
+every depth, and :func:`verify_replication` reduces to an exact rational
+comparison of two mass tables.
 
 The layout is flat.  The continuum z cells are the intervals between the
-``2**depth + 1`` equal-mass cut points of the atom-free part of pz, and all
-permutations sit in one ``(n_z_cells, n_u_cells)`` integer matrix: one row
-per atom, then one row per continuum cell in z order.
+``2**depth + 1`` equal-mass cut points of the atom-free part of pz, and the
+rows, one per atom and then one per continuum cell in z order, hold only
+their shifts: one ``(rows, depth)`` table.  No ``(rows, n)`` matrix is ever
+built; :meth:`GeneratorMap.image_cells` evaluates the sum above from one
+tabulated contribution of the high digits and one of the low digits.
 """
 
 from __future__ import annotations
@@ -53,14 +59,32 @@ from .measures import (
     sites_of,
 )
 
-# Largest permutation matrix a generator may hold, in entries (128 MiB of
-# int64): depth 12 at arity 2.  Memory grows like 4**depth, so larger depths
-# are refused before anything is allocated.
+# Largest table a generator or its collision accounting may allocate, in
+# entries: the latent cells, the shift table, and the (piece, latent cell)
+# keys, which reach it at depth 12 on an arity-2 law.  Larger depths are
+# refused before anything is allocated.
 MAX_CELL_ENTRIES = 2**24
 
 
 def _address_str(address: tuple[int, ...]) -> str:
     return "".join(str(s) for s in address)
+
+
+def _refuse_oversize(depth: int, arity: int, k: int, continuum: bool) -> None:
+    """Raise ``ValidationError`` when the latent cells or the shift table of
+    a depth exceed ``MAX_CELL_ENTRIES``.  Without a continuum the build codes
+    the latent cells of all k atom sites (see :func:`_already_one_to_one`),
+    so those count k times."""
+    # past the cap's bit length the latent cells alone overflow it
+    if depth < MAX_CELL_ENTRIES.bit_length():
+        rows = k + (2**depth if continuum else 0)
+        coded = arity**depth * (1 if continuum else k)
+        if max(coded, rows * depth) <= MAX_CELL_ENTRIES:
+            return
+    raise ValidationError(
+        f"depth {depth} at arity {arity} needs more than {MAX_CELL_ENTRIES} "
+        "latent cells or shift-table entries"
+    )
 
 
 def _continuum_law(
@@ -76,15 +100,17 @@ def _continuum_law(
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMap:
-    """A first-stage map: per-site quantile transforms behind cell permutations.
+    """A first-stage map: per-site quantile transforms behind cell rotations.
 
-    ``cells[r]`` maps latent-cell index to image-cell index for z-cell row
-    ``r``.  Rows ``0..k-1`` belong to the atoms of pz (``atoms``, in z order);
-    the remaining ``2**depth`` rows are the continuum cells
+    ``cells[r]`` holds the ``depth`` shift digits of z-cell row ``r``, one per
+    level; :meth:`image_cells` turns them into the row's image cells.  Rows
+    ``0..k-1`` belong to the atoms of pz (``atoms``, in z order); the
+    remaining ``2**depth`` rows are the continuum cells
     ``[cuts[i], cuts[i+1])`` in z order, so continuum rows ``2i`` and
-    ``2i+1`` are the two halves of row ``i`` one level up.  Every row must be
-    a permutation of ``0..n_u_cells-1``; anything else raises
-    ``ValidationError`` at construction, ``dataclasses.replace`` included.
+    ``2i+1`` are the two halves of row ``i`` one level up.  Every shift must
+    lie in ``[0, arity)``; anything else, or a table whose shape is not
+    ``(rows, depth)``, raises ``ValidationError`` at construction,
+    ``dataclasses.replace`` included.
     """
 
     depth: int
@@ -102,13 +128,14 @@ class GeneratorMap:
         cells = np.array(self.cells, dtype=np.int64)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        rows = len(self.atoms) + max(len(self.cuts) - 1, 0)
-        n = self.n_u_cells
-        if cells.shape != (rows, n):
-            raise ValidationError("cell permutation length does not match depth")
-        # the replication certificate rests on this: see verify_replication
-        if not np.array_equal(np.sort(cells, axis=1), np.broadcast_to(np.arange(n), cells.shape)):
-            raise ValidationError("every cell row must be a permutation of 0..n-1")
+        k, continuum = len(self.atoms), self._continuum[1] is not None
+        _refuse_oversize(self.depth, self.arity, k, continuum)
+        if cells.shape != (k + (2**self.depth if continuum else 0), self.depth):
+            raise ValidationError("cell shift table shape does not match depth")
+        # a digitwise rotation is a bijection, which the replication
+        # certificate rests on: see verify_replication
+        if cells.size and (cells.min() < 0 or cells.max() >= self.arity):
+            raise ValidationError(f"every shift must lie in [0, {self.arity})")
 
     @property
     def n_u_cells(self) -> int:
@@ -148,7 +175,7 @@ class GeneratorMap:
         appends ``k+1`` for each left half and ``k+2`` for each right half."""
         k = len(self.atoms)
         out = [(j + 1,) for j in range(k)]
-        if len(self.cuts):
+        if self._continuum[1] is not None:
             shifts = np.arange(self.depth - 1, -1, -1)
             bits = (np.arange(2**self.depth)[:, None] >> shifts) & 1
             out += [tuple(a) for a in (k + 1 + bits).tolist()]
@@ -216,12 +243,46 @@ class GeneratorMap:
             weight.append(w[keep])
         return np.concatenate(cell), np.concatenate(site), np.concatenate(weight)
 
+    @cached_property
+    def _half_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Image contribution of the high and of the low latent digits.
+
+        A latent cell is ``c = c_hi * K**low + c_lo`` with ``low = depth // 2``.
+        Each half of a row's shifts takes only a few distinct patterns, and a
+        pattern rotates its digits the same way in every row that holds it.
+        Per half this gives the ``(patterns, K**width)`` table of rotated
+        digit values, the high half scaled by ``K**low``, and the pattern of
+        every row.  The tables are ``intp``, so images index arrays directly.
+        """
+        K, d = self.arity, self.depth
+        low = d // 2
+        out = []
+        for shifts, scale in ((self.cells[:, : d - low], K**low), (self.cells[:, d - low :], 1)):
+            place = K ** np.arange(shifts.shape[1] - 1, -1, -1)
+            pattern, row = np.unique(shifts @ place, return_inverse=True)
+            digits = np.arange(K ** len(place))[:, None] // place % K
+            rotated = (digits + (pattern[:, None] // place % K)[:, None, :]) % K
+            out.append((((rotated @ place) * scale).astype(np.intp), row))
+        return tuple(out)
+
+    def image_cells(self, rows, cells=None, offset=0) -> np.ndarray:
+        """Image cell of latent cell ``cells`` under z-cell row ``rows``,
+        elementwise; with ``cells`` None, the images of all latent cells of
+        each row, shape ``(len(rows), n_u_cells)``, each row raised by its
+        ``offset`` (a scalar or one value per row)."""
+        (hi, hi_row), (lo, lo_row) = self._half_tables
+        if cells is None:
+            high = hi[hi_row[rows]] + np.reshape(offset, (-1, 1))
+            return (high[:, :, None] + lo[lo_row[rows]][:, None, :]).reshape(len(rows), -1)
+        c_hi, c_lo = np.divmod(cells, lo.shape[1])
+        return hi[hi_row[rows], c_hi] + lo[lo_row[rows], c_lo]
+
     def permuted_level(self, rows, u: np.ndarray) -> np.ndarray:
-        """Relocate latent levels within their cells by the permutations of ``rows``."""
+        """Relocate latent levels within their cells by the rotations of ``rows``."""
         n = self.n_u_cells
         idx = np.minimum((u * n).astype(np.int64), n - 1)
         offset = u * n - idx
-        return (self.cells[rows, idx] + offset) / n
+        return (self.image_cells(rows, idx) + offset) / n
 
     def __call__(self, z: float, u) -> np.ndarray | float:
         us = np.atleast_1d(np.asarray(u, dtype=float))
@@ -231,12 +292,25 @@ class GeneratorMap:
 
     # -- serialization ------------------------------------------------------
 
+    def _address_strs(self) -> list[str]:
+        """``_address_str`` of every row: continuum row i is the depth-bit
+        binary numeral of i with 0 and 1 spelled ``k+1`` and ``k+2``."""
+        k = len(self.atoms)
+        out = [str(j + 1) for j in range(k)]
+        if self._continuum[1] is not None:
+            spell = str.maketrans({"0": str(k + 1), "1": str(k + 2)})
+            # the leading 1 keeps the zeros of a depth-bit numeral, even at depth 0
+            lead = 1 << self.depth
+            out += [format(lead | i, "b")[1:].translate(spell) for i in range(lead)]
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "depth": self.depth,
+            "arity": self.arity,
             "cells": [
-                {"z_addr": _address_str(a), "perm": p}
-                for a, p in zip(self.addresses, self.cells.tolist())
+                {"z_addr": a, "shifts": s}
+                for a, s in zip(self._address_strs(), self.cells.tolist())
             ],
         }
 
@@ -250,37 +324,26 @@ class GeneratorMap:
     ) -> "GeneratorMap":
         """Rebuild from the wire format; cell geometry is recomputed from pz."""
         try:
-            depth = int(obj["depth"])
-            perms = {c["z_addr"]: np.asarray(c["perm"], dtype=np.int64) for c in obj["cells"]}
+            depth, arity = int(obj["depth"]), int(obj["arity"])
+            shifts = {
+                c["z_addr"]: np.asarray(c["shifts"], dtype=np.int64) for c in obj["cells"]
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed generator object: {exc}") from exc
         rebuilt = build_generator(marginals, pz, z_grid, depth)
-        order = [_address_str(a) for a in rebuilt.addresses]
-        if set(order) != set(perms) or len(obj["cells"]) != len(perms):
+        if arity != rebuilt.arity:
+            raise ValidationError(f"arity {arity} does not match this pz's {rebuilt.arity}")
+        order = rebuilt._address_strs()
+        if set(order) != set(shifts) or len(obj["cells"]) != len(shifts):
             raise ValidationError("cell addresses do not match this pz")
-        n = rebuilt.n_u_cells
-        if any(p.shape != (n,) for p in perms.values()):
-            raise ValidationError("cell permutation length does not match depth")
-        return replace(rebuilt, cells=np.array([perms[a] for a in order], dtype=np.int64))
+        if any(s.shape != (depth,) for s in shifts.values()):
+            raise ValidationError("cell shift list length does not match depth")
+        return replace(rebuilt, cells=np.array([shifts[a] for a in order], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-def _refine_and_shift(perms: np.ndarray, arity: int, shift) -> np.ndarray:
-    """One level of the iteration applied to every row of inherited permutations.
-
-    Each coarse cell splits into ``arity`` children preserving within-block
-    order; the new level then rotates images within every image block by
-    ``shift`` (a scalar, or one value per row as a column).  Shift 0 keeps
-    the inherited map.
-    """
-    k = arity
-    j = np.repeat(perms, k, axis=1) * k  # image block of each refined index
-    r = np.arange(perms.shape[1] * k) % k
-    return j + (r + shift) % k
 
 
 def _interval_codes(marginals: Sequence[GridDistribution], n: int) -> np.ndarray:
@@ -329,11 +392,13 @@ def build_generator(
 
     ``marginals`` are the conditional x-marginals in z-grid order.  With k
     atoms in pz the latent interval is cut ``(k+2)``-fold per level; atom j
-    rotates images within blocks by j, and the continuum halves take the two
-    remaining rotations.  Without atoms the cut is binary.  Raises
-    ``NonAtomicityError`` when a marginal carries point masses and
-    ``ValidationError`` when the permutation matrix would exceed
-    ``MAX_CELL_ENTRIES`` entries.
+    shifts every digit by j, and the continuum halves take the two remaining
+    shifts, ``k+1`` for a left half and ``k`` for a right half.  Without
+    atoms the cut is binary.  The result holds these shifts, one row per z
+    cell and one column per level, and nothing of size ``n_u_cells`` per row.
+    Raises ``NonAtomicityError`` when a marginal carries point masses and
+    ``ValidationError``, before allocating, when the latent cells or the
+    shift table would exceed ``MAX_CELL_ENTRIES`` entries.
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
@@ -345,37 +410,19 @@ def build_generator(
             raise NonAtomicityError("conditional x-marginals must be non-atomic")
     k = sum(1 for s in sites if s.kind == "atom")
     arity = k + 2 if k > 0 else 2
-    _, cont = _continuum_law(pz, sites)
-    # past the cap's bit length a single row overflows it at arity >= 2
-    if depth >= MAX_CELL_ENTRIES.bit_length() or (
-        (k + (2**depth if cont is not None else 0)) * arity**depth > MAX_CELL_ENTRIES
-    ):
-        raise ValidationError(
-            f"depth {depth} at arity {arity} needs more than "
-            f"{MAX_CELL_ENTRIES} permutation entries"
-        )
-    n_cells = arity**depth
+    continuum = _continuum_law(pz, sites)[1] is not None
+    _refuse_oversize(depth, arity, k, continuum)
 
-    if _already_one_to_one(marginals, sites, max(n_cells, 1)):
+    if _already_one_to_one(marginals, sites, arity**depth):
         # purely atomic z with pairwise distinct image cells: keep the
-        # base map, every permutation is the identity
-        cells = np.tile(np.arange(n_cells, dtype=np.int64), (k, 1))
-        return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
-
-    # atoms: atom j applies a within-block rotation by j at every level
-    atom_cells = np.zeros((k, 1), dtype=np.int64)
-    shifts = np.arange(k)[:, None]
-    # continuum: halving level by level; the first child takes shift k+1,
-    # the second keeps the inherited map via shift k
-    cont_cells = np.zeros((1 if cont is not None else 0, 1), dtype=np.int64)
-    for _ in range(depth):
-        atom_cells = _refine_and_shift(atom_cells, arity, shifts)
-        if len(cont_cells):
-            left = _refine_and_shift(cont_cells, arity, k + 1)
-            right = _refine_and_shift(cont_cells, arity, k)
-            # the halves of row i become rows 2i and 2i+1
-            cont_cells = np.stack([left, right], axis=1).reshape(2 * len(cont_cells), -1)
-    cells = np.concatenate([atom_cells, cont_cells.reshape(-1, atom_cells.shape[1])])
+        # base map, every shift is 0
+        cells = np.zeros((k, depth), dtype=np.int64)
+    else:
+        cells = np.repeat(np.arange(k)[:, None], depth, axis=1)
+        if continuum:
+            # bit l of continuum row i says whether it is the right half at level l
+            bits = (np.arange(2**depth)[:, None] >> np.arange(depth - 1, -1, -1)) & 1
+            cells = np.concatenate([cells, k + 1 - bits])
     return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
 
 
@@ -388,10 +435,10 @@ def _image_codes(gen: GeneratorMap) -> np.ndarray:
     """Interval code of every (piece, latent cell), shape ``(pieces, n_u_cells)``.
 
     Each site that holds a piece has its ``n`` image intervals coded once, all
-    sites together, and each piece looks its codes up through its permutation
-    row, one row-major gather per piece.  The codes come in the narrowest
-    signed integer type that holds ``n_codes * n``, so
-    ``code * n + latent cell`` fits in place.
+    sites together, and each piece looks its codes up at its image cells,
+    one row-major gather per piece.  The codes come in the narrowest signed
+    integer type that holds ``n_codes * n``, so ``code * n + latent cell``
+    fits in place.
     """
     cell, site, _ = gen.pieces
     n = gen.n_u_cells
@@ -399,9 +446,7 @@ def _image_codes(gen: GeneratorMap) -> np.ndarray:
     codes = _interval_codes([gen.marginals[si] for si in used], n)
     span = (int(codes.max()) + 1) * n
     dtype = np.int32 if span <= 2**31 else np.int64
-    image = gen.cells[cell]
-    image += (slot * n)[:, None]
-    return codes.astype(dtype).ravel()[image]
+    return codes.astype(dtype).ravel()[gen.image_cells(cell, offset=slot * n)]
 
 
 def _shared_key_mass(keys: np.ndarray, w: np.ndarray, group: np.ndarray, n_groups: int):
@@ -442,10 +487,16 @@ def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
     piece, find who holds it.  Over the shared keys, with ``W`` the z mass of
     each group on a key, the cross mass is ``Σ W Wᵀ`` less each piece's own
     ``w_i²``, averaged over the ``n`` latent cells; the continuum's
-    ``Σ w_i²`` self mass is added once.
+    ``Σ w_i²`` self mass is added once.  Raises ``ValidationError``, before
+    allocating, when the ``pieces × n`` keys exceed ``MAX_CELL_ENTRIES``.
     """
     cell, _, w = gen.pieces
     n = gen.n_u_cells
+    if len(cell) * n > MAX_CELL_ENTRIES:
+        raise ValidationError(
+            f"collision accounting at depth {gen.depth} needs {len(cell) * n} keys, "
+            f"more than {MAX_CELL_ENTRIES}"
+        )
     keys = _image_codes(gen)
     keys *= n
     keys += np.arange(n, dtype=keys.dtype)
@@ -601,9 +652,10 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
 
     The induced law is the model's own joint law, by a certificate rather
     than a replay.  At a z site, z-cell row ``r`` sends latent cell ``c`` to
-    the probability levels ``[cells[r, c]/n, (cells[r, c] + 1)/n)`` of the
-    site's x-marginal.  ``GeneratorMap`` admits only rows that are
-    permutations of ``0..n-1``, so these ``n`` intervals each occur once and
+    the probability levels ``[j/n, (j + 1)/n)`` of the site's x-marginal,
+    with ``j = gen.image_cells(r, c)``.  ``GeneratorMap`` admits only shifts
+    in ``[0, arity)``, and a digitwise rotation by such shifts is a
+    permutation of ``0..n-1``, so these ``n`` intervals each occur once and
     telescope onto ``[0, 1)``: each x bin receives exactly its column sum,
     whatever the permutation and however the bin edges cut the cells.  The
     outcome stage splits each column sum down its column in proportion to
@@ -638,27 +690,28 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
 def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
     """Recover the z-cell address that maps u's cell onto x's cell.
 
-    Raises ``NonInvertibleError`` when the generator has a single z group
-    (nothing to distinguish) or when two or more cells match (depth too
-    small for this point).
+    Every piece's image cell of u's latent cell comes from one pass of
+    :meth:`GeneratorMap.image_cells`, and each site's image intervals from
+    one ``quantile`` call.  Raises ``NonInvertibleError`` when the generator
+    has a single z group (nothing to distinguish) or when no cell or two or
+    more cells match (depth too small for this point).
     """
     if len(gen.cells) <= 1:
         raise NonInvertibleError("generator has a single z group at this resolution")
     n = gen.n_u_cells
-    j = min(int(u * n), n - 1)
-    grid = np.arange(n + 1) / n
-    matches: set[int] = set()
-    for row, si, _ in zip(*gen.pieces):
-        c = int(gen.cells[row, j])
-        qs = gen.marginals[si].quantile(grid[[c, c + 1]])
-        lo, hi = float(qs[0]), float(qs[1])
-        inside = lo <= x < hi or (c == n - 1 and x == hi)
-        if inside:
-            matches.add(int(row))
-    if not matches:
+    cell, site, _ = gen.pieces
+    image = gen.image_cells(cell, np.full(len(cell), min(int(u * n), n - 1)))
+    lo, hi = np.empty(len(cell)), np.empty(len(cell))
+    for si in np.unique(site):
+        at = site == si
+        bounds = gen.marginals[si].quantile(np.concatenate([image[at], image[at] + 1]) / n)
+        lo[at], hi[at] = np.split(bounds, 2)
+    inside = ((lo <= x) & (x < hi)) | ((image == n - 1) & (x == hi))
+    matches = np.unique(cell[inside])
+    if len(matches) == 0:
         raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
     if len(matches) > 1:
         raise NonInvertibleError(
             f"{len(matches)} z cells match at this resolution; increase depth"
         )
-    return _address_str(gen.addresses[next(iter(matches))])
+    return _address_str(gen.addresses[matches[0]])

@@ -1,7 +1,8 @@
-"""Shared builders for analytic test laws, the exact replay oracle, the
-eager-table sampling oracle, the pairwise image-code and collision oracles,
-the segment-loop moment oracle and the masked quantile/CDF and per-bin
-discretize oracles."""
+"""Shared builders for analytic test laws, the level-by-level cell
+expansion oracle, the exact replay oracle, the eager-table sampling oracle,
+the pairwise image-code and collision oracles, the piece-loop inversion
+oracle, the segment-loop moment oracle and the masked quantile/CDF and
+per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -14,6 +15,7 @@ from ivtest import (
     EmptyBinError,
     GridDistribution,
     JointLaw,
+    NonInvertibleError,
     ValidationError,
     population_law,
     product_conditional,
@@ -109,12 +111,42 @@ def perturbed_law(law, site=1, eps=0.04):
     return JointLaw(law.z_grid, law.pz, tuple(conds))
 
 
+def _refine_and_shift(perms, arity, shift):
+    """One level of the iteration applied to every row of inherited permutations.
+
+    Each coarse cell splits into ``arity`` children preserving within-block
+    order; the new level then rotates images within every image block by
+    ``shift`` (a scalar, or one value per row as a column).  Shift 0 keeps
+    the inherited map.
+    """
+    k = arity
+    j = np.repeat(perms, k, axis=1) * k  # image block of each refined index
+    r = np.arange(perms.shape[1] * k) % k
+    return j + (r + shift) % k
+
+
+def refine_and_shift_cells(gen):
+    """Every row's permutation as one ``(rows, n_u_cells)`` matrix.
+
+    An independent oracle for ``GeneratorMap.image_cells``: the permutations
+    are grown one level at a time, every coarse cell splitting into
+    ``arity`` children and each row rotating the new images within their
+    blocks by its shift digit at that level, the way the construction once
+    built its matrix.
+    """
+    perms = np.zeros((len(gen.cells), 1), dtype=np.int64)
+    for level in range(gen.depth):
+        perms = _refine_and_shift(perms, gen.arity, gen.cells[:, level : level + 1])
+    return perms
+
+
 def replay_induced_conditional(model, site_idx):
     """Pushforward of the latent product measure at one z site, in exact rationals.
 
     An independent oracle for the replication certificate: it walks every
-    latent cell of every z cell through the permutation rows instead of
-    relying on them being permutations.  Latent cell c occupies
+    latent cell of every z cell through the rows of
+    :func:`refine_and_shift_cells` instead of relying on them being
+    permutations.  Latent cell c occupies
     ``[c/n, (c+1)/n)`` of the site's total mass and x bin b the interval
     between the rational cumulative column sums.  Per z cell the image mass
     lands in the permuted slot and is split across bins by interval overlap;
@@ -147,10 +179,11 @@ def replay_induced_conditional(model, site_idx):
         total = sum(w for _, w in weighted)
         overlapping = [(row, w / total) for row, w in weighted]
 
+    perms = refine_and_shift_cells(gen)
     out = [[Fraction(0)] * nx for _ in range(ny)]
     for row, cell_weight in overlapping:
         xbin_mass = [Fraction(0)] * nx
-        for c in gen.cells[row].tolist():
+        for c in perms[row].tolist():
             lo, hi = c * h, (c + 1) * h
             b = max(bisect_right(cum, lo) - 1, 0)
             while b < nx and cum[b] < hi:
@@ -187,7 +220,8 @@ def eager_table_sample(model, n, seed):
 
     The bit-for-bit oracle for the lazy column laws: one ``GridDistribution``
     per (z site, x bin) of positive mass, None otherwise, built before any
-    row is drawn, then the same draws and lookups as the model.
+    row is drawn, then the same draws and lookups as the model, with the
+    latent levels relocated through :func:`refine_and_shift_cells`.
     """
     outcome = []
     for c in model.joint.conditionals:
@@ -205,7 +239,9 @@ def eager_table_sample(model, n, seed):
     v = rng.uniform(size=n)
     z = gen.pz.quantile(rng.uniform(size=n))
     rows, sites = gen.locate(z)
-    levels = gen.permuted_level(rows, u)
+    n_cells = gen.n_u_cells
+    idx = np.minimum((u * n_cells).astype(np.int64), n_cells - 1)
+    levels = (refine_and_shift_cells(gen)[rows, idx] + (u * n_cells - idx)) / n_cells
     y = np.empty(n)
     x = np.empty(n)
     for si in np.unique(sites):
@@ -237,9 +273,10 @@ def pairwise_image_codes(gen):
     grid = np.arange(n + 1) / n
     lo = np.empty((len(cell), n))
     hi = np.empty((len(cell), n))
+    perms = refine_and_shift_cells(gen)
     for si in np.unique(site):
         at = site == si
-        mapped = gen.cells[cell[at]]
+        mapped = perms[cell[at]]
         qs = gen.marginals[si].quantile(grid)
         lo[at] = qs[mapped]
         hi[at] = qs[mapped + 1]
@@ -289,6 +326,34 @@ def pairwise_group_collision_matrix(gen):
     nz = mass > 0
     out[nz] = hits[nz] / mass[nz]
     return labels.tolist(), out
+
+
+def piece_loop_invert(gen, x, u):
+    """``generator.invert_generator`` one piece and one ``quantile`` call at a
+    time, reading image cells from :func:`refine_and_shift_cells`.
+
+    The oracle for the vectorised inversion: same matches, same errors.
+    """
+    if len(gen.cells) <= 1:
+        raise NonInvertibleError("generator has a single z group at this resolution")
+    n = gen.n_u_cells
+    j = min(int(u * n), n - 1)
+    grid = np.arange(n + 1) / n
+    perms = refine_and_shift_cells(gen)
+    matches = set()
+    for row, si, _ in zip(*gen.pieces):
+        c = int(perms[row, j])
+        qs = gen.marginals[si].quantile(grid[[c, c + 1]])
+        lo, hi = float(qs[0]), float(qs[1])
+        if lo <= x < hi or (c == n - 1 and x == hi):
+            matches.add(int(row))
+    if not matches:
+        raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
+    if len(matches) > 1:
+        raise NonInvertibleError(
+            f"{len(matches)} z cells match at this resolution; increase depth"
+        )
+    return "".join(str(d) for d in gen.addresses[next(iter(matches))])
 
 
 def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):

@@ -55,12 +55,67 @@ def test_replicate_success(law_file, tmp_path, capsys):
     out = tmp_path / "model.json"
     rc = main(["replicate", "--input", str(law_file), "--depth", "4", "--output", str(out)])
     assert rc == 0
-    assert "replication error: 0.0" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "replication error: 0.0",
+        "generator: depth 4, arity 2, 16 z cells, 16 latent cells",
+    ]
     payload = json.loads(out.read_text())
     assert payload["replication_error"] == 0.0
     assert payload["independence"] is True
     assert payload["generator"]["depth"] == 4
-    assert all(set(c) == {"z_addr", "perm"} for c in payload["generator"]["cells"])
+    assert payload["generator"]["arity"] == 2
+    assert all(set(c) == {"z_addr", "shifts"} for c in payload["generator"]["cells"])
+
+
+def test_replicate_reports_an_atomic_generator(tmp_path, capsys):
+    """Two pz atoms: arity 4, one z cell per atom, and shifts below the arity."""
+    law_path = tmp_path / "atoms.json"
+    law_path.write_text(json.dumps(bernoulli_support_jump_law().to_json_dict()))
+    out = tmp_path / "model.json"
+    assert main(["replicate", "--input", str(law_path), "--depth", "2", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "generator: depth 2, arity 4, 2 z cells, 16 latent cells"
+    )
+    gen = json.loads(out.read_text())["generator"]
+    assert gen["arity"] == 4
+    assert [c["z_addr"] for c in gen["cells"]] == ["1", "2"]
+    assert all(len(c["shifts"]) == 2 and 0 <= min(c["shifts"]) <= max(c["shifts"]) < 4
+               for c in gen["cells"])
+
+
+def eight_cubed_law_file(tmp_path):
+    rng = np.random.default_rng(14)
+    y_edges, x_edges = np.linspace(-1.0, 2.0, 9), np.linspace(0.0, 3.0, 9)
+    conds = []
+    for _ in range(8):
+        m = rng.gamma(1.0, size=(8, 8)) + 0.01
+        conds.append(Conditional2D(y_edges, x_edges, m / m.sum()))
+    law = JointLaw((np.arange(8) + 0.5) / 8, GridDistribution.uniform(0.0, 1.0, 8), tuple(conds))
+    path = tmp_path / "law8.json"
+    path.write_text(json.dumps(law.to_json_dict()))
+    return path
+
+
+def test_replicate_depth_14(tmp_path, capsys):
+    """Past the old depth-12 cap: 2**14 rows of 14 shifts each."""
+    out = tmp_path / "model.json"
+    args = ["replicate", "--input", str(eight_cubed_law_file(tmp_path)), "--depth", "14"]
+    assert main(args + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "replication error: 0.0",
+        "generator: depth 14, arity 2, 16384 z cells, 16384 latent cells",
+    ]
+    gen = json.loads(out.read_text())["generator"]
+    assert len(gen["cells"]) == 2**14
+    assert all(len(c["shifts"]) == 14 for c in gen["cells"])
+
+
+def test_replicate_depth_64_refused_at_once(tmp_path, capsys):
+    args = ["replicate", "--input", str(eight_cubed_law_file(tmp_path)), "--depth", "64"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "depth 64 at arity 2 needs more than 16777216 latent cells" in captured.err
 
 
 def test_replicate_missing_file(tmp_path):

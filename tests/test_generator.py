@@ -20,9 +20,11 @@ from ivtest import (
     invert_generator,
     verify_replication,
 )
+from ivtest import generator
 from ivtest.generator import _image_codes
 from ivtest.measures import Conditional2D, JointLaw
 
+import conftest
 from conftest import (
     bernoulli_support_jump_law,
     eager_table_sample,
@@ -31,7 +33,9 @@ from conftest import (
     pairwise_group_collision_matrix,
     pairwise_image_codes,
     perturbed_law,
+    piece_loop_invert,
     random_joint_law,
+    refine_and_shift_cells,
     replay_induced_conditional,
     replay_replication_error,
 )
@@ -39,6 +43,11 @@ from conftest import (
 
 def address_str(gen, row):
     return "".join(str(d) for d in gen.addresses[row])
+
+
+def all_images(gen):
+    """Every row's image cells through the kernel, shape ``(rows, n_u_cells)``."""
+    return gen.image_cells(np.arange(len(gen.cells)))
 
 
 def pointwise_collision_oracle(gen, u_points=256):
@@ -114,20 +123,48 @@ def test_rejects_atomic_marginal_accepts_atomic_pz():
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
     gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 1)
     assert gen.arity == 3
-    assert gen.cells.shape == (3, 3)
+    assert gen.cells.shape == (3, 1) and gen.n_u_cells == 3
 
 
 def test_depth_cap_refused_before_allocating():
+    """The build is bounded by its latent cells and shift table, collision
+    accounting by its ``pieces × n`` keys: both refuse before allocating."""
     margs, pz, zg = identical_conditional_setup()
-    for depth in (13, 40):  # 2**depth rows of 2**depth entries each
-        with pytest.raises(ValidationError, match="permutation entries"):
+    for depth in (25, 40, 64, 10**9):  # 2**depth latent cells
+        with pytest.raises(ValidationError, match="latent cells or shift-table entries"):
             build_generator(margs, pz, zg, depth)
-    with pytest.raises(ValidationError, match="permutation entries"):
-        GeneratorMap.from_json_dict({"depth": 40, "cells": []}, margs, pz, zg)
-    # one atom: 3**10 entries for each of 1 + 2**10 rows
+    with pytest.raises(ValidationError, match="latent cells or shift-table entries"):
+        GeneratorMap.from_json_dict({"depth": 40, "arity": 2, "cells": []}, margs, pz, zg)
+    # 2**13 rows of 13 shifts build; their 2**13 x 2**13 keys do not
+    gen = build_generator(margs, pz, zg, 13)
+    assert gen.cells.shape == (2**13, 13)
+    for account in (collision_fraction, group_collision_matrix):
+        with pytest.raises(ValidationError, match="keys"):
+            account(gen)
+    # one atom: 1 + 2**10 rows of 10 shifts, but 3**10 latent cells per piece
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
-    with pytest.raises(ValidationError, match="permutation entries"):
-        build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 10)
+    gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 10)
+    assert gen.cells.shape == (1 + 2**10, 10)
+    with pytest.raises(ValidationError, match="keys"):
+        collision_fraction(gen)
+    # purely atomic z: the build codes every atom site's latent cells
+    pz_atoms = GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.5), (1.0, 0.5)))
+    with pytest.raises(ValidationError, match="latent cells"):
+        build_generator([GridDistribution.uniform(0, 1, 2)] * 2, pz_atoms, [0.0, 1.0], 12)
+
+
+def test_cap_boundaries(monkeypatch):
+    """At the cap a table is allowed; one entry past it is refused."""
+    margs, pz, zg = identical_conditional_setup()
+    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 2**10)
+    gen = build_generator(margs, pz, zg, 5)  # 32 pieces x 32 latent cells
+    assert collision_fraction(gen) == 2.0**-5
+    gen = build_generator(margs, pz, zg, 6)  # 64 x 6 shifts fit, 64 x 64 keys do not
+    with pytest.raises(ValidationError, match="keys"):
+        collision_fraction(gen)
+    build_generator(margs, pz, zg, 7)  # 128 x 7 = 896 shift-table entries
+    with pytest.raises(ValidationError, match="shift-table"):
+        build_generator(margs, pz, zg, 8)  # 256 x 8 = 2048
 
 
 def test_disjoint_supports_zero_collision():
@@ -263,20 +300,31 @@ def test_collision_kernel_matches_pairwise_oracle(name):
     assert np.max(np.abs(mat - oracle)) <= 1e-15
 
 
-def permuted_case(law_name, rows, seed):
-    """A generator whose cell rows are arbitrary permutations, set with
-    ``dataclasses.replace``: random rows, or random rows with row 1 a copy
-    of row 0."""
+def partial_setup():
+    """Three uniform z sites whose x-marginals agree below 0.5 and differ
+    above it, so two rows meet on the latent cells they send below 0.5."""
+    pz = GridDistribution.uniform(0.0, 1.0, 3)
+    edges = np.array([0.0, 0.5, 0.75, 1.0])
+    margs = [GridDistribution(edges, np.array([0.5, m, 0.5 - m])) for m in (0.1, 0.25, 0.4)]
+    return margs, pz, [1 / 6, 1 / 2, 5 / 6]
+
+
+def shifted_case(law_name, rows, seed):
+    """A generator whose rows carry shift digits the construction never
+    makes, set with ``dataclasses.replace``: random digits, or random digits
+    with row 1 a copy of row 0."""
     if law_name == "random":
         law = random_joint_law(np.random.default_rng(seed), nz=3, ny=3, nx=4)
         gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
     elif law_name == "identical":
         # three sites on a two-cell grid: cells straddle the site edges
         gen = build_generator(*identical_conditional_setup(n_sites=3), 2)
+    elif law_name == "partial":
+        gen = build_generator(*partial_setup(), 3)
     else:
         gen = build_generator(*atomic_setup(2), 2)
     rng = np.random.default_rng(seed)
-    cells = rng.permuted(np.tile(np.arange(gen.n_u_cells), (len(gen.cells), 1)), axis=1)
+    cells = rng.integers(0, gen.arity, size=gen.cells.shape)
     if rows == "equal":
         cells[1] = cells[0]
     return replace(gen, cells=cells)
@@ -284,11 +332,11 @@ def permuted_case(law_name, rows, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("rows", ["random", "equal"])
-@pytest.mark.parametrize("law_name", ["random", "identical", "atomic"])
+@pytest.mark.parametrize("law_name", ["random", "identical", "atomic", "partial"])
 def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, rows, seed):
-    """Rows that the construction never makes: pieces meet on scattered
+    """Rows that the construction never makes: pieces meet on some or all
     latent cells, so the kernel's shared-key path carries the cross mass."""
-    gen = permuted_case(law_name, rows, seed)
+    gen = shifted_case(law_name, rows, seed)
     assert abs(collision_fraction(gen) - pairwise_collision_fraction(gen)) <= 1e-15
     labels, mat = group_collision_matrix(gen)
     oracle_labels, oracle = pairwise_group_collision_matrix(gen)
@@ -323,9 +371,9 @@ def test_atoms_cyclic_three_groups_depth1():
     margs = [GridDistribution.uniform(0, 1)] * 2
     gen = build_generator(margs, pz, [0.25, 0.5], 1)
     assert gen.arity == 3
-    perms = {c["z_addr"]: tuple(c["perm"]) for c in gen.to_json_dict()["cells"]}
-    assert perms["1"] == (0, 1, 2)  # first atom keeps the base map
-    assert len({p for p in perms.values()}) == 3  # all groups distinct
+    shifts = {c["z_addr"]: tuple(c["shifts"]) for c in gen.to_json_dict()["cells"]}
+    assert shifts["1"] == (0,)  # first atom keeps the base map
+    assert len(set(shifts.values())) == 3  # all groups distinct
     labels, mat = group_collision_matrix(gen)
     off = mat.copy()
     np.fill_diagonal(off, 0.0)
@@ -374,13 +422,55 @@ def test_atoms_k0_delegates_to_binary():
     assert gen.addresses == tuple(
         tuple(1 + int(b) for b in format(i, "03b")) for i in range(8)
     )
-    assert gen.cells.tolist() == reference_perms(gen)
+    assert all_images(gen).tolist() == reference_perms(gen)
     atomic = GridDistribution(
         np.array([0.0, 1.0]), np.array([0.6]), ((0.1, 0.2), (0.3, 0.2))
     )
     gen = build_generator([GridDistribution.uniform(0, 1)] * 3, atomic, [0.1, 0.3, 0.95], 3)
     assert gen.arity == 4
-    assert gen.cells.tolist() == reference_perms(gen)
+    assert all_images(gen).tolist() == reference_perms(gen)
+
+
+def shift_table_cases():
+    """(label, generator setup, depth): atom-free pz at depths 0-10, one and
+    two atoms at depths 0-6."""
+    for depth in range(11):
+        yield f"atom-free@{depth}", identical_conditional_setup(), depth
+    for k in (1, 2):
+        for depth in range(7):
+            yield f"atoms{k}@{depth}", atomic_setup(k), depth
+
+
+def test_address_strings_spell_the_addresses():
+    """The binary-numeral spelling of the wire format's addresses equals the
+    digit-by-digit one, two-character digits (nine atoms) included."""
+    cases = list(shift_table_cases())
+    atoms = tuple(((j + 1) / 10, 0.04) for j in range(9))
+    pz = GridDistribution(np.array([0.0, 1.0]), np.array([0.64]), atoms)
+    nine = ([GridDistribution.uniform(0, 1)] * 10, pz, [a for a, _ in atoms] + [0.95])
+    cases.append(("atoms9@2", nine, 2))
+    for label, setup, depth in cases:
+        gen = build_generator(*setup, depth)
+        assert gen._address_strs() == [address_str(gen, r) for r in range(len(gen.cells))], label
+
+
+def test_image_cells_match_level_by_level_oracle():
+    """The digit-split kernel expands every shift table exactly as the
+    level-by-level construction and the row-by-row reference do, and its
+    elementwise form agrees with its row form."""
+    rng = np.random.default_rng(5)
+    for label, setup, depth in shift_table_cases():
+        gen = build_generator(*setup, depth)
+        images = all_images(gen)
+        assert np.array_equal(images, refine_and_shift_cells(gen)), label
+        assert images.tolist() == reference_perms(gen), label
+        rows = rng.integers(0, len(gen.cells), size=500)
+        cells = rng.integers(0, gen.n_u_cells, size=500)
+        assert np.array_equal(gen.image_cells(rows, cells), images[rows, cells]), label
+        if len(gen.atoms) == 0:
+            # without atoms the map is c XOR ~r on depth bits
+            r = np.arange(2**depth)[:, None]
+            assert np.array_equal(images, np.arange(2**depth) ^ (~r % 2**depth)), label
 
 
 def test_atoms_already_injective_identity_perms():
@@ -388,7 +478,8 @@ def test_atoms_already_injective_identity_perms():
     pz = GridDistribution(np.array([-0.5, 3.5]), np.array([0.0]), ((0.0, 0.5), (3.0, 0.5)))
     margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(3, 4, 2)]
     gen = build_generator(margs, pz, [0.0, 3.0], 0)
-    assert all(np.array_equal(row, np.arange(len(row))) for row in gen.cells)
+    assert not gen.cells.any()
+    assert all(np.array_equal(row, np.arange(len(row))) for row in all_images(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +497,7 @@ def test_partition_tree_invariants():
     gens = [build_generator(margs, pz, zg, level) for level in range(4)]
     for level, gen in enumerate(gens):
         n = 2**level
-        assert gen.cells.shape == (n, gen.n_u_cells)
+        assert gen.cells.shape == (n, level)
         mass = np.diff(pz.cdf_left(gen.cuts))
         assert np.all(np.abs(mass - 1.0 / n) <= 1e-12)
         u_cells = np.arange(gen.n_u_cells + 1) / gen.n_u_cells
@@ -416,8 +507,9 @@ def test_partition_tree_invariants():
         for i in range(len(parent.cells)):
             for half in (0, 1):
                 assert child.addresses[2 * i + half] == parent.addresses[i] + (1 + half,)
-                coarse = child.cells[2 * i + half] // 2
-                assert np.array_equal(coarse, np.repeat(parent.cells[i], 2))
+                assert np.array_equal(child.cells[2 * i + half, :-1], parent.cells[i])
+                coarse = all_images(child)[2 * i + half] // 2
+                assert np.array_equal(coarse, np.repeat(all_images(parent)[i], 2))
             lo, mid, hi = child.cuts[2 * i : 2 * i + 3]
             assert (lo, hi) == (parent.cuts[i], parent.cuts[i + 1])
             assert lo < mid < hi
@@ -433,7 +525,7 @@ def test_measure_preservation_per_cell():
     margs = law.x_marginals()
     gen = build_generator(margs, law.pz, law.z_grid, 3)
     n = gen.n_u_cells
-    for row in gen.cells:
+    for row in all_images(gen):
         # each image cell is hit by exactly one latent cell
         assert sorted(row.tolist()) == list(range(n))
     model = compose_structural_model(law, gen)
@@ -613,7 +705,7 @@ def test_support_gap_and_atom_inside_a_bin(rng):
     law = support_gap_law(rng)
     pz = law.pz
     gen = build_generator(law.x_marginals(), pz, law.z_grid, 3)
-    assert gen.cells.shape == (1 + 8, 27)
+    assert gen.cells.shape == (1 + 8, 3) and gen.n_u_cells == 27
     model = compose_structural_model(law, gen)
     assert verify_replication(model, law) == 0.0
     z = model.sample(2000, seed=3)[:, 2]
@@ -738,28 +830,36 @@ def test_certificate_agrees_with_replay_oracle(rng):
             assert c.mass.tolist() == replayed, label
 
 
-def test_generator_rejects_non_permutation_rows():
+def test_generator_rejects_out_of_range_shifts():
     margs, pz, zg = identical_conditional_setup()
     gen = build_generator(margs, pz, zg, 2)
-    n = gen.n_u_cells
-    for r, c, v in ((1, 0, 1), (2, 3, -1), (0, 1, n)):  # duplicate, out of range
+    for r, c, v in ((1, 0, 2), (2, 1, -1), (0, 1, 7)):  # arity is 2
         bad = gen.cells.copy()
         bad[r, c] = v
-        with pytest.raises(ValidationError, match="permutation"):
+        with pytest.raises(ValidationError, match="shift must lie in"):
             replace(gen, cells=bad)
-        with pytest.raises(ValidationError, match="permutation"):
+        with pytest.raises(ValidationError, match="shift must lie in"):
             GeneratorMap(gen.depth, gen.arity, pz, zg, tuple(margs), bad)
+    for bad in (gen.cells[:, :1], gen.cells[:3]):
+        with pytest.raises(ValidationError, match="shape"):
+            replace(gen, cells=bad)
 
 
-def test_replay_oracle_sees_a_non_permutation_row(rng):
-    """The check is load-bearing: a duplicated image cell, forced past
-    construction, makes the replay miss the law."""
+def test_replay_oracle_sees_a_non_permutation_row(rng, monkeypatch):
+    """The replay is load-bearing: an expansion that duplicates an image
+    cell makes it miss the law, while the true expansion replays it."""
     law = random_joint_law(rng, nz=3, ny=4, nx=4)
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
-    bad = gen.cells.copy()
-    bad[1, 0] = bad[1, 1]
-    object.__setattr__(gen, "cells", bad)
     model = compose_structural_model(law, gen)
+    assert replay_replication_error(model, law) == 0.0
+    expand = conftest.refine_and_shift_cells
+
+    def duplicating(g):
+        perms = expand(g)
+        perms[1, 0] = perms[1, 1]
+        return perms
+
+    monkeypatch.setattr(conftest, "refine_and_shift_cells", duplicating)
     assert replay_replication_error(model, law) > 0.0
 
 
@@ -816,6 +916,43 @@ def test_invert_roundtrip_when_injective():
         assert address_str(gen, rows[0]) == addr
 
 
+def invert_outcome(invert, gen, x, u):
+    try:
+        return invert(gen, x, u)
+    except NonInvertibleError as exc:
+        return f"NonInvertibleError: {exc}"
+
+
+def test_invert_matches_piece_loop_oracle():
+    """The one-pass inversion returns the per-piece loop's address or error
+    on every inversion case above and on 200 random points at depth 6."""
+    identical = identical_conditional_setup()
+    pz = GridDistribution(np.array([-0.5, 4.5]), np.array([0.0]), ((0.0, 0.5), (4.0, 0.5)))
+    margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(4, 5, 2)]
+    support = build_generator(margs, pz, [0.0, 4.0], 0)
+    depth1 = build_generator(*identical, 1)
+    cases = [(depth1, 0.75, 0.25), (depth1, 0.25, 0.25), (support, 4.5, 0.3), (support, 0.5, 0.3),
+             (build_generator(*identical, 0), 0.5, 0.5)]
+    rng = np.random.default_rng(3)
+    depth4 = build_generator(*identical, 4)
+    for _ in range(50):
+        z, u = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+        cases.append((depth4, depth4(z, u), u))
+    depth6 = [build_generator(*setup, 6) for setup in (identical, partial_setup(), atomic_setup(2))]
+    for i in range(200):
+        gen = depth6[i % 3]
+        cases.append((gen, float(rng.uniform(0, 1)), float(rng.uniform(0, 1))))
+    outcomes = []
+    for gen, x, u in cases:
+        got = invert_outcome(invert_generator, gen, x, u)
+        assert got == invert_outcome(piece_loop_invert, gen, x, u), (gen.depth, x, u)
+        outcomes.append(got)
+    # addresses and every kind of refusal occur
+    for kind in ("single z group", "no z cell maps", "z cells match"):
+        assert any(kind in o for o in outcomes), kind
+    assert len({o for o in outcomes if not o.startswith("NonInvertibleError")}) > 10
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -825,8 +962,8 @@ def test_generator_json_roundtrip():
     margs, pz, zg = identical_conditional_setup()
     gen = build_generator(margs, pz, zg, 3)
     obj = gen.to_json_dict()
-    assert obj["depth"] == 3
-    assert all(set(c) == {"z_addr", "perm"} for c in obj["cells"])
+    assert obj["depth"] == 3 and obj["arity"] == 2
+    assert all(set(c) == {"z_addr", "shifts"} for c in obj["cells"])
     back = GeneratorMap.from_json_dict(obj, margs, pz, zg)
     assert back.addresses == gen.addresses
     assert np.array_equal(back.cells, gen.cells)
@@ -842,17 +979,17 @@ def test_generator_json_rejects_bad_rows():
         edit(bad["cells"])
         return GeneratorMap.from_json_dict(bad, margs, pz, zg)
 
-    def repeat_entry(cells):
-        cells[1]["perm"][0] = cells[1]["perm"][1]
+    def out_of_range(cells):
+        cells[1]["shifts"][0] = 2
 
     def drop_entry(cells):
-        cells[1]["perm"].pop()
+        cells[1]["shifts"].pop()
 
     def rename(cells):
         cells[1]["z_addr"] = "13"
 
-    with pytest.raises(ValidationError, match="permutation"):
-        load(repeat_entry)
+    with pytest.raises(ValidationError, match="shift must lie in"):
+        load(out_of_range)
     with pytest.raises(ValidationError, match="length"):
         load(drop_entry)
     with pytest.raises(ValidationError, match="addresses"):
@@ -860,4 +997,8 @@ def test_generator_json_rejects_bad_rows():
     with pytest.raises(ValidationError, match="addresses"):
         load(lambda cells: cells.pop())
     with pytest.raises(ValidationError, match="addresses"):
-        load(lambda cells: cells.append(dict(cells[0], perm=cells[1]["perm"])))
+        load(lambda cells: cells.append(dict(cells[0], shifts=cells[1]["shifts"])))
+    for key, value in (("arity", 3), ("arity", None)):
+        bad = dict(obj, **{key: value})
+        with pytest.raises(ValidationError, match="arity|malformed"):
+            GeneratorMap.from_json_dict(bad, margs, pz, zg)
