@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IVTestError, NonAtomicityError, ValidationError
+from .generator import collision_fraction
 from .measures import JointLaw
 from .simulate import (
     Dataset,
@@ -141,15 +142,18 @@ def cmd_replicate(args) -> int:
     except NonAtomicityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    gen = model.generator
+    collision = collision_fraction(gen)
     payload = model.to_json_dict()
     payload["replication_error"] = error
+    payload["collision_fraction"] = collision
     _write_text(args.output, json.dumps(payload))
     print(f"replication error: {error!r}")
-    gen = model.generator
     print(
         f"generator: depth {gen.depth}, arity {gen.arity}, "
         f"{len(gen.cells)} z cells, {gen.n_u_cells} latent cells"
     )
+    print(f"collision fraction: {collision!r}")
     return 0
 
 

@@ -60,9 +60,11 @@ from .measures import (
 )
 
 # Largest table a generator or its collision accounting may allocate, in
-# entries: the latent cells, the shift table, and the (piece, latent cell)
-# keys, which reach it at depth 12 on an arity-2 law.  Larger depths are
-# refused before anything is allocated.
+# entries: the shift table, the interval codes of every site at every latent
+# cell, and collision accounting's matched code pairs and their gather.  The
+# first two are refused when the generator is built, so every generator that
+# builds can be accounted unless its marginals match across many classes; on
+# an 8-site arity-2 law that is up to depth 19.
 MAX_CELL_ENTRIES = 2**24
 
 
@@ -70,20 +72,21 @@ def _address_str(address: tuple[int, ...]) -> str:
     return "".join(str(s) for s in address)
 
 
-def _refuse_oversize(depth: int, arity: int, k: int, continuum: bool) -> None:
-    """Raise ``ValidationError`` when the latent cells or the shift table of
-    a depth exceed ``MAX_CELL_ENTRIES``.  Without a continuum the build codes
-    the latent cells of all k atom sites (see :func:`_already_one_to_one`),
-    so those count k times."""
+def _refuse_oversize(depth: int, arity: int, k: int, continuum: bool, sites: int) -> None:
+    """Raise ``ValidationError`` when the shift table of a depth, or the
+    interval codes of its latent cells at all ``sites``, exceed
+    ``MAX_CELL_ENTRIES``.  The codes are what collision accounting builds,
+    one row per class of equal marginals, and what the build itself builds
+    for the atom sites without a continuum (see :func:`_already_one_to_one`).
+    """
     # past the cap's bit length the latent cells alone overflow it
     if depth < MAX_CELL_ENTRIES.bit_length():
         rows = k + (2**depth if continuum else 0)
-        coded = arity**depth * (1 if continuum else k)
-        if max(coded, rows * depth) <= MAX_CELL_ENTRIES:
+        if max(arity**depth * sites, rows * depth) <= MAX_CELL_ENTRIES:
             return
     raise ValidationError(
         f"depth {depth} at arity {arity} needs more than {MAX_CELL_ENTRIES} "
-        "latent cells or shift-table entries"
+        "latent cells, interval codes or shift-table entries"
     )
 
 
@@ -129,7 +132,7 @@ class GeneratorMap:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         k, continuum = len(self.atoms), self._continuum[1] is not None
-        _refuse_oversize(self.depth, self.arity, k, continuum)
+        _refuse_oversize(self.depth, self.arity, k, continuum, len(self.marginals))
         if cells.shape != (k + (2**self.depth if continuum else 0), self.depth):
             raise ValidationError("cell shift table shape does not match depth")
         # a digitwise rotation is a bijection, which the replication
@@ -265,15 +268,14 @@ class GeneratorMap:
             out.append((((rotated @ place) * scale).astype(np.intp), row))
         return tuple(out)
 
-    def image_cells(self, rows, cells=None, offset=0) -> np.ndarray:
+    def image_cells(self, rows, cells=None) -> np.ndarray:
         """Image cell of latent cell ``cells`` under z-cell row ``rows``,
         elementwise; with ``cells`` None, the images of all latent cells of
-        each row, shape ``(len(rows), n_u_cells)``, each row raised by its
-        ``offset`` (a scalar or one value per row)."""
+        each row, shape ``(len(rows), n_u_cells)``."""
         (hi, hi_row), (lo, lo_row) = self._half_tables
         if cells is None:
-            high = hi[hi_row[rows]] + np.reshape(offset, (-1, 1))
-            return (high[:, :, None] + lo[lo_row[rows]][:, None, :]).reshape(len(rows), -1)
+            both = hi[hi_row[rows]][:, :, None] + lo[lo_row[rows]][:, None, :]
+            return both.reshape(len(rows), -1)
         c_hi, c_lo = np.divmod(cells, lo.shape[1])
         return hi[hi_row[rows], c_hi] + lo[lo_row[rows], c_lo]
 
@@ -398,7 +400,8 @@ def build_generator(
     cell and one column per level, and nothing of size ``n_u_cells`` per row.
     Raises ``NonAtomicityError`` when a marginal carries point masses and
     ``ValidationError``, before allocating, when the latent cells or the
-    shift table would exceed ``MAX_CELL_ENTRIES`` entries.
+    shift table, or the interval codes of every site at every latent cell,
+    would exceed ``MAX_CELL_ENTRIES`` entries.
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
@@ -411,7 +414,7 @@ def build_generator(
     k = sum(1 for s in sites if s.kind == "atom")
     arity = k + 2 if k > 0 else 2
     continuum = _continuum_law(pz, sites)[1] is not None
-    _refuse_oversize(depth, arity, k, continuum)
+    _refuse_oversize(depth, arity, k, continuum, len(sites))
 
     if _already_one_to_one(marginals, sites, arity**depth):
         # purely atomic z with pairwise distinct image cells: keep the
@@ -431,45 +434,99 @@ def build_generator(
 # ---------------------------------------------------------------------------
 
 
-def _image_codes(gen: GeneratorMap) -> np.ndarray:
-    """Interval code of every (piece, latent cell), shape ``(pieces, n_u_cells)``.
+def _digit_difference(b, a, arity: int, depth: int) -> np.ndarray:
+    """Digitwise ``b ⊖ a``: each of the ``depth`` base-``arity`` digits of
+    ``b`` less the same digit of ``a``, mod ``arity`` (``b XOR a`` at arity
+    2).  Row r sends latent cell c to ``c ⊕ σ_r``, its shift digits added
+    digitwise, so the rows that send c to image cell j are those with
+    ``σ_r = j ⊖ c``."""
+    b, a = np.asarray(b, dtype=np.int64), np.asarray(a, dtype=np.int64)
+    out = np.zeros(np.broadcast(b, a).shape, dtype=np.int64)
+    place = 1
+    for _ in range(depth):
+        out += (b // place - a // place) % arity * place
+        place *= arity
+    return out
 
-    Each site that holds a piece has its ``n`` image intervals coded once, all
-    sites together, and each piece looks its codes up at its image cells,
-    one row-major gather per piece.  The codes come in the narrowest signed
-    integer type that holds ``n_codes * n``, so ``code * n + latent cell``
-    fits in place.
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every paired start and length, concatenated.
+
+    Raises ``ValidationError``, before allocating, when the result would
+    exceed ``MAX_CELL_ENTRIES`` entries.
+    """
+    total = int(lengths.sum())
+    if total > MAX_CELL_ENTRIES:
+        raise ValidationError(
+            f"collision accounting needs a gather of {total} entries, "
+            f"more than {MAX_CELL_ENTRIES}"
+        )
+    skip = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(starts, lengths) + np.arange(total) - skip
+
+
+def _marginal_classes(
+    marginals: Sequence[GridDistribution],
+) -> tuple[list[GridDistribution], np.ndarray]:
+    """One representative of every distinct marginal (equal edges, masses and
+    atoms) and the class of each marginal, numbered in order of appearance."""
+    reps: list[GridDistribution] = []
+    seen: dict = {}
+    of = []
+    for m in marginals:
+        key = (m.edges.tobytes(), m.masses.tobytes(), m.atoms)
+        if key not in seen:
+            seen[key] = len(reps)
+            reps.append(m)
+        of.append(seen[key])
+    return reps, np.array(of, dtype=np.int64)
+
+
+def _code_matches(codes: np.ndarray, arity: int, depth: int):
+    """Sparse match counts of a ``(classes, n)`` interval-code table.
+
+    ``m_PQ[δ]`` counts the entries ``(P, a)`` and ``(Q, b)`` with equal codes
+    and ``b ⊖ a = δ``.  Returned as the arrays ``P, Q, δ, count`` over the
+    nonzero counts, leaving out each entry paired with itself (``n`` per
+    class at ``δ = 0``, which the caller adds in closed form).  Codes held
+    once match nothing else, so only entries whose code repeats, across
+    classes or inside one class row, are paired.
+    """
+    n_classes, n = codes.shape
+    flat = codes.ravel()
+    held = np.bincount(flat)
+    if held.max() == 1:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    order = np.argsort(flat, kind="stable")
+    run = held[flat[order]]
+    order, run = order[run > 1], run[run > 1]
+    # pair every entry with each entry of its run, itself included, then drop itself
+    coded = flat[order]
+    src = np.repeat(order, run)
+    dst = order[_ragged_arange(np.searchsorted(coded, coded), run)]
+    distinct = src != dst
+    (P, a), (Q, b) = np.divmod(src[distinct], n), np.divmod(dst[distinct], n)
+    key = (P * n_classes + Q) * n + _digit_difference(b, a, arity, depth)
+    key, count = np.unique(key, return_counts=True)
+    PQ, delta = np.divmod(key, n)
+    return (*np.divmod(PQ, n_classes), delta, count)
+
+
+def _match_table(gen: GeneratorMap):
+    """Class and shift pattern of every piece, and the code matches of the
+    classes.
+
+    Sites with equal x-marginals form one class and are coded once.  A
+    piece's pattern is its row's shift digits read as a base-``arity``
+    numeral, which is also the row's image of latent cell 0.  Returns the
+    piece classes, the patterns and :func:`_code_matches` of the classes.
     """
     cell, site, _ = gen.pieces
-    n = gen.n_u_cells
     used, slot = np.unique(site, return_inverse=True)
-    codes = _interval_codes([gen.marginals[si] for si in used], n)
-    span = (int(codes.max()) + 1) * n
-    dtype = np.int32 if span <= 2**31 else np.int64
-    return codes.astype(dtype).ravel()[gen.image_cells(cell, offset=slot * n)]
-
-
-def _shared_key_mass(keys: np.ndarray, w: np.ndarray, group: np.ndarray, n_groups: int):
-    """``Σ_key W_key W_keyᵀ`` less the self pairs, over the keys held by two or
-    more pieces, with ``W_key`` the z mass of each group on that key."""
-    # the piece index goes into the low bits: keys are below pieces * n**2,
-    # so a tagged key is below 2 (pieces * n)**2 and int64 holds it for any
-    # key array that fits in memory
-    bits = max(len(w) - 1, 1).bit_length()
-    tagged = keys.astype(np.int64)
-    tagged <<= bits
-    tagged |= np.arange(len(w))[:, None]
-    tagged = np.sort(tagged, axis=None)
-    key, piece = tagged >> bits, tagged & ((1 << bits) - 1)
-    same = key[1:] == key[:-1]
-    shared = np.r_[same, False] | np.r_[False, same]
-    key, piece = key[shared], piece[shared]
-    run = np.cumsum(np.r_[False, key[1:] != key[:-1]])
-    slot = group[piece]
-    W = np.bincount(run * n_groups + slot, weights=w[piece], minlength=(run[-1] + 1) * n_groups)
-    own = np.bincount(slot, weights=w[piece] ** 2, minlength=n_groups)
-    W = W.reshape(-1, n_groups)
-    return W.T @ W - np.diag(own)
+    reps, of = _marginal_classes([gen.marginals[si] for si in used])
+    codes = _interval_codes(reps, gen.n_u_cells)
+    return of[slot], gen.image_cells(cell, 0), _code_matches(codes, gen.arity, gen.depth)
 
 
 def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
@@ -479,33 +536,48 @@ def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
     piece i of group g and piece j of group h map onto the same image
     interval; a piece paired with itself counts fully on the continuum
     (nearby z share the map) and not at all for an atom (the same z twice).
-    Every (piece i, latent cell u) gets the key ``code_iu * n + u``, so two
-    pieces meet at u exactly when their keys there are equal.  One sort of
-    all keys tells whether any key is held more than once; a key held once
-    is a piece meeting only itself and adds nothing across pieces.  Only when
-    some key is shared does a second sort, of the keys tagged with their
-    piece, find who holds it.  Over the shared keys, with ``W`` the z mass of
-    each group on a key, the cross mass is ``Σ W Wᵀ`` less each piece's own
-    ``w_i²``, averaged over the ``n`` latent cells; the continuum's
-    ``Σ w_i²`` self mass is added once.  Raises ``ValidationError``, before
-    allocating, when the ``pieces × n`` keys exceed ``MAX_CELL_ENTRIES``.
+
+    Every row is a digitwise rotation, so pieces i and j, of classes P and Q
+    and patterns σ and τ, meet on exactly ``m_PQ[τ ⊖ σ]`` latent cells (see
+    :func:`_code_matches`).  With ``W_P[σ]`` the z mass of each group on the
+    pieces of class P and pattern σ, the cross mass is
+    ``n Σ_{P,σ} W_P[σ] W_P[σ]ᵀ`` (every entry matching itself) plus
+    ``Σ m_PQ[δ] Σ_τ W_P[τ ⊖ δ] W_Q[τ]`` over the sparse matches, less each
+    piece's own ``n w_i²``; each match's sum is one ``searchsorted`` gather
+    of the ``(class, pattern)`` keys.  It is averaged over the ``n`` latent
+    cells, and the continuum's ``Σ w_i²`` self mass is added once.  Nothing
+    of size ``pieces × n`` is built.  Raises ``ValidationError``, before
+    allocating, when the matched entry pairs or the gather exceed
+    ``MAX_CELL_ENTRIES``.
     """
     cell, _, w = gen.pieces
-    n = gen.n_u_cells
-    if len(cell) * n > MAX_CELL_ENTRIES:
-        raise ValidationError(
-            f"collision accounting at depth {gen.depth} needs {len(cell) * n} keys, "
-            f"more than {MAX_CELL_ENTRIES}"
+    n, n_groups = gen.n_u_cells, int(group.max()) + 1
+    piece_class, pattern, (P, Q, delta, count) = _match_table(gen)
+    keys, key_of, held = np.unique(
+        piece_class * n + pattern, return_inverse=True, return_counts=True
+    )
+    W = np.bincount(
+        key_of * n_groups + group, weights=w, minlength=len(keys) * n_groups
+    ).reshape(-1, n_groups)
+    # a key held by one piece is that piece meeting only itself: W Wᵀ − w² is 0
+    shared = held > 1
+    own = np.bincount(
+        group[shared[key_of]], weights=w[shared[key_of]] ** 2, minlength=n_groups
+    )
+    cross = n * (W[shared].T @ W[shared] - np.diag(own))
+    if len(count):
+        key_class, key_pattern = np.divmod(keys, n)
+        first = np.searchsorted(key_class, Q)
+        size = np.searchsorted(key_class, Q, side="right") - first
+        match = np.repeat(np.arange(len(count)), size)
+        dst = _ragged_arange(first, size)
+        want = P[match] * n + _digit_difference(
+            key_pattern[dst], delta[match], gen.arity, gen.depth
         )
-    keys = _image_codes(gen)
-    keys *= n
-    keys += np.arange(n, dtype=keys.dtype)
-    n_groups = int(group.max()) + 1
-    ranked = np.sort(keys, axis=None)
-    if np.any(ranked[1:] == ranked[:-1]):
-        cross = _shared_key_mass(keys, w, group, n_groups)
-    else:
-        cross = np.zeros((n_groups, n_groups))
+        src = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = keys[src] == want
+        match, src, dst = match[hit], src[hit], dst[hit]
+        cross += (W[src] * count[match, None]).T @ W[dst]
     continuum = cell >= len(gen.atoms)
     self_mass = np.bincount(
         group[continuum], weights=w[continuum] ** 2, minlength=n_groups
@@ -518,12 +590,13 @@ def collision_fraction(gen: GeneratorMap) -> float:
 
     z_i and z_j are independent draws from pz and u is uniform; the map is
     not one-to-one at (z_i, z_j, u) when both z put u's latent cell onto the
-    same image interval.  The value is exact, with no sampling: over the
-    (image interval, latent cell) keys that two or more z pieces share, it
-    is ``Σ W² − Σ w_i²`` with ``W`` the z mass on each key, divided by the
-    number of latent cells, plus ``Σ w_i²`` over the continuum pieces; a draw
-    of the same atom twice gives z_i = z_j and never counts as a collision.
-    See :func:`_collision_mass`.
+    same image interval.  The value is exact, with no sampling: two pieces
+    meet on as many latent cells as their classes' interval codes match at
+    the digitwise difference of their shift patterns, so the colliding mass
+    comes from the z mass on each (class, shift pattern) and from the few
+    codes that match, divided by the number of latent cells, plus
+    ``Σ w_i²`` over the continuum pieces; a draw of the same atom twice gives
+    z_i = z_j and never counts as a collision.  See :func:`_collision_mass`.
     """
     cell = gen.pieces[0]
     return float(_collision_mass(gen, np.zeros(len(cell), dtype=np.int64))[0, 0])
@@ -690,24 +763,32 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
 def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
     """Recover the z-cell address that maps u's cell onto x's cell.
 
-    Every piece's image cell of u's latent cell comes from one pass of
-    :meth:`GeneratorMap.image_cells`, and each site's image intervals from
-    one ``quantile`` call.  Raises ``NonInvertibleError`` when the generator
-    has a single z group (nothing to distinguish) or when no cell or two or
-    more cells match (depth too small for this point).
+    Each site that holds a piece finds the image cell ``j`` whose interval
+    ``[q(j/n), q((j+1)/n))`` holds x, the last one closed at the top, by one
+    ``searchsorted`` on its quantile grid.  Row r sends u's latent cell c to
+    ``c ⊕ σ_r``, so the site's matching pieces are those whose rows carry the
+    shift pattern ``j ⊖ c``.  Raises ``NonInvertibleError`` when the
+    generator has a single z group (nothing to distinguish) or when no cell
+    or two or more cells match (depth too small for this point).
     """
     if len(gen.cells) <= 1:
         raise NonInvertibleError("generator has a single z group at this resolution")
     n = gen.n_u_cells
+    c = min(int(u * n), n - 1)
+    grid = np.arange(n + 1) / n
     cell, site, _ = gen.pieces
-    image = gen.image_cells(cell, np.full(len(cell), min(int(u * n), n - 1)))
-    lo, hi = np.empty(len(cell)), np.empty(len(cell))
-    for si in np.unique(site):
-        at = site == si
-        bounds = gen.marginals[si].quantile(np.concatenate([image[at], image[at] + 1]) / n)
-        lo[at], hi[at] = np.split(bounds, 2)
-    inside = ((lo <= x) & (x < hi)) | ((image == n - 1) & (x == hi))
-    matches = np.unique(cell[inside])
+    used, slot = np.unique(site, return_inverse=True)
+    image = np.empty(len(used), dtype=np.int64)
+    for i, si in enumerate(used):
+        qs = gen.marginals[si].quantile(grid)
+        j = int(np.searchsorted(qs, x, side="right")) - 1
+        image[i] = n - 1 if j == n and x == qs[-1] else j
+    # the pattern that sends c onto each site's image cell; -1, never a
+    # pattern, where x lies in none of the site's image intervals
+    want = np.where(
+        (image >= 0) & (image < n), _digit_difference(image, c, gen.arity, gen.depth), -1
+    )
+    matches = np.unique(cell[gen.image_cells(cell, 0) == want[slot]])
     if len(matches) == 0:
         raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
     if len(matches) > 1:

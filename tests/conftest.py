@@ -262,8 +262,9 @@ def eager_table_sample(model, n, seed):
 def pairwise_image_codes(gen):
     """Image-interval codes of every (piece, latent cell), from the pairs themselves.
 
-    An independent oracle for ``generator._image_codes``: it evaluates the
-    ``(lo, hi)`` image interval of every piece at every latent cell and codes
+    An independent oracle for the code matches of ``generator._match_table``:
+    it evaluates the ``(lo, hi)`` image interval of every piece at every
+    latent cell, through :func:`refine_and_shift_cells`, and codes
     all of them with one ``np.unique`` over the pairs, taken as the complex
     numbers ``lo + i hi``, so two entries share a code exactly when their
     image intervals are equal as real intervals.

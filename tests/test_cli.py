@@ -11,6 +11,8 @@ from ivtest import (
     DGPSpec,
     GridDistribution,
     JointLaw,
+    build_generator,
+    collision_fraction,
     discretize,
     make_test,
     sample,
@@ -51,16 +53,25 @@ def sim_config(tmp_path):
     return path
 
 
+def rebuilt_collision(law_path, depth):
+    """``collision_fraction`` of the generator rebuilt from a law file."""
+    law = JointLaw.from_json_dict(json.loads(law_path.read_text()))
+    return collision_fraction(build_generator(law.x_marginals(), law.pz, law.z_grid, depth))
+
+
 def test_replicate_success(law_file, tmp_path, capsys):
     out = tmp_path / "model.json"
     rc = main(["replicate", "--input", str(law_file), "--depth", "4", "--output", str(out)])
     assert rc == 0
+    collision = rebuilt_collision(law_file, 4)
     assert capsys.readouterr().out.splitlines() == [
         "replication error: 0.0",
         "generator: depth 4, arity 2, 16 z cells, 16 latent cells",
+        f"collision fraction: {collision!r}",
     ]
     payload = json.loads(out.read_text())
     assert payload["replication_error"] == 0.0
+    assert payload["collision_fraction"] == collision
     assert payload["independence"] is True
     assert payload["generator"]["depth"] == 4
     assert payload["generator"]["arity"] == 2
@@ -99,13 +110,19 @@ def eight_cubed_law_file(tmp_path):
 def test_replicate_depth_14(tmp_path, capsys):
     """Past the old depth-12 cap: 2**14 rows of 14 shifts each."""
     out = tmp_path / "model.json"
-    args = ["replicate", "--input", str(eight_cubed_law_file(tmp_path)), "--depth", "14"]
+    law_path = eight_cubed_law_file(tmp_path)
+    args = ["replicate", "--input", str(law_path), "--depth", "14"]
     assert main(args + ["--output", str(out)]) == 0
+    collision = rebuilt_collision(law_path, 14)
+    assert collision <= 2.0**-14
     assert capsys.readouterr().out.splitlines() == [
         "replication error: 0.0",
         "generator: depth 14, arity 2, 16384 z cells, 16384 latent cells",
+        f"collision fraction: {collision!r}",
     ]
-    gen = json.loads(out.read_text())["generator"]
+    payload = json.loads(out.read_text())
+    assert payload["collision_fraction"] == collision
+    gen = payload["generator"]
     assert len(gen["cells"]) == 2**14
     assert all(len(c["shifts"]) == 14 for c in gen["cells"])
 

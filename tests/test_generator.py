@@ -21,7 +21,7 @@ from ivtest import (
     verify_replication,
 )
 from ivtest import generator
-from ivtest.generator import _image_codes
+from ivtest.generator import _match_table
 from ivtest.measures import Conditional2D, JointLaw
 
 import conftest
@@ -101,8 +101,7 @@ def test_identical_conditionals_depth0_full_collision():
 
 def test_identical_conditionals_dyadic_decay_exact():
     margs, pz, zg = identical_conditional_setup()
-    # from depth 8 on (256 pieces) the default call is exact too
-    for n in range(9):
+    for n in range(15):
         gen = build_generator(margs, pz, zg, n)
         assert collision_fraction(gen) == 2.0**-n
 
@@ -127,26 +126,27 @@ def test_rejects_atomic_marginal_accepts_atomic_pz():
 
 
 def test_depth_cap_refused_before_allocating():
-    """The build is bounded by its latent cells and shift table, collision
-    accounting by its ``pieces × n`` keys: both refuse before allocating."""
+    """One bound: the build refuses, before allocating, a shift table or an
+    interval-code table (sites × latent cells) past ``MAX_CELL_ENTRIES``, so
+    every generator that builds is accounted."""
     margs, pz, zg = identical_conditional_setup()
     for depth in (25, 40, 64, 10**9):  # 2**depth latent cells
-        with pytest.raises(ValidationError, match="latent cells or shift-table entries"):
+        with pytest.raises(ValidationError, match="latent cells, interval codes or shift-table"):
             build_generator(margs, pz, zg, depth)
-    with pytest.raises(ValidationError, match="latent cells or shift-table entries"):
+    with pytest.raises(ValidationError, match="latent cells, interval codes or shift-table"):
         GeneratorMap.from_json_dict({"depth": 40, "arity": 2, "cells": []}, margs, pz, zg)
-    # 2**13 rows of 13 shifts build; their 2**13 x 2**13 keys do not
+    # 2**13 rows of 13 shifts build, and their collisions are accounted
     gen = build_generator(margs, pz, zg, 13)
     assert gen.cells.shape == (2**13, 13)
-    for account in (collision_fraction, group_collision_matrix):
-        with pytest.raises(ValidationError, match="keys"):
-            account(gen)
-    # one atom: 1 + 2**10 rows of 10 shifts, but 3**10 latent cells per piece
+    assert collision_fraction(gen) == 2.0**-13
+    labels, mat = group_collision_matrix(gen)
+    assert labels == ["1", "2"] and np.array_equal(mat, np.diag([2.0**-12, 2.0**-12]))
+    # one atom: 1 + 2**10 rows of 10 shifts and 3**10 latent cells; the atom's
+    # shifts are 0 and the continuum's never are, so only the continuum collides
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
     gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 10)
     assert gen.cells.shape == (1 + 2**10, 10)
-    with pytest.raises(ValidationError, match="keys"):
-        collision_fraction(gen)
+    assert collision_fraction(gen) == 0.25 * 2.0**-10
     # purely atomic z: the build codes every atom site's latent cells
     pz_atoms = GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.5), (1.0, 0.5)))
     with pytest.raises(ValidationError, match="latent cells"):
@@ -157,14 +157,18 @@ def test_cap_boundaries(monkeypatch):
     """At the cap a table is allowed; one entry past it is refused."""
     margs, pz, zg = identical_conditional_setup()
     monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 2**10)
-    gen = build_generator(margs, pz, zg, 5)  # 32 pieces x 32 latent cells
-    assert collision_fraction(gen) == 2.0**-5
-    gen = build_generator(margs, pz, zg, 6)  # 64 x 6 shifts fit, 64 x 64 keys do not
-    with pytest.raises(ValidationError, match="keys"):
-        collision_fraction(gen)
+    gen = build_generator(margs, pz, zg, 6)  # 64 x 6 shifts, 4 sites x 64 codes
+    assert collision_fraction(gen) == 2.0**-6
     build_generator(margs, pz, zg, 7)  # 128 x 7 = 896 shift-table entries
     with pytest.raises(ValidationError, match="shift-table"):
         build_generator(margs, pz, zg, 8)  # 256 x 8 = 2048
+    # 16 sites at depth 6: 64 x 6 shifts, but 16 x 64 = 2**10 interval codes
+    many = identical_conditional_setup(n_sites=16)
+    gen = build_generator(*many, 6)
+    assert collision_fraction(gen) == 2.0**-6
+    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 2**10 - 1)
+    with pytest.raises(ValidationError, match="interval codes"):
+        build_generator(*many, 6)
 
 
 def test_disjoint_supports_zero_collision():
@@ -236,17 +240,35 @@ GOLDEN_GROUP_DIAGONALS = {
 }
 
 
+def meeting_counts(gen):
+    """Latent cells on which every ordered pair of pieces meets, read off the
+    match table: ``m_PQ[σ_j ⊖ σ_i]`` for pieces of classes P, Q and shift
+    patterns σ_i, σ_j, every class matching itself ``n`` times at δ = 0.
+    The digit differences come straight from the shift table."""
+    piece_class, _, (P, Q, delta, count) = _match_table(gen)
+    table = dict(zip(zip(P.tolist(), Q.tolist(), delta.tolist()), count.tolist()))
+    shifts = gen.cells[gen.pieces[0]]
+    place = gen.arity ** np.arange(gen.depth - 1, -1, -1)
+    out = np.zeros((len(shifts), len(shifts)), dtype=np.int64)
+    for i in range(len(shifts)):
+        deltas = ((shifts - shifts[i]) % gen.arity @ place).tolist()
+        for j, d in enumerate(deltas):
+            p, q = int(piece_class[i]), int(piece_class[j])
+            out[i, j] = table.get((p, q, d), 0) + (gen.n_u_cells if p == q and d == 0 else 0)
+    return out
+
+
+def pairwise_meeting_counts(gen):
+    codes = pairwise_image_codes(gen)
+    return (codes[:, None, :] == codes[None, :, :]).sum(axis=2)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COLLISIONS))
-def test_image_codes_match_pairwise_oracle(name):
-    """Both codings induce the same partition: their code values pair up one to one."""
+def test_match_table_matches_pairwise_oracle(name):
+    """The sparse match table gives every pair of pieces the number of latent
+    cells on which the pairwise image codes agree."""
     gen = collision_case(name)
-    new = _image_codes(gen)
-    old = pairwise_image_codes(gen)
-    assert new.shape == (len(gen.pieces[0]), gen.n_u_cells)
-    assert new.flags["C_CONTIGUOUS"]
-    assert new.shape == old.shape
-    pairs = np.unique(np.stack([new.ravel(), old.ravel()], axis=1), axis=0)
-    assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
+    assert np.array_equal(meeting_counts(gen), pairwise_meeting_counts(gen))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COLLISIONS))
@@ -279,6 +301,7 @@ def oracle_cases():
             cases[f"atomic{k}-{depth}"] = (*atomic_setup(k), depth)
     for depth in range(11):
         cases[f"identical-{depth}"] = (*identical_conditional_setup(), depth)
+    cases["identical64-8"] = (*identical_conditional_setup(n_sites=64, bins=4), 8)
     law = bernoulli_support_jump_law()
     for depth in (0, 4):
         cases[f"bernoulli-{depth}"] = (law.x_marginals(), law.pz, law.z_grid, depth)
@@ -309,11 +332,33 @@ def partial_setup():
     return margs, pz, [1 / 6, 1 / 2, 5 / 6]
 
 
+def copies_setup(k, depth, n_sites=4):
+    """Sites whose x-marginals are probability-shifted copies: site t holds
+    ``n`` equal-mass bins of one random grid, from bin t on, so its image
+    interval a is site 0's interval ``a + t`` and intervals match at a ≠ b.
+    pz carries k atoms (arity k + 2) and ``n_sites - k`` uniform bins."""
+    arity = k + 2 if k else 2
+    n = arity**depth
+    edges = np.cumsum(np.r_[0.0, np.random.default_rng(k).uniform(0.5, 1.5, n_sites + n)])
+    margs = [GridDistribution(edges[t : t + n + 1], np.full(n, 1.0 / n)) for t in range(n_sites)]
+    bins = n_sites - k
+    atoms = tuple(((j + 0.25) / bins, 0.1) for j in range(k))
+    pz = GridDistribution(np.linspace(0.0, 1.0, bins + 1), np.full(bins, (1 - 0.1 * k) / bins), atoms)
+    z_grid = sorted([(i + 0.5) / bins for i in range(bins)] + [a for a, _ in atoms])
+    return margs, pz, z_grid
+
+
+COPIES = {"copies": (0, 4), "copies-atom": (1, 3), "copies-atoms": (2, 2)}
+
+
 def shifted_case(law_name, rows, seed):
     """A generator whose rows carry shift digits the construction never
     makes, set with ``dataclasses.replace``: random digits, or random digits
     with row 1 a copy of row 0."""
-    if law_name == "random":
+    if law_name in COPIES:
+        k, depth = COPIES[law_name]
+        gen = build_generator(*copies_setup(k, depth), depth)
+    elif law_name == "random":
         law = random_joint_law(np.random.default_rng(seed), nz=3, ny=3, nx=4)
         gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
     elif law_name == "identical":
@@ -332,7 +377,7 @@ def shifted_case(law_name, rows, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("rows", ["random", "equal"])
-@pytest.mark.parametrize("law_name", ["random", "identical", "atomic", "partial"])
+@pytest.mark.parametrize("law_name", ["random", "identical", "atomic", "partial", *COPIES])
 def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, rows, seed):
     """Rows that the construction never makes: pieces meet on some or all
     latent cells, so the kernel's shared-key path carries the cross mass."""
@@ -344,16 +389,35 @@ def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, row
     assert np.max(np.abs(mat - oracle)) <= 1e-15
 
 
+def test_match_gather_cap_boundaries(monkeypatch):
+    """At depth 0 all eight random marginals code the same interval: their
+    8 x 8 entry pairs are gathered at the cap and refused one entry past it."""
+    gen = collision_case("random-0")
+    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 64)
+    assert collision_fraction(gen) == 1.0
+    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 63)
+    with pytest.raises(ValidationError, match="gather of 64 entries"):
+        collision_fraction(gen)
+
+
+@pytest.mark.parametrize("law_name", sorted(COPIES))
+def test_shifted_copies_match_at_many_differences(law_name):
+    """Shifted copies match across sites at many digit differences δ ≠ 0,
+    and the match table still counts every pair's meetings exactly."""
+    gen = shifted_case(law_name, "random", 0)
+    _, _, (P, Q, delta, _) = _match_table(gen)
+    assert len(np.unique(delta[P != Q])) >= 8
+    assert np.array_equal(meeting_counts(gen), pairwise_meeting_counts(gen))
+
+
 def test_collision_kernel_wide_keys():
     """Two z atoms at depth 8: 4**8 latent cells, each with its own interval
-    code, so ``n_codes * n`` is 2**32 and keys need 64 bits; with both atom
-    rows equal the two atoms meet on every latent cell."""
+    code; with both atom rows equal the two atoms meet on every latent cell."""
     pz = GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.25), (1.0, 0.75)))
     margs = [GridDistribution.uniform(0, 1, 3)] * 2
     gen = build_generator(margs, pz, [0.0, 1.0], 8)
     assert gen.n_u_cells == 65536
     gen = replace(gen, cells=np.stack([gen.cells[1], gen.cells[1]]))
-    assert _image_codes(gen).dtype == np.int64
     assert collision_fraction(gen) == pairwise_collision_fraction(gen) == 0.375
     labels, mat = group_collision_matrix(gen)
     assert labels == ["1", "2"]
