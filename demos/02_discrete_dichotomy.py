@@ -37,7 +37,8 @@ print(f"certificate: {certificate.reason} (excess {certificate.excess:.3f})")
 
 # symmetric laws escape through the anti-diagonal coupling
 feasible, witness = discrete_generator_feasible([[0.5, 0.5], [0.5, 0.5]])
-print(f"\nsymmetric case feasible: {feasible}, witness plan:\n{witness.plan}")
+plan = [(t, round(float(w), 3)) for t, w in zip(witness.tuples, witness.weights)]
+print(f"\nsymmetric case feasible: {feasible}, witness plan (pair, weight): {plan}")
 
 # ---------------------------------------------------------------------------
 # 2. Three z points need a plan over pairwise-distinct triples.

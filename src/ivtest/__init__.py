@@ -9,7 +9,6 @@ injectivity-improving first-stage construction and structural models
 
 from .errors import (
     DegenerateGridError,
-    DeskScaleError,
     EmptyBinError,
     IVTestError,
     MarginalMismatchError,
@@ -29,7 +28,6 @@ from .generator import (
 )
 from .measures import (
     Conditional2D,
-    CouplingMatrix,
     GridDistribution,
     JointLaw,
     fosd_violation,
@@ -65,11 +63,9 @@ from .validity import (
 __all__ = [
     "Conditional2D",
     "ContinuityParams",
-    "CouplingMatrix",
     "DGPSpec",
     "Dataset",
     "DegenerateGridError",
-    "DeskScaleError",
     "EmptyBinError",
     "ExperimentResult",
     "GeneratorMap",

@@ -171,8 +171,9 @@ def cmd_feasibility(args) -> int:
     payload = witness_report(witness).to_json_dict()
     if isinstance(witness, InfeasibilityCertificate):
         payload["reason"] = witness.reason
-    elif hasattr(witness, "plan"):
-        payload["coupling"] = witness.plan.tolist()
+    else:
+        payload["tuples"] = witness.tuples
+        payload["weights"] = witness.weights.tolist()
     _write_text(args.output, json.dumps(payload))
     return 0
 

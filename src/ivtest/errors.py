@@ -27,7 +27,3 @@ class NonInvertibleError(IVTestError):
 
 class DegenerateGridError(ValidationError):
     """The z-grid is too small for the requested test."""
-
-
-class DeskScaleError(ValidationError):
-    """Instance size exceeds the supported exhaustive-search scale."""

@@ -444,28 +444,6 @@ class JointLaw:
             raise ValidationError(f"malformed joint-law object: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """A transport plan between two discrete laws, marginals checked at INPUT_TOL."""
-
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    plan: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_marginal", _as_readonly(self.row_marginal))
-        object.__setattr__(self, "col_marginal", _as_readonly(self.col_marginal))
-        object.__setattr__(self, "plan", _as_readonly(self.plan))
-        if self.plan.shape != (len(self.row_marginal), len(self.col_marginal)):
-            raise ValidationError("plan shape does not match marginals")
-        if np.any(self.plan < -INPUT_TOL):
-            raise ValidationError("plan entries must be non-negative")
-        if np.max(np.abs(self.plan.sum(axis=1) - self.row_marginal)) > INPUT_TOL:
-            raise ValidationError("row sums do not match the row marginal")
-        if np.max(np.abs(self.plan.sum(axis=0) - self.col_marginal)) > INPUT_TOL:
-            raise ValidationError("column sums do not match the column marginal")
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Testable implications of instrument validity.
 
-Discrete treatments admit sharp checks: a one-to-one first stage exists iff a
+Discrete treatments admit sharp checks.  A one-to-one first stage exists iff a
 transport plan with pairwise-distinct coordinates fits the observed
-conditionals, and Pearl's instrumental inequality bounds what any valid
-model can produce.  Continuous treatments admit none without restrictions,
-so the remaining tests here presuppose either Hoelder-continuity constants
-or monotone first/second stages and reject observed laws that no model in
-the restricted class can generate.
+conditionals, which holds iff they stack at most unit mass on every value:
+the bipartite matching polytope's vertices are exactly the injective tuples
+(Koenig 1916; Birkhoff 1946), and a Birkhoff decomposition gives the plan.
+Pearl's instrumental inequality bounds what any valid model can produce.
+Continuous treatments admit no check without restrictions, so the remaining
+tests here presuppose either Hoelder-continuity constants or monotone
+first/second stages and reject observed laws that no model in the
+restricted class can generate.
 
 The cross-z joint coupling of the observed process is not identified from
 the data, so every process-level statistic below is evaluated under the
@@ -18,25 +21,20 @@ with the data and a rejection is valid for all of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment
 
-from .errors import DegenerateGridError, DeskScaleError, ValidationError
+from .errors import DegenerateGridError, ValidationError
 from .measures import (
     INPUT_TOL,
-    CouplingMatrix,
     GridDistribution,
     JointLaw,
     fosd_violation,
     winf_distance,
 )
-
-MAX_SUPPORT = 6
-MAX_Z_POINTS = 4
 
 # 16-point Gauss-Legendre rule on [-1, 1] for the moment statistic
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -122,7 +120,7 @@ class TestReport:
 class InfeasibilityCertificate:
     """Witness that no distinct-coordinate transport plan exists."""
 
-    x_index: int | None
+    x_index: int
     excess: float
     reason: str
 
@@ -160,21 +158,36 @@ def minimal_collision_mass(p: Sequence[float], q: Sequence[float]) -> float:
     return float(np.maximum(pa + qa - 1.0, 0.0).sum())
 
 
-def _zero_diagonal_coupling(p: np.ndarray, q: np.ndarray) -> CouplingMatrix:
-    """LP witness: minimize diagonal mass subject to the coupling constraints."""
-    n = len(p)
-    c = np.zeros(n * n)
-    c[:: n + 1] = 1.0
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-        a_eq[n + i, i::n] = 1.0
-    b_eq = np.concatenate([p, q])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise ValidationError(f"coupling LP failed: {res.message}")
-    plan = np.clip(res.x.reshape(n, n), 0.0, None)
-    return CouplingMatrix(p, q, plan)
+def _birkhoff_tuples(p: np.ndarray) -> TupleCoupling:
+    """Decompose a feasible ``(m, support)`` marginal matrix into distinct-value tuples.
+
+    ``support - m`` slack rows pad ``p`` to a doubly stochastic matrix: the
+    slack ``1 - column sum`` is cut north-west-corner into consecutive unit
+    rows, which keeps the matrix sparse.  Each step peels the permutation
+    that ``linear_sum_assignment`` finds on the entries above ``INPUT_TOL``,
+    with the weight of its smallest entry, and zeroes that entry; the peel
+    ends within ``(support - 1)**2 + 1`` terms.  A tuple is a permutation's
+    first ``m`` coordinates.
+    """
+    m, support = p.shape
+    slack = np.clip(1.0 - p.sum(axis=0), 0.0, None)
+    cum = np.concatenate([[0.0], np.cumsum(slack)])
+    unit = np.arange(support - m)[:, None]
+    fill = np.clip(np.minimum(cum[1:], unit + 1) - np.maximum(cum[:-1], unit), 0.0, None)
+    d = np.vstack([p, fill])
+    tuples, weights = [], []
+    while True:
+        rows, cols = linear_sum_assignment(d <= INPUT_TOL)
+        entries = d[rows, cols]
+        k = int(np.argmin(entries))
+        if entries[k] <= INPUT_TOL:
+            break
+        d[rows, cols] -= entries[k]
+        d[rows[k], cols[k]] = 0.0
+        tuples.append(tuple(int(x) for x in cols[:m]))
+        weights.append(entries[k])
+    w = np.array(weights)
+    return TupleCoupling(tuple(tuples), w / w.sum())
 
 
 def discrete_generator_feasible(
@@ -184,12 +197,14 @@ def discrete_generator_feasible(
 
     Existence is equivalent to a transport plan over tuples of pairwise
     distinct support values whose coordinate marginals are the observed
-    conditionals.  For two z points this reduces to the closed-form check
-    p(x) + q(x) <= 1 for every x, with an LP-built zero-diagonal coupling as
-    witness; for three or more z points the tuple plan is solved directly
-    (exhaustive formulation, desk scale only).
+    conditionals.  Such a plan exists iff the conditionals stack at most
+    unit mass on every value, ``sum_z p_z(x) <= 1``: the matrix of
+    conditionals must then lie in the bipartite matching polytope, whose
+    vertices are exactly the injective tuples (Koenig 1916; Birkhoff 1946).
+    The certificate names the value with the largest column sum; the witness
+    is a Birkhoff decomposition of the matrix padded to doubly stochastic.
 
-    Returns ``(True, witness)`` or ``(False, InfeasibilityCertificate)``.
+    Returns ``(True, TupleCoupling)`` or ``(False, InfeasibilityCertificate)``.
     """
     laws = [np.asarray(c, dtype=float) for c in conditionals]
     m = len(laws)
@@ -204,54 +219,16 @@ def discrete_generator_feasible(
         _check_discrete_law(np.asarray(weights, dtype=float), "weights")
         if len(weights) != m:
             raise ValidationError("need one weight per z point")
-    if support < m:
+    p = np.array(laws)
+    excess = p.sum(axis=0) - 1.0
+    worst = int(np.argmax(excess))
+    if excess[worst] > INPUT_TOL:
         return False, InfeasibilityCertificate(
-            None, float(m - support), f"support size {support} < {m} z points"
+            worst,
+            float(excess[worst]),
+            f"conditionals stack {1 + excess[worst]:.6g} > 1 on value {worst}",
         )
-
-    if m == 2:
-        excess = laws[0] + laws[1] - 1.0
-        worst = int(np.argmax(excess))
-        if excess[worst] > INPUT_TOL:
-            return False, InfeasibilityCertificate(
-                worst,
-                float(excess[worst]),
-                f"conditionals stack {1 + excess[worst]:.6g} > 1 on value {worst}",
-            )
-        return True, _zero_diagonal_coupling(laws[0], laws[1])
-
-    if support > MAX_SUPPORT or m > MAX_Z_POINTS:
-        raise DeskScaleError(
-            f"exhaustive tuple search supports at most {MAX_SUPPORT} values "
-            f"and {MAX_Z_POINTS} z points"
-        )
-    tuples = [t for t in itertools.product(range(support), repeat=m) if len(set(t)) == m]
-    a_eq = np.zeros((m * support + 1, len(tuples)))
-    b_eq = np.zeros(m * support + 1)
-    for col, t in enumerate(tuples):
-        for zi, x in enumerate(t):
-            a_eq[zi * support + x, col] = 1.0
-        a_eq[-1, col] = 1.0
-    for zi in range(m):
-        b_eq[zi * support : (zi + 1) * support] = laws[zi]
-    b_eq[-1] = 1.0
-    res = linprog(np.zeros(len(tuples)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 0:
-        return True, TupleCoupling(tuple(tuples), np.clip(res.x, 0.0, None))
-    pair_excess = -np.inf
-    pair_x = None
-    for i, j in itertools.combinations(range(m), 2):
-        e = laws[i] + laws[j] - 1.0
-        x = int(np.argmax(e))
-        if e[x] > pair_excess:
-            pair_excess, pair_x = float(e[x]), x
-    if pair_excess > INPUT_TOL:
-        return False, InfeasibilityCertificate(
-            pair_x, pair_excess, "a z pair stacks more than unit mass on one value"
-        )
-    return False, InfeasibilityCertificate(
-        None, 0.0, "no distinct-coordinate transport plan exists"
-    )
+    return True, _birkhoff_tuples(p)
 
 
 def witness_report(witness) -> TestReport:
@@ -263,8 +240,7 @@ def witness_report(witness) -> TestReport:
     infeasible = isinstance(witness, InfeasibilityCertificate)
     if infeasible:
         diagnostics["excess"] = witness.excess
-        if witness.x_index is not None:
-            diagnostics["x_index"] = witness.x_index
+        diagnostics["x_index"] = witness.x_index
     return TestReport("feasibility", float(infeasible), 0.0, diagnostics)
 
 
@@ -286,10 +262,7 @@ def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
     for i, m in enumerate(mats):
         if m.ndim != 2 or m.shape != shape:
             raise ValidationError("conditionals must be matrices of equal shape")
-        if np.any(m < -INPUT_TOL):
-            raise ValidationError(f"conditional {i} has negative entries")
-        if abs(float(m.sum()) - 1.0) > INPUT_TOL:
-            raise ValidationError(f"conditional {i} does not sum to 1")
+        _check_discrete_law(m.ravel(), f"conditional {i}")
     stacked = np.stack(mats)  # (z, y, x)
     per_x = stacked.max(axis=0).sum(axis=0)
     worst = int(np.argmax(per_x))

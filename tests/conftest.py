@@ -489,6 +489,26 @@ def per_bin_discretize(data, y_bins, x_bins, z_bins):
     return JointLaw(z_grid, pz, tuple(conds))
 
 
+def assert_tuple_plan(laws, tuples, weights, atol):
+    """Check a plan over value tuples against the laws it must reproduce.
+
+    Each tuple has pairwise-distinct values, the weights are a probability
+    vector, there are at most ``(support - 1)**2 + 1`` terms, and the
+    coordinate marginals equal ``laws`` within ``atol``.
+    """
+    laws = np.asarray(laws, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    m, support = laws.shape
+    assert all(len(set(t)) == m for t in tuples)
+    assert np.all(weights >= 0.0)
+    assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert len(tuples) == len(weights) <= (support - 1) ** 2 + 1
+    got = np.zeros((m, support))
+    for t, w in zip(tuples, weights):
+        got[np.arange(m), list(t)] += w
+    np.testing.assert_allclose(got, laws, rtol=0.0, atol=atol)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -20,7 +20,7 @@ from ivtest import (
 from ivtest.cli import build_parser, main
 from ivtest.validity import REGISTRY
 
-from conftest import bernoulli_support_jump_law, location_family_law
+from conftest import assert_tuple_plan, bernoulli_support_jump_law, location_family_law
 
 
 @pytest.fixture
@@ -184,14 +184,17 @@ def test_feasibility_infeasible_example(tmp_path, capsys):
 
 def test_feasibility_feasible_with_coupling(tmp_path, capsys):
     path = tmp_path / "feas.json"
-    path.write_text(json.dumps({"conditionals": [[0.5, 0.5], [0.5, 0.5]]}))
-    rc = main(["feasibility", "--input", str(path)])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["decision"] == "consistent"
-    assert report["statistic"] == 0.0 and report["diagnostics"] == {"excess": 0.0}
-    plan = np.array(report["coupling"])
-    assert float(np.trace(plan)) <= 1e-9
+    for conditionals in (
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[0.5, 0.3, 0.2, 0.0], [0.0, 0.5, 0.3, 0.2], [0.2, 0.0, 0.5, 0.3]],
+    ):
+        path.write_text(json.dumps({"conditionals": conditionals}))
+        rc = main(["feasibility", "--input", str(path)])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["decision"] == "consistent"
+        assert report["statistic"] == 0.0 and report["diagnostics"] == {"excess": 0.0}
+        assert_tuple_plan(conditionals, report["tuples"], report["weights"], atol=1e-9)
 
 
 def test_feasibility_unnormalized_exit1(tmp_path):
@@ -288,6 +291,8 @@ def x_only_law(x_masses):
     [
         ([[0.5 + 4e-10, 0.5 - 4e-10]] * 2, "consistent"),
         ([[0.5, 0.5, 0.0, 0.0]] * 3, "reject"),
+        # five sites over eight bins; column sums at most 0.84
+        (np.random.default_rng(5).dirichlet(np.ones(8), size=5).tolist(), "consistent"),
     ],
 )
 def test_feasibility_commands_agree(tmp_path, capsys, x_masses, decision):

@@ -29,6 +29,7 @@ from ivtest import (
 from ivtest.validity import _pair_quantile_moment
 
 from conftest import (
+    assert_tuple_plan,
     bernoulli_support_jump_law,
     location_family_law,
     segment_loop_quantile_moment,
@@ -166,13 +167,14 @@ def test_feasibility_m2_examples():
 
     feasible, witness = discrete_generator_feasible([[0.5, 0.5], [0.5, 0.5]])
     assert feasible
-    assert float(np.trace(witness.plan)) <= 1e-9  # zero-diagonal coupling
+    assert_tuple_plan([[0.5, 0.5], [0.5, 0.5]], witness.tuples, witness.weights, atol=1e-9)
 
 
 def test_feasibility_support_smaller_than_z_points():
     feasible, cert = discrete_generator_feasible([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     assert not feasible
-    assert "support" in cert.reason
+    assert cert.x_index == 0
+    assert cert.excess == 0.5
 
 
 def test_feasibility_rejects_unnormalized():
@@ -201,23 +203,34 @@ def test_feasibility_m2_agrees_with_backtracking(rng):
     assert disagreements == 0
 
 
-def test_feasibility_m3_agrees_with_backtracking(rng):
-    units = 12
+@pytest.mark.parametrize("m, units", [(3, 12), (4, 6)])
+def test_feasibility_m3_agrees_with_backtracking(rng, m, units):
     disagreements = 0
     for _ in range(50):
-        laws_units = random_integer_laws(rng, 3, 4, units)
+        laws_units = random_integer_laws(rng, m, int(rng.integers(m, 7)), units)
         laws = [np.array(u) / units for u in laws_units]
         feasible, witness = discrete_generator_feasible(laws)
         oracle = backtracking_feasible(laws_units, units)
         disagreements += feasible != oracle
         if feasible:
-            # witness marginals must reproduce the laws
-            got = np.zeros((3, 4))
-            for t, w in zip(witness.tuples, witness.weights):
-                for zi, x in enumerate(t):
-                    got[zi, x] += w
-            np.testing.assert_allclose(got, np.array(laws), atol=1e-7)
+            assert_tuple_plan(laws, witness.tuples, witness.weights, atol=1e-7)
     assert disagreements == 0
+
+
+def test_feasibility_many_sites_and_values():
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        laws = rng.dirichlet(np.ones(50), size=8)
+        feasible, witness = discrete_generator_feasible(laws)
+        assert feasible
+        assert_tuple_plan(laws, witness.tuples, witness.weights, atol=1e-9)
+    laws = 0.8 * laws
+    laws[:, 0] += 0.2  # value 0 stacks at least 1.6
+    feasible, cert = discrete_generator_feasible(laws)
+    assert not feasible
+    col = laws.sum(axis=0)
+    assert cert.x_index == int(np.argmax(col))
+    assert cert.excess == pytest.approx(float(col.max()) - 1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +581,17 @@ def test_make_test_registry():
 
 
 @pytest.mark.parametrize(
-    "conditionals, x_index",
+    "conditionals, x_index, excess",
     [
-        ([[0.5 + 4e-10, 0.5 - 4e-10]] * 2, None),  # stacks 1 + 8e-10, within INPUT_TOL
-        ([[0.5, 0.5], [0.5, 0.5]], None),
-        ([[0.7, 0.3], [0.5, 0.5]], 0),
-        ([[0.5, 0.5, 0.0, 0.0]] * 3, None),  # no tuple plan, no pair stacks > 1
-        ([[0.1, 0.9, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]], 1),
-        ([[1.0, 0.0]] * 3, None),  # support smaller than the z points
+        ([[0.5 + 4e-10, 0.5 - 4e-10]] * 2, None, 0.0),  # stacks 1 + 8e-10, within INPUT_TOL
+        ([[0.5, 0.5], [0.5, 0.5]], None, 0.0),
+        ([[0.7, 0.3], [0.5, 0.5]], 0, 0.2),
+        ([[0.5, 0.5, 0.0, 0.0]] * 3, 0, 0.5),  # no pair stacks > 1, the triple does
+        ([[0.1, 0.9, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]], 1, 1.0),
+        ([[1.0, 0.0]] * 3, 0, 2.0),  # support smaller than the z points
     ],
 )
-def test_feasibility_report_decision_follows_statistic(conditionals, x_index):
+def test_feasibility_report_decision_follows_statistic(conditionals, x_index, excess):
     feasible, witness = discrete_generator_feasible(conditionals)
     report = feasibility_report(conditionals)
     assert report.test_name == "feasibility"
@@ -586,6 +599,6 @@ def test_feasibility_report_decision_follows_statistic(conditionals, x_index):
     assert report.threshold == 0.0
     assert report.decision == ("reject" if report.statistic > report.threshold else "consistent")
     assert report.decision == ("consistent" if feasible else "reject")
-    excess = 0.0 if feasible else witness.excess
-    assert report.diagnostics["excess"] == excess
+    assert report.diagnostics["excess"] == (0.0 if feasible else witness.excess)
+    assert report.diagnostics["excess"] == pytest.approx(excess, abs=1e-12)
     assert report.diagnostics.get("x_index") == x_index
