@@ -51,21 +51,16 @@ from .errors import (
     NonInvertibleError,
     ValidationError,
 )
+from . import measures
 from .measures import (
     INPUT_TOL,
+    MAX_CELL_ENTRIES,
     GridDistribution,
+    GridStack,
     JointLaw,
     Site,
     sites_of,
 )
-
-# Largest table a generator or its collision accounting may allocate, in
-# entries: the shift table, the interval codes of every site at every latent
-# cell, and collision accounting's matched code pairs and their gather.  The
-# first two are refused when the generator is built, so every generator that
-# builds can be accounted unless its marginals match across many classes; on
-# an 8-site arity-2 law that is up to depth 19.
-MAX_CELL_ENTRIES = 2**24
 
 
 def _address_str(address: tuple[int, ...]) -> str:
@@ -143,6 +138,11 @@ class GeneratorMap:
     @property
     def n_u_cells(self) -> int:
         return self.arity**self.depth
+
+    @cached_property
+    def marginal_stack(self) -> GridStack:
+        """The site marginals as one stack, row ``i`` for site ``i``."""
+        return GridStack.of(self.marginals)
 
     @cached_property
     def sites(self) -> list[Site]:
@@ -461,8 +461,7 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             f"collision accounting needs a gather of {total} entries, "
             f"more than {MAX_CELL_ENTRIES}"
         )
-    skip = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(starts, lengths) + np.arange(total) - skip
+    return measures._ragged_arange(starts, lengths)
 
 
 def _marginal_classes(
@@ -645,41 +644,41 @@ class StructuralModel:
     joint: JointLaw
 
     @cached_property
-    def _outcome_columns(self) -> tuple[tuple[GridDistribution | None, ...], ...]:
-        """Outcome law of every (z site, x bin), None for a zero-mass column;
+    def _outcome_columns(self) -> tuple[GridStack, np.ndarray, np.ndarray]:
+        """The outcome laws of every positive-mass (z site, x bin) column as
+        one stack, the stack row of every column in (site, bin) order (-1 for
+        a zero-mass column, which has no law), and each site's first column;
         built on the first ``sample`` call."""
-        return tuple(
-            tuple(GridDistribution(c.y_edges, c.mass[:, b] / s) if s > 0 else None
-                  for b, s in enumerate(c.mass.sum(axis=0)))
-            for c in self.joint.conditionals
-        )
+        conds = self.joint.conditionals
+        sums = [c.mass.sum(axis=0) for c in conds]
+        blocks = [(c.y_edges, (c.mass[:, s > 0] / s[s > 0]).T) for c, s in zip(conds, sums)]
+        filled = np.concatenate(sums) > 0
+        row_of = np.where(filled, np.cumsum(filled) - 1, -1)
+        first = np.cumsum([0] + [len(s) for s in sums])
+        return GridStack.atom_free(blocks), row_of, first[:-1]
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw (y, x, z) rows; the latent pair never reads z."""
+        """Draw (y, x, z) rows; the latent pair never reads z.
+
+        Two stacked quantile calls, whatever the number of sites and columns:
+        x through each row's site marginal, y through its (site, x bin)
+        column law.  More rows than a stacked call takes are refused before
+        any is drawn."""
         if n < 1:
             raise ValidationError("need n >= 1")
+        measures._refuse_oversize(n, "a stacked call")
         gen = self.generator
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         u = rng.uniform(size=n)
         v = rng.uniform(size=n)
         z = gen.pz.quantile(rng.uniform(size=n))
         rows, sites = gen.locate(z)
-        levels = gen.permuted_level(rows, u)
-        y = np.empty(n)
-        x = np.empty(n)
-        for si in np.unique(sites):
-            at = np.flatnonzero(sites == si)
-            x[at] = gen.marginals[si].quantile(levels[at])
-            cond = self.joint.conditionals[si]
-            xb = np.searchsorted(cond.x_edges, x[at], side="right") - 1
-            xb = np.clip(xb, 0, cond.mass.shape[1] - 1)
-            for b in np.unique(xb):
-                col = self._outcome_columns[si][b]
-                if col is None:
-                    raise ValidationError("sampled an x bin with zero conditional mass")
-                hit = at[xb == b]
-                y[hit] = col.quantile(v[hit])
-        return np.column_stack([y, x, z])
+        x = gen.marginal_stack.quantile(sites, gen.permuted_level(rows, u))
+        columns, row_of, first = self._outcome_columns
+        column = row_of[first[sites] + self.joint.x_stack.bin_of(sites, x)]
+        if np.any(column < 0):
+            raise ValidationError("sampled an x bin with zero conditional mass")
+        return np.column_stack([columns.quantile(column, v), x, z])
 
     def induced_law(self) -> JointLaw:
         """The law this model induces at cell resolution: its own joint law.
@@ -764,25 +763,33 @@ def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
     """Recover the z-cell address that maps u's cell onto x's cell.
 
     Each site that holds a piece finds the image cell ``j`` whose interval
-    ``[q(j/n), q((j+1)/n))`` holds x, the last one closed at the top, by one
-    ``searchsorted`` on its quantile grid.  Row r sends u's latent cell c to
-    ``c ⊕ σ_r``, so the site's matching pieces are those whose rows carry the
-    shift pattern ``j ⊖ c``.  Raises ``NonInvertibleError`` when the
-    generator has a single z group (nothing to distinguish) or when no cell
-    or two or more cells match (depth too small for this point).
+    ``[q(j/n), q((j+1)/n))`` holds x, the last one closed at the top.  The
+    candidate is ``j = floor(n F(x))`` from the site's CDF, confirmed by the
+    quantiles at ``j/n`` and ``(j+1)/n``: two levels per site, in one stacked
+    call.  Only where rounding defeats that check is the site's whole
+    quantile grid searched.  Row r sends u's latent cell c to ``c ⊕ σ_r``, so
+    the site's matching pieces are those whose rows carry the shift pattern
+    ``j ⊖ c``.  Raises ``NonInvertibleError`` when the generator has a single
+    z group (nothing to distinguish) or when no cell or two or more cells
+    match (depth too small for this point).
     """
     if len(gen.cells) <= 1:
         raise NonInvertibleError("generator has a single z group at this resolution")
     n = gen.n_u_cells
     c = min(int(u * n), n - 1)
-    grid = np.arange(n + 1) / n
     cell, site, _ = gen.pieces
     used, slot = np.unique(site, return_inverse=True)
-    image = np.empty(len(used), dtype=np.int64)
-    for i, si in enumerate(used):
-        qs = gen.marginals[si].quantile(grid)
-        j = int(np.searchsorted(qs, x, side="right")) - 1
-        image[i] = n - 1 if j == n and x == qs[-1] else j
+    stack = gen.marginal_stack
+    j = np.clip(np.floor(n * stack.cdf(used, x)).astype(np.int64), 0, n)
+    levels = np.column_stack([j, np.minimum(j + 1, n)]) / n
+    q = stack.quantile(np.repeat(used, 2), levels.ravel()).reshape(-1, 2)
+    below = (j == 0) & (q[:, 0] > x)  # x lies below the site's support
+    j[below] = -1
+    for i in np.flatnonzero(~below & ~((q[:, 0] <= x) & ((j == n) | (x < q[:, 1])))):
+        qs = gen.marginals[used[i]].quantile(np.arange(n + 1) / n)
+        j[i] = int(np.searchsorted(qs, x, side="right")) - 1
+    # the top image interval is closed: its upper end, level 1's quantile, is x's cell too
+    image = np.where((j == n) & (x == stack.support_bounds()[1][used]), n - 1, j)
     # the pattern that sends c onto each site's image cell; -1, never a
     # pattern, where x lies in none of the site's image intervals
     want = np.where(

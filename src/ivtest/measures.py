@@ -5,7 +5,9 @@ point masses.  Its CDF is therefore piecewise linear with jumps, and every
 operation in this module (quantiles, the sup-quantile distance,
 stochastic-dominance violations) is computed from that exact profile rather
 than by sampling.  Downstream constructions rely on this measure arithmetic being
-reproducible to float precision.
+reproducible to float precision.  Many laws stack into one ``GridStack``,
+whose kernel evaluates every point against its own law in one call, bit for
+bit as a call on that law alone.
 
 Conventions fixed here and used everywhere else:
 
@@ -29,6 +31,20 @@ from .errors import ValidationError
 
 INPUT_TOL = 1e-9
 
+# Largest table a stack of grid laws, a generator or its collision accounting
+# may allocate, in entries.  A stack of several laws holds one table slot per
+# breakpoint and one more per law, and one stacked call gathers a few arrays
+# of its own size.  The generator counts its shift table, the interval codes
+# of every site at every latent cell, and collision accounting's matched code
+# pairs and their gather.  The first two are refused when the generator is
+# built, so every generator that builds can be accounted unless its marginals
+# match across many classes; on an 8-site arity-2 law that is up to depth 19.
+MAX_CELL_ENTRIES = 2**24
+
+# Rows of at most this many breakpoints are searched by counting (see
+# GridStack._rank): a few vector passes beat two binary searches there.
+_COUNT_WIDTH = 32
+
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -51,6 +67,338 @@ def _require_increasing(what: str, edges: np.ndarray) -> None:
     if not (np.all(np.diff(edges) > 0) and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
         _require_finite(what, edges)
         raise ValidationError(f"{what} must be strictly increasing")
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every paired start and length, concatenated."""
+    skip = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(starts, lengths) + np.arange(int(lengths.sum())) - skip
+
+
+def _refuse_oversize(entries: int, what: str) -> None:
+    if entries > MAX_CELL_ENTRIES:
+        raise ValidationError(f"{what} needs {entries} entries, more than {MAX_CELL_ENTRIES}")
+
+
+def _scalar(out: np.ndarray) -> np.ndarray | float:
+    return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Exact CDF profiles, one law or a stack of them
+# ---------------------------------------------------------------------------
+
+
+def _grid_profile(
+    edges: np.ndarray, masses: np.ndarray, atoms: tuple[tuple[float, float], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints ``B`` with left/right CDF values ``CL``/``CR`` of a grid law.
+
+    Between consecutive breakpoints the CDF is linear from ``CR[k]`` to
+    ``CL[k+1]``; at a breakpoint it jumps from ``CL[k]`` to ``CR[k]`` (atoms
+    only).  The breakpoints are the edges and the atom locations.  The
+    running mass adds, breakpoint by breakpoint, the atom there and then the
+    mass of the piece up to the next breakpoint: the terms are interleaved
+    after a leading 0 and summed by one sequential ``np.cumsum``.  Without
+    atoms every jump term is 0 and every piece is a whole bin, so the profile
+    is ``[0, cumsum(masses)]`` on the edges, which is the same float.
+    """
+    if not atoms:
+        cum = np.zeros(len(edges))
+        np.cumsum(masses, out=cum[1:])
+        return edges, cum, cum
+    locs = np.unique(np.concatenate([edges, [a for a, _ in atoms]]))
+    b = np.clip(np.searchsorted(edges, locs[:-1], side="right") - 1, 0, len(masses) - 1)
+    terms = np.zeros(2 * len(locs))
+    terms[2 * np.searchsorted(locs, [a for a, _ in atoms]) + 1] = [m for _, m in atoms]
+    terms[2::2] = (locs[1:] - locs[:-1]) / np.diff(edges)[b] * masses[b]
+    cum = np.cumsum(terms)
+    return locs, cum[0::2], cum[1::2]
+
+
+class GridStack:
+    """The CDF profiles of ``R`` grid laws, stacked flat, and the one exact
+    kernel that evaluates their quantiles and CDFs.
+
+    Row ``r`` holds the breakpoints ``B`` and left/right CDF values ``CL``/``CR``
+    of law ``r`` (see :func:`_grid_profile`) at the flat positions
+    ``starts[r]:starts[r + 1]``; rows may differ in length.  ``quantile(rows,
+    p)`` and ``cdf(rows, x)`` take one row index per point and evaluate the
+    whole batch in one pass, with the same arithmetic per element as a call
+    on one law, so every value keeps its bits.  Each point is searched
+    against its own row exactly, with no float offset to round a tie away
+    (see :meth:`_rank`).  A :class:`GridDistribution` is the one-row stack,
+    called with ``rows`` None, which searches its only row directly.  Tables
+    are built on first use.
+    """
+
+    def __init__(self, B: np.ndarray, CL: np.ndarray, CR: np.ndarray, starts: np.ndarray):
+        self.B, self.CL, self.CR = B, CL, CR
+        self.starts = np.asarray(starts, dtype=np.intp)
+
+    @classmethod
+    def of(cls, laws: Sequence["GridDistribution"]) -> "GridStack":
+        """The stack of ``laws``, row ``r`` being ``laws[r]``.  Raises
+        ``ValidationError``, before stacking, when its tables would exceed
+        ``MAX_CELL_ENTRIES`` entries."""
+        profiles = [d._profile for d in laws]
+        lengths = [len(B) for B, _, _ in profiles]
+        _refuse_oversize(sum(lengths) + len(lengths), "a stack of grid laws")
+        B, CL, CR = (np.concatenate(col) for col in zip(*profiles))
+        return cls(B, CL, CR, np.concatenate([[0], np.cumsum(lengths)]))
+
+    @classmethod
+    def atom_free(cls, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> "GridStack":
+        """The stack of atom-free laws given as ``(edges, masses)`` blocks,
+        each row of a block's ``(rows, bins)`` mass matrix one law on the
+        block's edges.
+
+        Every row is checked as :class:`GridDistribution` checks its input:
+        finite, strictly increasing edges, finite non-negative masses and a
+        total within ``INPUT_TOL`` of 1.  Raises ``ValidationError``, before
+        allocating, when the tables would exceed ``MAX_CELL_ENTRIES`` entries.
+        """
+        _refuse_oversize(
+            sum(len(m) * (len(e) + 1) for e, m in blocks), "a stack of grid laws"
+        )
+        Bs, cums = [], []
+        for edges, masses in blocks:
+            edges = np.asarray(edges, dtype=float)
+            masses = np.asarray(masses, dtype=float)
+            if edges.ndim != 1 or masses.ndim != 2 or masses.shape[1] + 1 != len(edges):
+                raise ValidationError("need len(edges) == bins + 1 for every row of masses")
+            if len(edges) < 2:
+                raise ValidationError("need at least one bin")
+            _require_increasing("edges", edges)
+            total = masses.sum(axis=1)
+            if not np.isfinite(total).all():
+                _require_finite("bin masses", masses)
+            if np.any(masses < 0):
+                raise ValidationError("bin masses must be non-negative")
+            off = np.abs(total - 1.0) > INPUT_TOL
+            if np.any(off):
+                raise ValidationError(
+                    f"total mass {total[off][0]} differs from 1 by more than {INPUT_TOL}"
+                )
+            cum = np.zeros((len(masses), len(edges)))
+            np.cumsum(masses, axis=1, out=cum[:, 1:])
+            Bs.append(np.broadcast_to(edges, cum.shape).ravel())
+            cums.append(cum.ravel())
+        lengths = np.concatenate([np.full(len(m), len(e)) for e, m in blocks])
+        cum = np.concatenate(cums)
+        return cls(np.concatenate(Bs), cum, cum, np.concatenate([[0], np.cumsum(lengths)]))
+
+    # -- layout -------------------------------------------------------------
+
+    @cached_property
+    def _length(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, position within the row and profile entry of every table slot.
+
+        A row of ``L`` breakpoints has ``L + 1`` slots, so row ``r``'s slots
+        start at ``starts[r] + r``; slot ``s`` reads entry ``min(s, L - 1)``.
+        """
+        length = self._length
+        row = np.repeat(np.arange(len(length)), length + 1)
+        s = np.arange(len(row)) - (self.starts[:-1] + np.arange(len(length)))[row]
+        return row, s, self.starts[row] + np.minimum(s, length[row] - 1)
+
+    def _search_table(self, values: np.ndarray):
+        """What :meth:`_rank` searches in a profile column: the ``(width, R)``
+        table of every row's entries, padded with +inf, when rows hold at
+        most ``_COUNT_WIDTH`` entries and the table stays within
+        ``MAX_CELL_ENTRIES``; otherwise the distinct values ``V`` and the key
+        ``row * len(V) + rank`` of every entry, non-decreasing since each row
+        is."""
+        length = self._length
+        row = np.repeat(np.arange(len(length)), length)
+        width = int(length.max())
+        if width <= _COUNT_WIDTH and width * len(length) <= MAX_CELL_ENTRIES:
+            table = np.full((width, len(length)), np.inf)
+            table[np.arange(len(values)) - self.starts[row], row] = values
+            return table
+        V = np.unique(values)
+        return V, row * len(V) + np.searchsorted(V, values)
+
+    @cached_property
+    def _cr_search(self):
+        return self._search_table(self.CR)
+
+    @cached_property
+    def _b_search(self):
+        return self._search_table(self.B)
+
+    def _rank(self, search, rows, v, strict=True) -> np.ndarray:
+        """Per point, the number of its row's entries in ``search`` (see
+        :meth:`_search_table`) below ``v``, or at or below it when ``strict``
+        (for all points or one flag per point), as ``np.searchsorted`` counts
+        them on the row alone, NaN above everything.
+
+        Short rows are counted entry by entry against the padded table, and
+        the count is capped at the row's length, which the +inf padding
+        reaches only for v = +inf or NaN.  Long rows are searched by key: a
+        point's key is its row and the number of distinct values below v
+        (and v itself when it is one of them and the point is strict)."""
+        if isinstance(search, np.ndarray):
+            k = np.zeros(v.shape, dtype=np.intp)
+            for entries in search:
+                e = entries[rows]
+                if strict is True:
+                    k += ~(e > v)
+                elif strict is False:
+                    k += ~(e >= v)
+                else:
+                    k += ~((e > v) | (~strict & (e == v)))
+            return np.minimum(k, self._length[rows])
+        V, key = search
+        g = np.searchsorted(V, v)
+        if strict is not False:
+            g = g + (strict & (V[np.minimum(g, len(V) - 1)] == v))
+        return np.searchsorted(key, rows * len(V) + g) - self.starts[rows]
+
+    def _batch(self, rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.asarray(rows, dtype=np.intp)
+        shape = np.broadcast_shapes(rows.shape, values.shape)
+        _refuse_oversize(math.prod(shape), "a stacked call")
+        return np.broadcast_to(rows, shape), np.broadcast_to(values, shape)
+
+    # -- per-row ends -------------------------------------------------------
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: the total mass ``CR[-1]`` and the ends of
+        :meth:`support_bounds`."""
+        B, CL, CR, st = self.B, self.CL, self.CR, self.starts
+        filled = CL[1:] > CR[:-1]  # segment [B[k], B[k+1]] carries mass...
+        filled[st[1:-1] - 1] = False  # ...unless B[k+1] starts the next row
+        atom = CR > CL
+        first = np.append(np.flatnonzero(np.append(filled, False) | atom), len(B))
+        last = np.flatnonzero(np.insert(filled, 0, False) | atom)
+        lo = first[np.searchsorted(first, st[:-1])]
+        if np.any(lo >= st[1:]):
+            raise ValidationError("distribution has empty support")
+        hi = last[np.searchsorted(last, st[1:]) - 1]
+        return CR[st[1:] - 1], B[lo], B[hi]
+
+    def support_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the smallest closed interval ``[lo, hi]`` carrying all
+        the mass (atoms are points)."""
+        return self._ends[1:]
+
+    # -- the kernel ---------------------------------------------------------
+
+    @cached_property
+    def _quantile_table(self) -> tuple[np.ndarray, ...]:
+        """``(B, CL, CR, B[prev], CR[prev], B - B[prev], denominator, safe)``
+        per slot ``k`` = the rank of a level among its row's ``CR``, with
+        ``prev = max(k - 1, 0)`` in the row; the denominator ``CL - CR[prev]``
+        reads 1 where no mass is left to interpolate over, and slot ``L``
+        repeats slot ``L - 1``."""
+        B, CL, CR = self.B, self.CL, self.CR
+        prev = np.arange(len(B)) - 1
+        prev[self.starts[:-1]] += 1  # a row's first breakpoint is its own predecessor
+        denom = CL - CR[prev]
+        safe = denom > 0
+        cols = (B, CL, CR, B[prev], CR[prev], B - B[prev], np.where(safe, denom, 1.0), safe)
+        entry = self._slots[2]
+        return tuple(c[entry] for c in cols)
+
+    def quantile(self, rows, p, strict=False) -> np.ndarray:
+        """Generalized inverse CDF ``inf {x: F(x) >= p}`` of row ``rows`` at
+        level ``p``, pointwise, linear in bins; level 1 gives the support's
+        upper end exactly.  ``strict`` gives the right-continuous version
+        ``inf {x: F(x) > p}``, for all points or one flag per point.  ``rows``
+        None evaluates a one-row stack, which takes one ``strict`` for all.
+        """
+        Bk, CLk, CRk, Bp, CRp, span, denom, safe = self._quantile_table
+        ps = np.asarray(p, dtype=float)
+        if rows is not None:
+            rows, ps = self._batch(rows, ps)
+        if ps.size and (ps.min() < -INPUT_TOL or ps.max() > 1.0 + INPUT_TOL):
+            raise ValidationError("probability level outside [0, 1]")
+        top, lo, hi = self._ends
+        if rows is None:
+            top, lo, hi = top[0], lo[0], hi[0]
+            ps = np.minimum(np.maximum(ps, 0.0), top)
+            k = np.searchsorted(self.CR, ps, side="right" if strict else "left")
+        else:
+            top, lo, hi = top[rows], lo[rows], hi[rows]
+            ps = np.minimum(np.maximum(ps, 0.0), top)
+            k = self._rank(self._cr_search, rows, ps, strict) + self.starts[rows] + rows
+        # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict).
+        # The level that exhausts the mass is the support's upper end, even
+        # when rounding leaves the cumulative mass a few ulps off 1; for the
+        # strict version no x has F(x) > top, and the segment formula would
+        # run past the last breakpoint
+        if strict is True:
+            at_jump = (CLk[k] <= ps) & (ps < CRk[k])
+        elif strict is False:
+            at_jump = (CLk[k] < ps) & (ps <= CRk[k])
+            top = np.minimum(top, 1.0)
+        else:
+            at_jump = np.where(
+                strict, (CLk[k] <= ps) & (ps < CRk[k]), (CLk[k] < ps) & (ps <= CRk[k])
+            )
+            top = np.where(strict, top, np.minimum(top, 1.0))
+        # otherwise interpolate on the segment ending at B[k]; a segment
+        # without mass gives its right end
+        frac = (ps - CRp[k]) / denom[k]
+        out = np.where(safe[k] & ~at_jump, Bp[k] + frac * span[k], Bk[k])
+        out = np.where(ps >= top, hi, out)
+        return np.where(ps <= 0.0, lo, out)
+
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, ...]:
+        """``(start, width, base, rise, cl)`` per slot ``j`` = the number of
+        its row's breakpoints at or below x: slot ``j`` holds the segment from
+        ``B[j-1]`` (``CR`` at its start, ``CL`` at its end less that as its
+        rise); slot 0, below the support, is flat at 0, and slot ``L``, from
+        ``B[-1]`` on, flat at ``CR[-1]``."""
+        B, CL, CR = self.B, self.CL, self.CR
+        row, s, _ = self._slots
+        left = self.starts[row] + np.maximum(s - 1, 0)
+        right = np.minimum(left + 1, len(B) - 1)
+        first = s == 0
+        inner = ~first & (s < self._length[row])
+        return (
+            B[left],
+            np.where(inner, B[right] - B[left], 1.0),
+            np.where(first, 0.0, CR[left]),
+            np.where(inner, CL[right] - CR[left], 0.0),
+            np.where(first, 0.0, CL[left]),
+        )
+
+    def cdf(self, rows, x, left=False) -> np.ndarray:
+        """``P(X <= x)`` of row ``rows``, pointwise, right-continuous;
+        ``left`` gives ``P(X < x)``, for all points or one flag per point.
+        ``rows`` None evaluates a one-row stack."""
+        start, width, base, rise, cl = self._cdf_table
+        xs = np.asarray(x, dtype=float)
+        if rows is None:
+            b0, b1 = self.B[0], self.B[-1]
+            j = np.searchsorted(self.B, xs, side="right")
+        else:
+            rows, xs = self._batch(rows, xs)
+            b0, b1 = self.B[self.starts[rows]], self.B[self.starts[rows + 1] - 1]
+            j = self._rank(self._b_search, rows, xs) + self.starts[rows] + rows
+        # CR[k] + frac * (CL[k+1] - CR[k]) with frac = (x - B[k]) / (B[k+1] - B[k]),
+        # taken at x clipped to the profile so the flat slots add exactly 0
+        xc = np.minimum(np.maximum(xs, b0), b1)
+        out = base[j] + (xc - start[j]) / width[j] * rise[j]
+        if left is not False:
+            out = np.where(left & (xs == start[j]), cl[j], out)
+        return out
+
+    def bin_of(self, rows, x) -> np.ndarray:
+        """Per point, the segment ``[B[k], B[k+1])`` of its row holding x, as
+        ``k`` within the row, clipped to the row's segments: an atom-free
+        row's bin, the last one closed."""
+        rows, xs = self._batch(rows, np.asarray(x, dtype=float))
+        k = self._rank(self._b_search, rows, xs) - 1
+        return np.clip(k, 0, self._length[rows] - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -132,125 +480,45 @@ class GridDistribution:
 
         Between consecutive breakpoints the CDF is linear from ``CR[k]`` to
         ``CL[k+1]``; at a breakpoint it jumps from ``CL[k]`` to ``CR[k]``
-        (atoms only).
+        (atoms only).  See :func:`_grid_profile`.
         """
-        atom_at = {loc: m for loc, m in self.atoms}
-        locs = np.unique(np.concatenate([self.edges, np.array(sorted(atom_at))]))
-        widths = np.diff(self.edges)
-        cl = np.empty(len(locs))
-        cr = np.empty(len(locs))
-        cum = 0.0
-        for k, x in enumerate(locs):
-            cl[k] = cum
-            cum += atom_at.get(float(x), atom_at.get(x, 0.0))
-            cr[k] = cum
-            if k + 1 < len(locs):
-                b = int(np.searchsorted(self.edges, x, side="right")) - 1
-                b = min(max(b, 0), len(self.masses) - 1)
-                piece = (locs[k + 1] - x) / widths[b] * self.masses[b]
-                cum += piece
-        return locs, cl, cr
+        return _grid_profile(self.edges, self.masses, self.atoms)
+
+    @cached_property
+    def _stack(self) -> GridStack:
+        """This law as the one-row stack, whose kernel gives its quantiles and CDFs."""
+        B, CL, CR = self._profile
+        return GridStack(B, CL, CR, np.array([0, len(B)]))
 
     def cdf(self, x) -> np.ndarray | float:
         """P(X <= x), right-continuous."""
-        return self._cdf_eval(x, left=False)
+        return _scalar(self._stack.cdf(None, x))
 
     def cdf_left(self, x) -> np.ndarray | float:
         """P(X < x)."""
-        return self._cdf_eval(x, left=True)
-
-    @cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, ...]:
-        """``(start, width, base, rise, cl)`` per index ``j = searchsorted(B, x,
-        "right")``: slot ``j`` holds the segment from ``B[j-1]`` (``CR`` at its
-        start, ``CL`` at its end less that as its rise); slot 0, below the
-        support, is flat at 0, and the last slot, from ``B[-1]`` on, flat at
-        ``CR[-1]``."""
-        B, CL, CR = self._profile
-        return (
-            np.concatenate([B[:1], B]),
-            np.concatenate([[1.0], np.diff(B), [1.0]]),
-            np.concatenate([[0.0], CR]),
-            np.concatenate([[0.0], CL[1:] - CR[:-1], [0.0]]),
-            np.concatenate([[0.0], CL]),
-        )
-
-    def _cdf_eval(self, x, left: bool):
-        B = self._profile[0]
-        start, width, base, rise, cl = self._cdf_table
-        xs = np.asarray(x, dtype=float)
-        j = np.searchsorted(B, xs, side="right")
-        # CR[k] + frac * (CL[k+1] - CR[k]) with frac = (x - B[k]) / (B[k+1] - B[k]),
-        # taken at x clipped to the profile so the flat slots add exactly 0
-        xc = np.minimum(np.maximum(xs, B[0]), B[-1])
-        out = base[j] + (xc - start[j]) / width[j] * rise[j]
-        if left:
-            out = np.where(xs == start[j], cl[j], out)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self._stack.cdf(None, x, left=True))
 
     def quantile(self, p) -> np.ndarray | float:
         """Generalized inverse CDF, ``inf {x: F(x) >= p}``, linear in bins;
         level 1 gives the support's upper end exactly."""
-        return self._quantile_eval(p, strict=False)
+        return _scalar(self._stack.quantile(None, p))
 
     def quantile_right(self, p) -> np.ndarray | float:
         """Right-continuous version ``inf {x: F(x) > p}``; the level that
         exhausts the mass gives the support's upper end."""
-        return self._quantile_eval(p, strict=True)
-
-    @cached_property
-    def _quantile_table(self) -> tuple[np.ndarray, ...]:
-        """``(B, CL, CR, B[prev], CR[prev], B - B[prev], denominator, safe)``
-        per index ``k = searchsorted(CR, p)``, with ``prev = max(k - 1, 0)``;
-        the denominator ``CL - CR[prev]`` reads 1 where no mass is left to
-        interpolate over, and index ``len(B)`` repeats the last slot."""
-        B, CL, CR = self._profile
-        prev = np.maximum(np.arange(len(B)) - 1, 0)
-        denom = CL - CR[prev]
-        safe = denom > 0
-        cols = (B, CL, CR, B[prev], CR[prev], B - B[prev], np.where(safe, denom, 1.0), safe)
-        return tuple(np.append(c, c[-1:]) for c in cols)
-
-    def _quantile_eval(self, p, strict: bool):
-        Bk, CLk, CRk, Bp, CRp, span, denom, safe = self._quantile_table
-        ps = np.asarray(p, dtype=float)
-        if ps.size and (ps.min() < -INPUT_TOL or ps.max() > 1.0 + INPUT_TOL):
-            raise ValidationError("probability level outside [0, 1]")
-        top = CRk[-1]
-        ps = np.minimum(np.maximum(ps, 0.0), top)
-        lo, hi = self.support_bounds()
-        k = np.searchsorted(CRk[:-1], ps, side="right" if strict else "left")
-        # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict)
-        if strict:
-            at_jump = (CLk[k] <= ps) & (ps < CRk[k])
-        else:
-            at_jump = (CLk[k] < ps) & (ps <= CRk[k])
-        # otherwise interpolate on the segment ending at B[k]; a segment
-        # without mass gives its right end
-        frac = (ps - CRp[k]) / denom[k]
-        out = np.where(safe[k] & ~at_jump, Bp[k] + frac * span[k], Bk[k])
-        # the level that exhausts the mass is the support's upper end, even
-        # when rounding leaves the cumulative mass a few ulps off 1; for the
-        # strict version no x has F(x) > top, and the segment formula would
-        # run past the last breakpoint
-        out = np.where(ps >= (top if strict else min(top, 1.0)), hi, out)
-        out = np.where(ps <= 0.0, lo, out)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(self._stack.quantile(None, p, strict=True))
 
     # -- support ------------------------------------------------------------
 
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        lo, hi = self._stack.support_bounds()
+        return float(lo[0]), float(hi[0])
+
     def support_bounds(self) -> tuple[float, float]:
-        """Smallest closed interval carrying all the mass (atoms are points)."""
-        if "_bounds" not in self.__dict__:  # computed once, kept like a cached_property
-            B, CL, CR = self._profile
-            filled = CL[1:] > CR[:-1]  # segment [B[k], B[k+1]] carries mass
-            atom = CR > CL
-            starts = np.flatnonzero(np.append(filled, False) | atom)
-            ends = np.flatnonzero(np.insert(filled, 0, False) | atom)
-            if len(starts) == 0:
-                raise ValidationError("distribution has empty support")
-            self.__dict__["_bounds"] = (float(B[starts[0]]), float(B[ends[-1]]))
-        return self.__dict__["_bounds"]
+        """Smallest closed interval carrying all the mass (atoms are points);
+        computed once."""
+        return self._bounds
 
     # -- serialization ------------------------------------------------------
 
@@ -419,6 +687,22 @@ class JointLaw:
     def sites(self) -> list[Site]:
         return sites_of(self.pz, self.z_grid)
 
+    @cached_property
+    def x_stack(self) -> GridStack:
+        """The x-marginals as one stack, row ``i`` for z site ``i``, built
+        once from the mass matrices: the statistics evaluate every z pair
+        against it in one call."""
+        return GridStack.atom_free(
+            [(c.x_edges, c.mass.sum(axis=0)[None]) for c in self.conditionals]
+        )
+
+    @cached_property
+    def y_stack(self) -> GridStack:
+        """The y-marginals as one stack, like :attr:`x_stack`."""
+        return GridStack.atom_free(
+            [(c.y_edges, c.mass.sum(axis=1)[None]) for c in self.conditionals]
+        )
+
     def x_marginals(self) -> list[GridDistribution]:
         return [c.x_marginal() for c in self.conditionals]
 
@@ -461,6 +745,58 @@ def _quantile_levels(a: GridDistribution, b: GridDistribution) -> np.ndarray:
         cums.append(cr)
     ps = np.unique(np.concatenate(cums))
     return ps[(ps > 0.0) & (ps <= 1.0)]
+
+
+def _pair_entries(
+    stack: GridStack, first: np.ndarray, second: np.ndarray, columns: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every pair ``i``, the entries of rows ``first[i]`` and ``second[i]``
+    of each profile column in ``columns``, pair after pair; returns the values
+    and the pair of each."""
+    rows = np.column_stack([first, second])
+    offsets = len(stack.B) * np.arange(len(columns))
+    starts = stack.starts[rows][:, None, :] + offsets[None, :, None]
+    lengths = np.broadcast_to(stack._length[rows][:, None, :], starts.shape)
+    values = np.concatenate(columns)[_ragged_arange(starts.ravel(), lengths.ravel())]
+    return values, np.repeat(np.arange(len(rows)), lengths.sum(axis=(1, 2)))
+
+
+def _pair_max(values: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Largest value of every pair; each pair holds at least one value, in order."""
+    return np.maximum.reduceat(values, np.flatnonzero(np.diff(pair, prepend=-1)))
+
+
+def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """:func:`winf_distance` between rows ``first[i]`` and ``second[i]`` of
+    ``stack`` for every pair, in one quantile call over all pairs.
+
+    Every level of the pair's four ``CL``/``CR`` columns is evaluated as a
+    left limit and as a right limit on both rows.  Left limits count at
+    levels in ``(0, 1]`` and right limits at levels in ``[0, 1]`` (every row's
+    ``CL`` starts at 0), which are the levels the one-pair definition checks;
+    duplicates leave a maximum unchanged.
+    """
+    lev, pair = _pair_entries(stack, first, second, (stack.CL, stack.CR))
+    n = len(lev)
+    rows = np.concatenate([first[pair], first[pair], second[pair], second[pair]])
+    strict = np.tile(np.repeat([False, True], n), 2)
+    q = stack.quantile(rows, np.tile(np.minimum(lev, 1.0), 4), strict=strict).reshape(2, -1)
+    gap = np.abs(q[0] - q[1]).reshape(2, n)
+    gap[0, (lev <= 0.0) | (lev > 1.0)] = 0.0
+    gap[1, lev > 1.0] = 0.0
+    return _pair_max(np.maximum(gap[0], gap[1]), pair)
+
+
+def fosd_violations(stack: GridStack, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """:func:`fosd_violation` of rows ``lower[i]`` and ``upper[i]`` of
+    ``stack`` for every pair, in one CDF call over all pairs: both CDF limits
+    of both rows at the pair's breakpoints (duplicates leave a maximum
+    unchanged)."""
+    xs, pair = _pair_entries(stack, lower, upper, (stack.B,))
+    n = len(xs)
+    rows = np.concatenate([upper[pair], lower[pair], upper[pair], lower[pair]])
+    F = stack.cdf(rows, np.tile(xs, 4), left=np.repeat([False, True], 2 * n)).reshape(4, n)
+    return np.maximum(_pair_max(np.maximum(F[0] - F[1], F[2] - F[3]), pair), 0.0)
 
 
 def winf_distance(a: GridDistribution, b: GridDistribution) -> float:

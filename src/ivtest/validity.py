@@ -31,9 +31,11 @@ from .errors import DegenerateGridError, ValidationError
 from .measures import (
     INPUT_TOL,
     GridDistribution,
+    GridStack,
     JointLaw,
-    fosd_violation,
-    winf_distance,
+    _pair_entries,
+    fosd_violations,
+    winf_distances,
 )
 
 # 16-point Gauss-Legendre rule on [-1, 1] for the moment statistic
@@ -190,22 +192,12 @@ def _birkhoff_tuples(p: np.ndarray) -> TupleCoupling:
     return TupleCoupling(tuple(tuples), w / w.sum())
 
 
-def discrete_generator_feasible(
+def _column_check(
     conditionals: Sequence[Sequence[float]], weights: Sequence[float] | None = None
-):
-    """Decide whether a one-to-one first stage exists for discrete treatments.
-
-    Existence is equivalent to a transport plan over tuples of pairwise
-    distinct support values whose coordinate marginals are the observed
-    conditionals.  Such a plan exists iff the conditionals stack at most
-    unit mass on every value, ``sum_z p_z(x) <= 1``: the matrix of
-    conditionals must then lie in the bipartite matching polytope, whose
-    vertices are exactly the injective tuples (Koenig 1916; Birkhoff 1946).
-    The certificate names the value with the largest column sum; the witness
-    is a Birkhoff decomposition of the matrix padded to doubly stochastic.
-
-    Returns ``(True, TupleCoupling)`` or ``(False, InfeasibilityCertificate)``.
-    """
+) -> tuple[np.ndarray, InfeasibilityCertificate | None]:
+    """The checked ``(m, support)`` matrix of conditionals, and the
+    certificate naming the value with the largest column sum when some
+    column sum exceeds 1, else None."""
     laws = [np.asarray(c, dtype=float) for c in conditionals]
     m = len(laws)
     if m < 2:
@@ -223,11 +215,33 @@ def discrete_generator_feasible(
     excess = p.sum(axis=0) - 1.0
     worst = int(np.argmax(excess))
     if excess[worst] > INPUT_TOL:
-        return False, InfeasibilityCertificate(
+        return p, InfeasibilityCertificate(
             worst,
             float(excess[worst]),
             f"conditionals stack {1 + excess[worst]:.6g} > 1 on value {worst}",
         )
+    return p, None
+
+
+def discrete_generator_feasible(
+    conditionals: Sequence[Sequence[float]], weights: Sequence[float] | None = None
+):
+    """Decide whether a one-to-one first stage exists for discrete treatments.
+
+    Existence is equivalent to a transport plan over tuples of pairwise
+    distinct support values whose coordinate marginals are the observed
+    conditionals.  Such a plan exists iff the conditionals stack at most
+    unit mass on every value, ``sum_z p_z(x) <= 1``: the matrix of
+    conditionals must then lie in the bipartite matching polytope, whose
+    vertices are exactly the injective tuples (Koenig 1916; Birkhoff 1946).
+    The certificate names the value with the largest column sum; the witness
+    is a Birkhoff decomposition of the matrix padded to doubly stochastic.
+
+    Returns ``(True, TupleCoupling)`` or ``(False, InfeasibilityCertificate)``.
+    """
+    p, certificate = _column_check(conditionals, weights)
+    if certificate is not None:
+        return False, certificate
     return True, _birkhoff_tuples(p)
 
 
@@ -245,8 +259,10 @@ def witness_report(witness) -> TestReport:
 
 
 def feasibility_report(conditionals: Sequence[Sequence[float]]) -> TestReport:
-    """Reject iff no one-to-one first stage fits the discrete conditionals."""
-    return witness_report(discrete_generator_feasible(conditionals)[1])
+    """Reject iff no one-to-one first stage fits the discrete conditionals.
+
+    Decided from the column sums alone; no witness is built."""
+    return witness_report(_column_check(conditionals)[1])
 
 
 def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
@@ -279,6 +295,53 @@ def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
+def _pair_quantile_moments(
+    xs: GridStack, ys: GridStack, first: np.ndarray, second: np.ndarray, power: float
+) -> list[float]:
+    """E[((Qx1-Qx2)^2 + (Qy1-Qy2)^2)^(power/2)] under the common-level
+    coupling for every pair of rows ``first[i]`` (1) and ``second[i]`` (2) of
+    the x stack ``xs`` and the y stack ``ys``.
+
+    The four quantile functions of a pair are piecewise linear between their
+    merged CDF breakpoints, so on each segment the integrand is a function of
+    two linear displacements.  16-point Gauss-Legendre quadrature per segment
+    is exact (to rounding) when that function is a polynomial of degree at
+    most 31, as for even integer powers up to 30.  Otherwise it is
+    approximate.  Where ``dx`` or ``dy`` changes sign inside a segment the
+    integrand has a kink: with one kink at the middle of a single segment the
+    error is 2.5e-3 at power 0.5 and 3.8e-4 at power 1.
+
+    The nodes of every segment of every pair take one quantile call per
+    stack; the weighted sums stay per segment (see
+    :func:`_pair_quantile_moment`).
+    """
+    lx, px = _pair_entries(xs, first, second, (xs.CL, xs.CR))
+    ly, py = _pair_entries(ys, first, second, (ys.CL, ys.CR))
+    lev = np.clip(np.concatenate([lx, ly]), 0.0, 1.0)
+    pair = np.concatenate([px, py])
+    order = np.lexsort((lev, pair))
+    lev, pair = lev[order], pair[order]
+    distinct = np.ones(len(lev), dtype=bool)
+    distinct[1:] = (lev[1:] != lev[:-1]) | (pair[1:] != pair[:-1])
+    ps, pair = lev[distinct], pair[distinct]
+    # the segments between a pair's consecutive distinct levels
+    inside = pair[1:] == pair[:-1]
+    a, b, seg_pair = ps[:-1][inside], ps[1:][inside], pair[1:][inside]
+    half = 0.5 * (b - a)
+    t = (half[:, None] * _GL_NODES + (0.5 * (a + b))[:, None]).ravel()
+    node_pair = np.repeat(seg_pair, len(_GL_NODES))
+    rows = np.concatenate([first[node_pair], second[node_pair]])
+    qx = xs.quantile(rows, np.tile(t, 2)).reshape(2, -1)
+    qy = ys.quantile(rows, np.tile(t, 2)).reshape(2, -1)
+    dx, dy = qx[0] - qx[1], qy[0] - qy[1]
+    vals = ((dx * dx + dy * dy) ** (power / 2.0)).reshape(len(half), len(_GL_NODES))
+    # one 1-D dot per segment, added in segment order (see _pair_quantile_moment)
+    totals = [0.0] * len(first)
+    for i, h, v in zip(seg_pair.tolist(), half.tolist(), vals):
+        totals[i] += h * float(_GL_WEIGHTS @ v)
+    return totals
+
+
 def _pair_quantile_moment(
     xm1: GridDistribution,
     xm2: GridDistribution,
@@ -286,36 +349,18 @@ def _pair_quantile_moment(
     ym2: GridDistribution,
     power: float,
 ) -> float:
-    """E[((Qx1-Qx2)^2 + (Qy1-Qy2)^2)^(power/2)] under the common-level coupling.
+    """:func:`_pair_quantile_moments` of one pair of laws, each coordinate's
+    two laws stacked.
 
-    The four quantile functions are piecewise linear between the merged CDF
-    breakpoints, so on each segment the integrand is a function of two linear
-    displacements.  16-point Gauss-Legendre quadrature per segment is exact
-    (to rounding) when that function is a polynomial of degree at most 31,
-    as for even integer powers up to 30.  Otherwise it is approximate.  Where
-    ``dx`` or ``dy`` changes sign inside a segment the integrand has a kink:
-    with one kink at the middle of a single segment the error is 2.5e-3 at
-    power 0.5 and 3.8e-4 at power 1.
+    Every segment's weighted sum is one 1-D ``_GL_WEIGHTS @ v``, added to the
+    pair's total in segment order, as a loop over segments adds them.  The
+    nodes are batched but these dots are not: a batched ``vals @ w``,
+    ``einsum`` or ``(v * w).sum`` rounds differently from the 1-D dot on most
+    16-vectors (1671 to 1910 of 2000 random ones), which would move the
+    seeded simulate output.
     """
-    cums = []
-    for d in (xm1, xm2, ym1, ym2):
-        _, cl, cr = d._profile
-        cums.extend([cl, cr])
-    ps = np.unique(np.clip(np.concatenate(cums), 0.0, 1.0))
-    # every segment's nodes in one (segments, 16) array, one quantile sweep
-    # per marginal; quantiles are elementwise, so each node gets the value a
-    # per-segment call would give
-    half = 0.5 * (ps[1:] - ps[:-1])
-    t = (half[:, None] * _GL_NODES + (0.5 * (ps[:-1] + ps[1:]))[:, None]).ravel()
-    dx = xm1.quantile(t) - xm2.quantile(t)
-    dy = ym1.quantile(t) - ym2.quantile(t)
-    vals = ((dx * dx + dy * dy) ** (power / 2.0)).reshape(len(half), len(_GL_NODES))
-    # summed segment by segment, in order: one matrix-vector product may
-    # round differently and move the seeded simulate output
-    total = 0.0
-    for h, v in zip(half, vals):
-        total += h * float(_GL_WEIGHTS @ v)
-    return total
+    xs, ys = GridStack.of([xm1, xm2]), GridStack.of([ym1, ym2])
+    return _pair_quantile_moments(xs, ys, np.array([0]), np.array([1]), power)[0]
 
 
 def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> TestReport:
@@ -331,14 +376,11 @@ def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> Te
     if len(zs) < 3:
         raise DegenerateGridError("need at least 3 z points for the moment test")
     power, gap_expo = params.moment_exponents()
-    xms = joint.x_marginals()
-    yms = joint.y_marginals()
-    gaps, ratios = [], []
-    for i in range(len(zs) - 1):
-        gap = float(zs[i + 1] - zs[i])
-        moment = _pair_quantile_moment(xms[i], xms[i + 1], yms[i], yms[i + 1], power)
-        gaps.append(gap)
-        ratios.append(moment / gap**gap_expo)
+    left = np.arange(len(zs) - 1)
+    moments = _pair_quantile_moments(joint.x_stack, joint.y_stack, left, left + 1, power)
+    gaps = np.diff(zs).tolist()
+    # Python's float power: numpy's rounds differently on many gaps
+    ratios = [m / g**gap_expo for m, g in zip(moments, gaps)]
     order = np.argsort(gaps)[:3]
     statistic = max(ratios[i] for i in order)
     finest = sorted(order, key=lambda i: gaps[i])
@@ -373,18 +415,15 @@ def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
     if not others:
         raise DegenerateGridError("z_star has no neighbours")
     others.sort(key=lambda i: abs(zs[i] - z_star))
-    nearest = others[:3]
-    xms = joint.x_marginals()
-    yms = joint.y_marginals()
-    dists, diagnostics = [], {}
-    for rank, i in enumerate(nearest):
-        d = max(
-            winf_distance(xms[i], xms[i_star]),
-            winf_distance(yms[i], yms[i_star]),
-        )
-        dists.append(d)
+    nearest = np.array(others[:3])
+    star = np.full(len(nearest), i_star)
+    dists = np.maximum(
+        winf_distances(joint.x_stack, nearest, star), winf_distances(joint.y_stack, nearest, star)
+    ).tolist()
+    diagnostics = {}
+    for rank, (i, d) in enumerate(zip(nearest, dists)):
         diagnostics[f"gap_{rank}"] = float(abs(zs[i] - z_star))
-        diagnostics[f"distance_{rank}"] = float(d)
+        diagnostics[f"distance_{rank}"] = d
     diagnostics["distance_decreasing_with_gap"] = float(
         all(dists[r] <= dists[r + 1] for r in range(len(dists) - 1))
     )
@@ -404,14 +443,16 @@ def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
     violation; the statistic is the largest such CDF excess.
     """
     zs = np.asarray(joint.z_grid, dtype=float)
-    xms = joint.x_marginals()
-    yms = joint.y_marginals()
-    worst = 0.0
-    worst_pair = -1.0
-    for i in range(len(zs) - 1):
-        v = max(fosd_violation(xms[i], xms[i + 1]), fosd_violation(yms[i], yms[i + 1]))
-        if v > worst:
-            worst, worst_pair = v, float(i)
+    lower = np.arange(len(zs) - 1)
+    v = np.maximum(
+        fosd_violations(joint.x_stack, lower, lower + 1),
+        fosd_violations(joint.y_stack, lower, lower + 1),
+    )
+    # the first pair attaining the largest positive violation, or none
+    worst, worst_pair = 0.0, -1.0
+    if len(v) and v.max() > 0.0:
+        worst_pair = float(np.argmax(v))
+        worst = float(v.max())
     return TestReport(
         "fosd", worst, tol, {"worst_pair_index": worst_pair, "n_pairs": float(len(zs) - 1)}
     )
@@ -430,19 +471,16 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
     zs = np.asarray(joint.z_grid, dtype=float)
     if len(zs) < 2:
         raise DegenerateGridError("need at least 2 z points")
-    bounds = []
-    for c in joint.conditionals:
-        xb = c.x_marginal().support_bounds()
-        yb = c.y_marginal().support_bounds()
-        bounds.append((xb, yb))
-    worst = -np.inf
-    worst_pair = -1.0
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            for axis in (0, 1):
-                gap = bounds[i][axis][0] - bounds[j][axis][1]
-                if gap > worst:
-                    worst, worst_pair = float(gap), float(i)
+    # lo[s, axis] and hi[s, axis] bound site s's support; gap (i, j, axis)
+    # for i < j, in that order, so argmax names the first pair attaining the
+    # worst gap
+    (x_lo, x_hi), (y_lo, y_hi) = joint.x_stack.support_bounds(), joint.y_stack.support_bounds()
+    lo, hi = np.column_stack([x_lo, y_lo]), np.column_stack([x_hi, y_hi])
+    gap = lo[:, None, :] - hi[None, :, :]
+    gap[np.tril_indices(len(zs))] = -np.inf
+    flat = int(np.argmax(gap))
+    worst = float(gap.flat[flat])
+    worst_pair = float(flat // (2 * len(zs)))
     return TestReport(
         "sure-decrease", max(worst, 0.0), K, {"worst_low_z_index": worst_pair}
     )

@@ -1,8 +1,9 @@
 """Shared builders for analytic test laws, the level-by-level cell
 expansion oracle, the exact replay oracle, the eager-table sampling oracle,
 the pairwise image-code and collision oracles, the piece-loop inversion
-oracle, the segment-loop moment oracle and the masked quantile/CDF and
-per-bin discretize oracles."""
+oracle, the segment-loop moment oracle, the per-pair statistic oracles, the
+breakpoint-loop profile oracle and the masked quantile/CDF and per-bin
+discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -12,15 +13,17 @@ import pytest
 
 from ivtest import (
     Conditional2D,
+    DegenerateGridError,
     EmptyBinError,
     GridDistribution,
     JointLaw,
     NonInvertibleError,
+    TestReport,
     ValidationError,
     population_law,
     product_conditional,
 )
-from ivtest.measures import INPUT_TOL
+from ivtest.measures import INPUT_TOL, fosd_violation, winf_distance
 
 
 def uniform_grid(lo, hi, bins=1):
@@ -380,6 +383,103 @@ def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):
         vals = (dx * dx + dy * dy) ** (power / 2.0)
         total += 0.5 * (b - a) * float(weights @ vals)
     return total
+
+
+def loop_profile(dist):
+    """``GridDistribution._profile`` one breakpoint at a time, adding each
+    atom and then the piece up to the next breakpoint to a running total.
+
+    The byte-for-byte oracle for the one-``cumsum`` profile.
+    """
+    atom_at = {loc: m for loc, m in dist.atoms}
+    locs = np.unique(np.concatenate([dist.edges, np.array(sorted(atom_at))]))
+    widths = np.diff(dist.edges)
+    cl = np.empty(len(locs))
+    cr = np.empty(len(locs))
+    cum = 0.0
+    for k, x in enumerate(locs):
+        cl[k] = cum
+        cum += atom_at.get(float(x), atom_at.get(x, 0.0))
+        cr[k] = cum
+        if k + 1 < len(locs):
+            b = int(np.searchsorted(dist.edges, x, side="right")) - 1
+            b = min(max(b, 0), len(dist.masses) - 1)
+            piece = (locs[k + 1] - x) / widths[b] * dist.masses[b]
+            cum += piece
+    return locs, cl, cr
+
+
+def pair_loop_fosd(law, tol):
+    """``validity.monotonicity_test`` one adjacent z pair at a time through
+    ``fosd_violation``: the per-pair oracle for the stacked statistic."""
+    xms, yms = law.x_marginals(), law.y_marginals()
+    worst, worst_pair = 0.0, -1.0
+    for i in range(len(law.z_grid) - 1):
+        v = max(fosd_violation(xms[i], xms[i + 1]), fosd_violation(yms[i], yms[i + 1]))
+        if v > worst:
+            worst, worst_pair = v, float(i)
+    return TestReport(
+        "fosd", worst, tol, {"worst_pair_index": worst_pair, "n_pairs": float(len(law.z_grid) - 1)}
+    )
+
+
+def pair_loop_sure_decrease(law, K):
+    """``validity.monotonicity_sure_decrease_test`` over ordered z pairs and
+    coordinates in loops, from each marginal's ``support_bounds``."""
+    bounds = [(c.x_marginal().support_bounds(), c.y_marginal().support_bounds())
+              for c in law.conditionals]
+    worst, worst_pair = -np.inf, -1.0
+    for i in range(len(bounds)):
+        for j in range(i + 1, len(bounds)):
+            for axis in (0, 1):
+                gap = bounds[i][axis][0] - bounds[j][axis][1]
+                if gap > worst:
+                    worst, worst_pair = float(gap), float(i)
+    return TestReport("sure-decrease", max(worst, 0.0), K, {"worst_low_z_index": worst_pair})
+
+
+def pair_loop_jump(law, K, z_star):
+    """``validity.jump_test`` one neighbour at a time through ``winf_distance``."""
+    zs = np.asarray(law.z_grid, dtype=float)
+    i_star = int(np.where(zs == z_star)[0][0])
+    others = sorted((i for i in range(len(zs)) if i != i_star), key=lambda i: abs(zs[i] - z_star))
+    xms, yms = law.x_marginals(), law.y_marginals()
+    dists, diagnostics = [], {}
+    for rank, i in enumerate(others[:3]):
+        d = max(winf_distance(xms[i], xms[i_star]), winf_distance(yms[i], yms[i_star]))
+        dists.append(d)
+        diagnostics[f"gap_{rank}"] = float(abs(zs[i] - z_star))
+        diagnostics[f"distance_{rank}"] = float(d)
+    diagnostics["distance_decreasing_with_gap"] = float(
+        all(dists[r] <= dists[r + 1] for r in range(len(dists) - 1))
+    )
+    return TestReport("jump", min(dists), K, diagnostics)
+
+
+def pair_loop_moment(law, params):
+    """``validity.continuity_moment_statistic`` one adjacent z pair at a time
+    through :func:`segment_loop_quantile_moment`."""
+    zs = np.asarray(law.z_grid, dtype=float)
+    if len(zs) < 3:
+        raise DegenerateGridError("need at least 3 z points for the moment test")
+    power, gap_expo = params.moment_exponents()
+    xms, yms = law.x_marginals(), law.y_marginals()
+    gaps, ratios = [], []
+    for i in range(len(zs) - 1):
+        gap = float(zs[i + 1] - zs[i])
+        moment = segment_loop_quantile_moment(xms[i], xms[i + 1], yms[i], yms[i + 1], power)
+        gaps.append(gap)
+        ratios.append(moment / gap**gap_expo)
+    order = np.argsort(gaps)[:3]
+    finest = sorted(order, key=lambda i: gaps[i])
+    diagnostics = {"n_pairs": float(len(gaps)), "max_ratio_all": float(max(ratios))}
+    for rank, i in enumerate(finest):
+        diagnostics[f"gap_{rank}"] = gaps[i]
+        diagnostics[f"ratio_{rank}"] = ratios[i]
+    diagnostics["ratio_increasing_as_gap_shrinks"] = float(
+        all(ratios[finest[r]] >= ratios[finest[r + 1]] for r in range(len(finest) - 1))
+    )
+    return TestReport("moment", max(ratios[i] for i in order), params.c_bound, diagnostics)
 
 
 def masked_cdf_eval(dist, x, left: bool):

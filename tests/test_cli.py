@@ -17,6 +17,7 @@ from ivtest import (
     make_test,
     sample,
 )
+from ivtest import validity
 from ivtest.cli import build_parser, main
 from ivtest.validity import REGISTRY
 
@@ -308,6 +309,27 @@ def test_feasibility_commands_agree(tmp_path, capsys, x_masses, decision):
         assert (report["statistic"] > report["threshold"]) == (decision == "reject")
     assert direct["statistic"] == via_test["statistic"]
     assert direct["diagnostics"] == via_test["diagnostics"]
+
+
+def test_test_feasibility_builds_no_witness(tmp_path, capsys, monkeypatch):
+    """``test --test feasibility`` decides from the column sums alone; only
+    the ``feasibility`` command, which prints the witness, builds one."""
+
+    def refuse(p):
+        raise AssertionError("Birkhoff witness built")
+
+    monkeypatch.setattr(validity, "_birkhoff_tuples", refuse)
+    feasible = np.random.default_rng(5).dirichlet(np.ones(8), size=5).tolist()
+    for x_masses, decision in ((feasible, "consistent"), ([[0.5, 0.5, 0.0, 0.0]] * 3, "reject")):
+        law_path = tmp_path / "law.json"
+        law_path.write_text(json.dumps(x_only_law(x_masses).to_json_dict()))
+        assert main(["test", "--input", str(law_path), "--test", "feasibility"]) == 0
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["decision"] == decision
+    cond_path = tmp_path / "feas.json"
+    cond_path.write_text(json.dumps({"conditionals": feasible}))
+    with pytest.raises(AssertionError, match="witness built"):
+        main(["feasibility", "--input", str(cond_path)])
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))

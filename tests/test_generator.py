@@ -20,9 +20,9 @@ from ivtest import (
     invert_generator,
     verify_replication,
 )
-from ivtest import generator
+from ivtest import generator, measures
 from ivtest.generator import _match_table
-from ivtest.measures import Conditional2D, JointLaw
+from ivtest.measures import Conditional2D, GridStack, JointLaw
 
 import conftest
 from conftest import (
@@ -831,26 +831,67 @@ def test_sample_matches_eager_table_oracle(rng, case, depth):
 
 
 def test_outcome_columns_built_once_on_first_sample(rng, monkeypatch):
-    """compose builds no distribution; two samples build each positive-mass
-    column law exactly once between them."""
+    """compose builds nothing; two samples build the outcome-column stack
+    exactly once between them, one row per positive-mass column, and no
+    distribution.  The zero-mass column has no row."""
     law = zero_column_law(rng)
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
-    built = []
+    built, stacks = [], []
     post_init = GridDistribution.__post_init__
+    atom_free = GridStack.atom_free.__func__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
+    def counting_stack(cls, blocks):
+        stacks.append(atom_free(cls, blocks))
+        return stacks[-1]
+
     monkeypatch.setattr(GridDistribution, "__post_init__", counting)
+    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting_stack))
     model = compose_structural_model(law, gen)
-    assert built == []
+    assert built == [] and stacks == []
     model.sample(500, seed=1)
     model.sample(500, seed=2)
-    assert len(built) == 8 * 8 - 1
-    columns = [col for site in model._outcome_columns for col in site]
-    assert sorted(map(id, built)) == sorted(id(col) for col in columns if col is not None)
-    assert columns.count(None) == 1 and model._outcome_columns[2][3] is None
+    columns, row_of, first = model._outcome_columns
+    assert built == [] and [id(s) for s in stacks].count(id(columns)) == 1
+    assert len(columns.starts) - 1 == 8 * 8 - 1
+    assert row_of[first[2] + 3] == -1 and np.count_nonzero(row_of < 0) == 1
+    assert row_of[row_of >= 0].tolist() == list(range(8 * 8 - 1))
+
+
+@pytest.mark.parametrize("nz, nx", [(3, 4), (8, 8)])
+def test_sample_makes_two_stacked_quantile_calls(rng, monkeypatch, nz, nx):
+    """Whatever the number of sites and columns: one stacked quantile call
+    for x, one for y, one bin lookup, and pz's one-law call for z (after the
+    first call, which also finds the generator's cut points)."""
+    law = random_joint_law(rng, nz=nz, ny=4, nx=nx)
+    model = compose_structural_model(law, build_generator(law.x_marginals(), law.pz, law.z_grid, 3))
+    model.sample(10, seed=3)
+    calls = []
+    for cls, name in ((GridStack, "quantile"), (GridStack, "cdf"), (GridStack, "bin_of"),
+                      (GridDistribution, "quantile"), (GridDistribution, "cdf")):
+        def counted(self, *args, _fn=getattr(cls, name), _key=f"{cls.__name__}.{name}", **kw):
+            if args[0] is not None:  # rows None: a one-law call, counted as such
+                calls.append(_key)
+            return _fn(self, *args, **kw)
+
+        monkeypatch.setattr(cls, name, counted)
+    model.sample(2_000, seed=4)
+    stacked = ["GridStack.quantile", "GridStack.quantile", "GridStack.bin_of"]
+    assert sorted(calls) == sorted(stacked + ["GridDistribution.quantile"])
+
+
+def test_sample_size_guard(rng, monkeypatch):
+    """``n`` rows make stacked calls of ``n`` points: at the cap they are
+    drawn, one row past it is refused before drawing."""
+    law = random_joint_law(rng, nz=3, ny=4, nx=4)
+    model = compose_structural_model(law, build_generator(law.x_marginals(), law.pz, law.z_grid, 3))
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 100)
+    assert model.sample(100, seed=0).shape == (100, 3)
+    with pytest.raises(ValidationError, match="stacked call needs 101 entries"):
+        model.sample(101, seed=0)
 
 
 def test_sampling_a_zero_mass_column_is_refused(rng):

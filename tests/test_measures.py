@@ -13,9 +13,10 @@ from ivtest import (
     fosd_violation,
     winf_distance,
 )
-from ivtest.measures import INPUT_TOL
+from ivtest import measures
+from ivtest.measures import INPUT_TOL, GridStack
 
-from conftest import masked_cdf_eval, masked_quantile_eval, random_joint_law
+from conftest import loop_profile, masked_cdf_eval, masked_quantile_eval, random_joint_law
 
 # ---------------------------------------------------------------------------
 # Oracles: brute numeric versions that never reuse the library's profile code
@@ -205,6 +206,167 @@ def test_cdf_kernel_matches_masked_oracle(dist, extra):
     for left, method in ((False, dist.cdf), (True, dist.cdf_left)):
         for x in _shapes(points):
             assert _same_bits(method(x), masked_cdf_eval(dist, x, left))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dist=grid_distributions())
+def test_profile_matches_breakpoint_loop(dist):
+    """The one-cumsum profile has the bytes of the breakpoint loop."""
+    for got, want in zip(dist._profile, loop_profile(dist)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: every point against its own row, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _quantile_levels(dist, extra):
+    """Every CL/CR value, its neighbours, 0, 1 and ``extra``, within range."""
+    _, CL, CR = dist._profile
+    cums = np.concatenate([CL, CR])
+    levels = np.concatenate(
+        [[0.0, 1.0], cums, np.nextafter(cums, -1.0), np.nextafter(cums, 2.0), extra]
+    )
+    return levels[(levels >= -INPUT_TOL) & (levels <= 1.0 + INPUT_TOL)]
+
+
+def _cdf_points(dist, extra):
+    B = dist._profile[0]
+    return np.concatenate([
+        B, np.nextafter(B, -np.inf), np.nextafter(B, np.inf),
+        [B[0] - 1.0, B[-1] + 1.0, -np.inf, np.inf], extra,
+    ])
+
+
+def _stacked_points(dists, values, rng):
+    """The points of every row, shuffled together: rows, values, and the
+    slices that put each row's points back in order."""
+    rows = np.concatenate([np.full(len(v), r) for r, v in enumerate(values)])
+    order = rng.permutation(len(rows))
+    return rows[order], np.concatenate(values)[order], np.argsort(order, kind="stable")
+
+
+def _assert_rows_match(got, rows, vals, flags, unshuffle, oracle):
+    """``got`` against ``oracle(row, values, flag)`` row by row and flag by flag."""
+    got = got[unshuffle]
+    rows, vals, flags = rows[unshuffle], vals[unshuffle], flags[unshuffle]
+    for r in np.unique(rows):
+        for flag in (False, True):
+            at = (rows == r) & (flags == flag)
+            want = oracle(int(r), vals[at], flag)
+            assert got[at].tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    dists=st.lists(grid_distributions(), min_size=1, max_size=5),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    keyed=st.booleans(),
+)
+def test_stacked_quantile_matches_masked_oracle(dists, extra, seed, keyed):
+    """Ragged rows (knot counts, atoms, gaps, zero-mass edge bins), levels on
+    every CR value and at 0 and 1, one mode for all or one per point, searched
+    by counting or by keys."""
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_COUNT_WIDTH", 0 if keyed else 32)
+        stack = GridStack.of(dists)
+        rows, ps, unshuffle = _stacked_points(
+            dists, [_quantile_levels(d, extra) for d in dists], rng
+        )
+        for strict in (False, True, rng.random(len(ps)) < 0.5):
+            got = stack.quantile(rows, ps, strict=strict)
+            flags = np.broadcast_to(strict, ps.shape)
+            _assert_rows_match(
+                got, rows, ps, flags, unshuffle,
+                lambda r, p, flag: masked_quantile_eval(dists[r], p, flag),
+            )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    dists=st.lists(grid_distributions(), min_size=1, max_size=5),
+    extra=st.lists(st.floats(-10.0, 10.0), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    keyed=st.booleans(),
+)
+def test_stacked_cdf_and_bins_match_masked_oracle(dists, extra, seed, keyed):
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_COUNT_WIDTH", 0 if keyed else 32)
+        stack = GridStack.of(dists)
+        rows, xs, unshuffle = _stacked_points(dists, [_cdf_points(d, extra) for d in dists], rng)
+        for left in (False, True, rng.random(len(xs)) < 0.5):
+            got = stack.cdf(rows, xs, left=left)
+            flags = np.broadcast_to(left, xs.shape)
+            _assert_rows_match(
+                got, rows, xs, flags, unshuffle,
+                lambda r, x, flag: masked_cdf_eval(dists[r], x, flag),
+            )
+        B = [d._profile[0] for d in dists]
+        want = [np.clip(np.searchsorted(B[r], x, side="right") - 1, 0, len(B[r]) - 2)
+                for r, x in zip(rows, xs)]
+        assert stack.bin_of(rows, xs).tolist() == [int(w) for w in want]
+
+
+def test_atom_free_stack_is_the_stack_of_its_laws(rng):
+    """Built from mass rows, a stack has the tables of the stacked laws."""
+    edges = [np.linspace(0.0, 1.0, 5), np.cumsum(rng.uniform(0.1, 1.0, 8))]
+    masses = [rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(7), size=2)]
+    masses[0][1, [0, 3]] = 0.0  # zero-mass edge bins
+    masses[0][1] /= masses[0][1].sum()
+    stack = GridStack.atom_free(list(zip(edges, masses)))
+    laws = GridStack.of([GridDistribution(e, m) for e, ms in zip(edges, masses) for m in ms])
+    for name in ("B", "CL", "CR", "starts"):
+        assert getattr(stack, name).tobytes() == getattr(laws, name).tobytes()
+    rows, ps = rng.integers(0, 5, 400), rng.random(400)
+    assert stack.quantile(rows, ps).tobytes() == laws.quantile(rows, ps).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edges, masses, match",
+    [
+        ([0.0, 1.0, 2.0], [[0.5, np.nan]], "bin masses must be finite"),
+        ([0.0, 1.0, 2.0], [[1.5, -0.5]], "non-negative"),
+        ([0.0, 1.0, 2.0], [[0.5, 0.5], [0.5, 0.6]], "total mass"),
+        ([0.0, 2.0, 1.0], [[0.5, 0.5]], "strictly increasing"),
+        ([0.0, np.inf, 2.0], [[0.5, 0.5]], "edges must be finite"),
+        ([0.0, 1.0], [[0.5, 0.5]], "len\\(edges\\)"),
+    ],
+)
+def test_atom_free_stack_checks_every_row(edges, masses, match):
+    with pytest.raises(ValidationError, match=match):
+        GridStack.atom_free([(np.array(edges), np.array(masses))])
+    with pytest.raises(ValidationError):
+        [GridDistribution(edges, m) for m in masses]
+
+
+def test_stack_size_guard(monkeypatch):
+    """At the cap a stack builds and a batch runs; one entry past it both
+    are refused, a batch before it allocates anything."""
+    laws = [GridDistribution.uniform(0.0, 1.0, 3)] * 4  # 4 rows x 5 slots
+    block = [(np.linspace(0.0, 1.0, 4), np.full((4, 3), 1 / 3))]
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 20)
+    stack = GridStack.of(laws)
+    GridStack.atom_free(block)
+    points = np.linspace(0.0, 1.0, 20)
+    assert stack.quantile(np.arange(20) % 4, points).tolist() == points.tolist()
+    stack.cdf(np.arange(20) % 4, points)
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 19)
+    for build in (lambda: GridStack.of(laws), lambda: GridStack.atom_free(block)):
+        with pytest.raises(ValidationError, match="stack of grid laws needs 20 entries"):
+            build()
+    for call in (stack.quantile, stack.cdf, stack.bin_of):
+        with pytest.raises(ValidationError, match="stacked call needs 20 entries"):
+            call(np.arange(20) % 4, points)
+    # one law is not a batch: its calls take any number of points
+    assert laws[0].quantile(points).tolist() == points.tolist()
+    monkeypatch.undo()
+    huge = np.broadcast_to(np.intp(0), (2**40,))  # a view: nothing allocated
+    with pytest.raises(ValidationError, match="stacked call needs 1099511627776 entries"):
+        stack.quantile(huge, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Validity tests against brute-force oracles."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -26,12 +27,27 @@ from ivtest import (
     product_conditional,
 )
 
+from ivtest.measures import (
+    Conditional2D,
+    GridStack,
+    JointLaw,
+    fosd_violation,
+    fosd_violations,
+    winf_distance,
+    winf_distances,
+)
+from ivtest.simulate import DGPSpec, discretize, sample
 from ivtest.validity import _pair_quantile_moment
 
 from conftest import (
     assert_tuple_plan,
     bernoulli_support_jump_law,
     location_family_law,
+    pair_loop_fosd,
+    pair_loop_jump,
+    pair_loop_moment,
+    pair_loop_sure_decrease,
+    random_joint_law,
     segment_loop_quantile_moment,
 )
 
@@ -382,18 +398,116 @@ def test_pair_moment_matches_segment_loop_bit_for_bit(rng, power, kind):
         assert got == segment_loop_quantile_moment(*margs, power)
 
 
-def test_pair_moment_makes_one_quantile_call_per_marginal(rng, monkeypatch):
+def count_kernel_calls(monkeypatch):
+    """Record the stack of every stacked quantile and CDF call, and every
+    one-law call."""
     calls = []
-    quantile = GridDistribution.quantile
+    for cls, name in ((GridStack, "quantile"), (GridStack, "cdf"),
+                      (GridDistribution, "quantile"), (GridDistribution, "cdf")):
+        def counted(self, *args, _fn=getattr(cls, name), _stacked=cls is GridStack, **kwargs):
+            calls.append(self if _stacked else "one law")
+            return _fn(self, *args, **kwargs)
 
-    def counted(self, p):
-        calls.append(id(self))
-        return quantile(self, p)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
+
+def test_pair_moment_makes_one_quantile_call_per_stack(rng, monkeypatch):
+    """The pair's two x laws are one stack and its two y laws another, each
+    evaluated at every node in one call."""
     margs = [random_marginal(rng, gaps=True) for _ in range(4)]
-    monkeypatch.setattr(GridDistribution, "quantile", counted)
+    calls = count_kernel_calls(monkeypatch)
     _pair_quantile_moment(*margs, 4.0)
-    assert sorted(calls) == sorted(id(m) for m in margs)
+    assert len(calls) == 2 and calls[0] is not calls[1] and "one law" not in calls
+
+
+@pytest.mark.parametrize("name", ["fosd", "jump", "moment"])
+def test_statistic_makes_one_kernel_call_per_axis(rng, monkeypatch, name):
+    """Every z pair is evaluated in one call on the law's x stack and one on
+    its y stack, whatever the number of sites; the stacks are built once."""
+    law = random_joint_law(rng, nz=7, ny=5, nx=6)
+    built = []
+    atom_free = GridStack.atom_free.__func__
+
+    def counting(cls, blocks):
+        built.append(atom_free(cls, blocks))
+        return built[-1]
+
+    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting))
+    calls = count_kernel_calls(monkeypatch)
+    run = make_test(name)[1]
+    first = run(law)
+    assert sorted(map(id, calls)) == sorted([id(law.x_stack), id(law.y_stack)])
+    assert run(law) == first and len(calls) == 4
+    assert built == [law.x_stack, law.y_stack]
+
+
+def criterion8_laws(bins):
+    """Discretized samples of the criterion-8 processes, two seeds each."""
+    invalid = dict(instrument_valid=False, copula_weight=1.0, copula_target="v")
+    specs = [
+        DGPSpec(name="loc-valid"),
+        DGPSpec(name="scale-valid", first_stage="scale"),
+        DGPSpec(name="loc-invalid", **invalid),
+        DGPSpec(name="scale-invalid", first_stage="scale", **invalid),
+    ]
+    return [discretize(sample(s, 4000, seed), *bins) for s in specs for seed in (1, 2)]
+
+
+def gappy_joint_law(rng, nz, ny, nx):
+    """A random joint law with about 40% of its cells emptied: its marginals
+    have zero-mass bins, inside and at the ends of their supports."""
+    law = random_joint_law(rng, nz, ny, nx)
+    conds = []
+    for c in law.conditionals:
+        m = c.mass * (rng.random(c.mass.shape) < 0.6)
+        m = m if m.sum() > 0 else c.mass
+        conds.append(Conditional2D(c.y_edges, c.x_edges, m / m.sum()))
+    return JointLaw(law.z_grid, law.pz, tuple(conds))
+
+
+REPORT_LAWS = {
+    "criterion8-4": lambda rng: criterion8_laws((4, 4, 4)),
+    "criterion8-8": lambda rng: criterion8_laws((8, 8, 8)),
+    "random-gaps": lambda rng: [gappy_joint_law(rng, int(rng.integers(3, 9)),
+                                                int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+                                for _ in range(12)],
+}
+
+
+@pytest.mark.parametrize("laws", list(REPORT_LAWS))
+def test_stacked_reports_match_per_pair_oracles(rng, laws):
+    """Every statistic's report, diagnostics included, has the bits of the
+    per-pair loop over the one-pair definitions."""
+    moment = ContinuityParams(alpha=2.0, beta=1.0, gamma=2.0, delta=1.0)
+    rough = ContinuityParams(alpha=1.0, beta=0.5, gamma=0.5, delta=0.5)
+    for law in REPORT_LAWS[laws](rng):
+        z_star = float(law.z_grid[len(law.z_grid) // 2])
+        pairs = [
+            (monotonicity_test(law, 0.12), pair_loop_fosd(law, 0.12)),
+            (monotonicity_sure_decrease_test(law, 1.0), pair_loop_sure_decrease(law, 1.0)),
+            (jump_test(law, 1.0, z_star), pair_loop_jump(law, 1.0, z_star)),
+            (continuity_moment_statistic(law, moment), pair_loop_moment(law, moment)),
+            (continuity_moment_statistic(law, rough), pair_loop_moment(law, rough)),
+        ]
+        for got, want in pairs:
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize("kind", ["plain", "atoms", "gaps", "atoms+gaps"])
+def test_stacked_pair_measures_match_one_pair_definitions(rng, kind):
+    """``winf_distances`` and ``fosd_violations`` over a ragged stack give
+    each pair's ``winf_distance`` and ``fosd_violation`` exactly, in either
+    order and paired with itself."""
+    for _ in range(10):
+        margs = [random_marginal(rng, "atoms" in kind, "gaps" in kind) for _ in range(5)]
+        stack = GridStack.of(margs)
+        a, b = np.array([0, 1, 2, 3, 4, 4, 2]), np.array([1, 0, 4, 3, 2, 0, 2])
+        winf = winf_distances(stack, a, b)
+        fosd = fosd_violations(stack, a, b)
+        for k, (i, j) in enumerate(zip(a, b)):
+            assert winf[k] == winf_distance(margs[i], margs[j])
+            assert fosd[k] == fosd_violation(margs[i], margs[j])
 
 
 def test_moment_needs_three_z_points():
