@@ -662,11 +662,9 @@ class StructuralModel:
 
         Two stacked quantile calls, whatever the number of sites and columns:
         x through each row's site marginal, y through its (site, x bin)
-        column law.  More rows than a stacked call takes are refused before
-        any is drawn."""
+        column law."""
         if n < 1:
             raise ValidationError("need n >= 1")
-        measures._refuse_oversize(n, "a stacked call")
         gen = self.generator
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         u = rng.uniform(size=n)

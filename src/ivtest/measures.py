@@ -33,17 +33,15 @@ INPUT_TOL = 1e-9
 
 # Largest table a stack of grid laws, a generator or its collision accounting
 # may allocate, in entries.  A stack of several laws holds one table slot per
-# breakpoint and one more per law, and one stacked call gathers a few arrays
-# of its own size.  The generator counts its shift table, the interval codes
-# of every site at every latent cell, and collision accounting's matched code
-# pairs and their gather.  The first two are refused when the generator is
-# built, so every generator that builds can be accounted unless its marginals
-# match across many classes; on an 8-site arity-2 law that is up to depth 19.
+# breakpoint and one more per law, and a statistic over pairs of its rows
+# gathers the profile entries of every pair.  A stacked call over given points
+# allocates in proportion to them, as a one-law call does, and is not capped.
+# The generator counts its shift table, the interval codes of every site at
+# every latent cell, and collision accounting's matched code pairs and their
+# gather.  The first two are refused when the generator is built, so every
+# generator that builds can be accounted unless its marginals match across
+# many classes; on an 8-site arity-2 law that is up to depth 19.
 MAX_CELL_ENTRIES = 2**24
-
-# Rows of at most this many breakpoints are searched by counting (see
-# GridStack._rank): a few vector passes beat two binary searches there.
-_COUNT_WIDTH = 32
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
@@ -78,6 +76,17 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _refuse_oversize(entries: int, what: str) -> None:
     if entries > MAX_CELL_ENTRIES:
         raise ValidationError(f"{what} needs {entries} entries, more than {MAX_CELL_ENTRIES}")
+
+
+def _row_keys(rows, values) -> np.ndarray:
+    """``rows + 1j * values`` pointwise, set part by part: the product would
+    turn an infinite value into a NaN real part.  NumPy orders complex
+    numbers by real part and then by imaginary part, so in a search of such
+    keys every value meets only the entries of its own row."""
+    keys = np.empty(np.shape(values), dtype=np.complex128)
+    keys.real = rows
+    keys.imag = values
+    return keys
 
 
 def _scalar(out: np.ndarray) -> np.ndarray | float:
@@ -206,63 +215,41 @@ class GridStack:
         s = np.arange(len(row)) - (self.starts[:-1] + np.arange(len(length)))[row]
         return row, s, self.starts[row] + np.minimum(s, length[row] - 1)
 
-    def _search_table(self, values: np.ndarray):
-        """What :meth:`_rank` searches in a profile column: the ``(width, R)``
-        table of every row's entries, padded with +inf, when rows hold at
-        most ``_COUNT_WIDTH`` entries and the table stays within
-        ``MAX_CELL_ENTRIES``; otherwise the distinct values ``V`` and the key
-        ``row * len(V) + rank`` of every entry, non-decreasing since each row
-        is."""
-        length = self._length
-        row = np.repeat(np.arange(len(length)), length)
-        width = int(length.max())
-        if width <= _COUNT_WIDTH and width * len(length) <= MAX_CELL_ENTRIES:
-            table = np.full((width, len(length)), np.inf)
-            table[np.arange(len(values)) - self.starts[row], row] = values
-            return table
-        V = np.unique(values)
-        return V, row * len(V) + np.searchsorted(V, values)
+    def _keys(self, values: np.ndarray) -> np.ndarray:
+        """The search keys of a profile column: ``row + 1j * value`` per entry
+        (see :func:`_row_keys`), sorted since each row is."""
+        return _row_keys(np.repeat(np.arange(len(self._length)), self._length), values)
 
     @cached_property
-    def _cr_search(self):
-        return self._search_table(self.CR)
+    def _cr_keys(self) -> np.ndarray:
+        return self._keys(self.CR)
 
     @cached_property
-    def _b_search(self):
-        return self._search_table(self.B)
+    def _b_keys(self) -> np.ndarray:
+        return self._keys(self.B)
 
-    def _rank(self, search, rows, v, strict=True) -> np.ndarray:
-        """Per point, the number of its row's entries in ``search`` (see
-        :meth:`_search_table`) below ``v``, or at or below it when ``strict``
-        (for all points or one flag per point), as ``np.searchsorted`` counts
-        them on the row alone, NaN above everything.
-
-        Short rows are counted entry by entry against the padded table, and
-        the count is capped at the row's length, which the +inf padding
-        reaches only for v = +inf or NaN.  Long rows are searched by key: a
-        point's key is its row and the number of distinct values below v
-        (and v itself when it is one of them and the point is strict)."""
-        if isinstance(search, np.ndarray):
-            k = np.zeros(v.shape, dtype=np.intp)
-            for entries in search:
-                e = entries[rows]
-                if strict is True:
-                    k += ~(e > v)
-                elif strict is False:
-                    k += ~(e >= v)
-                else:
-                    k += ~((e > v) | (~strict & (e == v)))
-            return np.minimum(k, self._length[rows])
-        V, key = search
-        g = np.searchsorted(V, v)
-        if strict is not False:
-            g = g + (strict & (V[np.minimum(g, len(V) - 1)] == v))
-        return np.searchsorted(key, rows * len(V) + g) - self.starts[rows]
+    def _rank(self, keys, rows, v, strict=True) -> np.ndarray:
+        """Per point, the number of its row's entries in ``keys`` (see
+        :meth:`_keys`) below ``v``, or at or below it when ``strict`` (for
+        all points or one flag per point), as ``np.searchsorted`` counts them
+        on the row alone; NaN lies above everything.  The point's key
+        ``row + 1j * v`` is compared with its own row's entries only, so a tie
+        is decided exactly."""
+        point = _row_keys(rows, v)
+        if strict is True or strict is False:
+            k = np.searchsorted(keys, point, side="right" if strict else "left")
+        else:
+            k = np.where(
+                strict,
+                np.searchsorted(keys, point, side="right"),
+                np.searchsorted(keys, point, side="left"),
+            )
+        # a NaN key sorts after every key of every row
+        return np.minimum(k - self.starts[rows], self._length[rows])
 
     def _batch(self, rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.asarray(rows, dtype=np.intp)
         shape = np.broadcast_shapes(rows.shape, values.shape)
-        _refuse_oversize(math.prod(shape), "a stacked call")
         return np.broadcast_to(rows, shape), np.broadcast_to(values, shape)
 
     # -- per-row ends -------------------------------------------------------
@@ -327,7 +314,7 @@ class GridStack:
         else:
             top, lo, hi = top[rows], lo[rows], hi[rows]
             ps = np.minimum(np.maximum(ps, 0.0), top)
-            k = self._rank(self._cr_search, rows, ps, strict) + self.starts[rows] + rows
+            k = self._rank(self._cr_keys, rows, ps, strict) + self.starts[rows] + rows
         # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict).
         # The level that exhausts the mass is the support's upper end, even
         # when rounding leaves the cumulative mass a few ulps off 1; for the
@@ -383,7 +370,7 @@ class GridStack:
         else:
             rows, xs = self._batch(rows, xs)
             b0, b1 = self.B[self.starts[rows]], self.B[self.starts[rows + 1] - 1]
-            j = self._rank(self._b_search, rows, xs) + self.starts[rows] + rows
+            j = self._rank(self._b_keys, rows, xs) + self.starts[rows] + rows
         # CR[k] + frac * (CL[k+1] - CR[k]) with frac = (x - B[k]) / (B[k+1] - B[k]),
         # taken at x clipped to the profile so the flat slots add exactly 0
         xc = np.minimum(np.maximum(xs, b0), b1)
@@ -397,7 +384,7 @@ class GridStack:
         ``k`` within the row, clipped to the row's segments: an atom-free
         row's bin, the last one closed."""
         rows, xs = self._batch(rows, np.asarray(x, dtype=float))
-        k = self._rank(self._b_search, rows, xs) - 1
+        k = self._rank(self._b_keys, rows, xs) - 1
         return np.clip(k, 0, self._length[rows] - 2)
 
 
@@ -752,11 +739,13 @@ def _pair_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """For every pair ``i``, the entries of rows ``first[i]`` and ``second[i]``
     of each profile column in ``columns``, pair after pair; returns the values
-    and the pair of each."""
+    and the pair of each.  Raises ``ValidationError``, before gathering, when
+    they would exceed ``MAX_CELL_ENTRIES`` entries."""
     rows = np.column_stack([first, second])
     offsets = len(stack.B) * np.arange(len(columns))
     starts = stack.starts[rows][:, None, :] + offsets[None, :, None]
     lengths = np.broadcast_to(stack._length[rows][:, None, :], starts.shape)
+    _refuse_oversize(int(lengths.sum()), "a pair gather")
     values = np.concatenate(columns)[_ragged_arange(starts.ravel(), lengths.ravel())]
     return values, np.repeat(np.arange(len(rows)), lengths.sum(axis=(1, 2)))
 

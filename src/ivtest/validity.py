@@ -30,7 +30,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DegenerateGridError, ValidationError
 from .measures import (
     INPUT_TOL,
-    GridDistribution,
     GridStack,
     JointLaw,
     _pair_entries,
@@ -312,8 +311,12 @@ def _pair_quantile_moments(
     error is 2.5e-3 at power 0.5 and 3.8e-4 at power 1.
 
     The nodes of every segment of every pair take one quantile call per
-    stack; the weighted sums stay per segment (see
-    :func:`_pair_quantile_moment`).
+    stack, but the weighted sums are not batched: every segment's sum is one
+    1-D ``_GL_WEIGHTS @ v``, added to its pair's total in segment order, as a
+    loop over segments adds them.  A batched ``vals @ w``, ``einsum`` or
+    ``(v * w).sum`` rounds differently from the 1-D dot on most 16-vectors
+    (1671 to 1910 of 2000 random ones), which would move the seeded simulate
+    output.
     """
     lx, px = _pair_entries(xs, first, second, (xs.CL, xs.CR))
     ly, py = _pair_entries(ys, first, second, (ys.CL, ys.CR))
@@ -335,32 +338,11 @@ def _pair_quantile_moments(
     qy = ys.quantile(rows, np.tile(t, 2)).reshape(2, -1)
     dx, dy = qx[0] - qx[1], qy[0] - qy[1]
     vals = ((dx * dx + dy * dy) ** (power / 2.0)).reshape(len(half), len(_GL_NODES))
-    # one 1-D dot per segment, added in segment order (see _pair_quantile_moment)
+    # one 1-D dot per segment, added in segment order
     totals = [0.0] * len(first)
     for i, h, v in zip(seg_pair.tolist(), half.tolist(), vals):
         totals[i] += h * float(_GL_WEIGHTS @ v)
     return totals
-
-
-def _pair_quantile_moment(
-    xm1: GridDistribution,
-    xm2: GridDistribution,
-    ym1: GridDistribution,
-    ym2: GridDistribution,
-    power: float,
-) -> float:
-    """:func:`_pair_quantile_moments` of one pair of laws, each coordinate's
-    two laws stacked.
-
-    Every segment's weighted sum is one 1-D ``_GL_WEIGHTS @ v``, added to the
-    pair's total in segment order, as a loop over segments adds them.  The
-    nodes are batched but these dots are not: a batched ``vals @ w``,
-    ``einsum`` or ``(v * w).sum`` rounds differently from the 1-D dot on most
-    16-vectors (1671 to 1910 of 2000 random ones), which would move the
-    seeded simulate output.
-    """
-    xs, ys = GridStack.of([xm1, xm2]), GridStack.of([ym1, ym2])
-    return _pair_quantile_moments(xs, ys, np.array([0]), np.array([1]), power)[0]
 
 
 def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> TestReport:

@@ -1,9 +1,9 @@
 """Shared builders for analytic test laws, the level-by-level cell
 expansion oracle, the exact replay oracle, the eager-table sampling oracle,
 the pairwise image-code and collision oracles, the piece-loop inversion
-oracle, the segment-loop moment oracle, the per-pair statistic oracles, the
-breakpoint-loop profile oracle and the masked quantile/CDF and per-bin
-discretize oracles."""
+oracle, the one-pair moment and its segment-loop oracle, the per-pair
+statistic oracles, the breakpoint-loop profile oracle and the masked
+quantile/CDF and per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -23,7 +23,8 @@ from ivtest import (
     population_law,
     product_conditional,
 )
-from ivtest.measures import INPUT_TOL, fosd_violation, winf_distance
+from ivtest.measures import INPUT_TOL, GridStack, fosd_violation, winf_distance
+from ivtest.validity import _pair_quantile_moments
 
 
 def uniform_grid(lo, hi, bins=1):
@@ -360,8 +361,15 @@ def piece_loop_invert(gen, x, u):
     return "".join(str(d) for d in gen.addresses[next(iter(matches))])
 
 
+def pair_quantile_moment(xm1, xm2, ym1, ym2, power):
+    """``validity._pair_quantile_moments`` of one pair of laws, each
+    coordinate's two laws stacked as rows 0 and 1."""
+    xs, ys = GridStack.of([xm1, xm2]), GridStack.of([ym1, ym2])
+    return _pair_quantile_moments(xs, ys, np.array([0]), np.array([1]), power)[0]
+
+
 def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):
-    """``validity._pair_quantile_moment`` one merged-breakpoint segment at a time.
+    """:func:`pair_quantile_moment` one merged-breakpoint segment at a time.
 
     An independent oracle for the vectorised statistic: it rebuilds the
     Gauss-Legendre rule and makes four ``quantile`` calls per segment, then

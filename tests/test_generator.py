@@ -883,15 +883,16 @@ def test_sample_makes_two_stacked_quantile_calls(rng, monkeypatch, nz, nx):
     assert sorted(calls) == sorted(stacked + ["GridDistribution.quantile"])
 
 
-def test_sample_size_guard(rng, monkeypatch):
-    """``n`` rows make stacked calls of ``n`` points: at the cap they are
-    drawn, one row past it is refused before drawing."""
+def test_sample_is_not_capped_by_the_table_bound(rng, monkeypatch):
+    """``n`` rows make stacked calls of ``n`` points, which allocate in
+    proportion to them as the drawn rows do: past ``MAX_CELL_ENTRIES`` the
+    rows are drawn, and they are the rows drawn under the default bound."""
     law = random_joint_law(rng, nz=3, ny=4, nx=4)
     model = compose_structural_model(law, build_generator(law.x_marginals(), law.pz, law.z_grid, 3))
+    want = model.sample(1000, seed=0)
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 100)
-    assert model.sample(100, seed=0).shape == (100, 3)
-    with pytest.raises(ValidationError, match="stacked call needs 101 entries"):
-        model.sample(101, seed=0)
+    fresh = compose_structural_model(law, build_generator(law.x_marginals(), law.pz, law.z_grid, 3))
+    assert fresh.sample(1000, seed=0).tobytes() == want.tobytes()
 
 
 def test_sampling_a_zero_mass_column_is_refused(rng):
@@ -1056,6 +1057,41 @@ def test_invert_matches_piece_loop_oracle():
     for kind in ("single z group", "no z cell maps", "z cells match"):
         assert any(kind in o for o in outcomes), kind
     assert len({o for o in outcomes if not o.startswith("NonInvertibleError")}) > 10
+
+
+def test_invert_on_image_cell_boundaries_matches_piece_loop_oracle(monkeypatch):
+    """x on every image-cell boundary and its float neighbours, on x-marginals
+    with support gaps under a pz with atoms: where rounding defeats the
+    two-level check on ``floor(n F(x))``, the whole-grid search decides, and
+    every outcome is the per-piece loop's."""
+    pz = GridDistribution(np.array([0.0, 0.5, 1.0]), np.array([0.3, 0.3]), ((0.1, 0.2), (0.3, 0.2)))
+    margs = [
+        GridDistribution(np.array([0.0, 0.3, 0.5, 1.0]), np.array([0.3, 0.0, 0.7])),
+        GridDistribution(np.array([0.0, 0.1, 0.7, 1.0]), np.array([0.0, 0.75, 0.25])),
+        GridDistribution(np.array([0.0, 0.2, 0.6, 0.9, 1.0]), np.array([0.1, 0.0, 0.7, 0.2])),
+        GridDistribution(np.array([0.0, 0.3, 0.5, 1.0]), np.array([0.3, 0.0, 0.7])),
+    ]
+    grid_searches = []
+    one_law = GridDistribution.quantile
+
+    def counted(self, p):  # the whole-grid search is the only one-law call on a marginal
+        if any(self is m for m in margs):
+            grid_searches.append(np.size(p))
+        return one_law(self, p)
+
+    rng = np.random.default_rng(5)
+    for depth in (1, 2, 3):
+        gen = build_generator(margs, pz, [0.1, 0.3, 0.4, 0.8], depth)
+        n = gen.n_u_cells
+        grid_searches.clear()
+        bounds = np.concatenate([m.quantile(np.arange(n + 1) / n) for m in margs])
+        xs = np.unique(np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0)]))
+        for x, u in zip(xs, rng.uniform(size=len(xs))):
+            with monkeypatch.context() as mp:
+                mp.setattr(GridDistribution, "quantile", counted)
+                got = invert_outcome(invert_generator, gen, float(x), float(u))
+            assert got == invert_outcome(piece_loop_invert, gen, float(x), float(u)), (depth, x, u)
+        assert grid_searches and set(grid_searches) == {n + 1}, depth
 
 
 # ---------------------------------------------------------------------------

@@ -263,26 +263,20 @@ def _assert_rows_match(got, rows, vals, flags, unshuffle, oracle):
     dists=st.lists(grid_distributions(), min_size=1, max_size=5),
     extra=st.lists(st.floats(0.0, 1.0), max_size=4),
     seed=st.integers(0, 2**32 - 1),
-    keyed=st.booleans(),
 )
-def test_stacked_quantile_matches_masked_oracle(dists, extra, seed, keyed):
+def test_stacked_quantile_matches_masked_oracle(dists, extra, seed):
     """Ragged rows (knot counts, atoms, gaps, zero-mass edge bins), levels on
-    every CR value and at 0 and 1, one mode for all or one per point, searched
-    by counting or by keys."""
+    every CR value and at 0 and 1, one mode for all or one per point."""
     rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_COUNT_WIDTH", 0 if keyed else 32)
-        stack = GridStack.of(dists)
-        rows, ps, unshuffle = _stacked_points(
-            dists, [_quantile_levels(d, extra) for d in dists], rng
+    stack = GridStack.of(dists)
+    rows, ps, unshuffle = _stacked_points(dists, [_quantile_levels(d, extra) for d in dists], rng)
+    for strict in (False, True, rng.random(len(ps)) < 0.5):
+        got = stack.quantile(rows, ps, strict=strict)
+        flags = np.broadcast_to(strict, ps.shape)
+        _assert_rows_match(
+            got, rows, ps, flags, unshuffle,
+            lambda r, p, flag: masked_quantile_eval(dists[r], p, flag),
         )
-        for strict in (False, True, rng.random(len(ps)) < 0.5):
-            got = stack.quantile(rows, ps, strict=strict)
-            flags = np.broadcast_to(strict, ps.shape)
-            _assert_rows_match(
-                got, rows, ps, flags, unshuffle,
-                lambda r, p, flag: masked_quantile_eval(dists[r], p, flag),
-            )
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,25 +284,50 @@ def test_stacked_quantile_matches_masked_oracle(dists, extra, seed, keyed):
     dists=st.lists(grid_distributions(), min_size=1, max_size=5),
     extra=st.lists(st.floats(-10.0, 10.0), max_size=4),
     seed=st.integers(0, 2**32 - 1),
-    keyed=st.booleans(),
 )
-def test_stacked_cdf_and_bins_match_masked_oracle(dists, extra, seed, keyed):
+def test_stacked_cdf_and_bins_match_masked_oracle(dists, extra, seed):
     rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_COUNT_WIDTH", 0 if keyed else 32)
-        stack = GridStack.of(dists)
-        rows, xs, unshuffle = _stacked_points(dists, [_cdf_points(d, extra) for d in dists], rng)
-        for left in (False, True, rng.random(len(xs)) < 0.5):
-            got = stack.cdf(rows, xs, left=left)
-            flags = np.broadcast_to(left, xs.shape)
-            _assert_rows_match(
-                got, rows, xs, flags, unshuffle,
-                lambda r, x, flag: masked_cdf_eval(dists[r], x, flag),
-            )
-        B = [d._profile[0] for d in dists]
-        want = [np.clip(np.searchsorted(B[r], x, side="right") - 1, 0, len(B[r]) - 2)
-                for r, x in zip(rows, xs)]
-        assert stack.bin_of(rows, xs).tolist() == [int(w) for w in want]
+    stack = GridStack.of(dists)
+    rows, xs, unshuffle = _stacked_points(dists, [_cdf_points(d, extra) for d in dists], rng)
+    for left in (False, True, rng.random(len(xs)) < 0.5):
+        got = stack.cdf(rows, xs, left=left)
+        flags = np.broadcast_to(left, xs.shape)
+        _assert_rows_match(
+            got, rows, xs, flags, unshuffle,
+            lambda r, x, flag: masked_cdf_eval(dists[r], x, flag),
+        )
+    B = [d._profile[0] for d in dists]
+    want = [np.clip(np.searchsorted(B[r], x, side="right") - 1, 0, len(B[r]) - 2)
+            for r, x in zip(rows, xs)]
+    assert stack.bin_of(rows, xs).tolist() == [int(w) for w in want]
+
+
+def test_stacked_nan_and_infinite_points_stay_in_their_row():
+    """A NaN key sorts after every row's keys; each point still reads its own
+    row and gets the bits of a one-law call."""
+    laws = [
+        GridDistribution.uniform(0.0, 1.0, 3),
+        GridDistribution(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.0]), ((1.5, 0.5),)),
+        GridDistribution.uniform(-2.0, 5.0, 7),
+    ]
+    stack = GridStack.of(laws)
+    rows = np.array([0, 1, 2, 2, 1, 0, 1, 0, 2])
+    xs = np.array([np.nan] * 6 + [-np.inf, np.inf, np.inf])
+    ps = np.where(np.isnan(xs), np.nan, 0.5)
+    for got, one in (
+        (stack.cdf(rows, xs), lambda d, x: d.cdf(x)),
+        (stack.cdf(rows, xs, left=True), lambda d, x: d.cdf_left(x)),
+    ):
+        want = [one(laws[r], x) for r, x in zip(rows, xs)]
+        assert got.tobytes() == np.array(want).tobytes()
+    for got, one in (
+        (stack.quantile(rows, ps), lambda d, p: d.quantile(p)),
+        (stack.quantile(rows, ps, strict=True), lambda d, p: d.quantile_right(p)),
+    ):
+        want = [one(laws[r], p) for r, p in zip(rows, ps)]
+        assert got.tobytes() == np.array(want).tobytes()
+    last = [len(laws[r]._profile[0]) - 2 for r in rows]
+    assert stack.bin_of(rows, xs).tolist() == [0 if x == -np.inf else k for x, k in zip(xs, last)]
 
 
 def test_atom_free_stack_is_the_stack_of_its_laws(rng):
@@ -344,29 +363,34 @@ def test_atom_free_stack_checks_every_row(edges, masses, match):
 
 
 def test_stack_size_guard(monkeypatch):
-    """At the cap a stack builds and a batch runs; one entry past it both
-    are refused, a batch before it allocates anything."""
+    """At the cap a stack builds and a pair gather runs; one entry past it
+    both are refused before allocating.  Stacked calls over given points are
+    not capped: they allocate in proportion to their points, as a one-law
+    call does."""
     laws = [GridDistribution.uniform(0.0, 1.0, 3)] * 4  # 4 rows x 5 slots
     block = [(np.linspace(0.0, 1.0, 4), np.full((4, 3), 1 / 3))]
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 20)
     stack = GridStack.of(laws)
     GridStack.atom_free(block)
-    points = np.linspace(0.0, 1.0, 20)
-    assert stack.quantile(np.arange(20) % 4, points).tolist() == points.tolist()
-    stack.cdf(np.arange(20) % 4, points)
+    points = np.linspace(0.0, 1.0, 40)
+    rows = np.arange(40) % 4
+    assert stack.quantile(rows, points).tobytes() == laws[0].quantile(points).tobytes()
+    assert stack.cdf(rows, points).tobytes() == laws[0].cdf(points).tobytes()
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 19)
     for build in (lambda: GridStack.of(laws), lambda: GridStack.atom_free(block)):
         with pytest.raises(ValidationError, match="stack of grid laws needs 20 entries"):
             build()
-    for call in (stack.quantile, stack.cdf, stack.bin_of):
-        with pytest.raises(ValidationError, match="stacked call needs 20 entries"):
-            call(np.arange(20) % 4, points)
-    # one law is not a batch: its calls take any number of points
-    assert laws[0].quantile(points).tolist() == points.tolist()
-    monkeypatch.undo()
-    huge = np.broadcast_to(np.intp(0), (2**40,))  # a view: nothing allocated
-    with pytest.raises(ValidationError, match="stacked call needs 1099511627776 entries"):
-        stack.quantile(huge, 0.5)
+    # a pair of 4-breakpoint rows gathers 16 quantile levels (CL and CR) or
+    # 8 breakpoints
+    pairs = np.array([0, 1]), np.array([2, 3])
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 16)
+    assert measures.winf_distances(stack, pairs[0][:1], pairs[1][:1]).tolist() == [0.0]
+    assert measures.fosd_violations(stack, *pairs).tolist() == [0.0, 0.0]
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 15)
+    with pytest.raises(ValidationError, match="pair gather needs 16 entries"):
+        measures.winf_distances(stack, pairs[0][:1], pairs[1][:1])
+    with pytest.raises(ValidationError, match="pair gather needs 16 entries"):
+        measures.fosd_violations(stack, *pairs)
 
 
 # ---------------------------------------------------------------------------

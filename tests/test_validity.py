@@ -37,7 +37,6 @@ from ivtest.measures import (
     winf_distances,
 )
 from ivtest.simulate import DGPSpec, discretize, sample
-from ivtest.validity import _pair_quantile_moment
 
 from conftest import (
     assert_tuple_plan,
@@ -47,6 +46,7 @@ from conftest import (
     pair_loop_jump,
     pair_loop_moment,
     pair_loop_sure_decrease,
+    pair_quantile_moment,
     random_joint_law,
     segment_loop_quantile_moment,
 )
@@ -394,7 +394,7 @@ def test_pair_moment_matches_segment_loop_bit_for_bit(rng, power, kind):
     """One quantile sweep per marginal gives the per-segment loop's float exactly."""
     for _ in range(12):
         margs = [random_marginal(rng, "atoms" in kind, "gaps" in kind) for _ in range(4)]
-        got = _pair_quantile_moment(*margs, power)
+        got = pair_quantile_moment(*margs, power)
         assert got == segment_loop_quantile_moment(*margs, power)
 
 
@@ -417,7 +417,7 @@ def test_pair_moment_makes_one_quantile_call_per_stack(rng, monkeypatch):
     evaluated at every node in one call."""
     margs = [random_marginal(rng, gaps=True) for _ in range(4)]
     calls = count_kernel_calls(monkeypatch)
-    _pair_quantile_moment(*margs, 4.0)
+    pair_quantile_moment(*margs, 4.0)
     assert len(calls) == 2 and calls[0] is not calls[1] and "one law" not in calls
 
 
