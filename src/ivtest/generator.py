@@ -204,21 +204,51 @@ class GeneratorMap:
         last = max(len(self.cuts) - 2, 0)
         return len(self.atoms) + np.clip(np.searchsorted(self.cuts, z, side="right") - 1, 0, last)
 
+    @cached_property
+    def _breakpoints(self) -> np.ndarray:
+        """The cut points and the positive-mass bin edges, merged in z order."""
+        lo, hi, _ = self._bins
+        return np.union1d(self.cuts, np.concatenate([lo, hi]))
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lookup table of :meth:`locate`.
+
+        The breakpoints and the atoms, merged into ``start``, cut the z line
+        into segments ``[start[i-1], start[i])``, ``i = 0..len(start)``, with
+        ``start[-1]`` read as -inf.  Inside a segment every z has one cell row
+        and one site (-1 where no positive-mass bin holds it), found at its
+        lower end; only a z equal to an atom differs.  Returns ``start``, the
+        atom at each segment's lower end (NaN, which equals no z, where there
+        is none) and the ``(4, segments)`` table of the row and site of the
+        segment and of that atom.
+        """
+        start = np.union1d(self._breakpoints, self.atoms)
+        k = len(self.atoms)
+        held = np.full((4, len(start) + 1), -1, dtype=np.int64)
+        held[:2, 1:] = self._continuum_row(start), self._bin_site(start)
+        atom_z = np.full(len(start) + 1, np.nan)
+        if k:
+            j = np.minimum(np.searchsorted(self.atoms, start), k - 1)
+            hit = np.flatnonzero(self.atoms[j] == start)
+            atom_z[hit + 1] = start[hit]
+            held[2:, hit + 1] = j[hit], self._atom_sites[j[hit]]
+        return start, atom_z, held
+
     def locate(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Cell row and site index of every z value.
+        """Cell row and site index of every z value, from one search of the
+        merged breakpoints and atoms (see :attr:`_segments`).
 
         Atoms match first; any other z must lie in a positive-mass bin of pz,
         and raises ``ValidationError`` otherwise.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        rows = self._continuum_row(zs)
-        sites = self._bin_site(zs)
-        k = len(self.atoms)
-        if k:
-            j = np.minimum(np.searchsorted(self.atoms, zs), k - 1)
-            hit = self.atoms[j] == zs
-            rows = np.where(hit, j, rows)
-            sites = np.where(hit, self._atom_sites[j], sites)
+        start, atom_z, held = self._segments
+        i = np.searchsorted(start, zs, side="right")
+        pair = held[:2].take(i, axis=1)
+        if len(self.atoms):
+            pair = np.where(atom_z[i] == zs, held[2:].take(i, axis=1), pair)
+        rows, sites = pair
         if np.any(sites < 0):
             raise ValidationError(f"z value {zs[sites < 0][0]} carries no conditional")
         return rows, sites
@@ -236,8 +266,7 @@ class GeneratorMap:
         cell, site, weight = [np.arange(len(self.atoms))], [self._atom_sites], [atom_mass]
         mass, cont = self._continuum
         if cont is not None:
-            lo, hi, _ = self._bins
-            bp = np.union1d(self.cuts, np.concatenate([lo, hi]))
+            bp = self._breakpoints
             w = mass * np.diff(cont.cdf_left(bp))
             s = self._bin_site(bp[:-1])
             keep = (s >= 0) & (w > 0)
@@ -267,6 +296,55 @@ class GeneratorMap:
             rotated = (digits + (pattern[:, None] // place % K)[:, None, :]) % K
             out.append((((rotated @ place) * scale).astype(np.intp), row))
         return tuple(out)
+
+    def match_table(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Class and shift pattern of every piece, and the code matches of the
+        classes.
+
+        Sites with equal x-marginals form one class and are coded once.  A
+        piece's pattern is its row's shift digits read as a base-``arity``
+        numeral, which is also the row's image of latent cell 0.  Returns the
+        piece classes, the patterns and :func:`_code_matches` of the classes.
+        Built anew on every call; accounting reads the gather that
+        :attr:`_match_gather` keeps instead.
+        """
+        cell, site, _ = self.pieces
+        used, slot = np.unique(site, return_inverse=True)
+        reps, of = _marginal_classes([self.marginals[si] for si in used])
+        codes = _interval_codes(reps, self.n_u_cells)
+        return of[slot], self.image_cells(cell, 0), _code_matches(codes, self.arity, self.depth)
+
+    @cached_property
+    def _match_gather(self) -> tuple[np.ndarray, ...]:
+        """The match table laid out for :func:`_collision_mass`, built on
+        first use: the ``(class, pattern)`` key of every piece, the number of
+        keys, the keys held by two or more pieces and the pieces that hold
+        them, and, for every pair of keys that the sparse matches join, the
+        two keys and the match count.  Only these arrays are kept; the sparse
+        matches of :meth:`match_table` are freed once gathered.  Raises
+        ``ValidationError``, caching nothing, when the matched entry pairs or
+        the gather exceed ``MAX_CELL_ENTRIES``.
+        """
+        piece_class, pattern, (P, Q, delta, count) = self.match_table()
+        n = self.n_u_cells
+        keys, key_of, held = np.unique(
+            piece_class * n + pattern, return_inverse=True, return_counts=True
+        )
+        shared = held > 1
+        src = dst = np.zeros(0, dtype=np.intp)
+        if len(count):
+            key_class, key_pattern = np.divmod(keys, n)
+            first = np.searchsorted(key_class, Q)
+            size = np.searchsorted(key_class, Q, side="right") - first
+            match = np.repeat(np.arange(len(count)), size)
+            dst = _ragged_arange(first, size)
+            want = P[match] * n + _digit_difference(
+                key_pattern[dst], delta[match], self.arity, self.depth
+            )
+            src = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            hit = keys[src] == want
+            src, dst, count = src[hit], dst[hit], count[match[hit]]
+        return key_of, len(keys), np.flatnonzero(shared), shared[key_of], src, dst, count
 
     def image_cells(self, rows, cells=None) -> np.ndarray:
         """Image cell of latent cell ``cells`` under z-cell row ``rows``,
@@ -512,22 +590,6 @@ def _code_matches(codes: np.ndarray, arity: int, depth: int):
     return (*np.divmod(PQ, n_classes), delta, count)
 
 
-def _match_table(gen: GeneratorMap):
-    """Class and shift pattern of every piece, and the code matches of the
-    classes.
-
-    Sites with equal x-marginals form one class and are coded once.  A
-    piece's pattern is its row's shift digits read as a base-``arity``
-    numeral, which is also the row's image of latent cell 0.  Returns the
-    piece classes, the patterns and :func:`_code_matches` of the classes.
-    """
-    cell, site, _ = gen.pieces
-    used, slot = np.unique(site, return_inverse=True)
-    reps, of = _marginal_classes([gen.marginals[si] for si in used])
-    codes = _interval_codes(reps, gen.n_u_cells)
-    return of[slot], gen.image_cells(cell, 0), _code_matches(codes, gen.arity, gen.depth)
-
-
 def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
     """Colliding z-pair mass between every pair of piece groups, exact.
 
@@ -545,38 +607,23 @@ def _collision_mass(gen: GeneratorMap, group: np.ndarray) -> np.ndarray:
     piece's own ``n w_i²``; each match's sum is one ``searchsorted`` gather
     of the ``(class, pattern)`` keys.  It is averaged over the ``n`` latent
     cells, and the continuum's ``Σ w_i²`` self mass is added once.  Nothing
-    of size ``pieces × n`` is built.  Raises ``ValidationError``, before
-    allocating, when the matched entry pairs or the gather exceed
+    of size ``pieces × n`` is built.  The codes, their matches and the
+    gather are built once per generator (:attr:`GeneratorMap._match_gather`);
+    a call only contracts the group weights.  Raises ``ValidationError``,
+    before allocating, when the matched entry pairs or the gather exceed
     ``MAX_CELL_ENTRIES``.
     """
     cell, _, w = gen.pieces
     n, n_groups = gen.n_u_cells, int(group.max()) + 1
-    piece_class, pattern, (P, Q, delta, count) = _match_table(gen)
-    keys, key_of, held = np.unique(
-        piece_class * n + pattern, return_inverse=True, return_counts=True
-    )
+    key_of, n_keys, shared, sharing, src, dst, count = gen._match_gather
     W = np.bincount(
-        key_of * n_groups + group, weights=w, minlength=len(keys) * n_groups
+        key_of * n_groups + group, weights=w, minlength=n_keys * n_groups
     ).reshape(-1, n_groups)
     # a key held by one piece is that piece meeting only itself: W Wᵀ − w² is 0
-    shared = held > 1
-    own = np.bincount(
-        group[shared[key_of]], weights=w[shared[key_of]] ** 2, minlength=n_groups
-    )
+    own = np.bincount(group[sharing], weights=w[sharing] ** 2, minlength=n_groups)
     cross = n * (W[shared].T @ W[shared] - np.diag(own))
     if len(count):
-        key_class, key_pattern = np.divmod(keys, n)
-        first = np.searchsorted(key_class, Q)
-        size = np.searchsorted(key_class, Q, side="right") - first
-        match = np.repeat(np.arange(len(count)), size)
-        dst = _ragged_arange(first, size)
-        want = P[match] * n + _digit_difference(
-            key_pattern[dst], delta[match], gen.arity, gen.depth
-        )
-        src = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        hit = keys[src] == want
-        match, src, dst = match[hit], src[hit], dst[hit]
-        cross += (W[src] * count[match, None]).T @ W[dst]
+        cross += (W[src] * count[:, None]).T @ W[dst]
     continuum = cell >= len(gen.atoms)
     self_mass = np.bincount(
         group[continuum], weights=w[continuum] ** 2, minlength=n_groups

@@ -1,9 +1,9 @@
 """Shared builders for analytic test laws, the level-by-level cell
 expansion oracle, the exact replay oracle, the eager-table sampling oracle,
-the pairwise image-code and collision oracles, the piece-loop inversion
-oracle, the one-pair moment and its segment-loop oracle, the per-pair
-statistic oracles, the breakpoint-loop profile oracle and the masked
-quantile/CDF and per-bin discretize oracles."""
+the two-search z lookup oracle, the pairwise image-code and collision
+oracles, the piece-loop inversion oracle, the one-pair moment and its
+segment-loop oracle, the per-pair statistic oracles, the breakpoint-loop
+profile oracle and the masked quantile/CDF and per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -266,7 +266,7 @@ def eager_table_sample(model, n, seed):
 def pairwise_image_codes(gen):
     """Image-interval codes of every (piece, latent cell), from the pairs themselves.
 
-    An independent oracle for the code matches of ``generator._match_table``:
+    An independent oracle for the code matches of ``GeneratorMap.match_table()``:
     it evaluates the ``(lo, hi)`` image interval of every piece at every
     latent cell, through :func:`refine_and_shift_cells`, and codes
     all of them with one ``np.unique`` over the pairs, taken as the complex
@@ -287,6 +287,37 @@ def pairwise_image_codes(gen):
         hi[at] = qs[mapped + 1]
     _, codes = np.unique(lo.ravel() + 1j * hi.ravel(), return_inverse=True)
     return codes.reshape(len(cell), n).astype(np.int32)
+
+
+def two_search_lookup(gen, z):
+    """Cell row and site of every z by two binary searches, one of the cut
+    points and one of the positive-mass bins, and one of the atoms, which
+    match first; site -1 where no atom or positive-mass bin holds z."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    last = max(len(gen.cuts) - 2, 0)
+    k = len(gen.atoms)
+    rows = k + np.clip(np.searchsorted(gen.cuts, zs, side="right") - 1, 0, last)
+    lo, hi, idx = gen._bins
+    sites = np.full(zs.shape, -1, dtype=np.int64)
+    if len(lo):
+        j = np.clip(np.searchsorted(lo, zs, side="right") - 1, 0, len(lo) - 1)
+        sites = np.where((zs >= lo[j]) & (zs < hi[j]), idx[j], -1)
+    if k:
+        j = np.minimum(np.searchsorted(gen.atoms, zs), k - 1)
+        hit = gen.atoms[j] == zs
+        rows = np.where(hit, j, rows)
+        sites = np.where(hit, gen._atom_sites[j], sites)
+    return rows, sites
+
+
+def two_search_locate(gen, z):
+    """``GeneratorMap.locate`` by :func:`two_search_lookup`: the oracle for
+    the one-search lookup, with the same ``ValidationError`` refusal."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    rows, sites = two_search_lookup(gen, zs)
+    if np.any(sites < 0):
+        raise ValidationError(f"z value {zs[sites < 0][0]} carries no conditional")
+    return rows, sites
 
 
 def pairwise_collision_fraction(gen):

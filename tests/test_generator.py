@@ -21,7 +21,6 @@ from ivtest import (
     verify_replication,
 )
 from ivtest import generator, measures
-from ivtest.generator import _match_table
 from ivtest.measures import Conditional2D, GridStack, JointLaw
 
 import conftest
@@ -38,6 +37,8 @@ from conftest import (
     refine_and_shift_cells,
     replay_induced_conditional,
     replay_replication_error,
+    two_search_locate,
+    two_search_lookup,
 )
 
 
@@ -245,7 +246,7 @@ def meeting_counts(gen):
     match table: ``m_PQ[σ_j ⊖ σ_i]`` for pieces of classes P, Q and shift
     patterns σ_i, σ_j, every class matching itself ``n`` times at δ = 0.
     The digit differences come straight from the shift table."""
-    piece_class, _, (P, Q, delta, count) = _match_table(gen)
+    piece_class, _, (P, Q, delta, count) = gen.match_table()
     table = dict(zip(zip(P.tolist(), Q.tolist(), delta.tolist()), count.tolist()))
     shifts = gen.cells[gen.pieces[0]]
     place = gen.arity ** np.arange(gen.depth - 1, -1, -1)
@@ -391,13 +392,44 @@ def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, row
 
 def test_match_gather_cap_boundaries(monkeypatch):
     """At depth 0 all eight random marginals code the same interval: their
-    8 x 8 entry pairs are gathered at the cap and refused one entry past it."""
-    gen = collision_case("random-0")
+    8 x 8 entry pairs are gathered at the cap and refused one entry past it.
+    The match gather is built once per generator, so each cap gets a
+    generator of its own."""
     monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 64)
-    assert collision_fraction(gen) == 1.0
+    assert collision_fraction(collision_case("random-0")) == 1.0
     monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 63)
     with pytest.raises(ValidationError, match="gather of 64 entries"):
-        collision_fraction(gen)
+        collision_fraction(collision_case("random-0"))
+
+
+def test_match_gather_built_once_per_generator(monkeypatch):
+    """Repeated accounting on one generator codes its marginals once;
+    ``dataclasses.replace`` gives a generator with a fresh gather; a refused
+    build raises on every call and caches nothing."""
+    coded = []
+    real = generator._interval_codes
+    monkeypatch.setattr(
+        generator, "_interval_codes", lambda *args: coded.append(1) or real(*args)
+    )
+    gen = collision_case("random-6")
+    first = collision_fraction(gen)
+    labels, mat = group_collision_matrix(gen)
+    for _ in range(3):
+        assert collision_fraction(gen) == first
+        again = group_collision_matrix(gen)
+        assert again[0] == labels and np.array_equal(again[1], mat)
+    assert len(coded) == 1
+    shifted = replace(gen, cells=np.random.default_rng(3).integers(0, 2, gen.cells.shape))
+    assert "_match_gather" not in shifted.__dict__
+    assert abs(collision_fraction(shifted) - pairwise_collision_fraction(shifted)) <= 1e-15
+    assert len(coded) == 2
+    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 63)
+    refused = collision_case("random-0")
+    for account in (collision_fraction, group_collision_matrix, collision_fraction):
+        with pytest.raises(ValidationError, match="gather of 64 entries"):
+            account(refused)
+        assert "_match_gather" not in refused.__dict__
+    assert len(coded) == 5
 
 
 @pytest.mark.parametrize("law_name", sorted(COPIES))
@@ -405,7 +437,7 @@ def test_shifted_copies_match_at_many_differences(law_name):
     """Shifted copies match across sites at many digit differences δ ≠ 0,
     and the match table still counts every pair's meetings exactly."""
     gen = shifted_case(law_name, "random", 0)
-    _, _, (P, Q, delta, _) = _match_table(gen)
+    _, _, (P, Q, delta, _) = gen.match_table()
     assert len(np.unique(delta[P != Q])) >= 8
     assert np.array_equal(meeting_counts(gen), pairwise_meeting_counts(gen))
 
@@ -782,6 +814,70 @@ def test_support_gap_and_atom_inside_a_bin(rng):
     for z_gap in (0.3, 0.25, 1.0):
         with pytest.raises(ValidationError):
             gen(z_gap, 0.5)
+
+
+# pz laws whose sites need every branch of the z lookup, with their depths
+LOCATE_CASES = {
+    # eight equal bins: cut points fall on every bin edge
+    "bins": (
+        GridDistribution.uniform(0.0, 1.0, 8),
+        [(i + 0.5) / 8 for i in range(8)],
+        range(13),
+    ),
+    # a zero-mass bin (a gap) and an atom inside a bin
+    "gap-atom": (
+        GridDistribution(
+            np.array([0.0, 0.25, 0.5, 0.75, 1.0]), np.array([0.3, 0.0, 0.3, 0.2]), ((0.6, 0.2),)
+        ),
+        [0.1, 0.6, 0.7, 0.9],
+        range(13),
+    ),
+    # atoms on bin edges (0.25 opens a gap, 0.5 closes it, 1.0 tops the
+    # last bin, -1.0 opens a leading zero-mass bin), and a z site in a gap
+    "edge-atoms": (
+        GridDistribution(
+            np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0]),
+            np.array([0.0, 0.2, 0.0, 0.2, 0.2]),
+            ((-1.0, 0.1), (0.25, 0.1), (0.5, 0.1), (1.0, 0.1)),
+        ),
+        [-1.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.9, 1.0],
+        range(9),
+    ),
+    # atoms only: every other z is refused
+    "atoms-only": (
+        GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.5), (1.0, 0.5))),
+        [0.0, 1.0],
+        range(9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCATE_CASES))
+def test_locate_matches_two_search_oracle(name):
+    """z on every cut point, pz edge and atom, their float neighbours, ±0,
+    NaN and ±inf: the one-search lookup gives the two-search oracle's rows
+    and sites, and refuses the same z with the same message."""
+    pz, z_grid, depths = LOCATE_CASES[name]
+    margs = [GridDistribution.uniform(0, 1)] * len(z_grid)
+    for depth in depths:
+        gen = build_generator(margs, pz, z_grid, depth)
+        base = np.concatenate([gen.cuts, pz.edges, gen.atoms, [0.0, -0.0]])
+        zs = np.concatenate([
+            base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf), [np.nan, np.inf, -np.inf]
+        ])
+        want_rows, want_sites = two_search_lookup(gen, zs)
+        ok = want_sites >= 0
+        assert ok.any() and not ok.all()
+        rows, sites = gen.locate(zs[ok])
+        assert np.array_equal(rows, want_rows[ok]) and np.array_equal(sites, want_sites[ok])
+        if len(gen.atoms):
+            assert np.isin(gen._atom_sites, sites).all()
+        for batch in [zs, *zs[~ok]]:
+            with pytest.raises(ValidationError) as want:
+                two_search_locate(gen, batch)
+            with pytest.raises(ValidationError, match="carries no conditional") as got:
+                gen.locate(batch)
+            assert str(got.value) == str(want.value)
 
 
 def test_zero_mass_z_site_replicates(rng):
