@@ -14,11 +14,14 @@ every z cell, so the colliding mass shrinks by the cell arity at each level.
 Every permutation is a digitwise rotation.  Write latent cell ``c`` in base
 ``K`` with digits ``c_1 .. c_depth``, most significant first; z-cell row
 ``r`` rotates digit ``l`` by its shift ``s_l(r)``, so ``c`` lands on image
-cell ``Σ_l ((c_l + s_l(r)) mod K) · K**(depth - l)``.  Atom j shifts by j at
-every level; a continuum cell shifts by ``k+1`` at each level where it is a
-left half and by ``k`` where it is a right half (without atoms the image is
-``c XOR ~r``), which separates all top-level groups after one level.  With
-``k`` point masses in the z law, ``K`` is ``k+2``; without, it is 2.
+cell ``Σ_l ((c_l + s_l(r)) mod K) · K**(depth - l)``.  The shifts, read as
+one base-``K`` numeral, are the row's pattern ``σ_r``, its image of latent
+cell 0, and ``c`` lands on ``c ⊕ σ_r``, with ``⊕`` digitwise addition mod
+``K``.  Atom j shifts by j at every level; a continuum cell shifts by
+``k+1`` at each level where it is a left half and by ``k`` where it is a
+right half (without atoms the image is ``c XOR ~r``), which separates all
+top-level groups after one level.  With ``k`` point masses in the z law,
+``K`` is ``k+2``; without, it is 2.
 
 Exact replication is certified rather than recomputed.  A digitwise rotation
 is a bijection of ``0..n-1`` by construction, so for every row the ``n``
@@ -31,8 +34,8 @@ comparison of two mass tables.
 The layout is flat.  The continuum z cells are the intervals between the
 ``2**depth + 1`` equal-mass cut points of the atom-free part of pz, and the
 rows, one per atom and then one per continuum cell in z order, hold only
-their shifts: one ``(rows, depth)`` table.  No ``(rows, n)`` matrix is ever
-built; :meth:`GeneratorMap.image_cells` evaluates the sum above from one
+their patterns: one integer per row.  No ``(rows, n)`` matrix is ever
+built; :meth:`GeneratorMap.image_cells` evaluates ``c ⊕ σ_r`` from one
 tabulated contribution of the high digits and one of the low digits.
 """
 
@@ -63,25 +66,20 @@ from .measures import (
 )
 
 
-def _address_str(address: tuple[int, ...]) -> str:
-    return "".join(str(s) for s in address)
-
-
-def _refuse_oversize(depth: int, arity: int, k: int, continuum: bool, sites: int) -> None:
-    """Raise ``ValidationError`` when the shift table of a depth, or the
-    interval codes of its latent cells at all ``sites``, exceed
-    ``MAX_CELL_ENTRIES``.  The codes are what collision accounting builds,
-    one row per class of equal marginals, and what the build itself builds
-    for the atom sites without a continuum (see :func:`_already_one_to_one`).
+def _refuse_oversize(depth: int, arity: int, sites: int) -> None:
+    """Raise ``ValidationError`` when the interval codes of the latent cells
+    of a depth at all ``sites`` exceed ``MAX_CELL_ENTRIES``.  The codes are
+    what collision accounting builds, one row per class of equal marginals,
+    and what the build itself builds for the atom sites without a continuum
+    (see :func:`_already_one_to_one`).  The z-cell rows, at most
+    ``sites * arity**depth``, stay within the same bound.
     """
     # past the cap's bit length the latent cells alone overflow it
-    if depth < MAX_CELL_ENTRIES.bit_length():
-        rows = k + (2**depth if continuum else 0)
-        if max(arity**depth * sites, rows * depth) <= MAX_CELL_ENTRIES:
-            return
+    if depth < MAX_CELL_ENTRIES.bit_length() and arity**depth * sites <= MAX_CELL_ENTRIES:
+        return
     raise ValidationError(
         f"depth {depth} at arity {arity} needs more than {MAX_CELL_ENTRIES} "
-        "latent cells, interval codes or shift-table entries"
+        "latent cells or interval codes"
     )
 
 
@@ -100,14 +98,16 @@ def _continuum_law(
 class GeneratorMap:
     """A first-stage map: per-site quantile transforms behind cell rotations.
 
-    ``cells[r]`` holds the ``depth`` shift digits of z-cell row ``r``, one per
-    level; :meth:`image_cells` turns them into the row's image cells.  Rows
+    ``cells[r]`` is the pattern of z-cell row ``r``: its ``depth`` shift
+    digits, one per level, read as one base-``arity`` numeral, most
+    significant first, which is also the row's image of latent cell 0;
+    :meth:`image_cells` turns it into the row's image cells.  Rows
     ``0..k-1`` belong to the atoms of pz (``atoms``, in z order); the
     remaining ``2**depth`` rows are the continuum cells
     ``[cuts[i], cuts[i+1])`` in z order, so continuum rows ``2i`` and
-    ``2i+1`` are the two halves of row ``i`` one level up.  Every shift must
-    lie in ``[0, arity)``; anything else, or a table whose shape is not
-    ``(rows, depth)``, raises ``ValidationError`` at construction,
+    ``2i+1`` are the two halves of row ``i`` one level up.  Every pattern
+    must lie in ``[0, arity**depth)``; anything else, or a vector whose shape
+    is not ``(rows,)``, raises ``ValidationError`` at construction,
     ``dataclasses.replace`` included.
     """
 
@@ -126,14 +126,14 @@ class GeneratorMap:
         cells = np.array(self.cells, dtype=np.int64)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        k, continuum = len(self.atoms), self._continuum[1] is not None
-        _refuse_oversize(self.depth, self.arity, k, continuum, len(self.marginals))
-        if cells.shape != (k + (2**self.depth if continuum else 0), self.depth):
-            raise ValidationError("cell shift table shape does not match depth")
+        _refuse_oversize(self.depth, self.arity, len(self.marginals))
+        rows = len(self.atoms) + (2**self.depth if self._continuum[1] is not None else 0)
+        if cells.shape != (rows,):
+            raise ValidationError(f"cell pattern shape is not ({rows},), one per z-cell row")
         # a digitwise rotation is a bijection, which the replication
         # certificate rests on: see verify_replication
-        if cells.size and (cells.min() < 0 or cells.max() >= self.arity):
-            raise ValidationError(f"every shift must lie in [0, {self.arity})")
+        if cells.size and (cells.min() < 0 or cells.max() >= self.n_u_cells):
+            raise ValidationError(f"every cell pattern must lie in [0, {self.n_u_cells})")
 
     @property
     def n_u_cells(self) -> int:
@@ -171,18 +171,6 @@ class GeneratorMap:
         cuts = np.asarray(cont.quantile(np.arange(m + 1) / m))
         cuts.setflags(write=False)
         return cuts
-
-    @cached_property
-    def addresses(self) -> tuple[tuple[int, ...], ...]:
-        """z-cell address of every row: atom j is ``(j+1,)``; a continuum cell
-        appends ``k+1`` for each left half and ``k+2`` for each right half."""
-        k = len(self.atoms)
-        out = [(j + 1,) for j in range(k)]
-        if self._continuum[1] is not None:
-            shifts = np.arange(self.depth - 1, -1, -1)
-            bits = (np.arange(2**self.depth)[:, None] >> shifts) & 1
-            out += [tuple(a) for a in (k + 1 + bits).tolist()]
-        return tuple(out)
 
     @cached_property
     def _bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,19 +267,20 @@ class GeneratorMap:
     def _half_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Image contribution of the high and of the low latent digits.
 
-        A latent cell is ``c = c_hi * K**low + c_lo`` with ``low = depth // 2``.
-        Each half of a row's shifts takes only a few distinct patterns, and a
-        pattern rotates its digits the same way in every row that holds it.
-        Per half this gives the ``(patterns, K**width)`` table of rotated
-        digit values, the high half scaled by ``K**low``, and the pattern of
-        every row.  The tables are ``intp``, so images index arrays directly.
+        A latent cell is ``c = c_hi * K**low + c_lo`` with ``low = depth // 2``,
+        and so is a pattern.  Each half of the patterns takes only a few
+        distinct values, each rotating digits the same way in every row that
+        holds it.  Per half this gives the ``(values, K**width)`` table of
+        rotated digit values, the high half scaled by ``K**low``, and the
+        value of every row.  The tables are ``intp``, so images index arrays
+        directly.
         """
         K, d = self.arity, self.depth
         low = d // 2
         out = []
-        for shifts, scale in ((self.cells[:, : d - low], K**low), (self.cells[:, d - low :], 1)):
-            place = K ** np.arange(shifts.shape[1] - 1, -1, -1)
-            pattern, row = np.unique(shifts @ place, return_inverse=True)
+        for half, width, scale in zip(np.divmod(self.cells, K**low), (d - low, low), (K**low, 1)):
+            place = K ** np.arange(width - 1, -1, -1)
+            pattern, row = np.unique(half, return_inverse=True)
             digits = np.arange(K ** len(place))[:, None] // place % K
             rotated = (digits + (pattern[:, None] // place % K)[:, None, :]) % K
             out.append((((rotated @ place) * scale).astype(np.intp), row))
@@ -302,9 +291,8 @@ class GeneratorMap:
         classes.
 
         Sites with equal x-marginals form one class and are coded once.  A
-        piece's pattern is its row's shift digits read as a base-``arity``
-        numeral, which is also the row's image of latent cell 0.  Returns the
-        piece classes, the patterns and :func:`_code_matches` of the classes.
+        piece's pattern is its row's (``cells``).  Returns the piece classes,
+        the patterns and :func:`_code_matches` of the classes.
         Built anew on every call; accounting reads the gather that
         :attr:`_match_gather` keeps instead.
         """
@@ -312,7 +300,7 @@ class GeneratorMap:
         used, slot = np.unique(site, return_inverse=True)
         reps, of = _marginal_classes([self.marginals[si] for si in used])
         codes = _interval_codes(reps, self.n_u_cells)
-        return of[slot], self.image_cells(cell, 0), _code_matches(codes, self.arity, self.depth)
+        return of[slot], self.cells[cell], _code_matches(codes, self.arity, self.depth)
 
     @cached_property
     def _match_gather(self) -> tuple[np.ndarray, ...]:
@@ -372,27 +360,9 @@ class GeneratorMap:
 
     # -- serialization ------------------------------------------------------
 
-    def _address_strs(self) -> list[str]:
-        """``_address_str`` of every row: continuum row i is the depth-bit
-        binary numeral of i with 0 and 1 spelled ``k+1`` and ``k+2``."""
-        k = len(self.atoms)
-        out = [str(j + 1) for j in range(k)]
-        if self._continuum[1] is not None:
-            spell = str.maketrans({"0": str(k + 1), "1": str(k + 2)})
-            # the leading 1 keeps the zeros of a depth-bit numeral, even at depth 0
-            lead = 1 << self.depth
-            out += [format(lead | i, "b")[1:].translate(spell) for i in range(lead)]
-        return out
-
     def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "arity": self.arity,
-            "cells": [
-                {"z_addr": a, "shifts": s}
-                for a, s in zip(self._address_strs(), self.cells.tolist())
-            ],
-        }
+        """Depth, arity and the pattern of every row, in row order."""
+        return {"depth": self.depth, "arity": self.arity, "cells": self.cells.tolist()}
 
     @classmethod
     def from_json_dict(
@@ -402,23 +372,30 @@ class GeneratorMap:
         pz: GridDistribution,
         z_grid: Sequence[float],
     ) -> "GeneratorMap":
-        """Rebuild from the wire format; cell geometry is recomputed from pz."""
+        """Rebuild from the wire format; cell geometry is recomputed from pz.
+
+        Raises ``ValidationError`` for a depth, arity or pattern that is not
+        an int (bools and floats included), an arity or row count other than
+        the rebuilt generator's, or a pattern outside ``[0, arity**depth)``.
+        """
         try:
-            depth, arity = int(obj["depth"]), int(obj["arity"])
-            shifts = {
-                c["z_addr"]: np.asarray(c["shifts"], dtype=np.int64) for c in obj["cells"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            depth, arity, patterns = obj["depth"], obj["arity"], list(obj["cells"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed generator object: {exc}") from exc
+        if type(depth) is not int or type(arity) is not int:
+            raise ValidationError("malformed generator object: depth and arity must be integers")
         rebuilt = build_generator(marginals, pz, z_grid, depth)
         if arity != rebuilt.arity:
             raise ValidationError(f"arity {arity} does not match this pz's {rebuilt.arity}")
-        order = rebuilt._address_strs()
-        if set(order) != set(shifts) or len(obj["cells"]) != len(shifts):
-            raise ValidationError("cell addresses do not match this pz")
-        if any(s.shape != (depth,) for s in shifts.values()):
-            raise ValidationError("cell shift list length does not match depth")
-        return replace(rebuilt, cells=np.array([shifts[a] for a in order], dtype=np.int64))
+        if len(patterns) != len(rebuilt.cells):
+            raise ValidationError(
+                f"{len(patterns)} cell patterns for the {len(rebuilt.cells)} z-cell rows of this pz"
+            )
+        # checked before conversion, which a pattern past int64 would fail
+        n = rebuilt.n_u_cells
+        if not all(type(p) is int and 0 <= p < n for p in patterns):
+            raise ValidationError(f"every cell pattern must be an integer in [0, {n})")
+        return replace(rebuilt, cells=patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +451,12 @@ def build_generator(
     atoms in pz the latent interval is cut ``(k+2)``-fold per level; atom j
     shifts every digit by j, and the continuum halves take the two remaining
     shifts, ``k+1`` for a left half and ``k`` for a right half.  Without
-    atoms the cut is binary.  The result holds these shifts, one row per z
-    cell and one column per level, and nothing of size ``n_u_cells`` per row.
-    Raises ``NonAtomicityError`` when a marginal carries point masses and
-    ``ValidationError``, before allocating, when the latent cells or the
-    shift table, or the interval codes of every site at every latent cell,
-    would exceed ``MAX_CELL_ENTRIES`` entries.
+    atoms the cut is binary.  The result holds these shifts as one pattern
+    per z cell, and nothing of size ``n_u_cells`` per row.  Raises
+    ``NonAtomicityError`` when a marginal carries point masses and
+    ``ValidationError``, before allocating, when the latent cells, or the
+    interval codes of every site at every latent cell, would exceed
+    ``MAX_CELL_ENTRIES`` entries.
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
@@ -492,18 +469,19 @@ def build_generator(
     k = sum(1 for s in sites if s.kind == "atom")
     arity = k + 2 if k > 0 else 2
     continuum = _continuum_law(pz, sites)[1] is not None
-    _refuse_oversize(depth, arity, k, continuum, len(sites))
+    _refuse_oversize(depth, arity, len(sites))
 
-    if _already_one_to_one(marginals, sites, arity**depth):
-        # purely atomic z with pairwise distinct image cells: keep the
-        # base map, every shift is 0
-        cells = np.zeros((k, depth), dtype=np.int64)
-    else:
-        cells = np.repeat(np.arange(k)[:, None], depth, axis=1)
-        if continuum:
-            # bit l of continuum row i says whether it is the right half at level l
-            bits = (np.arange(2**depth)[:, None] >> np.arange(depth - 1, -1, -1)) & 1
-            cells = np.concatenate([cells, k + 1 - bits])
+    cells = np.zeros(k, dtype=np.int64)
+    # purely atomic z with pairwise distinct image cells keeps the base map:
+    # every shift is 0
+    if not _already_one_to_one(marginals, sites, arity**depth):
+        halves = np.zeros(1 if continuum else 0, dtype=np.int64)
+        for _ in range(depth):
+            # each level appends a digit: j to atom j, and k+1 and k to the
+            # left and right halves of continuum row i, rows 2i and 2i+1
+            cells = cells * arity + np.arange(k)
+            halves = (halves[:, None] * arity + [k + 1, k]).ravel()
+        cells = np.concatenate([cells, halves])
     return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
 
 
@@ -658,9 +636,13 @@ def group_collision_matrix(gen: GeneratorMap) -> tuple[list[str], np.ndarray]:
     :func:`collision_fraction`.
     """
     cell, _, weight = gen.pieces
-    labels, group = np.unique(
-        [_address_str(gen.addresses[c][:1]) for c in cell], return_inverse=True
-    )
+    k = len(gen.atoms)
+    # atom row j is group j+1, a continuum row k+1 plus its top bit; at depth
+    # 0 the one continuum row has no digit and is labelled ""
+    number = np.where(cell < k, cell + 1, k + 1 + ((cell - k) >> max(gen.depth - 1, 0)))
+    names = np.array([str(g) if g <= k or gen.depth else "" for g in range(k + 3)])
+    # the labels sort as strings, so "10" comes before "2"
+    labels, group = np.unique(names[number], return_inverse=True)
     hits = _collision_mass(gen, group)
     group_mass = np.bincount(group, weights=weight)
     mass = np.outer(group_mass, group_mass)
@@ -770,8 +752,9 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
     The induced law is the model's own joint law, by a certificate rather
     than a replay.  At a z site, z-cell row ``r`` sends latent cell ``c`` to
     the probability levels ``[j/n, (j + 1)/n)`` of the site's x-marginal,
-    with ``j = gen.image_cells(r, c)``.  ``GeneratorMap`` admits only shifts
-    in ``[0, arity)``, and a digitwise rotation by such shifts is a
+    with ``j = gen.image_cells(r, c)``.  ``GeneratorMap`` admits only patterns
+    in ``[0, arity**depth)``, whose digits are shifts in ``[0, arity)``, and
+    a digitwise rotation by such shifts is a
     permutation of ``0..n-1``, so these ``n`` intervals each occur once and
     telescope onto ``[0, 1)``: each x bin receives exactly its column sum,
     whatever the permutation and however the bin edges cut the cells.  The
@@ -805,7 +788,9 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
 
 
 def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
-    """Recover the z-cell address that maps u's cell onto x's cell.
+    """Recover the z-cell address that maps u's cell onto x's cell: ``"j+1"``
+    for atom j, and for a continuum cell one digit per level, ``k+1`` for a
+    left half and ``k+2`` for a right half.
 
     Each site that holds a piece finds the image cell ``j`` whose interval
     ``[q(j/n), q((j+1)/n))`` holds x, the last one closed at the top.  The
@@ -840,11 +825,16 @@ def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
     want = np.where(
         (image >= 0) & (image < n), _digit_difference(image, c, gen.arity, gen.depth), -1
     )
-    matches = np.unique(cell[gen.image_cells(cell, 0) == want[slot]])
+    matches = np.unique(cell[gen.cells[cell] == want[slot]])
     if len(matches) == 0:
         raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
     if len(matches) > 1:
         raise NonInvertibleError(
             f"{len(matches)} z cells match at this resolution; increase depth"
         )
-    return _address_str(gen.addresses[matches[0]])
+    row, k = int(matches[0]), len(gen.atoms)
+    if row < k:
+        return str(row + 1)
+    # the leading 1 keeps the zeros of a depth-bit numeral, even at depth 0
+    bits = format((1 << gen.depth) | (row - k), "b")[1:]
+    return "".join(str(k + 1 + int(b)) for b in bits)

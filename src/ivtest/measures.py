@@ -36,11 +36,11 @@ INPUT_TOL = 1e-9
 # breakpoint and one more per law, and a statistic over pairs of its rows
 # gathers the profile entries of every pair.  A stacked call over given points
 # allocates in proportion to them, as a one-law call does, and is not capped.
-# The generator counts its shift table, the interval codes of every site at
-# every latent cell, and collision accounting's matched code pairs and their
-# gather.  The first two are refused when the generator is built, so every
-# generator that builds can be accounted unless its marginals match across
-# many classes; on an 8-site arity-2 law that is up to depth 19.
+# The generator counts the interval codes of every site at every latent cell,
+# and collision accounting's matched code pairs and their gather.  The codes
+# are refused when the generator is built, so every generator that builds can
+# be accounted unless its marginals match across many classes; on an 8-site
+# arity-2 law that is up to depth 19.
 MAX_CELL_ENTRIES = 2**24
 
 

@@ -1,9 +1,10 @@
 """Shared builders for analytic test laws, the level-by-level cell
 expansion oracle, the exact replay oracle, the eager-table sampling oracle,
-the two-search z lookup oracle, the pairwise image-code and collision
-oracles, the piece-loop inversion oracle, the one-pair moment and its
-segment-loop oracle, the per-pair statistic oracles, the breakpoint-loop
-profile oracle and the masked quantile/CDF and per-bin discretize oracles."""
+the two-search z lookup oracle, the address spelling, the pairwise
+image-code and collision oracles, the piece-loop inversion oracle, the
+one-pair moment and its segment-loop oracle, the per-pair statistic
+oracles, the breakpoint-loop profile oracle and the masked quantile/CDF and
+per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -135,13 +136,25 @@ def refine_and_shift_cells(gen):
     An independent oracle for ``GeneratorMap.image_cells``: the permutations
     are grown one level at a time, every coarse cell splitting into
     ``arity`` children and each row rotating the new images within their
-    blocks by its shift digit at that level, the way the construction once
-    built its matrix.
+    blocks by its shift digit at that level, read off its pattern, the way
+    the construction once built its matrix.
     """
     perms = np.zeros((len(gen.cells), 1), dtype=np.int64)
     for level in range(gen.depth):
-        perms = _refine_and_shift(perms, gen.arity, gen.cells[:, level : level + 1])
+        digit = gen.cells // gen.arity ** (gen.depth - 1 - level) % gen.arity
+        perms = _refine_and_shift(perms, gen.arity, digit[:, None])
     return perms
+
+
+def address_digits(gen, row):
+    """z-cell address of a row, spelled from the row index, k and depth:
+    atom j is ``(j+1,)``; continuum row i has one digit per level, most
+    significant first, ``k+1`` where bit l of i is 0 (a left half) and
+    ``k+2`` where it is 1 (a right half)."""
+    k = len(gen.atoms)
+    if row < k:
+        return (row + 1,)
+    return tuple(k + 1 + ((row - k) >> (gen.depth - 1 - level)) % 2 for level in range(gen.depth))
 
 
 def replay_induced_conditional(model, site_idx):
@@ -346,7 +359,7 @@ def pairwise_group_collision_matrix(gen):
     cell, _, weight = gen.pieces
     codes = pairwise_image_codes(gen)
     labels, group = np.unique(
-        ["".join(str(d) for d in gen.addresses[c][:1]) for c in cell], return_inverse=True
+        ["".join(str(d) for d in address_digits(gen, c)[:1]) for c in cell], return_inverse=True
     )
     G = len(labels)
     mass = np.zeros((G, G))
@@ -389,7 +402,7 @@ def piece_loop_invert(gen, x, u):
         raise NonInvertibleError(
             f"{len(matches)} z cells match at this resolution; increase depth"
         )
-    return "".join(str(d) for d in gen.addresses[next(iter(matches))])
+    return "".join(str(d) for d in address_digits(gen, next(iter(matches))))
 
 
 def pair_quantile_moment(xm1, xm2, ym1, ym2, power):

@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from ivtest import (
     Conditional2D,
     DGPSpec,
+    GeneratorMap,
     GridDistribution,
     JointLaw,
     build_generator,
     collision_fraction,
+    compose_structural_model,
     discretize,
     make_test,
     sample,
@@ -76,11 +79,14 @@ def test_replicate_success(law_file, tmp_path, capsys):
     assert payload["independence"] is True
     assert payload["generator"]["depth"] == 4
     assert payload["generator"]["arity"] == 2
-    assert all(set(c) == {"z_addr", "shifts"} for c in payload["generator"]["cells"])
+    # one pattern per z cell, each an image of latent cell 0
+    cells = payload["generator"]["cells"]
+    assert len(cells) == 16 and all(type(p) is int and 0 <= p < 16 for p in cells)
 
 
 def test_replicate_reports_an_atomic_generator(tmp_path, capsys):
-    """Two pz atoms: arity 4, one z cell per atom, and shifts below the arity."""
+    """Two pz atoms: arity 4 and one z cell per atom; their x supports are
+    disjoint, so both keep the base map, pattern 0."""
     law_path = tmp_path / "atoms.json"
     law_path.write_text(json.dumps(bernoulli_support_jump_law().to_json_dict()))
     out = tmp_path / "model.json"
@@ -90,9 +96,7 @@ def test_replicate_reports_an_atomic_generator(tmp_path, capsys):
     )
     gen = json.loads(out.read_text())["generator"]
     assert gen["arity"] == 4
-    assert [c["z_addr"] for c in gen["cells"]] == ["1", "2"]
-    assert all(len(c["shifts"]) == 2 and 0 <= min(c["shifts"]) <= max(c["shifts"]) < 4
-               for c in gen["cells"])
+    assert gen["cells"] == [0, 0]
 
 
 def eight_cubed_law_file(tmp_path):
@@ -109,7 +113,7 @@ def eight_cubed_law_file(tmp_path):
 
 
 def test_replicate_depth_14(tmp_path, capsys):
-    """Past the old depth-12 cap: 2**14 rows of 14 shifts each."""
+    """Past the old depth-12 cap: 2**14 rows, one pattern each."""
     out = tmp_path / "model.json"
     law_path = eight_cubed_law_file(tmp_path)
     args = ["replicate", "--input", str(law_path), "--depth", "14"]
@@ -125,7 +129,8 @@ def test_replicate_depth_14(tmp_path, capsys):
     assert payload["collision_fraction"] == collision
     gen = payload["generator"]
     assert len(gen["cells"]) == 2**14
-    assert all(len(c["shifts"]) == 14 for c in gen["cells"])
+    assert all(type(p) is int and 0 <= p < 2**14 for p in gen["cells"])
+    assert len(set(gen["cells"])) == 2**14  # no two z cells share a map
 
 
 def test_replicate_depth_64_refused_at_once(tmp_path, capsys):
@@ -432,16 +437,24 @@ def test_simulate_zero_reps_exit1(tmp_path):
 
 
 def test_json_written_by_commands_reparses(law_file, tmp_path):
-    out = tmp_path / "model.json"
-    main(["replicate", "--input", str(law_file), "--depth", "2", "--output", str(out)])
-    payload = json.loads(out.read_text())
-    from ivtest import GeneratorMap, JointLaw
-
-    law = JointLaw.from_json_dict(payload["joint"])
-    gen = GeneratorMap.from_json_dict(
-        payload["generator"], law.x_marginals(), law.pz, law.z_grid
-    )
-    assert gen.depth == 2
+    """The model ``replicate`` writes reloads into one that samples the rows
+    of the model built afresh, and dumps its generator byte for byte, at
+    depths 0 and 3, with and without pz atoms."""
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps(bernoulli_support_jump_law().to_json_dict()))
+    for path, depth in itertools.product((law_file, atoms), (0, 3)):
+        out = tmp_path / "model.json"
+        args = ["replicate", "--input", str(path), "--depth", str(depth), "--output", str(out)]
+        assert main(args) == 0
+        payload = json.loads(out.read_text())
+        law = JointLaw.from_json_dict(payload["joint"])
+        setup = (law.x_marginals(), law.pz, law.z_grid)
+        gen = GeneratorMap.from_json_dict(payload["generator"], *setup)
+        assert gen.depth == depth
+        assert json.dumps(gen.to_json_dict()) == json.dumps(payload["generator"])
+        rows = compose_structural_model(law, gen).sample(1000, seed=5)
+        fresh = compose_structural_model(law, build_generator(*setup, depth))
+        assert rows.tobytes() == fresh.sample(1000, seed=5).tobytes(), (path.name, depth)
 
 
 SUBCOMMAND_OPTIONS = {

@@ -1,5 +1,6 @@
 """Construction invariants: measure preservation, injectivity decay, replication."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from ivtest.measures import Conditional2D, GridStack, JointLaw
 
 import conftest
 from conftest import (
+    address_digits,
     bernoulli_support_jump_law,
     eager_table_sample,
     identical_conditional_setup,
@@ -43,7 +45,7 @@ from conftest import (
 
 
 def address_str(gen, row):
-    return "".join(str(d) for d in gen.addresses[row])
+    return "".join(str(d) for d in address_digits(gen, row))
 
 
 def all_images(gen):
@@ -123,30 +125,30 @@ def test_rejects_atomic_marginal_accepts_atomic_pz():
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
     gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 1)
     assert gen.arity == 3
-    assert gen.cells.shape == (3, 1) and gen.n_u_cells == 3
+    assert gen.cells.shape == (3,) and gen.n_u_cells == 3
 
 
 def test_depth_cap_refused_before_allocating():
-    """One bound: the build refuses, before allocating, a shift table or an
-    interval-code table (sites × latent cells) past ``MAX_CELL_ENTRIES``, so
-    every generator that builds is accounted."""
+    """One bound: the build refuses, before allocating, an interval-code
+    table (sites × latent cells) past ``MAX_CELL_ENTRIES``, so every
+    generator that builds is accounted."""
     margs, pz, zg = identical_conditional_setup()
     for depth in (25, 40, 64, 10**9):  # 2**depth latent cells
-        with pytest.raises(ValidationError, match="latent cells, interval codes or shift-table"):
+        with pytest.raises(ValidationError, match="latent cells or interval codes"):
             build_generator(margs, pz, zg, depth)
-    with pytest.raises(ValidationError, match="latent cells, interval codes or shift-table"):
+    with pytest.raises(ValidationError, match="latent cells or interval codes"):
         GeneratorMap.from_json_dict({"depth": 40, "arity": 2, "cells": []}, margs, pz, zg)
-    # 2**13 rows of 13 shifts build, and their collisions are accounted
+    # 2**13 row patterns build, and their collisions are accounted
     gen = build_generator(margs, pz, zg, 13)
-    assert gen.cells.shape == (2**13, 13)
+    assert gen.cells.shape == (2**13,)
     assert collision_fraction(gen) == 2.0**-13
     labels, mat = group_collision_matrix(gen)
     assert labels == ["1", "2"] and np.array_equal(mat, np.diag([2.0**-12, 2.0**-12]))
-    # one atom: 1 + 2**10 rows of 10 shifts and 3**10 latent cells; the atom's
-    # shifts are 0 and the continuum's never are, so only the continuum collides
+    # one atom: 1 + 2**10 rows and 3**10 latent cells; the atom's shifts are
+    # 0 and the continuum's never are, so only the continuum collides
     pz_atom = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
     gen = build_generator([GridDistribution.uniform(0, 1)] * 2, pz_atom, [0.25, 0.5], 10)
-    assert gen.cells.shape == (1 + 2**10, 10)
+    assert gen.cells.shape == (1 + 2**10,)
     assert collision_fraction(gen) == 0.25 * 2.0**-10
     # purely atomic z: the build codes every atom site's latent cells
     pz_atoms = GridDistribution(np.array([-0.5, 1.5]), np.array([0.0]), ((0.0, 0.5), (1.0, 0.5)))
@@ -158,12 +160,11 @@ def test_cap_boundaries(monkeypatch):
     """At the cap a table is allowed; one entry past it is refused."""
     margs, pz, zg = identical_conditional_setup()
     monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 2**10)
-    gen = build_generator(margs, pz, zg, 6)  # 64 x 6 shifts, 4 sites x 64 codes
-    assert collision_fraction(gen) == 2.0**-6
-    build_generator(margs, pz, zg, 7)  # 128 x 7 = 896 shift-table entries
-    with pytest.raises(ValidationError, match="shift-table"):
-        build_generator(margs, pz, zg, 8)  # 256 x 8 = 2048
-    # 16 sites at depth 6: 64 x 6 shifts, but 16 x 64 = 2**10 interval codes
+    gen = build_generator(margs, pz, zg, 8)  # 256 rows, 4 sites x 256 = 2**10 codes
+    assert collision_fraction(gen) == 2.0**-8
+    with pytest.raises(ValidationError, match="interval codes"):
+        build_generator(margs, pz, zg, 9)  # 4 x 512 = 2048
+    # 16 sites at depth 6: 64 rows, but 16 x 64 = 2**10 interval codes
     many = identical_conditional_setup(n_sites=16)
     gen = build_generator(*many, 6)
     assert collision_fraction(gen) == 2.0**-6
@@ -245,11 +246,11 @@ def meeting_counts(gen):
     """Latent cells on which every ordered pair of pieces meets, read off the
     match table: ``m_PQ[σ_j ⊖ σ_i]`` for pieces of classes P, Q and shift
     patterns σ_i, σ_j, every class matching itself ``n`` times at δ = 0.
-    The digit differences come straight from the shift table."""
+    The digit differences come straight from the rows' shift digits."""
     piece_class, _, (P, Q, delta, count) = gen.match_table()
     table = dict(zip(zip(P.tolist(), Q.tolist(), delta.tolist()), count.tolist()))
-    shifts = gen.cells[gen.pieces[0]]
     place = gen.arity ** np.arange(gen.depth - 1, -1, -1)
+    shifts = gen.cells[gen.pieces[0]][:, None] // place % gen.arity
     out = np.zeros((len(shifts), len(shifts)), dtype=np.int64)
     for i in range(len(shifts)):
         deltas = ((shifts - shifts[i]) % gen.arity @ place).tolist()
@@ -370,7 +371,8 @@ def shifted_case(law_name, rows, seed):
     else:
         gen = build_generator(*atomic_setup(2), 2)
     rng = np.random.default_rng(seed)
-    cells = rng.integers(0, gen.arity, size=gen.cells.shape)
+    shifts = rng.integers(0, gen.arity, size=(len(gen.cells), gen.depth))
+    cells = shifts @ gen.arity ** np.arange(gen.depth - 1, -1, -1)
     if rows == "equal":
         cells[1] = cells[0]
     return replace(gen, cells=cells)
@@ -419,7 +421,7 @@ def test_match_gather_built_once_per_generator(monkeypatch):
         again = group_collision_matrix(gen)
         assert again[0] == labels and np.array_equal(again[1], mat)
     assert len(coded) == 1
-    shifted = replace(gen, cells=np.random.default_rng(3).integers(0, 2, gen.cells.shape))
+    shifted = replace(gen, cells=np.random.default_rng(3).integers(0, gen.n_u_cells, gen.cells.shape))
     assert "_match_gather" not in shifted.__dict__
     assert abs(collision_fraction(shifted) - pairwise_collision_fraction(shifted)) <= 1e-15
     assert len(coded) == 2
@@ -449,7 +451,7 @@ def test_collision_kernel_wide_keys():
     margs = [GridDistribution.uniform(0, 1, 3)] * 2
     gen = build_generator(margs, pz, [0.0, 1.0], 8)
     assert gen.n_u_cells == 65536
-    gen = replace(gen, cells=np.stack([gen.cells[1], gen.cells[1]]))
+    gen = replace(gen, cells=gen.cells[[1, 1]])
     assert collision_fraction(gen) == pairwise_collision_fraction(gen) == 0.375
     labels, mat = group_collision_matrix(gen)
     assert labels == ["1", "2"]
@@ -467,9 +469,9 @@ def test_atoms_cyclic_three_groups_depth1():
     margs = [GridDistribution.uniform(0, 1)] * 2
     gen = build_generator(margs, pz, [0.25, 0.5], 1)
     assert gen.arity == 3
-    shifts = {c["z_addr"]: tuple(c["shifts"]) for c in gen.to_json_dict()["cells"]}
-    assert shifts["1"] == (0,)  # first atom keeps the base map
-    assert len(set(shifts.values())) == 3  # all groups distinct
+    patterns = gen.to_json_dict()["cells"]
+    assert patterns[0] == 0  # first atom keeps the base map
+    assert len(set(patterns)) == 3  # all groups distinct
     labels, mat = group_collision_matrix(gen)
     off = mat.copy()
     np.fill_diagonal(off, 0.0)
@@ -501,7 +503,8 @@ def reference_perms(gen):
     """
     k, K = len(gen.atoms), gen.arity
     out = []
-    for row, address in enumerate(gen.addresses):
+    for row in range(len(gen.cells)):
+        address = address_digits(gen, row)
         shifts = [row] * gen.depth if row < k else [k + 1 if d == k + 1 else k for d in address]
         perm = [0]
         for shift in shifts:
@@ -515,9 +518,8 @@ def test_atoms_k0_delegates_to_binary():
     gen = build_generator(margs, pz, zg, 3)
     assert gen.arity == 2
     assert len(gen.atoms) == 0
-    assert gen.addresses == tuple(
-        tuple(1 + int(b) for b in format(i, "03b")) for i in range(8)
-    )
+    # continuum row i takes shift 1 on its left halves, where bit l of i is 0
+    assert gen.cells.tolist() == [7 - i for i in range(8)]
     assert all_images(gen).tolist() == reference_perms(gen)
     atomic = GridDistribution(
         np.array([0.0, 1.0]), np.array([0.6]), ((0.1, 0.2), (0.3, 0.2))
@@ -537,17 +539,30 @@ def shift_table_cases():
             yield f"atoms{k}@{depth}", atomic_setup(k), depth
 
 
-def test_address_strings_spell_the_addresses():
-    """The binary-numeral spelling of the wire format's addresses equals the
-    digit-by-digit one, two-character digits (nine atoms) included."""
-    cases = list(shift_table_cases())
+def test_nine_atoms_spell_two_character_digits():
+    """Nine atoms make arity 11 and the continuum digits 10 and 11: the group
+    labels sort as strings, "10" and "11" before "2", and inversion spells
+    every row's address, two-character digits included."""
     atoms = tuple(((j + 1) / 10, 0.04) for j in range(9))
     pz = GridDistribution(np.array([0.0, 1.0]), np.array([0.64]), atoms)
     nine = ([GridDistribution.uniform(0, 1)] * 10, pz, [a for a, _ in atoms] + [0.95])
-    cases.append(("atoms9@2", nine, 2))
-    for label, setup, depth in cases:
-        gen = build_generator(*setup, depth)
-        assert gen._address_strs() == [address_str(gen, r) for r in range(len(gen.cells))], label
+    for depth in (0, 1, 2):
+        gen = build_generator(*nine, depth)
+        labels, mat = group_collision_matrix(gen)
+        oracle_labels, oracle = pairwise_group_collision_matrix(gen)
+        assert labels == oracle_labels, depth
+        assert np.max(np.abs(mat - oracle)) <= 1e-15, depth
+        tops = ["10", "11"] if depth else [""]
+        assert labels == sorted([str(j + 1) for j in range(9)] + tops), depth
+    rng = np.random.default_rng(9)
+    spelled = set()
+    for z in [a for a, _ in atoms] + list(rng.uniform(0, 1, 40)):
+        u = float(rng.uniform())
+        x = float(gen(z, u))
+        got = invert_generator(gen, x, u)
+        assert got == piece_loop_invert(gen, x, u)
+        spelled.add(got)
+    assert {"9", "1010", "1011", "1110", "1111"} <= spelled
 
 
 def test_image_cells_match_level_by_level_oracle():
@@ -593,7 +608,7 @@ def test_partition_tree_invariants():
     gens = [build_generator(margs, pz, zg, level) for level in range(4)]
     for level, gen in enumerate(gens):
         n = 2**level
-        assert gen.cells.shape == (n, level)
+        assert gen.cells.shape == (n,)
         mass = np.diff(pz.cdf_left(gen.cuts))
         assert np.all(np.abs(mass - 1.0 / n) <= 1e-12)
         u_cells = np.arange(gen.n_u_cells + 1) / gen.n_u_cells
@@ -602,8 +617,8 @@ def test_partition_tree_invariants():
     for parent, child in zip(gens, gens[1:]):
         for i in range(len(parent.cells)):
             for half in (0, 1):
-                assert child.addresses[2 * i + half] == parent.addresses[i] + (1 + half,)
-                assert np.array_equal(child.cells[2 * i + half, :-1], parent.cells[i])
+                # each half appends one shift digit: 1 on the left, 0 on the right
+                assert divmod(int(child.cells[2 * i + half]), 2) == (parent.cells[i], 1 - half)
                 coarse = all_images(child)[2 * i + half] // 2
                 assert np.array_equal(coarse, np.repeat(all_images(parent)[i], 2))
             lo, mid, hi = child.cuts[2 * i : 2 * i + 3]
@@ -801,7 +816,7 @@ def test_support_gap_and_atom_inside_a_bin(rng):
     law = support_gap_law(rng)
     pz = law.pz
     gen = build_generator(law.x_marginals(), pz, law.z_grid, 3)
-    assert gen.cells.shape == (1 + 8, 3) and gen.n_u_cells == 27
+    assert gen.cells.shape == (1 + 8,) and gen.n_u_cells == 27
     model = compose_structural_model(law, gen)
     assert verify_replication(model, law) == 0.0
     z = model.sample(2000, seed=3)[:, 2]
@@ -1035,14 +1050,14 @@ def test_certificate_agrees_with_replay_oracle(rng):
 def test_generator_rejects_out_of_range_shifts():
     margs, pz, zg = identical_conditional_setup()
     gen = build_generator(margs, pz, zg, 2)
-    for r, c, v in ((1, 0, 2), (2, 1, -1), (0, 1, 7)):  # arity is 2
+    for r, v in ((1, 4), (2, -1), (0, 7)):  # arity 2 at depth 2: patterns in [0, 4)
         bad = gen.cells.copy()
-        bad[r, c] = v
-        with pytest.raises(ValidationError, match="shift must lie in"):
+        bad[r] = v
+        with pytest.raises(ValidationError, match=r"pattern must lie in \[0, 4\)"):
             replace(gen, cells=bad)
-        with pytest.raises(ValidationError, match="shift must lie in"):
+        with pytest.raises(ValidationError, match=r"pattern must lie in \[0, 4\)"):
             GeneratorMap(gen.depth, gen.arity, pz, zg, tuple(margs), bad)
-    for bad in (gen.cells[:, :1], gen.cells[:3]):
+    for bad in (gen.cells[:, None], gen.cells[:3]):
         with pytest.raises(ValidationError, match="shape"):
             replace(gen, cells=bad)
 
@@ -1196,46 +1211,68 @@ def test_invert_on_image_cell_boundaries_matches_piece_loop_oracle(monkeypatch):
 
 
 def test_generator_json_roundtrip():
-    margs, pz, zg = identical_conditional_setup()
-    gen = build_generator(margs, pz, zg, 3)
-    obj = gen.to_json_dict()
-    assert obj["depth"] == 3 and obj["arity"] == 2
-    assert all(set(c) == {"z_addr", "shifts"} for c in obj["cells"])
-    back = GeneratorMap.from_json_dict(obj, margs, pz, zg)
-    assert back.addresses == gen.addresses
-    assert np.array_equal(back.cells, gen.cells)
-    assert json.dumps(back.to_json_dict()) == json.dumps(obj)
+    """One pattern per row, in row order: the reloaded generator samples
+    bit-identical rows and dumps byte-identical JSON, at depths 0 and 3,
+    with and without pz atoms."""
+    rng = np.random.default_rng(4)
+    laws = {
+        "random": random_joint_law(rng, nz=3, ny=4, nx=4),
+        "two atoms": zero_mass_site_law(rng),
+        "atom in a bin": support_gap_law(rng),
+    }
+    for (name, law), depth in itertools.product(laws.items(), (0, 3)):
+        setup = (law.x_marginals(), law.pz, law.z_grid)
+        gen = build_generator(*setup, depth)
+        obj = gen.to_json_dict()
+        assert obj == {"depth": depth, "arity": gen.arity, "cells": gen.cells.tolist()}
+        assert len(obj["cells"]) == len(gen.atoms) + 2**depth, (name, depth)
+        text = json.dumps(obj)
+        back = GeneratorMap.from_json_dict(json.loads(text), *setup)
+        assert np.array_equal(back.cells, gen.cells), (name, depth)
+        assert json.dumps(back.to_json_dict()) == text, (name, depth)
+        rows = compose_structural_model(law, gen).sample(2000, seed=7)
+        again = compose_structural_model(law, back).sample(2000, seed=7)
+        assert again.tobytes() == rows.tobytes(), (name, depth)
 
 
 def test_generator_json_rejects_bad_rows():
+    """Malformed generator JSON fails fast: nothing is cast, truncated or
+    reordered into a valid generator."""
     margs, pz, zg = identical_conditional_setup()
     obj = build_generator(margs, pz, zg, 2).to_json_dict()
-
-    def load(edit):
-        bad = json.loads(json.dumps(obj))
-        edit(bad["cells"])
-        return GeneratorMap.from_json_dict(bad, margs, pz, zg)
-
-    def out_of_range(cells):
-        cells[1]["shifts"][0] = 2
-
-    def drop_entry(cells):
-        cells[1]["shifts"].pop()
-
-    def rename(cells):
-        cells[1]["z_addr"] = "13"
-
-    with pytest.raises(ValidationError, match="shift must lie in"):
-        load(out_of_range)
-    with pytest.raises(ValidationError, match="length"):
-        load(drop_entry)
-    with pytest.raises(ValidationError, match="addresses"):
-        load(rename)
-    with pytest.raises(ValidationError, match="addresses"):
-        load(lambda cells: cells.pop())
-    with pytest.raises(ValidationError, match="addresses"):
-        load(lambda cells: cells.append(dict(cells[0], shifts=cells[1]["shifts"])))
-    for key, value in (("arity", 3), ("arity", None)):
-        bad = dict(obj, **{key: value})
-        with pytest.raises(ValidationError, match="arity|malformed"):
-            GeneratorMap.from_json_dict(bad, margs, pz, zg)
+    assert obj == {"depth": 2, "arity": 2, "cells": [3, 2, 1, 0]}
+    cases = [
+        # patterns that are not integers, or not in [0, 2**2)
+        ({"cells": [0.9, 1.7, 2.0, 3.0]}, "must be an integer"),
+        ({"cells": [True, False, True, False]}, "must be an integer"),
+        ({"cells": [3, 2, 1, False]}, "must be an integer"),
+        ({"cells": [3, 2, 1, "0"]}, "must be an integer"),
+        ({"cells": [3, 2, 1, None]}, "must be an integer"),
+        ({"cells": [[1, 1], [1, 0], [0, 1], [0, 0]]}, "must be an integer"),
+        ({"cells": [{"z_addr": "11", "shifts": [1, 1]}] * 4}, "must be an integer"),
+        ({"cells": [3, 2, 1, 4]}, r"integer in \[0, 4\)"),
+        ({"cells": [3, 2, 1, -1]}, r"integer in \[0, 4\)"),
+        ({"cells": [3, 2, 1, 2**70]}, r"integer in \[0, 4\)"),
+        # a wrong row count
+        ({"cells": [3, 2, 1]}, "3 cell patterns for the 4 z-cell rows"),
+        ({"cells": [3, 2, 1, 0, 0]}, "5 cell patterns for the 4 z-cell rows"),
+        ({"cells": []}, "0 cell patterns for the 4 z-cell rows"),
+        ({"depth": 3}, "4 cell patterns for the 8 z-cell rows"),
+        # a depth or arity that is not an integer, or the wrong arity
+        ({"depth": 2.9}, "depth and arity must be integers"),
+        ({"depth": 2.0}, "depth and arity must be integers"),
+        ({"depth": True}, "depth and arity must be integers"),
+        ({"depth": "2"}, "depth and arity must be integers"),
+        ({"arity": 2.0}, "depth and arity must be integers"),
+        ({"arity": True}, "depth and arity must be integers"),
+        ({"arity": None}, "depth and arity must be integers"),
+        ({"arity": 3}, "arity 3 does not match"),
+        ({"cells": None}, "malformed"),
+        ({"cells": 4}, "malformed"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            GeneratorMap.from_json_dict(dict(obj, **edit), margs, pz, zg)
+    for key in obj:
+        with pytest.raises(ValidationError, match="malformed"):
+            GeneratorMap.from_json_dict({k: v for k, v in obj.items() if k != key}, margs, pz, zg)
