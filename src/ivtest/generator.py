@@ -86,10 +86,13 @@ def _refuse_oversize(depth: int, arity: int, sites: int) -> None:
 def _continuum_law(
     pz: GridDistribution, sites: Sequence[Site]
 ) -> tuple[float, GridDistribution | None]:
-    """Bin mass of pz and its atom-free law normalised to 1 (None without bins)."""
+    """Bin mass of pz and its atom-free law normalised to 1 (None without
+    bins): pz itself when it has no atoms and its bins sum to exactly 1."""
     mass = sum(s.mass for s in sites if s.kind == "bin")
     if mass <= 0:
         return 0.0, None
+    if mass == 1.0 and not pz.atoms:
+        return mass, pz
     masses = np.asarray(pz.masses) / mass if mass != 1.0 else pz.masses
     return mass, GridDistribution(pz.edges, masses)
 
@@ -108,7 +111,9 @@ class GeneratorMap:
     ``2i+1`` are the two halves of row ``i`` one level up.  Every pattern
     must lie in ``[0, arity**depth)``; anything else, or a vector whose shape
     is not ``(rows,)``, raises ``ValidationError`` at construction,
-    ``dataclasses.replace`` included.
+    ``dataclasses.replace`` included.  The site layout and the continuum law
+    are derived from ``pz`` and ``z_grid`` on first use, unless
+    :func:`build_generator`, which has derived them already, hands them over.
     """
 
     depth: int
@@ -134,6 +139,17 @@ class GeneratorMap:
         # certificate rests on: see verify_replication
         if cells.size and (cells.min() < 0 or cells.max() >= self.n_u_cells):
             raise ValidationError(f"every cell pattern must lie in [0, {self.n_u_cells})")
+
+    @classmethod
+    def _with_layout(
+        cls, sites: list[Site], continuum: tuple[float, GridDistribution | None], *fields
+    ) -> "GeneratorMap":
+        """Construct from ``fields`` with :attr:`sites` and :attr:`_continuum`
+        already known, so that neither is derived again."""
+        gen = cls.__new__(cls)
+        gen.__dict__.update(sites=sites, _continuum=continuum)
+        gen.__init__(*fields)
+        return gen
 
     @property
     def n_u_cells(self) -> int:
@@ -439,6 +455,26 @@ def _already_one_to_one(
     return not np.any(columns[1:] == columns[:-1])
 
 
+def _shift_patterns(k: int, arity: int, depth: int, continuum: bool) -> np.ndarray:
+    """Every row's pattern in closed form: the atoms' rows, then the
+    ``2**depth`` continuum rows when ``continuum``.
+
+    With the repunit ``R = (K**depth - 1) / (K - 1)``, whose ``depth``
+    base-``K`` digits are all 1, atom j shifts every digit by j: pattern
+    ``j·R``.  Continuum row i shifts level l by ``k+1`` less bit l of i, most
+    significant first, so its pattern is ``(k+1)·R`` less i's bits read as
+    base-``K`` digits; without atoms (``K`` = 2) that is ``2**depth - 1 - i``.
+    """
+    repunit = (arity**depth - 1) // (arity - 1)
+    atoms = np.arange(k, dtype=np.int64) * repunit
+    if not continuum:
+        return atoms
+    i = np.arange(2**depth, dtype=np.int64)
+    if arity > 2:
+        i = (i[:, None] >> np.arange(depth) & 1) @ arity ** np.arange(depth)
+    return np.concatenate([atoms, (k + 1) * repunit - i])
+
+
 def build_generator(
     marginals: Sequence[GridDistribution],
     pz: GridDistribution,
@@ -468,21 +504,17 @@ def build_generator(
             raise NonAtomicityError("conditional x-marginals must be non-atomic")
     k = sum(1 for s in sites if s.kind == "atom")
     arity = k + 2 if k > 0 else 2
-    continuum = _continuum_law(pz, sites)[1] is not None
+    continuum = _continuum_law(pz, sites)
     _refuse_oversize(depth, arity, len(sites))
 
     cells = np.zeros(k, dtype=np.int64)
     # purely atomic z with pairwise distinct image cells keeps the base map:
     # every shift is 0
     if not _already_one_to_one(marginals, sites, arity**depth):
-        halves = np.zeros(1 if continuum else 0, dtype=np.int64)
-        for _ in range(depth):
-            # each level appends a digit: j to atom j, and k+1 and k to the
-            # left and right halves of continuum row i, rows 2i and 2i+1
-            cells = cells * arity + np.arange(k)
-            halves = (halves[:, None] * arity + [k + 1, k]).ravel()
-        cells = np.concatenate([cells, halves])
-    return GeneratorMap(depth, arity, pz, z_grid, tuple(marginals), cells)
+        cells = _shift_patterns(k, arity, depth, continuum[1] is not None)
+    return GeneratorMap._with_layout(
+        sites, continuum, depth, arity, pz, z_grid, tuple(marginals), cells
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,21 +723,28 @@ class StructuralModel:
 
         Two stacked quantile calls, whatever the number of sites and columns:
         x through each row's site marginal, y through its (site, x bin)
-        column law."""
+        column law.  Every point is evaluated on its own, so the draws are
+        taken in z order, where the searches run over sorted keys, and the
+        rows are put back in draw order."""
         if n < 1:
             raise ValidationError("need n >= 1")
         gen = self.generator
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         u = rng.uniform(size=n)
         v = rng.uniform(size=n)
-        z = gen.pz.quantile(rng.uniform(size=n))
+        w = rng.uniform(size=n)
+        # the quantile is non-decreasing, so sorting its levels sorts z
+        order = np.argsort(w)
+        z = gen.pz.quantile(w[order])
         rows, sites = gen.locate(z)
-        x = gen.marginal_stack.quantile(sites, gen.permuted_level(rows, u))
+        x = gen.marginal_stack.quantile(sites, gen.permuted_level(rows, u[order]))
         columns, row_of, first = self._outcome_columns
         column = row_of[first[sites] + self.joint.x_stack.bin_of(sites, x)]
         if np.any(column < 0):
             raise ValidationError("sampled an x bin with zero conditional mass")
-        return np.column_stack([columns.quantile(column, v), x, z])
+        out = np.empty((n, 3))
+        out[order] = np.column_stack([columns.quantile(column, v[order]), x, z])
+        return out
 
     def induced_law(self) -> JointLaw:
         """The law this model induces at cell resolution: its own joint law.
@@ -738,6 +777,8 @@ def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralMo
     if len(margs) != len(gen.marginals):
         raise MarginalMismatchError("site counts differ")
     for a, b in zip(margs, gen.marginals):
+        if a is b:
+            continue  # the generator was built from this marginal itself
         if len(a.masses) != len(b.masses) or np.max(np.abs(a.edges - b.edges)) > 0:
             raise MarginalMismatchError("marginal grids differ")
         if 0.5 * float(np.abs(a.masses - b.masses).sum()) > INPUT_TOL:

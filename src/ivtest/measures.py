@@ -511,8 +511,8 @@ class GridDistribution:
 
     def to_json_dict(self) -> dict:
         return {
-            "edges": [float(e) for e in self.edges],
-            "masses": [float(m) for m in self.masses],
+            "edges": self.edges.tolist(),
+            "masses": self.masses.tolist(),
             "atoms": [[a, m] for a, m in self.atoms],
         }
 
@@ -589,9 +589,9 @@ class Conditional2D:
 
     def to_json_dict(self) -> dict:
         return {
-            "y_edges": [float(e) for e in self.y_edges],
-            "x_edges": [float(e) for e in self.x_edges],
-            "mass": [[float(v) for v in row] for row in self.mass],
+            "y_edges": self.y_edges.tolist(),
+            "x_edges": self.x_edges.tolist(),
+            "mass": self.mass.tolist(),
         }
 
     @classmethod
@@ -621,33 +621,33 @@ def sites_of(pz: GridDistribution, z_grid: Sequence[float]) -> list[Site]:
     """Pair each z-grid value with the pz bin or atom it belongs to.
 
     Every positive-mass bin and every atom must be matched by exactly one grid
-    value; grid values must be strictly increasing.
+    value; grid values must be strictly increasing.  A refusal names the
+    first offender in z order.
     """
     z_grid = [float(z) for z in z_grid]
     if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
         raise ValidationError("z_grid must be strictly increasing")
     atom_locs = {loc: m for loc, m in pz.atoms}
+    edges, masses = pz.edges.tolist(), pz.masses.tolist()
     used_bins: set[int] = set()
     used_atoms: set[float] = set()
     sites: list[Site] = []
-    for z in z_grid:
+    # the bin of every z, atoms included, from one search
+    for z, b in zip(z_grid, (np.searchsorted(pz.edges, z_grid, side="right") - 1).tolist()):
         if z in atom_locs:
             sites.append(Site("atom", z, z, z, atom_locs[z]))
             used_atoms.add(z)
             continue
-        b = int(np.searchsorted(pz.edges, z, side="right")) - 1
-        if not (0 <= b < len(pz.masses)):
+        if not (0 <= b < len(masses)):
             raise ValidationError(f"z value {z} outside the pz grid")
         if b in used_bins:
             raise ValidationError(f"two z values fall in the same pz bin ({z})")
         used_bins.add(b)
-        sites.append(
-            Site("bin", z, float(pz.edges[b]), float(pz.edges[b + 1]), float(pz.masses[b]))
-        )
-    for b, m in enumerate(pz.masses):
+        sites.append(Site("bin", z, edges[b], edges[b + 1], masses[b]))
+    for b, m in enumerate(masses):
         if m > 0 and b not in used_bins:
             raise ValidationError(f"pz bin {b} has positive mass but no z value")
-    for loc in atom_locs:
+    for loc in sorted(atom_locs):
         if loc not in used_atoms:
             raise ValidationError(f"pz atom at {loc} has no z value")
     return sites
@@ -655,7 +655,11 @@ def sites_of(pz: GridDistribution, z_grid: Sequence[float]) -> list[Site]:
 
 @dataclass(frozen=True, eq=False)
 class JointLaw:
-    """The observed object: P_{Y,X|Z=z} for each z-grid site plus P_Z."""
+    """The observed object: P_{Y,X|Z=z} for each z-grid site plus P_Z.
+
+    ``sites`` is the pairing of the z values with pz's bins and atoms
+    (:func:`sites_of`), derived once at construction.
+    """
 
     z_grid: np.ndarray
     pz: GridDistribution
@@ -668,11 +672,8 @@ class JointLaw:
             raise ValidationError("need one conditional per z value")
         if len(self.z_grid) == 0:
             raise ValidationError("empty z grid")
-        sites_of(self.pz, self.z_grid)  # validates the pairing
-
-    @cached_property
-    def sites(self) -> list[Site]:
-        return sites_of(self.pz, self.z_grid)
+        # the pairing, validated once and kept
+        object.__setattr__(self, "sites", sites_of(self.pz, self.z_grid))
 
     @cached_property
     def x_stack(self) -> GridStack:
@@ -698,7 +699,7 @@ class JointLaw:
 
     def to_json_dict(self) -> dict:
         return {
-            "z_grid": [float(z) for z in self.z_grid],
+            "z_grid": self.z_grid.tolist(),
             "pz": self.pz.to_json_dict(),
             "conditionals": [c.to_json_dict() for c in self.conditionals],
         }

@@ -1,10 +1,10 @@
-"""Shared builders for analytic test laws, the level-by-level cell
-expansion oracle, the exact replay oracle, the eager-table sampling oracle,
-the two-search z lookup oracle, the address spelling, the pairwise
-image-code and collision oracles, the piece-loop inversion oracle, the
-one-pair moment and its segment-loop oracle, the per-pair statistic
-oracles, the breakpoint-loop profile oracle and the masked quantile/CDF and
-per-bin discretize oracles."""
+"""Shared builders for analytic test laws, the per-element law serializer,
+the level-by-level pattern and cell expansion oracles, the exact replay
+oracle, the eager-table sampling oracle, the two-search z lookup oracle,
+the address spelling, the pairwise image-code, agreement and collision
+oracles, the piece-loop inversion oracle, the one-pair moment and its
+segment-loop oracle, the per-pair statistic oracles, the breakpoint-loop
+profile oracle and the masked quantile/CDF and per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -114,6 +114,45 @@ def perturbed_law(law, site=1, eps=0.04):
     c = law.conditionals[site]
     conds[site] = Conditional2D(c.y_edges, c.x_edges, m)
     return JointLaw(law.z_grid, law.pz, tuple(conds))
+
+
+def element_json_dict(law):
+    """``JointLaw.to_json_dict`` written one element at a time with
+    ``float()``: the oracle for the whole-array serializer, whose JSON must
+    be byte-identical."""
+
+    def dist(d):
+        return {
+            "edges": [float(e) for e in d.edges],
+            "masses": [float(m) for m in d.masses],
+            "atoms": [[a, m] for a, m in d.atoms],
+        }
+
+    return {
+        "z_grid": [float(z) for z in law.z_grid],
+        "pz": dist(law.pz),
+        "conditionals": [
+            {
+                "y_edges": [float(e) for e in c.y_edges],
+                "x_edges": [float(e) for e in c.x_edges],
+                "mass": [[float(v) for v in row] for row in c.mass],
+            }
+            for c in law.conditionals
+        ],
+    }
+
+
+def level_loop_patterns(k, arity, depth, continuum):
+    """Every row's shift pattern grown one level at a time, the way the
+    construction once built them: each level appends digit j to atom j, and
+    ``k+1`` and ``k`` to the left and right halves of continuum row i, rows
+    ``2i`` and ``2i+1``."""
+    cells = np.zeros(k, dtype=np.int64)
+    halves = np.zeros(1 if continuum else 0, dtype=np.int64)
+    for _ in range(depth):
+        cells = cells * arity + np.arange(k)
+        halves = (halves[:, None] * arity + [k + 1, k]).ravel()
+    return np.concatenate([cells, halves])
 
 
 def _refine_and_shift(perms, arity, shift):
@@ -333,31 +372,41 @@ def two_search_locate(gen, z):
     return rows, sites
 
 
-def pairwise_collision_fraction(gen):
+def pairwise_agreement(gen):
+    """Share of latent cells on which each ordered pair of pieces has equal
+    :func:`pairwise_image_codes`, shape ``(pieces, pieces)``, one row of
+    pairs at a time: the one pass that both pairwise collision oracles read."""
+    codes = pairwise_image_codes(gen)
+    return np.array([(codes == row).mean(axis=1) for row in codes])
+
+
+def pairwise_collision_fraction(gen, agree=None):
     """Collision fraction summed over every ordered pair of pieces.
 
     An independent oracle for ``generator.collision_fraction``: each pair of
     pieces adds its z mass times the share of latent cells on which their
     image intervals agree; a piece paired with itself counts fully on the
-    continuum and not at all for an atom.
+    continuum and not at all for an atom.  ``agree`` is
+    :func:`pairwise_agreement`, computed here when not given.
     """
     cell, _, w = gen.pieces
-    codes = pairwise_image_codes(gen)
+    if agree is None:
+        agree = pairwise_agreement(gen)
     self_collides = (cell >= len(gen.atoms)).astype(float)
     total = 0.0
     for i in range(len(cell)):
-        agree = (codes == codes[i]).mean(axis=1)
-        total += w[i] * float(agree @ w)
+        total += w[i] * float(agree[i] @ w)
         # replace the self term: full collision for continuum, none for atoms
-        total += w[i] * w[i] * (self_collides[i] - float(agree[i]))
+        total += w[i] * w[i] * (self_collides[i] - float(agree[i, i]))
     return float(total)
 
 
-def pairwise_group_collision_matrix(gen):
+def pairwise_group_collision_matrix(gen, agree=None):
     """``generator.group_collision_matrix`` summed over piece pairs, one row of
-    pairs at a time."""
+    pairs at a time; ``agree`` as in :func:`pairwise_collision_fraction`."""
     cell, _, weight = gen.pieces
-    codes = pairwise_image_codes(gen)
+    if agree is None:
+        agree = pairwise_agreement(gen)
     labels, group = np.unique(
         ["".join(str(d) for d in address_digits(gen, c)[:1]) for c in cell], return_inverse=True
     )
@@ -366,11 +415,11 @@ def pairwise_group_collision_matrix(gen):
     hits = np.zeros((G, G))
     for a in range(len(cell)):
         pair = weight[a] * weight
-        agree = np.count_nonzero(codes == codes[a], axis=1) / codes.shape[1]
+        row = agree[a].copy()
         # the self pair: full collision for continuum, none for atoms
-        agree[a] = 0.0 if cell[a] < len(gen.atoms) else 1.0
+        row[a] = 0.0 if cell[a] < len(gen.atoms) else 1.0
         mass[group[a]] += np.bincount(group, weights=pair, minlength=G)
-        hits[group[a]] += np.bincount(group, weights=pair * agree, minlength=G)
+        hits[group[a]] += np.bincount(group, weights=pair * row, minlength=G)
     out = np.zeros((G, G))
     nz = mass > 0
     out[nz] = hits[nz] / mass[nz]

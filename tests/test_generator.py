@@ -30,6 +30,8 @@ from conftest import (
     bernoulli_support_jump_law,
     eager_table_sample,
     identical_conditional_setup,
+    level_loop_patterns,
+    pairwise_agreement,
     pairwise_collision_fraction,
     pairwise_group_collision_matrix,
     pairwise_image_codes,
@@ -183,6 +185,49 @@ def test_disjoint_supports_zero_collision():
     assert collision_fraction(gen) == 0.0
 
 
+@pytest.mark.parametrize("depth", [0, 1, 5, 8])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_shift_patterns_closed_form_match_level_loop(k, depth):
+    """``j·R`` for atom j and ``(k+1)·R`` less the bits of i read in base K
+    for continuum row i, R the base-K repunit, are the patterns grown level
+    by level, with and without a continuum, and what a build stores."""
+    arity = k + 2 if k else 2
+    for continuum in (True, False):
+        want = level_loop_patterns(k, arity, depth, continuum)
+        got = generator._shift_patterns(k, arity, depth, continuum)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    uniform = GridDistribution.uniform(0.0, 1.0)
+    setup = atomic_setup(k) if k else ([uniform], uniform, [0.5])
+    gen = build_generator(*setup, depth)
+    assert np.array_equal(gen.cells, level_loop_patterns(k, arity, depth, True))
+
+
+@pytest.mark.parametrize("case", ["random", "atoms and a gap"])
+def test_build_derives_the_site_layout_once(monkeypatch, case):
+    """One build makes one ``sites_of`` call and one continuum-law build,
+    and nothing done with the generator afterwards makes another;
+    ``dataclasses.replace`` derives both anew."""
+    calls = []
+    for name in ("sites_of", "_continuum_law"):
+        real = getattr(generator, name)
+        monkeypatch.setattr(
+            generator, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
+        )
+    rng = np.random.default_rng(5)
+    law = random_joint_law(rng, nz=4, ny=4, nx=4) if case == "random" else support_gap_law(rng)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 4)
+    assert sorted(calls) == ["_continuum_law", "sites_of"]
+    model = compose_structural_model(law, gen)
+    assert verify_replication(model, law) == 0.0
+    json.dumps(model.to_json_dict())
+    model.sample(100, seed=0)
+    collision_fraction(gen)
+    group_collision_matrix(gen)
+    assert len(calls) == 2
+    replace(gen, cells=gen.cells)
+    assert sorted(calls) == ["_continuum_law", "_continuum_law", "sites_of", "sites_of"]
+
+
 # ---------------------------------------------------------------------------
 # collision codes and kernel: oracles, golden values
 # ---------------------------------------------------------------------------
@@ -318,9 +363,10 @@ def test_collision_kernel_matches_pairwise_oracle(name):
     """The Σ W² kernel equals the sum over piece pairs: bit for bit for the
     fraction, within rounding of the per-group normalisation for the matrix."""
     gen = build_generator(*ORACLE_CASES[name])
-    assert collision_fraction(gen) == pairwise_collision_fraction(gen)
+    agree = pairwise_agreement(gen)
+    assert collision_fraction(gen) == pairwise_collision_fraction(gen, agree)
     labels, mat = group_collision_matrix(gen)
-    oracle_labels, oracle = pairwise_group_collision_matrix(gen)
+    oracle_labels, oracle = pairwise_group_collision_matrix(gen, agree)
     assert labels == oracle_labels
     assert np.max(np.abs(mat - oracle)) <= 1e-15
 
@@ -385,9 +431,10 @@ def test_collision_kernel_matches_pairwise_oracle_on_permuted_rows(law_name, row
     """Rows that the construction never makes: pieces meet on some or all
     latent cells, so the kernel's shared-key path carries the cross mass."""
     gen = shifted_case(law_name, rows, seed)
-    assert abs(collision_fraction(gen) - pairwise_collision_fraction(gen)) <= 1e-15
+    agree = pairwise_agreement(gen)
+    assert abs(collision_fraction(gen) - pairwise_collision_fraction(gen, agree)) <= 1e-15
     labels, mat = group_collision_matrix(gen)
-    oracle_labels, oracle = pairwise_group_collision_matrix(gen)
+    oracle_labels, oracle = pairwise_group_collision_matrix(gen, agree)
     assert labels == oracle_labels
     assert np.max(np.abs(mat - oracle)) <= 1e-15
 

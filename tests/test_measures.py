@@ -1,5 +1,7 @@
 """Measure primitives against independent numeric oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ivtest import (
     Conditional2D,
     GridDistribution,
+    JointLaw,
     ValidationError,
     build_generator,
     fosd_violation,
@@ -16,7 +19,13 @@ from ivtest import (
 from ivtest import measures
 from ivtest.measures import INPUT_TOL, GridStack
 
-from conftest import loop_profile, masked_cdf_eval, masked_quantile_eval, random_joint_law
+from conftest import (
+    element_json_dict,
+    loop_profile,
+    masked_cdf_eval,
+    masked_quantile_eval,
+    random_joint_law,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: brute numeric versions that never reuse the library's profile code
@@ -645,3 +654,96 @@ def test_grid_distribution_json_roundtrip(rng):
     assert np.array_equal(d.edges, d2.edges)
     assert np.array_equal(d.masses, d2.masses)
     assert d.atoms == d2.atoms
+
+
+@pytest.mark.parametrize(
+    "pz, z_grid, message",
+    [
+        (
+            GridDistribution.uniform(0.0, 1.0, 3),
+            [0.1, 0.2, 0.5, 0.6, 0.9],
+            "two z values fall in the same pz bin (0.2)",
+        ),
+        (
+            GridDistribution.uniform(0.0, 1.0, 4),
+            [0.1, 0.6],
+            "pz bin 1 has positive mass but no z value",
+        ),
+        (
+            GridDistribution(np.array([0.0, 1.0]), np.array([0.8]), ((0.8, 0.1), (0.2, 0.1))),
+            [0.5],
+            "pz atom at 0.2 has no z value",
+        ),
+        (
+            GridDistribution.uniform(0.0, 1.0, 2),
+            [-0.5, 0.25, 0.75, 1.5],
+            "z value -0.5 outside the pz grid",
+        ),
+        (
+            GridDistribution.uniform(0.0, 1.0, 2),
+            [0.25, 0.75, 1.0],
+            "z value 1.0 outside the pz grid",
+        ),
+        (
+            GridDistribution.uniform(0.0, 1.0, 2),
+            [0.75, 0.25],
+            "z_grid must be strictly increasing",
+        ),
+    ],
+    ids=["same-bin", "empty-bin", "unmatched-atom", "below-grid", "top-edge", "unsorted"],
+)
+def test_sites_of_refusals_name_the_first_offender(pz, z_grid, message):
+    """Every refusal of the site pairing, with its exact message; where
+    several values offend, the first in z order is named (pz's atoms are
+    listed out of z order here)."""
+    for pair in (
+        lambda: measures.sites_of(pz, z_grid),
+        lambda: build_generator([GridDistribution.uniform(0.0, 1.0)] * len(z_grid), pz, z_grid, 2),
+    ):
+        with pytest.raises(ValidationError) as info:
+            pair()
+        assert str(info.value) == message
+
+
+def signed_zero_law(rng):
+    """A law with -0.0 as a pz edge, a z value, a y edge, an x edge and a
+    cell mass, and a pz atom."""
+    pz = GridDistribution(np.array([-1.0, -0.0, 1.0]), np.array([0.3, 0.5]), ((0.5, 0.2),))
+    edges = np.array([-1.0, -0.0, 1.0])
+    mass = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    zero = mass.copy()
+    zero[0, 1] += zero[1, 1]
+    zero[1, 1] = -0.0
+    conds = (
+        Conditional2D(edges, edges, mass),
+        Conditional2D(edges, np.array([-2.0, -0.0, 2.0]), zero),
+        Conditional2D(np.array([0.0, 1.0, 2.0]), edges, mass.T),
+    )
+    return JointLaw([-0.5, -0.0, 0.5], pz, conds)
+
+
+def serialization_laws(rng):
+    shapes = ((1, 1, 2), (3, 4, 5), (8, 8, 8))
+    return [random_joint_law(rng, *shape) for shape in shapes] + [signed_zero_law(rng)]
+
+
+def test_law_json_matches_element_serializer(rng):
+    """Whole-array ``tolist`` writes the same Python floats as a per-element
+    ``float()``, so the JSON text is byte-identical, -0.0 included."""
+    for law in serialization_laws(rng):
+        text = json.dumps(law.to_json_dict())
+        assert text == json.dumps(element_json_dict(law))
+    assert text.count("-0.0") == 8
+
+
+def test_law_json_roundtrips_bit_for_bit(rng):
+    """Reading the JSON back gives every stored float64 with its bits."""
+    for law in serialization_laws(rng):
+        back = JointLaw.from_json_dict(json.loads(json.dumps(law.to_json_dict())))
+        assert back.z_grid.tobytes() == law.z_grid.tobytes()
+        assert back.pz.edges.tobytes() == law.pz.edges.tobytes()
+        assert back.pz.masses.tobytes() == law.pz.masses.tobytes()
+        assert back.pz.atoms == law.pz.atoms
+        for a, b in zip(back.conditionals, law.conditionals, strict=True):
+            for field in ("y_edges", "x_edges", "mass"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
