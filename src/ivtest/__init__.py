@@ -30,6 +30,7 @@ from .measures import (
     Conditional2D,
     GridDistribution,
     JointLaw,
+    LawBatch,
     fosd_violation,
     winf_distance,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "IVTestError",
     "InfeasibilityCertificate",
     "JointLaw",
+    "LawBatch",
     "MarginalMismatchError",
     "NonAtomicityError",
     "NonInvertibleError",

@@ -9,6 +9,7 @@ are data, not exit codes.  Only ``simulate`` draws random numbers and takes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,10 @@ from .validity import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every call returns
+    the same parser, which parsing leaves unchanged."""
     parser = argparse.ArgumentParser(
         prog="ivtest",
         description=(

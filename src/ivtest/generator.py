@@ -41,7 +41,7 @@ tabulated contribution of the high digits and one of the low digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -113,7 +113,8 @@ class GeneratorMap:
     is not ``(rows,)``, raises ``ValidationError`` at construction,
     ``dataclasses.replace`` included.  The site layout and the continuum law
     are derived from ``pz`` and ``z_grid`` on first use, unless
-    :func:`build_generator`, which has derived them already, hands them over.
+    :func:`build_generator`, which has derived them already, hands them over
+    (and :meth:`from_json_dict` passes on those of the generator it rebuilds).
     """
 
     depth: int
@@ -411,7 +412,16 @@ class GeneratorMap:
         n = rebuilt.n_u_cells
         if not all(type(p) is int and 0 <= p < n for p in patterns):
             raise ValidationError(f"every cell pattern must be an integer in [0, {n})")
-        return replace(rebuilt, cells=patterns)
+        return cls._with_layout(
+            rebuilt.sites,
+            rebuilt._continuum,
+            depth,
+            arity,
+            rebuilt.pz,
+            rebuilt.z_grid,
+            rebuilt.marginals,
+            patterns,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ stochastic-dominance violations) is computed from that exact profile rather
 than by sampling.  Downstream constructions rely on this measure arithmetic being
 reproducible to float precision.  Many laws stack into one ``GridStack``,
 whose kernel evaluates every point against its own law in one call, bit for
-bit as a call on that law alone.
+bit as a call on that law alone; a ``LawBatch`` stacks the marginals of many
+joint laws that way, one stack per axis.
 
 Conventions fixed here and used everywhere else:
 
@@ -125,6 +126,51 @@ def _grid_profile(
     return locs, cum[0::2], cum[1::2]
 
 
+def _check_atom_free_block(edges: np.ndarray, masses: np.ndarray) -> None:
+    """Refuse one ``(edges, masses)`` block of :meth:`GridStack.atom_free` as
+    :class:`GridDistribution` refuses its input, naming the first bad row."""
+    if edges.ndim != 1 or masses.ndim != 2 or masses.shape[1] + 1 != len(edges):
+        raise ValidationError("need len(edges) == bins + 1 for every row of masses")
+    if len(edges) < 2:
+        raise ValidationError("need at least one bin")
+    _require_increasing("edges", edges)
+    total = masses.sum(axis=1)
+    if not np.isfinite(total).all():
+        _require_finite("bin masses", masses)
+    if np.any(masses < 0):
+        raise ValidationError("bin masses must be non-negative")
+    off = np.abs(total - 1.0) > INPUT_TOL
+    if np.any(off):
+        raise ValidationError(
+            f"total mass {total[off][0]} differs from 1 by more than {INPUT_TOL}"
+        )
+
+
+def _atom_free_valid(edges: list[np.ndarray], masses: list[np.ndarray]) -> bool:
+    """Whether every block passes :func:`_check_atom_free_block`, decided in
+    one pass over all blocks.  Each block's row totals are its own
+    ``sum(axis=1)``, whose rounding depends on the block's memory layout."""
+    if not all(
+        e.ndim == 1 and m.ndim == 2 and m.shape[1] + 1 == len(e) >= 2
+        for e, m in zip(edges, masses)
+    ):
+        return False
+    flat = np.concatenate(edges)
+    last = np.cumsum([len(e) for e in edges]) - 1
+    step = np.diff(flat)
+    step[last[:-1]] = 1.0  # from one block's last edge to the next block's first
+    ends = np.concatenate([flat[last], flat[last[:-1] + 1], flat[:1]])
+    if not (np.all(step > 0) and np.isfinite(ends).all()):
+        return False
+    values = np.concatenate([m.ravel() for m in masses])
+    total = np.concatenate([m.sum(axis=1) for m in masses])
+    return bool(
+        np.isfinite(values).all()
+        and np.all(values >= 0)
+        and np.all(np.abs(total - 1.0) <= INPUT_TOL)
+    )
+
+
 class GridStack:
     """The CDF profiles of ``R`` grid laws, stacked flat, and the one exact
     kernel that evaluates their quantiles and CDFs.
@@ -164,38 +210,38 @@ class GridStack:
 
         Every row is checked as :class:`GridDistribution` checks its input:
         finite, strictly increasing edges, finite non-negative masses and a
-        total within ``INPUT_TOL`` of 1.  Raises ``ValidationError``, before
-        allocating, when the tables would exceed ``MAX_CELL_ENTRIES`` entries.
+        total within ``INPUT_TOL`` of 1.  All blocks are checked in one pass,
+        and only when that finds a fault are they checked again one at a
+        time, so that the refusal names the first offending block and row.
+        Raises ``ValidationError``, before allocating, when the tables would
+        exceed ``MAX_CELL_ENTRIES`` entries.
         """
         _refuse_oversize(
             sum(len(m) * (len(e) + 1) for e, m in blocks), "a stack of grid laws"
         )
-        Bs, cums = [], []
-        for edges, masses in blocks:
-            edges = np.asarray(edges, dtype=float)
-            masses = np.asarray(masses, dtype=float)
-            if edges.ndim != 1 or masses.ndim != 2 or masses.shape[1] + 1 != len(edges):
-                raise ValidationError("need len(edges) == bins + 1 for every row of masses")
-            if len(edges) < 2:
-                raise ValidationError("need at least one bin")
-            _require_increasing("edges", edges)
-            total = masses.sum(axis=1)
-            if not np.isfinite(total).all():
-                _require_finite("bin masses", masses)
-            if np.any(masses < 0):
-                raise ValidationError("bin masses must be non-negative")
-            off = np.abs(total - 1.0) > INPUT_TOL
-            if np.any(off):
-                raise ValidationError(
-                    f"total mass {total[off][0]} differs from 1 by more than {INPUT_TOL}"
-                )
-            cum = np.zeros((len(masses), len(edges)))
-            np.cumsum(masses, axis=1, out=cum[:, 1:])
-            Bs.append(np.broadcast_to(edges, cum.shape).ravel())
-            cums.append(cum.ravel())
-        lengths = np.concatenate([np.full(len(m), len(e)) for e, m in blocks])
-        cum = np.concatenate(cums)
-        return cls(np.concatenate(Bs), cum, cum, np.concatenate([[0], np.cumsum(lengths)]))
+        edges = [np.asarray(e, dtype=float) for e, _ in blocks]
+        masses = [np.asarray(m, dtype=float) for _, m in blocks]
+        if not _atom_free_valid(edges, masses):
+            for e, m in zip(edges, masses):
+                _check_atom_free_block(e, m)
+        width = np.array([len(e) for e in edges], dtype=np.intp)
+        row_width = np.repeat(width, [len(m) for m in masses])
+        starts = np.concatenate([[0], np.cumsum(row_width)])
+        # every row reads its block's edges
+        block_start = np.repeat(np.cumsum(width) - width, [len(m) for m in masses])
+        B = np.concatenate(edges)[_ragged_arange(block_start, row_width)]
+        # rows of one width form one matrix, cumulated row by row as a block is
+        cum = np.empty(len(B))
+        for w in np.unique(width).tolist():
+            rows = np.flatnonzero(row_width == w)
+            mat = np.zeros((len(rows), w))
+            np.cumsum(
+                np.concatenate([m for m, k in zip(masses, width) if k == w]),
+                axis=1,
+                out=mat[:, 1:],
+            )
+            cum[(starts[rows][:, None] + np.arange(w)).ravel()] = mat.ravel()
+        return cls(B, cum, cum, starts)
 
     # -- layout -------------------------------------------------------------
 
@@ -676,20 +722,20 @@ class JointLaw:
         object.__setattr__(self, "sites", sites_of(self.pz, self.z_grid))
 
     @cached_property
-    def x_stack(self) -> GridStack:
-        """The x-marginals as one stack, row ``i`` for z site ``i``, built
-        once from the mass matrices: the statistics evaluate every z pair
-        against it in one call."""
-        return GridStack.atom_free(
-            [(c.x_edges, c.mass.sum(axis=0)[None]) for c in self.conditionals]
-        )
+    def batch(self) -> "LawBatch":
+        """This law as the one-law batch, whose stacks the statistics read."""
+        return LawBatch((self,))
 
-    @cached_property
+    @property
+    def x_stack(self) -> GridStack:
+        """The x-marginals as one stack, row ``i`` for z site ``i``: the
+        one-law batch's x stack, built once."""
+        return self.batch.x_stack
+
+    @property
     def y_stack(self) -> GridStack:
         """The y-marginals as one stack, like :attr:`x_stack`."""
-        return GridStack.atom_free(
-            [(c.y_edges, c.mass.sum(axis=1)[None]) for c in self.conditionals]
-        )
+        return self.batch.y_stack
 
     def x_marginals(self) -> list[GridDistribution]:
         return [c.x_marginal() for c in self.conditionals]
@@ -714,6 +760,39 @@ class JointLaw:
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed joint-law object: {exc}") from exc
+
+
+class LawBatch:
+    """Joint laws stacked for the statistics: one x stack and one y stack
+    over every z site of every law.
+
+    Law ``l``'s sites are the stack rows ``offsets[l]:offsets[l + 1]``, in z
+    order, so a statistic evaluates every z pair of every law in one kernel
+    call per axis.  Each row is built from its conditional's mass matrix as
+    in a stack of that law alone, so every value keeps its bits.  A law may
+    appear more than once.  :attr:`JointLaw.batch` is the one-law batch.
+    The stacks are built on first use.  An empty batch is refused with
+    ``ValidationError``.
+    """
+
+    def __init__(self, laws: Sequence[JointLaw]):
+        self.laws = tuple(laws)
+        if not self.laws:
+            raise ValidationError("need at least one law")
+        sites = [len(law.conditionals) for law in self.laws]
+        self.offsets = np.concatenate([[0], np.cumsum(sites, dtype=np.intp)])
+
+    @cached_property
+    def x_stack(self) -> GridStack:
+        return GridStack.atom_free(
+            [(c.x_edges, c.mass.sum(axis=0)[None]) for law in self.laws for c in law.conditionals]
+        )
+
+    @cached_property
+    def y_stack(self) -> GridStack:
+        return GridStack.atom_free(
+            [(c.y_edges, c.mass.sum(axis=1)[None]) for law in self.laws for c in law.conditionals]
+        )
 
 
 # ---------------------------------------------------------------------------

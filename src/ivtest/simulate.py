@@ -13,6 +13,7 @@ import io
 import itertools
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,8 +26,8 @@ from .generator import (
     compose_structural_model,
     verify_replication,
 )
-from .measures import Conditional2D, GridDistribution, JointLaw, _require_finite
-from .validity import TestReport, minimal_collision_mass
+from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch, _require_finite
+from .validity import Runner, TestReport, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
 OUTCOME_KINDS = ("location", "jump", "custom")
@@ -268,6 +269,42 @@ def replication_seed(master_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((master_seed, rep)).generate_state(1)[0])
 
 
+@contextmanager
+def _failure_context(spec_name: str, rep: int):
+    """Prefix an error with the spec and replication it arose in.  Package
+    errors keep their type, which the CLI's exit code reads; any other
+    error becomes an ``IVTestError`` chained to the original."""
+    try:
+        yield
+    except IVTestError as exc:
+        raise type(exc)(f"spec {spec_name!r}, replication {rep}: {exc}") from exc
+    except Exception as exc:
+        raise IVTestError(f"spec {spec_name!r}, replication {rep}: {exc!r}") from exc
+
+
+def _reports(fn: Callable, batch: LawBatch, spec_names: Sequence[str], rep: int) -> list:
+    """The report of ``fn`` on every law of ``batch``, ``spec_names[i]``
+    naming law i's process.  A registered test's runner takes the whole batch
+    in one call; any other callable, and a batched call that fails, run law
+    by law, so that an error names the spec of the law that raised it.  A
+    batch that the table cap alone refuses is thus still tested, but a batched
+    call that fails with a foreign error on laws that pass one at a time is a
+    defect of the batched code, and that error is raised."""
+    failure = None
+    if isinstance(fn, Runner):
+        try:
+            return fn.batch(batch)
+        except Exception as exc:
+            failure = exc
+    reports = []
+    for law, name in zip(batch.laws, spec_names):
+        with _failure_context(name, rep):
+            reports.append(fn(law))
+    if failure is not None and not isinstance(failure, IVTestError):
+        raise failure
+    return reports
+
+
 def run_experiment(
     specs: Sequence[DGPSpec],
     tests: Sequence[tuple[str, Callable[[JointLaw], TestReport]]],
@@ -287,9 +324,26 @@ def run_experiment(
     law from an invalid process and the law induced by its replicating valid
     model are the same object at cell resolution.
 
-    Each finished replication logs one INFO record on ``ivtest.simulate``;
-    its ``spec``, ``rep`` (0-based) and ``elapsed_s`` attributes give the
-    process name, the replication index and its wall-clock seconds.
+    The loop runs replication by replication.  Each replication samples,
+    discretizes and replicates every spec in spec order, with the seed of
+    that replication, and then runs each test once over all of its laws,
+    every spec's law and its twin: a registered test (:func:`make_test`)
+    takes them as one :class:`LawBatch`, and any other callable is called
+    law by law.  The table is the same, bit for bit, as testing one law at
+    a time.  A failure is raised with the prefix ``spec '<name>',
+    replication <r>:`` of the law that failed; when one replication holds
+    several failures, the one raised is the first in this order, which is
+    not always the first of a spec-by-spec loop.  A batched call that fails
+    is replayed law by law to find that law; if every law passes alone, a
+    refusal (the table cap on the whole batch) leaves the law-by-law table,
+    and any other error is raised as it is.
+
+    After each replication's tests, one INFO record per spec is logged on
+    ``ivtest.simulate``, in spec order.  Its ``spec``, ``rep`` (0-based) and
+    ``elapsed_s`` attributes give the process name, the replication index
+    and the wall-clock seconds of that spec's sampling, discretizing and
+    replication plus an equal share of the replication's test pass, so a
+    run's records sum to its wall time.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
@@ -300,42 +354,53 @@ def run_experiment(
         raise ValidationError(
             f"nontestability_depth must be None or a non-negative integer: {depth!r}"
         )
-    results: dict[tuple[str, str], CellStats] = {}
-    for spec in specs:
-        rows = [spec.name]
-        if nontestability_depth is not None:
-            rows.append(f"{spec.name}@replicated")
-        rejected = {(row, name): 0 for row in rows for name, _ in tests}
-        stat_sum = {(row, name): 0.0 for row in rows for name, _ in tests}
-        for rep in range(reps):
-            rep_seed = replication_seed(seed, rep)
+    rows = [
+        [spec.name] + ([f"{spec.name}@replicated"] if depth is not None else []) for spec in specs
+    ]
+    # tallies per spec: a later spec of the same name replaces an earlier one's rows
+    rejected = [{(row, name): 0 for row in r for name, _ in tests} for r in rows]
+    stat_sum = [{(row, name): 0.0 for row in r for name, _ in tests} for r in rows]
+    # the laws of a replication: each spec's law, then its twin
+    per_spec = 2 if depth is not None else 1
+    names = [spec.name for spec in specs for _ in range(per_spec)]
+    for rep in range(reps):
+        rep_seed = replication_seed(seed, rep)
+        laws, own_s = [], []
+        for spec in specs:
             t0 = time.perf_counter()
-            try:
-                laws = {spec.name: discretize(sample(spec, n, rep_seed), *bins)}
-                if nontestability_depth is not None:
-                    model, _ = nontestability_demo(laws[spec.name], nontestability_depth)
-                    laws[f"{spec.name}@replicated"] = model.induced_law()
-                for row, law in laws.items():
-                    for name, fn in tests:
-                        report = fn(law)
-                        rejected[(row, name)] += report.decision == "reject"
-                        stat_sum[(row, name)] += report.statistic
-            except IVTestError as exc:
-                # package errors keep their type, which the CLI's exit code reads
-                raise type(exc)(f"spec {spec.name!r}, replication {rep}: {exc}") from exc
-            except Exception as exc:
-                raise IVTestError(f"spec {spec.name!r}, replication {rep}: {exc!r}") from exc
-            if log.isEnabledFor(logging.INFO):
-                elapsed = time.perf_counter() - t0
+            with _failure_context(spec.name, rep):
+                law = discretize(sample(spec, n, rep_seed), *bins)
+                laws.append(law)
+                if depth is not None:
+                    model, _ = nontestability_demo(law, depth)
+                    laws.append(model.induced_law())
+            own_s.append(time.perf_counter() - t0)
+        if not laws:
+            continue
+        t0 = time.perf_counter()
+        batch = LawBatch(laws)
+        for name, fn in tests:
+            for k, report in enumerate(_reports(fn, batch, names, rep)):
+                i, j = divmod(k, per_spec)
+                key = (rows[i][j], name)
+                with _failure_context(names[k], rep):
+                    rejected[i][key] += report.decision == "reject"
+                    stat_sum[i][key] += report.statistic
+        if log.isEnabledFor(logging.INFO):
+            share = (time.perf_counter() - t0) / len(specs)
+            for spec, own in zip(specs, own_s):
+                elapsed = own + share
                 log.info(
                     "spec %r, replication %d of %d: %.3f s",
                     spec.name, rep, reps, elapsed,
                     extra={"spec": spec.name, "rep": rep, "elapsed_s": elapsed},
                 )
-        for row in rows:
+    results: dict[tuple[str, str], CellStats] = {}
+    for i, r in enumerate(rows):
+        for row in r:
             for name, _ in tests:
                 results[(row, name)] = CellStats(
-                    rejected[(row, name)] / reps, reps, stat_sum[(row, name)] / reps
+                    rejected[i][(row, name)] / reps, reps, stat_sum[i][(row, name)] / reps
                 )
     return ExperimentResult(results)
 
@@ -356,11 +421,10 @@ def nontestability_demo(joint: JointLaw, depth: int) -> tuple[StructuralModel, f
     exist.
     """
     margs = joint.x_marginals()
-    degenerate = []
-    for i, m in enumerate(margs):
-        positive = int(np.count_nonzero(m.masses > 0))
-        if any(am > 0 for _, am in m.atoms) or positive < 2:
-            degenerate.append(i)
+    # a conditional's x-marginal has no atoms, and its masses are
+    # non-negative: it is atomic at grid resolution iff fewer than two bins
+    # carry mass
+    degenerate = [i for i, m in enumerate(margs) if np.count_nonzero(m.masses) < 2]
     if degenerate:
         detail = ""
         if len(degenerate) >= 2:

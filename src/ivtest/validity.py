@@ -22,7 +22,7 @@ with the data and a rejection is valid for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,6 +32,7 @@ from .measures import (
     INPUT_TOL,
     GridStack,
     JointLaw,
+    LawBatch,
     _pair_entries,
     fosd_violations,
     winf_distances,
@@ -278,15 +279,51 @@ def instrumental_inequality(conditionals: Sequence[np.ndarray]) -> TestReport:
         if m.ndim != 2 or m.shape != shape:
             raise ValidationError("conditionals must be matrices of equal shape")
         _check_discrete_law(m.ravel(), f"conditional {i}")
-    stacked = np.stack(mats)  # (z, y, x)
-    per_x = stacked.max(axis=0).sum(axis=0)
-    worst = int(np.argmax(per_x))
-    return TestReport(
-        "pearl",
-        float(per_x[worst]),
-        1.0,
-        {"worst_x_index": float(worst)},
-    )
+    return _pearl_reports(np.stack(mats), [0])[0]
+
+
+def instrumental_inequalities(batch: LawBatch) -> list[TestReport]:
+    """:func:`instrumental_inequality` of every law of ``batch``, from its
+    conditionals' mass matrices, which are checked laws already.
+
+    The laws whose matrices share a shape are stacked as one ``(sites, y,
+    x)`` array: one maximum over each law's sites and one sum over y serve
+    them all, with the float of a one-law call.
+    """
+    shapes = []
+    for law in batch.laws:
+        shape = law.conditionals[0].mass.shape
+        if any(c.mass.shape != shape for c in law.conditionals):
+            raise ValidationError("conditionals must be matrices of equal shape")
+        shapes.append(shape)
+    reports: list[TestReport | None] = [None] * len(shapes)
+    for group in _groups(shapes):
+        conds = [batch.laws[i].conditionals for i in group]
+        mats = np.stack([c.mass for cs in conds for c in cs])
+        starts = np.cumsum([0] + [len(cs) for cs in conds[:-1]])
+        for i, report in zip(group, _pearl_reports(mats, starts)):
+            reports[i] = report
+    return reports
+
+
+def _pearl_reports(mats: np.ndarray, starts) -> list[TestReport]:
+    """The Pearl report of every law whose conditionals are the ``(y, x)``
+    slices ``starts[l]:starts[l + 1]`` of the ``(sites, y, x)`` stack
+    ``mats``: one maximum over each law's sites, one sum over y."""
+    per_x = np.maximum.reduceat(mats, starts, axis=0).sum(axis=1)
+    worst = np.argmax(per_x, axis=1)
+    return [
+        TestReport("pearl", float(row[k]), 1.0, {"worst_x_index": float(k)})
+        for row, k in zip(per_x, worst.tolist())
+    ]
+
+
+def _groups(keys: Sequence) -> list[list[int]]:
+    """The positions of equal keys, one list per key in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +382,14 @@ def _pair_quantile_moments(
     return totals
 
 
+def _adjacent_pairs(batch: LawBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The lower stack row of every adjacent z pair of every law of
+    ``batch``, law after law, and where each law's pairs start (one more
+    entry, the number of pairs)."""
+    lower = np.delete(np.arange(batch.offsets[-1]), batch.offsets[1:] - 1)
+    return lower, batch.offsets - np.arange(len(batch.offsets))
+
+
 def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> TestReport:
     """Moment-ratio check of path regularity between neighbouring z values.
 
@@ -354,28 +399,38 @@ def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> Te
     as the gap shrinks.  Rejection (statistic above ``c_bound``) means no
     model with the given constants can generate the law.
     """
-    zs = np.asarray(joint.z_grid, dtype=float)
-    if len(zs) < 3:
-        raise DegenerateGridError("need at least 3 z points for the moment test")
+    return continuity_moment_statistics(joint.batch, params)[0]
+
+
+def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> list[TestReport]:
+    """:func:`continuity_moment_statistic` of every law of ``batch``: the
+    moments of all adjacent z pairs of all laws take one quantile call per
+    axis.  Refuses the first law with fewer than 3 z points."""
+    for law in batch.laws:
+        if len(law.z_grid) < 3:
+            raise DegenerateGridError("need at least 3 z points for the moment test")
     power, gap_expo = params.moment_exponents()
-    left = np.arange(len(zs) - 1)
-    moments = _pair_quantile_moments(joint.x_stack, joint.y_stack, left, left + 1, power)
-    gaps = np.diff(zs).tolist()
-    # Python's float power: numpy's rounds differently on many gaps
-    ratios = [m / g**gap_expo for m, g in zip(moments, gaps)]
-    order = np.argsort(gaps)[:3]
-    statistic = max(ratios[i] for i in order)
-    finest = sorted(order, key=lambda i: gaps[i])
-    diagnostics = {"n_pairs": float(len(gaps)), "max_ratio_all": float(max(ratios))}
-    for rank, i in enumerate(finest):
-        diagnostics[f"gap_{rank}"] = gaps[i]
-        diagnostics[f"ratio_{rank}"] = ratios[i]
-    # ratios growing as gaps shrink signal divergence of the limit
-    trend = all(
-        ratios[finest[r]] >= ratios[finest[r + 1]] for r in range(len(finest) - 1)
-    )
-    diagnostics["ratio_increasing_as_gap_shrinks"] = float(trend)
-    return TestReport("moment", statistic, params.c_bound, diagnostics)
+    lower, first = _adjacent_pairs(batch)
+    moments = _pair_quantile_moments(batch.x_stack, batch.y_stack, lower, lower + 1, power)
+    reports = []
+    for law, a in zip(batch.laws, first.tolist()):
+        gaps = np.diff(np.asarray(law.z_grid, dtype=float)).tolist()
+        # Python's float power: numpy's rounds differently on many gaps
+        ratios = [m / g**gap_expo for m, g in zip(moments[a : a + len(gaps)], gaps)]
+        order = np.argsort(gaps)[:3]
+        statistic = max(ratios[i] for i in order)
+        finest = sorted(order, key=lambda i: gaps[i])
+        diagnostics = {"n_pairs": float(len(gaps)), "max_ratio_all": float(max(ratios))}
+        for rank, i in enumerate(finest):
+            diagnostics[f"gap_{rank}"] = gaps[i]
+            diagnostics[f"ratio_{rank}"] = ratios[i]
+        # ratios growing as gaps shrink signal divergence of the limit
+        trend = all(
+            ratios[finest[r]] >= ratios[finest[r + 1]] for r in range(len(finest) - 1)
+        )
+        diagnostics["ratio_increasing_as_gap_shrinks"] = float(trend)
+        reports.append(TestReport("moment", statistic, params.c_bound, diagnostics))
+    return reports
 
 
 def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
@@ -386,30 +441,47 @@ def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
     K means the displacement stays above K as the gap shrinks, which no
     continuous-path model allows under the maintained constants.
     """
-    zs = np.asarray(joint.z_grid, dtype=float)
+    return jump_tests(joint.batch, K, z_star)[0]
+
+
+def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestReport]:
+    """:func:`jump_test` of every law of ``batch`` at ``z_star``, or at each
+    law's largest grid point when it is None: the distances of all laws'
+    neighbour pairs take one quantile call per axis.  Refuses the first law
+    that ``z_star`` does not fit."""
     if K <= 0:
         raise ValidationError("K must be positive")
-    hits = np.where(zs == z_star)[0]
-    if len(hits) != 1:
-        raise ValidationError("z_star must be a z-grid point")
-    i_star = int(hits[0])
-    others = [i for i in range(len(zs)) if i != i_star]
-    if not others:
-        raise DegenerateGridError("z_star has no neighbours")
-    others.sort(key=lambda i: abs(zs[i] - z_star))
-    nearest = np.array(others[:3])
-    star = np.full(len(nearest), i_star)
+    nearest, star, gaps = [], [], []
+    for law, offset in zip(batch.laws, batch.offsets.tolist()):
+        zs = np.asarray(law.z_grid, dtype=float)
+        at = float(np.max(zs)) if z_star is None else z_star
+        hits = np.where(zs == at)[0]
+        if len(hits) != 1:
+            raise ValidationError("z_star must be a z-grid point")
+        i_star = int(hits[0])
+        others = [i for i in range(len(zs)) if i != i_star]
+        if not others:
+            raise DegenerateGridError("z_star has no neighbours")
+        others.sort(key=lambda i: abs(zs[i] - at))
+        nearest.extend(offset + i for i in others[:3])
+        star.extend([offset + i_star] * len(others[:3]))
+        gaps.append([float(abs(zs[i] - at)) for i in others[:3]])
+    nearest, star = np.array(nearest), np.array(star)
     dists = np.maximum(
-        winf_distances(joint.x_stack, nearest, star), winf_distances(joint.y_stack, nearest, star)
+        winf_distances(batch.x_stack, nearest, star), winf_distances(batch.y_stack, nearest, star)
     ).tolist()
-    diagnostics = {}
-    for rank, (i, d) in enumerate(zip(nearest, dists)):
-        diagnostics[f"gap_{rank}"] = float(abs(zs[i] - z_star))
-        diagnostics[f"distance_{rank}"] = d
-    diagnostics["distance_decreasing_with_gap"] = float(
-        all(dists[r] <= dists[r + 1] for r in range(len(dists) - 1))
-    )
-    return TestReport("jump", min(dists), K, diagnostics)
+    reports, k = [], 0
+    for law_gaps in gaps:
+        d, k = dists[k : k + len(law_gaps)], k + len(law_gaps)
+        diagnostics = {}
+        for rank, (g, dist) in enumerate(zip(law_gaps, d)):
+            diagnostics[f"gap_{rank}"] = g
+            diagnostics[f"distance_{rank}"] = dist
+        diagnostics["distance_decreasing_with_gap"] = float(
+            all(d[r] <= d[r + 1] for r in range(len(d) - 1))
+        )
+        reports.append(TestReport("jump", min(d), K, diagnostics))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +496,28 @@ def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
     so any adjacent pair with F_{z2}(x) > F_{z1}(x) + tol (in x or y) is a
     violation; the statistic is the largest such CDF excess.
     """
-    zs = np.asarray(joint.z_grid, dtype=float)
-    lower = np.arange(len(zs) - 1)
+    return monotonicity_tests(joint.batch, tol)[0]
+
+
+def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
+    """:func:`monotonicity_test` of every law of ``batch``: all adjacent z
+    pairs of all laws take one CDF call per axis."""
+    lower, first = _adjacent_pairs(batch)
     v = np.maximum(
-        fosd_violations(joint.x_stack, lower, lower + 1),
-        fosd_violations(joint.y_stack, lower, lower + 1),
+        fosd_violations(batch.x_stack, lower, lower + 1),
+        fosd_violations(batch.y_stack, lower, lower + 1),
     )
-    # the first pair attaining the largest positive violation, or none
-    worst, worst_pair = 0.0, -1.0
-    if len(v) and v.max() > 0.0:
-        worst_pair = float(np.argmax(v))
-        worst = float(v.max())
-    return TestReport(
-        "fosd", worst, tol, {"worst_pair_index": worst_pair, "n_pairs": float(len(zs) - 1)}
-    )
+    reports = []
+    for a, b in zip(first[:-1].tolist(), first[1:].tolist()):
+        # the first pair attaining the largest positive violation, or none
+        worst, worst_pair = 0.0, -1.0
+        if b > a and v[a:b].max() > 0.0:
+            worst_pair = float(np.argmax(v[a:b]))
+            worst = float(v[a:b].max())
+        reports.append(
+            TestReport("fosd", worst, tol, {"worst_pair_index": worst_pair, "n_pairs": float(b - a)})
+        )
+    return reports
 
 
 def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
@@ -448,24 +528,40 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
     probability one, contradicting monotone stages.  The statistic is the
     largest such support gap over ordered z pairs and coordinates.
     """
+    return monotonicity_sure_decrease_tests(joint.batch, K)[0]
+
+
+def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestReport]:
+    """:func:`monotonicity_sure_decrease_test` of every law of ``batch``,
+    from the support bounds of both stacks.  Refuses the first law with
+    fewer than 2 z points."""
     if K <= 0:
         raise ValidationError("K must be positive")
-    zs = np.asarray(joint.z_grid, dtype=float)
-    if len(zs) < 2:
-        raise DegenerateGridError("need at least 2 z points")
-    # lo[s, axis] and hi[s, axis] bound site s's support; gap (i, j, axis)
-    # for i < j, in that order, so argmax names the first pair attaining the
-    # worst gap
-    (x_lo, x_hi), (y_lo, y_hi) = joint.x_stack.support_bounds(), joint.y_stack.support_bounds()
+    for law in batch.laws:
+        if len(law.z_grid) < 2:
+            raise DegenerateGridError("need at least 2 z points")
+    # lo[s, axis] and hi[s, axis] bound stack row s's support.  The laws
+    # with z z-points are evaluated together: gap[l, i, j, axis] for i < j,
+    # in that order, so argmax names law l's first pair attaining its worst
+    # gap
+    (x_lo, x_hi), (y_lo, y_hi) = batch.x_stack.support_bounds(), batch.y_stack.support_bounds()
     lo, hi = np.column_stack([x_lo, y_lo]), np.column_stack([x_hi, y_hi])
-    gap = lo[:, None, :] - hi[None, :, :]
-    gap[np.tril_indices(len(zs))] = -np.inf
-    flat = int(np.argmax(gap))
-    worst = float(gap.flat[flat])
-    worst_pair = float(flat // (2 * len(zs)))
-    return TestReport(
-        "sure-decrease", max(worst, 0.0), K, {"worst_low_z_index": worst_pair}
-    )
+    sizes = [len(law.z_grid) for law in batch.laws]
+    reports: list[TestReport | None] = [None] * len(sizes)
+    for group in _groups(sizes):
+        z = sizes[group[0]]
+        rows = batch.offsets[group][:, None] + np.arange(z)
+        gap = lo[rows][:, :, None, :] - hi[rows][:, None, :, :]
+        below = np.tril_indices(z)
+        gap[:, below[0], below[1]] = -np.inf
+        gap = gap.reshape(len(group), -1)
+        flat = np.argmax(gap, axis=1)
+        worst = gap[np.arange(len(group)), flat].tolist()
+        for i, w, f in zip(group, worst, flat.tolist()):
+            reports[i] = TestReport(
+                "sure-decrease", max(w, 0.0), K, {"worst_low_z_index": float(f // (2 * z))}
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +569,21 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-def _jump(K: float, z_star: float | None):
-    return lambda law: jump_test(law, K, float(np.max(law.z_grid)) if z_star is None else z_star)
+@dataclass(frozen=True)
+class Runner:
+    """A registered test bound to its parameters: ``runner(law)`` is one
+    law's report, and ``runner.batch(laws)`` the report of every law of a
+    :class:`LawBatch`, in law order.  One law is the one-law batch."""
+
+    batch: Callable[[LawBatch], list[TestReport]]
+
+    def __call__(self, law: JointLaw) -> TestReport:
+        return self.batch(law.batch)[0]
 
 
 def _moment(**params):
     cp = ContinuityParams(**params)  # refuses bad constants before any law is seen
-    return lambda law: continuity_moment_statistic(law, cp)
+    return lambda laws: continuity_moment_statistics(laws, cp)
 
 
 def _run_feasibility(law: JointLaw) -> TestReport:
@@ -487,29 +591,34 @@ def _run_feasibility(law: JointLaw) -> TestReport:
     return feasibility_report([m / m.sum() for m in xs])
 
 
-# name -> (parameter defaults, build(**params) -> runner(law)).  Runners look
-# the test functions up as module globals at call time, so a wrapper installed
-# on ``ivtest.validity.<function>`` sees every call.
+# name -> (parameter defaults, build(**params) -> batch runner(LawBatch)).
+# Runners look the batch functions up as module globals at call time, so a
+# wrapper installed on ``ivtest.validity.<function>`` sees every call.
 REGISTRY = {
-    "fosd": ({"tol": 0.0}, lambda tol: lambda law: monotonicity_test(law, tol)),
-    "sure-decrease": ({"K": 1.0}, lambda K: lambda law: monotonicity_sure_decrease_test(law, K)),
-    "jump": ({"K": 1.0, "z_star": None}, _jump),
-    "pearl": ({}, lambda: lambda law: instrumental_inequality([c.mass for c in law.conditionals])),
+    "fosd": ({"tol": 0.0}, lambda tol: lambda laws: monotonicity_tests(laws, tol)),
+    "sure-decrease": (
+        {"K": 1.0},
+        lambda K: lambda laws: monotonicity_sure_decrease_tests(laws, K),
+    ),
+    "jump": ({"K": 1.0, "z_star": None}, lambda K, z_star: lambda laws: jump_tests(laws, K, z_star)),
+    "pearl": ({}, lambda: lambda laws: instrumental_inequalities(laws)),
     "moment": (
         {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0, "ky": 1.0, "kx": 1.0},
         _moment,
     ),
-    "feasibility": ({}, lambda: _run_feasibility),
+    "feasibility": ({}, lambda: lambda laws: [_run_feasibility(law) for law in laws.laws]),
 }
 
 
 def make_test(name: str, **params):
-    """Build a ``(name, JointLaw -> TestReport)`` pair for a registered test.
+    """Build a ``(name, Runner)`` pair for a registered test: the runner
+    takes one ``JointLaw`` to its ``TestReport``, and its ``batch`` takes a
+    ``LawBatch`` to one report per law.
 
     Parameters not given take the defaults in ``REGISTRY``; ``jump``'s
-    ``z_star`` defaults to the largest grid point.  Unknown names, unknown
-    parameters, values that are not numbers and constants the test refuses
-    raise ``ValidationError``.
+    ``z_star`` defaults to each law's largest grid point.  Unknown names,
+    unknown parameters, values that are not numbers and constants the test
+    refuses raise ``ValidationError``.
     """
     if not isinstance(name, str) or name not in REGISTRY:
         raise ValidationError(f"unknown test name {name!r}")
@@ -525,4 +634,4 @@ def make_test(name: str, **params):
             bound[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"parameter {key!r} of test {name!r}: {exc}") from exc
-    return name, build(**bound)
+    return name, Runner(build(**bound))

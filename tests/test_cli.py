@@ -483,3 +483,16 @@ def test_cmd_test_flags_default_to_the_registry(law_file, capsys, monkeypatch):
         assert main(["test", "--input", str(law_file), "--test", "fosd", *flags]) == 0
         [report] = json.loads(capsys.readouterr().out)
         assert report["threshold"] == tol
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    """Every call returns the one parser; a parse leaves no value behind for
+    the next (``--test`` appends to a fresh list each time)."""
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["test", "--input", "a.csv", "--test", "fosd", "--tol", "0.5"])
+    second = parser.parse_args(["test", "--input", "b.csv"])
+    assert first.tests == ["fosd"] and first.tol == 0.5
+    assert second.tests is None and second.tol is None and second.input == "b.csv"
+    third = parser.parse_args(["test", "--input", "c.csv", "--test", "jump"])
+    assert third.tests == ["jump"] and first.tests == ["fosd"]

@@ -228,6 +228,32 @@ def test_build_derives_the_site_layout_once(monkeypatch, case):
     assert sorted(calls) == ["_continuum_law", "_continuum_law", "sites_of", "sites_of"]
 
 
+@pytest.mark.parametrize("case", ["random", "atoms and a gap"])
+def test_json_load_derives_the_site_layout_once(monkeypatch, case):
+    """Loading a generator from JSON makes one ``sites_of`` call and one
+    continuum-law build, those of the generator it rebuilds, and the loaded
+    generator needs no other: it dumps the same JSON and samples the same
+    rows."""
+    rng = np.random.default_rng(5)
+    law = random_joint_law(rng, nz=4, ny=4, nx=4) if case == "random" else support_gap_law(rng)
+    setup = (law.x_marginals(), law.pz, law.z_grid)
+    gen = build_generator(*setup, 4)
+    text = json.dumps(gen.to_json_dict())
+    calls = []
+    for name in ("sites_of", "_continuum_law"):
+        real = getattr(generator, name)
+        monkeypatch.setattr(
+            generator, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
+        )
+    back = GeneratorMap.from_json_dict(json.loads(text), *setup)
+    assert sorted(calls) == ["_continuum_law", "sites_of"]
+    assert json.dumps(back.to_json_dict()) == text
+    rows = compose_structural_model(law, gen).sample(500, seed=3)
+    assert compose_structural_model(law, back).sample(500, seed=3).tobytes() == rows.tobytes()
+    collision_fraction(back)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # collision codes and kernel: oracles, golden values
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Harness behavior: determinism, discretization convergence, experiments."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from ivtest import (
     DGPSpec,
     Dataset,
+    DegenerateGridError,
     EmptyBinError,
     GridDistribution,
     IVTestError,
@@ -19,8 +21,10 @@ from ivtest import (
     run_experiment,
     sample,
 )
-from ivtest.measures import Conditional2D, JointLaw
+from ivtest import measures
+from ivtest.measures import Conditional2D, JointLaw, LawBatch
 from ivtest.simulate import replication_seed
+from ivtest.validity import Runner
 
 from conftest import per_bin_discretize, random_joint_law
 
@@ -272,8 +276,9 @@ def test_run_experiment_logs_progress_at_info(caplog):
     caplog.set_level(logging.INFO, logger="ivtest.simulate")
     run_experiment(specs, tests, n=200, reps=2, seed=1)
     records = [r for r in caplog.records if r.name == "ivtest.simulate"]
+    # replication-major: every spec of a replication after its test pass
     assert [(r.levelno, r.spec, r.rep) for r in records] == [
-        (logging.INFO, name, rep) for name in ("loc", "scale") for rep in (0, 1)
+        (logging.INFO, name, rep) for rep in (0, 1) for name in ("loc", "scale")
     ]
     assert all(r.elapsed_s >= 0.0 and f"replication {r.rep} of 2" in r.getMessage()
                for r in records)
@@ -316,6 +321,43 @@ def test_run_experiment_wraps_foreign_errors():
     assert info.value.__cause__.args == (7, "no such stage")
 
 
+def test_run_experiment_names_the_spec_whose_law_a_test_refuses():
+    """A batched test that refuses one law raises that law's error, type
+    kept, with its spec and replication; a plain callable's error too."""
+    specs = [
+        DGPSpec(name="loc"),
+        DGPSpec(name="const-z", z_law=GridDistribution.point_mass(0.5)),  # one z bin
+    ]
+    with pytest.raises(DegenerateGridError) as info:
+        run_experiment(specs, [make_test("fosd"), make_test("moment")], n=200, reps=2, seed=1)
+    assert str(info.value) == (
+        "spec 'const-z', replication 0: need at least 3 z points for the moment test"
+    )
+
+    def picky(law):
+        if len(law.z_grid) < 2:
+            raise ValueError("one z bin")
+        return make_test("fosd")[1](law)
+
+    with pytest.raises(IVTestError, match=r"^spec 'const-z', replication 0: ValueError"):
+        run_experiment(specs, [("picky", picky)], n=200, reps=1, seed=1)
+
+
+def test_run_experiment_tests_law_by_law_where_the_batch_is_refused(monkeypatch):
+    """A batch whose pair gather the table cap refuses, though each of its
+    laws fits, is tested one law at a time, with the same table."""
+    specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
+    tests = [make_test("moment"), make_test("fosd", tol=0.1)]
+    want = run_experiment(specs, tests, n=500, reps=2, seed=4).to_csv_text()
+    laws = [discretize(sample(spec, 500, replication_seed(4, 0)), 4, 4, 4) for spec in specs]
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 80)
+    for law in laws:
+        tests[0][1](law)
+    with pytest.raises(ValidationError, match="pair gather"):
+        tests[0][1].batch(LawBatch(laws))
+    assert run_experiment(specs, tests, n=500, reps=2, seed=4).to_csv_text() == want
+
+
 def test_run_experiment_twin_rows_match():
     specs = [DGPSpec(name="inv", instrument_valid=False, copula_weight=1.0, copula_target="v")]
     tests = [make_test("fosd", tol=0.12), make_test("moment")]
@@ -325,6 +367,91 @@ def test_run_experiment_twin_rows_match():
         b = res.entries[("inv@replicated", name)]
         assert a.rejection_rate == b.rejection_rate
         assert a.mean_statistic == pytest.approx(b.mean_statistic, abs=1e-12)
+
+
+# sha256 of the CSV below, recorded with the spec-by-spec loop that tested
+# one law at a time
+GOLDEN_SIMULATE_SHA256 = "17139b9593208edf036cfcb03ece06ad287ad0f1c56672c8ef8b96df9f237b2d"
+
+
+def criterion8_specs_and_tests():
+    """The four processes and five tests of the criterion-8 config."""
+    invalid = dict(instrument_valid=False, copula_weight=1.0, copula_target="v")
+    specs = [
+        DGPSpec(name="loc-valid"),
+        DGPSpec(name="scale-valid", first_stage="scale"),
+        DGPSpec(name="loc-invalid", **invalid),
+        DGPSpec(name="scale-invalid", first_stage="scale", **invalid),
+    ]
+    tests = [
+        make_test("fosd", tol=0.12),
+        make_test("sure-decrease", K=1.0),
+        make_test("jump", K=1.0),
+        make_test("pearl"),
+        make_test("moment"),
+    ]
+    return specs, tests
+
+
+def test_run_experiment_tests_each_replication_in_one_batched_call(monkeypatch):
+    """On the criterion-8 processes every registered test takes each
+    replication's eight laws in one batched call, and no law is replayed
+    alone."""
+    specs, tests = criterion8_specs_and_tests()
+    sizes = []
+
+    def counted(batch_fn):
+        def batch(laws):
+            sizes.append(len(laws.laws))
+            return batch_fn(laws)
+
+        return batch
+
+    singles = []
+    monkeypatch.setattr(Runner, "__call__", lambda self, law: singles.append(law))
+    counting = [(name, Runner(counted(fn.batch))) for name, fn in tests]
+    run_experiment(specs, counting, n=500, reps=2, seed=8, nontestability_depth=4)
+    assert sizes == [8] * (2 * len(tests))
+    assert singles == []
+
+
+def test_run_experiment_raises_a_defect_of_the_batched_code():
+    """A batched call that fails with a foreign error on laws that each
+    pass alone raises that error, not a table built law by law."""
+    fosd = make_test("fosd")[1]
+
+    def batch(laws):
+        if len(laws.laws) > 1:
+            raise IndexError("stacked rows out of range")
+        return fosd.batch(laws)
+
+    specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
+    with pytest.raises(IndexError, match="stacked rows out of range"):
+        run_experiment(specs, [("fosd", Runner(batch))], n=200, reps=1, seed=1)
+
+
+def test_run_experiment_names_the_spec_of_a_report_it_cannot_read():
+    """A callable whose result is not a TestReport fails as an IVTestError
+    naming the spec and replication of the law it was given."""
+    specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
+    with pytest.raises(IVTestError, match=r"^spec 'loc', replication 0: AttributeError"):
+        run_experiment(specs, [("none", lambda law: None)], n=200, reps=1, seed=1)
+
+
+def test_run_experiment_without_specs_is_empty():
+    assert run_experiment([], [make_test("fosd")], n=100, reps=2, seed=1).entries == {}
+
+
+def test_seeded_simulate_csv_is_pinned():
+    """The criterion-8 processes and tests at n=2000, 3 replications and
+    replication depth 4: the seeded CSV keeps its bytes, twin rows
+    included."""
+    specs, tests = criterion8_specs_and_tests()
+    csv = run_experiment(
+        specs, tests, n=2000, reps=3, seed=2024, bins=(4, 4, 4), nontestability_depth=4
+    ).to_csv_text()
+    assert len(csv.splitlines()) == 1 + 8 * 5
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SIMULATE_SHA256
 
 
 def test_experiment_result_serialization():
@@ -386,6 +513,41 @@ def test_demo_refuses_atomic_marginal():
     )
     _, err = nontestability_demo(law_ok, 3)
     assert err == 0.0
+
+
+ATOMIC_MARGINALS = {
+    # two sites with their one positive x bin in common: every coupling collides
+    "forced-collision": (
+        [[1, 0, 0], [1, 0, 0], [0.5, 0.5, 0]],
+        "x-marginals at z sites [0, 1] are atomic at grid resolution; z sites 0 and 1"
+        " force collision mass 1 under every coupling",
+    ),
+    # one atomic site: no pair to account
+    "one-site": (
+        [[0.5, 0.5, 0], [0, 0, 1], [0.2, 0.3, 0.5]],
+        "x-marginals at z sites [1] are atomic at grid resolution",
+    ),
+    # two atomic sites on different bins: a coupling without collision exists
+    "no-forced-collision": (
+        [[0.25, 0.75, 0], [0, 1, 0], [0, 0, 1]],
+        "x-marginals at z sites [1, 2] are atomic at grid resolution",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ATOMIC_MARGINALS))
+def test_demo_refusal_names_the_atomic_sites(case):
+    """The refusal lists every site with fewer than two positive x bins and,
+    for the first two, the collision mass they force, when positive."""
+    x_masses, message = ATOMIC_MARGINALS[case]
+    y_edges, x_edges = np.linspace(0, 1, 3), np.linspace(0, 1, 4)
+    conds = tuple(
+        Conditional2D(y_edges, x_edges, np.outer([0.5, 0.5], m)) for m in x_masses
+    )
+    law = JointLaw([1 / 6, 0.5, 5 / 6], GridDistribution.uniform(0, 1, 3), conds)
+    with pytest.raises(NonAtomicityError) as info:
+        nontestability_demo(law, 2)
+    assert str(info.value) == message
 
 
 def test_demo_atomic_pz_uses_cyclic_variant():

@@ -12,6 +12,7 @@ from ivtest import (
     DegenerateGridError,
     GridDistribution,
     InfeasibilityCertificate,
+    IVTestError,
     TestReport,
     ValidationError,
     continuity_moment_statistic,
@@ -31,12 +32,19 @@ from ivtest.measures import (
     Conditional2D,
     GridStack,
     JointLaw,
+    LawBatch,
     fosd_violation,
     fosd_violations,
     winf_distance,
     winf_distances,
 )
 from ivtest.simulate import DGPSpec, discretize, sample
+from ivtest.validity import (
+    continuity_moment_statistics,
+    jump_tests,
+    monotonicity_sure_decrease_tests,
+    monotonicity_tests,
+)
 
 from conftest import (
     assert_tuple_plan,
@@ -492,6 +500,112 @@ def test_stacked_reports_match_per_pair_oracles(rng, laws):
         ]
         for got, want in pairs:
             assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def batch_laws(rng):
+    """Random laws with 1 to 8 sites, gappy laws, laws whose conditionals
+    carry their own edges, criterion-8 laws, and one law object twice, in
+    random order."""
+    laws = [random_joint_law(rng, nz, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            for nz in range(1, 9)]
+    laws += [gappy_joint_law(rng, int(rng.integers(2, 9)), 5, 4) for _ in range(3)]
+    laws += [location_family_law([0.0, 0.1, 0.25, 0.3]), location_family_law([0.0, 0.5])]
+    laws += criterion8_laws((4, 4, 4))[::3]
+    laws.append(laws[int(rng.integers(len(laws)))])
+    return [laws[i] for i in rng.permutation(len(laws))]
+
+
+BATCH_TESTS = [
+    ("fosd", {"tol": 0.12}),
+    ("sure-decrease", {"K": 1.0}),
+    ("jump", {"K": 1.0}),
+    ("jump", {"K": 0.5, "z_star": 0.5}),
+    ("pearl", {}),
+    ("moment", {}),
+    ("moment", {"alpha": 1.0, "beta": 0.5, "gamma": 0.5, "delta": 0.5}),
+    ("feasibility", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", BATCH_TESTS, ids=lambda v: str(v))
+def test_batched_reports_match_one_law_reports(rng, name, params):
+    """A runner's batch gives every law the JSON of its one-law report.  A
+    batch holding laws the test refuses raises the first of them's refusal,
+    type and message; the laws it accepts, batched, keep their reports."""
+    run = make_test(name, **params)[1]
+    for _ in range(3):
+        laws = batch_laws(rng)
+        one, refusal = {}, None
+        for i, law in enumerate(laws):
+            try:
+                one[i] = json.dumps(run(law).to_json_dict())
+            except IVTestError as exc:
+                refusal = refusal or exc
+        if refusal is not None:
+            with pytest.raises(type(refusal)) as info:
+                run.batch(LawBatch(laws))
+            assert str(info.value) == str(refusal)
+        accepted = [laws[i] for i in one]
+        assert len(accepted) >= 4
+        got = [json.dumps(r.to_json_dict()) for r in run.batch(LawBatch(accepted))]
+        assert got == list(one.values())
+
+
+@pytest.mark.parametrize("laws", list(REPORT_LAWS) + ["batch"])
+def test_batched_reports_match_per_pair_oracles(rng, laws):
+    """Batched over a whole set of laws, every statistic's report still has
+    the bits of the per-pair loop over the one-pair definitions."""
+    laws = batch_laws(rng) if laws == "batch" else REPORT_LAWS[laws](rng)
+    paired = [law for law in laws if len(law.z_grid) >= 2]
+    sized = [law for law in laws if len(law.z_grid) >= 3]
+    rough = ContinuityParams(alpha=1.0, beta=0.5, gamma=0.5, delta=0.5)
+    cases = [
+        (laws, lambda b: monotonicity_tests(b, 0.12), lambda law: pair_loop_fosd(law, 0.12)),
+        (paired, lambda b: monotonicity_sure_decrease_tests(b, 1.0),
+         lambda law: pair_loop_sure_decrease(law, 1.0)),
+        (paired, lambda b: jump_tests(b, 1.0, None),
+         lambda law: pair_loop_jump(law, 1.0, float(np.max(law.z_grid)))),
+    ]
+    for p in (ContinuityParams(2.0, 1.0, 2.0, 1.0), rough):
+        cases.append((sized, lambda b, p=p: continuity_moment_statistics(b, p),
+                      lambda law, p=p: pair_loop_moment(law, p)))
+    for subset, statistic, oracle in cases:
+        reports = statistic(LawBatch(subset))
+        assert len(reports) == len(subset) >= 4
+        for got, law in zip(reports, subset):
+            assert json.dumps(got.to_json_dict()) == json.dumps(oracle(law).to_json_dict())
+
+
+@pytest.mark.parametrize("name", ["fosd", "jump", "moment"])
+def test_batch_makes_one_kernel_call_per_axis(rng, monkeypatch, name):
+    """Every z pair of every law of a batch is evaluated in one call on the
+    batch's x stack and one on its y stack, whatever the number of laws and
+    sites; the stacks are built once.  A law given twice is stacked twice."""
+    laws = [random_joint_law(rng, nz, 5, 6) for nz in (3, 7, 4)]
+    laws.append(laws[1])
+    built = []
+    atom_free = GridStack.atom_free.__func__
+
+    def counting(cls, blocks):
+        built.append(atom_free(cls, blocks))
+        return built[-1]
+
+    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting))
+    calls = count_kernel_calls(monkeypatch)
+    batch = LawBatch(laws)
+    run = make_test(name)[1]
+    first = run.batch(batch)
+    assert sorted(map(id, calls)) == sorted([id(batch.x_stack), id(batch.y_stack)])
+    assert run.batch(batch) == first and len(calls) == 4
+    assert built == [batch.x_stack, batch.y_stack]
+    assert batch.offsets.tolist() == [0, 3, 10, 14, 21]
+    assert len(batch.x_stack.starts) == len(batch.y_stack.starts) == 21 + 1
+    assert first == [run(law) for law in laws]
+
+
+def test_empty_batch_is_refused():
+    with pytest.raises(ValidationError, match="need at least one law"):
+        LawBatch([])
 
 
 @pytest.mark.parametrize("kind", ["plain", "atoms", "gaps", "atoms+gaps"])
