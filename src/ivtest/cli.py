@@ -193,12 +193,13 @@ def _load_law(args) -> JointLaw:
 
 
 def cmd_test(args) -> int:
-    law = _load_law(args)
-    reports = []
+    runners = []
     for name in args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]:
         defaults, _ = REGISTRY[name]
         params = {k: getattr(args, k) for k in defaults if getattr(args, k, None) is not None}
-        reports.append(make_test(name, **params)[1](law))
+        runners.append(make_test(name, **params)[1])  # bad constants fail before the input is read
+    law = _load_law(args)
+    reports = [run(law) for run in runners]
     if args.format == "csv":
         lines = ["test,statistic,threshold,decision"] + [r.csv_row() for r in reports]
         _write_text(args.output, "\n".join(lines) + "\n")

@@ -749,7 +749,7 @@ class StructuralModel:
         rows, sites = gen.locate(z)
         x = gen.marginal_stack.quantile(sites, gen.permuted_level(rows, u[order]))
         columns, row_of, first = self._outcome_columns
-        column = row_of[first[sites] + self.joint.x_stack.bin_of(sites, x)]
+        column = row_of[first[sites] + self.joint.batch.x_stack.bin_of(sites, x)]
         if np.any(column < 0):
             raise ValidationError("sampled an x bin with zero conditional mass")
         out = np.empty((n, 3))

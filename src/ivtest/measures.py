@@ -16,7 +16,12 @@ Conventions fixed here and used everywhere else:
   exactly one cell of a partition;
 * the quantile function is the generalized inverse ``Q(p) = inf {x: F(x) >= p}``
   with linear interpolation inside bins;
-* normalization of user inputs is checked at ``INPUT_TOL``.
+* normalization of user inputs is checked at ``INPUT_TOL``;
+* a law is checked once, where it enters: by the constructors of
+  ``GridDistribution`` and ``Conditional2D``, and of ``JointLaw`` through
+  ``sites_of``, which the ``from_json_dict`` readers call.  What is built
+  from checked laws (a ``GridStack``, a ``LawBatch``, a generator's tables)
+  checks them no further.
 """
 
 from __future__ import annotations
@@ -126,51 +131,6 @@ def _grid_profile(
     return locs, cum[0::2], cum[1::2]
 
 
-def _check_atom_free_block(edges: np.ndarray, masses: np.ndarray) -> None:
-    """Refuse one ``(edges, masses)`` block of :meth:`GridStack.atom_free` as
-    :class:`GridDistribution` refuses its input, naming the first bad row."""
-    if edges.ndim != 1 or masses.ndim != 2 or masses.shape[1] + 1 != len(edges):
-        raise ValidationError("need len(edges) == bins + 1 for every row of masses")
-    if len(edges) < 2:
-        raise ValidationError("need at least one bin")
-    _require_increasing("edges", edges)
-    total = masses.sum(axis=1)
-    if not np.isfinite(total).all():
-        _require_finite("bin masses", masses)
-    if np.any(masses < 0):
-        raise ValidationError("bin masses must be non-negative")
-    off = np.abs(total - 1.0) > INPUT_TOL
-    if np.any(off):
-        raise ValidationError(
-            f"total mass {total[off][0]} differs from 1 by more than {INPUT_TOL}"
-        )
-
-
-def _atom_free_valid(edges: list[np.ndarray], masses: list[np.ndarray]) -> bool:
-    """Whether every block passes :func:`_check_atom_free_block`, decided in
-    one pass over all blocks.  Each block's row totals are its own
-    ``sum(axis=1)``, whose rounding depends on the block's memory layout."""
-    if not all(
-        e.ndim == 1 and m.ndim == 2 and m.shape[1] + 1 == len(e) >= 2
-        for e, m in zip(edges, masses)
-    ):
-        return False
-    flat = np.concatenate(edges)
-    last = np.cumsum([len(e) for e in edges]) - 1
-    step = np.diff(flat)
-    step[last[:-1]] = 1.0  # from one block's last edge to the next block's first
-    ends = np.concatenate([flat[last], flat[last[:-1] + 1], flat[:1]])
-    if not (np.all(step > 0) and np.isfinite(ends).all()):
-        return False
-    values = np.concatenate([m.ravel() for m in masses])
-    total = np.concatenate([m.sum(axis=1) for m in masses])
-    return bool(
-        np.isfinite(values).all()
-        and np.all(values >= 0)
-        and np.all(np.abs(total - 1.0) <= INPUT_TOL)
-    )
-
-
 class GridStack:
     """The CDF profiles of ``R`` grid laws, stacked flat, and the one exact
     kernel that evaluates their quantiles and CDFs.
@@ -208,22 +168,17 @@ class GridStack:
         each row of a block's ``(rows, bins)`` mass matrix one law on the
         block's edges.
 
-        Every row is checked as :class:`GridDistribution` checks its input:
-        finite, strictly increasing edges, finite non-negative masses and a
-        total within ``INPUT_TOL`` of 1.  All blocks are checked in one pass,
-        and only when that finds a fault are they checked again one at a
-        time, so that the refusal names the first offending block and row.
-        Raises ``ValidationError``, before allocating, when the tables would
-        exceed ``MAX_CELL_ENTRIES`` entries.
+        Every row must already be a checked law: an axis marginal, or a
+        normalized positive-mass column, of a :class:`Conditional2D`, whose
+        constructor checked the edges and masses.  Nothing is checked again
+        here.  Raises ``ValidationError``, before allocating, when the tables
+        would exceed ``MAX_CELL_ENTRIES`` entries.
         """
         _refuse_oversize(
             sum(len(m) * (len(e) + 1) for e, m in blocks), "a stack of grid laws"
         )
-        edges = [np.asarray(e, dtype=float) for e, _ in blocks]
-        masses = [np.asarray(m, dtype=float) for _, m in blocks]
-        if not _atom_free_valid(edges, masses):
-            for e, m in zip(edges, masses):
-                _check_atom_free_block(e, m)
+        edges = [e for e, _ in blocks]
+        masses = [m for _, m in blocks]
         width = np.array([len(e) for e in edges], dtype=np.intp)
         row_width = np.repeat(width, [len(m) for m in masses])
         starts = np.concatenate([[0], np.cumsum(row_width)])
@@ -310,9 +265,9 @@ class GridStack:
         atom = CR > CL
         first = np.append(np.flatnonzero(np.append(filled, False) | atom), len(B))
         last = np.flatnonzero(np.insert(filled, 0, False) | atom)
+        # every row is a checked law of total mass 1, so some segment or atom
+        # of it carries mass
         lo = first[np.searchsorted(first, st[:-1])]
-        if np.any(lo >= st[1:]):
-            raise ValidationError("distribution has empty support")
         hi = last[np.searchsorted(last, st[1:]) - 1]
         return CR[st[1:] - 1], B[lo], B[hi]
 
@@ -726,17 +681,6 @@ class JointLaw:
         """This law as the one-law batch, whose stacks the statistics read."""
         return LawBatch((self,))
 
-    @property
-    def x_stack(self) -> GridStack:
-        """The x-marginals as one stack, row ``i`` for z site ``i``: the
-        one-law batch's x stack, built once."""
-        return self.batch.x_stack
-
-    @property
-    def y_stack(self) -> GridStack:
-        """The y-marginals as one stack, like :attr:`x_stack`."""
-        return self.batch.y_stack
-
     def x_marginals(self) -> list[GridDistribution]:
         return [c.x_marginal() for c in self.conditionals]
 
@@ -800,20 +744,6 @@ class LawBatch:
 # ---------------------------------------------------------------------------
 
 
-def _eval_points(a: GridDistribution, b: GridDistribution) -> np.ndarray:
-    return np.unique(np.concatenate([a._profile[0], b._profile[0]]))
-
-
-def _quantile_levels(a: GridDistribution, b: GridDistribution) -> np.ndarray:
-    cums = []
-    for d in (a, b):
-        _, cl, cr = d._profile
-        cums.append(cl)
-        cums.append(cr)
-    ps = np.unique(np.concatenate(cums))
-    return ps[(ps > 0.0) & (ps <= 1.0)]
-
-
 def _pair_entries(
     stack: GridStack, first: np.ndarray, second: np.ndarray, columns: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -836,14 +766,17 @@ def _pair_max(values: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """:func:`winf_distance` between rows ``first[i]`` and ``second[i]`` of
-    ``stack`` for every pair, in one quantile call over all pairs.
+    """Sup over probability levels of the quantile gap between rows
+    ``first[i]`` and ``second[i]`` of ``stack``, for every pair, in one
+    quantile call over all pairs (see :func:`winf_distance`).
 
-    Every level of the pair's four ``CL``/``CR`` columns is evaluated as a
-    left limit and as a right limit on both rows.  Left limits count at
-    levels in ``(0, 1]`` and right limits at levels in ``[0, 1]`` (every row's
-    ``CL`` starts at 0), which are the levels the one-pair definition checks;
-    duplicates leave a maximum unchanged.
+    Quantile functions are piecewise linear between the levels of the pair's
+    four ``CL``/``CR`` columns, so the gap's one-sided limits there give the
+    sup exactly.  Every level is evaluated as a left limit and as a right
+    limit on both rows.  Left limits count at levels in ``(0, 1]`` and right
+    limits at levels in ``[0, 1]``: every row's ``CL`` starts at 0, where the
+    right limit is the support's lower end.  Duplicates leave a maximum
+    unchanged.
     """
     lev, pair = _pair_entries(stack, first, second, (stack.CL, stack.CR))
     n = len(lev)
@@ -857,10 +790,10 @@ def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> n
 
 
 def fosd_violations(stack: GridStack, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """:func:`fosd_violation` of rows ``lower[i]`` and ``upper[i]`` of
-    ``stack`` for every pair, in one CDF call over all pairs: both CDF limits
-    of both rows at the pair's breakpoints (duplicates leave a maximum
-    unchanged)."""
+    """Largest violation ``max_x (F_upper(x) - F_lower(x))`` of rows
+    ``lower[i]`` and ``upper[i]`` of ``stack``, 0 when dominated, for every
+    pair, in one CDF call over all pairs: both CDF limits of both rows at the
+    pair's breakpoints (duplicates leave a maximum unchanged)."""
     xs, pair = _pair_entries(stack, lower, upper, (stack.B,))
     n = len(xs)
     rows = np.concatenate([upper[pair], lower[pair], upper[pair], lower[pair]])
@@ -869,27 +802,16 @@ def fosd_violations(stack: GridStack, lower: np.ndarray, upper: np.ndarray) -> n
 
 
 def winf_distance(a: GridDistribution, b: GridDistribution) -> float:
-    """Sup over probability levels of the quantile gap ``|Q_a(p) - Q_b(p)|``.
+    """Sup over probability levels of the quantile gap ``|Q_a(p) - Q_b(p)|``:
+    :func:`winf_distances` on the two-law stack.
 
     This equals the infimum over couplings of the almost-sure bound on
     ``|X_a - X_b|`` in one dimension, attained by the comonotone coupling.
-    Quantile functions are piecewise linear between the merged CDF
-    breakpoints, so checking both one-sided limits at each breakpoint is
-    exact.
     """
-    ps = _quantile_levels(a, b)
-    gap_left = np.max(np.abs(a.quantile(ps) - b.quantile(ps)))
-    # right limits, including p -> 0+ where Q+ is the support infimum
-    ps_r = np.concatenate([[0.0], ps])
-    gap_right = np.max(np.abs(a.quantile_right(ps_r) - b.quantile_right(ps_r)))
-    return float(max(gap_left, gap_right))
+    return float(winf_distances(GridStack.of([a, b]), np.array([0]), np.array([1]))[0])
 
 
 def fosd_violation(lower: GridDistribution, upper: GridDistribution) -> float:
-    """Largest violation ``max_x (F_upper(x) - F_lower(x))``, 0 when dominated."""
-    xs = _eval_points(lower, upper)
-    v = max(
-        float(np.max(upper.cdf(xs) - lower.cdf(xs))),
-        float(np.max(upper.cdf_left(xs) - lower.cdf_left(xs))),
-    )
-    return max(v, 0.0)
+    """Largest violation ``max_x (F_upper(x) - F_lower(x))``, 0 when
+    dominated: :func:`fosd_violations` on the two-law stack."""
+    return float(fosd_violations(GridStack.of([lower, upper]), np.array([0]), np.array([1]))[0])

@@ -21,6 +21,7 @@ with the data and a rejection is valid for all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,7 +51,8 @@ class ContinuityParams:
     ``kx``/``delta`` the first stage.  The package is one-dimensional, so
     the common dimension of the two stages is 1.  ``c_bound`` defaults to
     the constant delivered by the Pythagorean bound on the joint process,
-    2 * max(ky * kx**(beta/alpha), ky * kx).
+    2 * max(ky * kx**(beta/alpha), ky * kx).  Every constant must be
+    positive and finite, or ``ValidationError`` is raised.
     """
 
     alpha: float
@@ -63,13 +65,13 @@ class ContinuityParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "ky", "kx"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.c_bound is None:
             c = 2.0 * max(self.ky * self.kx ** (self.beta / self.alpha), self.ky * self.kx)
             object.__setattr__(self, "c_bound", c)
-        elif self.c_bound <= 0:
-            raise ValidationError("c_bound must be positive")
+        if not 0 < self.c_bound < math.inf:
+            raise ValidationError("c_bound must be positive and finite")
 
     def moment_exponents(self) -> tuple[float, float]:
         """(moment power, gap power) for the path-regularity moment ratio.
@@ -617,8 +619,8 @@ def make_test(name: str, **params):
 
     Parameters not given take the defaults in ``REGISTRY``; ``jump``'s
     ``z_star`` defaults to each law's largest grid point.  Unknown names,
-    unknown parameters, values that are not numbers and constants the test
-    refuses raise ``ValidationError``.
+    unknown parameters, values that are not finite numbers and constants the
+    test refuses raise ``ValidationError``.
     """
     if not isinstance(name, str) or name not in REGISTRY:
         raise ValidationError(f"unknown test name {name!r}")
@@ -634,4 +636,6 @@ def make_test(name: str, **params):
             bound[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"parameter {key!r} of test {name!r}: {exc}") from exc
+        if not math.isfinite(bound[key]):
+            raise ValidationError(f"parameter {key!r} of test {name!r} must be finite, not {value}")
     return name, Runner(build(**bound))

@@ -3,8 +3,9 @@ the level-by-level pattern and cell expansion oracles, the exact replay
 oracle, the eager-table sampling oracle, the two-search z lookup oracle,
 the address spelling, the pairwise image-code, agreement and collision
 oracles, the piece-loop inversion oracle, the one-pair moment and its
-segment-loop oracle, the per-pair statistic oracles, the breakpoint-loop
-profile oracle and the masked quantile/CDF and per-bin discretize oracles."""
+segment-loop oracle, the one-pair W-infinity and FOSD oracles, the
+per-pair statistic oracles, the breakpoint-loop profile oracle and the
+masked quantile/CDF and per-bin discretize oracles."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -24,7 +25,7 @@ from ivtest import (
     population_law,
     product_conditional,
 )
-from ivtest.measures import INPUT_TOL, GridStack, fosd_violation, winf_distance
+from ivtest.measures import INPUT_TOL, GridStack
 from ivtest.validity import _pair_quantile_moments
 
 
@@ -510,13 +511,41 @@ def loop_profile(dist):
     return locs, cl, cr
 
 
+def one_pair_winf_distance(a, b):
+    """Sup of ``|Q_a(p) - Q_b(p)|`` from each law's own quantile calls, at
+    the pair's merged CDF levels, both one-sided limits, and ``p -> 0+``:
+    the one-pair oracle for ``winf_distances``."""
+    ps = np.unique(np.concatenate([a._profile[1], a._profile[2], b._profile[1], b._profile[2]]))
+    ps = ps[(ps > 0.0) & (ps <= 1.0)]
+    gap_left = np.max(np.abs(a.quantile(ps) - b.quantile(ps)))
+    ps_r = np.concatenate([[0.0], ps])
+    gap_right = np.max(np.abs(a.quantile_right(ps_r) - b.quantile_right(ps_r)))
+    return float(max(gap_left, gap_right))
+
+
+def one_pair_fosd_violation(lower, upper):
+    """``max_x (F_upper(x) - F_lower(x))``, 0 when dominated, from each law's
+    own CDF calls at the pair's merged breakpoints, both one-sided limits:
+    the one-pair oracle for ``fosd_violations``."""
+    xs = np.unique(np.concatenate([lower._profile[0], upper._profile[0]]))
+    v = max(
+        float(np.max(upper.cdf(xs) - lower.cdf(xs))),
+        float(np.max(upper.cdf_left(xs) - lower.cdf_left(xs))),
+    )
+    return max(v, 0.0)
+
+
 def pair_loop_fosd(law, tol):
     """``validity.monotonicity_test`` one adjacent z pair at a time through
-    ``fosd_violation``: the per-pair oracle for the stacked statistic."""
+    :func:`one_pair_fosd_violation`: the per-pair oracle for the stacked
+    statistic."""
     xms, yms = law.x_marginals(), law.y_marginals()
     worst, worst_pair = 0.0, -1.0
     for i in range(len(law.z_grid) - 1):
-        v = max(fosd_violation(xms[i], xms[i + 1]), fosd_violation(yms[i], yms[i + 1]))
+        v = max(
+            one_pair_fosd_violation(xms[i], xms[i + 1]),
+            one_pair_fosd_violation(yms[i], yms[i + 1]),
+        )
         if v > worst:
             worst, worst_pair = v, float(i)
     return TestReport(
@@ -540,14 +569,18 @@ def pair_loop_sure_decrease(law, K):
 
 
 def pair_loop_jump(law, K, z_star):
-    """``validity.jump_test`` one neighbour at a time through ``winf_distance``."""
+    """``validity.jump_test`` one neighbour at a time through
+    :func:`one_pair_winf_distance`."""
     zs = np.asarray(law.z_grid, dtype=float)
     i_star = int(np.where(zs == z_star)[0][0])
     others = sorted((i for i in range(len(zs)) if i != i_star), key=lambda i: abs(zs[i] - z_star))
     xms, yms = law.x_marginals(), law.y_marginals()
     dists, diagnostics = [], {}
     for rank, i in enumerate(others[:3]):
-        d = max(winf_distance(xms[i], xms[i_star]), winf_distance(yms[i], yms[i_star]))
+        d = max(
+            one_pair_winf_distance(xms[i], xms[i_star]),
+            one_pair_winf_distance(yms[i], yms[i_star]),
+        )
         dists.append(d)
         diagnostics[f"gap_{rank}"] = float(abs(zs[i] - z_star))
         diagnostics[f"distance_{rank}"] = float(d)

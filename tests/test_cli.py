@@ -361,6 +361,9 @@ BAD_CONFIGS = {
     "boolean-bins": {"bins": [True, 4, 4]},
     "bins-as-a-string": {"bins": "4,4,4"},
     "bad-moment-constant": {"tests": [{"name": "moment", "alpha": -1}]},
+    "nan-moment-constant": {"tests": [{"name": "moment", "alpha": float("nan")}]},
+    "nan-tolerance": {"tests": [{"name": "fosd", "tol": float("nan")}]},
+    "infinite-jump-constant": {"tests": [{"name": "jump", "K": float("inf")}]},
     "string-depth": {"nontestability_depth": "abc"},
     "fractional-depth": {"nontestability_depth": 2.5},
     "negative-depth": {"nontestability_depth": -1},
@@ -369,11 +372,24 @@ BAD_CONFIGS = {
 }
 
 
+# non-finite test constants on the command line, refused before the input is read
+BAD_TEST_FLAGS = {
+    "nan-tol-flag": ["--test", "fosd", "--tol", "nan"],
+    "nan-K-flag": ["--test", "jump", "--K", "nan"],
+    "infinite-K-flag": ["--test", "jump", "--K", "inf"],
+    "nan-alpha-flag": ["--test", "moment", "--alpha", "nan"],
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["missing-csv-input", "non-numeric-csv-field", "non-numeric-weights", *BAD_CONFIGS]
+    "case",
+    ["missing-csv-input", "non-numeric-csv-field", "non-numeric-weights", *BAD_TEST_FLAGS,
+     *BAD_CONFIGS],
 )
 def test_bad_input_exits_1(tmp_path, capsys, case):
-    if case == "missing-csv-input":
+    if case in BAD_TEST_FLAGS:
+        argv = ["test", "--input", str(tmp_path / "missing.csv"), *BAD_TEST_FLAGS[case]]
+    elif case == "missing-csv-input":
         argv = ["test", "--input", str(tmp_path / "missing.csv")]
     elif case == "non-numeric-csv-field":
         path = tmp_path / "rows.csv"
@@ -396,6 +412,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
     assert "replication" not in err  # refused before any data is sampled
     if case.endswith("-depth"):
         assert "nontestability_depth" in err
+    if case in BAD_TEST_FLAGS or case.startswith(("nan-", "infinite-")):
+        assert "must be finite" in err
     if case == "non-numeric-csv-field":
         assert "row 3" in err and "'two'" in err
 

@@ -13,6 +13,7 @@ from ivtest import (
     JointLaw,
     ValidationError,
     build_generator,
+    compose_structural_model,
     fosd_violation,
     winf_distance,
 )
@@ -339,36 +340,50 @@ def test_stacked_nan_and_infinite_points_stay_in_their_row():
     assert stack.bin_of(rows, xs).tolist() == [0 if x == -np.inf else k for x, k in zip(xs, last)]
 
 
+def _assert_same_tables(stack, laws):
+    want = GridStack.of(laws)
+    for name in ("B", "CL", "CR", "starts"):
+        assert getattr(stack, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_atom_free_stack_is_the_stack_of_its_laws(rng):
-    """Built from mass rows, a stack has the tables of the stacked laws."""
+    """Built from mass rows, a stack has the tables of the stacked laws.  The
+    rows come given directly, as the marginals of a ``LawBatch`` and as a
+    model's outcome columns, with totals up to 0.9 ``INPUT_TOL`` off 1,
+    zero-mass bins and zero-mass columns: every one is a law its
+    ``Conditional2D`` already checked, so the stack checks nothing again."""
     edges = [np.linspace(0.0, 1.0, 5), np.cumsum(rng.uniform(0.1, 1.0, 8))]
     masses = [rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(7), size=2)]
     masses[0][1, [0, 3]] = 0.0  # zero-mass edge bins
     masses[0][1] /= masses[0][1].sum()
+    masses[1][0] *= 1.0 + 0.9 * INPUT_TOL
     stack = GridStack.atom_free(list(zip(edges, masses)))
-    laws = GridStack.of([GridDistribution(e, m) for e, ms in zip(edges, masses) for m in ms])
-    for name in ("B", "CL", "CR", "starts"):
-        assert getattr(stack, name).tobytes() == getattr(laws, name).tobytes()
+    laws = [GridDistribution(e, m) for e, ms in zip(edges, masses) for m in ms]
+    _assert_same_tables(stack, laws)
     rows, ps = rng.integers(0, 5, 400), rng.random(400)
-    assert stack.quantile(rows, ps).tobytes() == laws.quantile(rows, ps).tobytes()
+    assert stack.quantile(rows, ps).tobytes() == GridStack.of(laws).quantile(rows, ps).tobytes()
 
-
-@pytest.mark.parametrize(
-    "edges, masses, match",
-    [
-        ([0.0, 1.0, 2.0], [[0.5, np.nan]], "bin masses must be finite"),
-        ([0.0, 1.0, 2.0], [[1.5, -0.5]], "non-negative"),
-        ([0.0, 1.0, 2.0], [[0.5, 0.5], [0.5, 0.6]], "total mass"),
-        ([0.0, 2.0, 1.0], [[0.5, 0.5]], "strictly increasing"),
-        ([0.0, np.inf, 2.0], [[0.5, 0.5]], "edges must be finite"),
-        ([0.0, 1.0], [[0.5, 0.5]], "len\\(edges\\)"),
-    ],
-)
-def test_atom_free_stack_checks_every_row(edges, masses, match):
-    with pytest.raises(ValidationError, match=match):
-        GridStack.atom_free([(np.array(edges), np.array(masses))])
-    with pytest.raises(ValidationError):
-        [GridDistribution(edges, m) for m in masses]
+    joints = []
+    for scale in (1.0 - 0.9 * INPUT_TOL, 1.0, 1.0 + 0.9 * INPUT_TOL):
+        law = random_joint_law(rng, nz=3, ny=4, nx=5)
+        conds = []
+        for k, c in enumerate(law.conditionals):
+            mass = c.mass.copy()
+            mass[k, :] = 0.0  # a zero-mass y bin
+            mass[:, [0, 2 + k]] = 0.0  # zero-mass x bins: columns without a law
+            conds.append(Conditional2D(c.y_edges, c.x_edges, mass / mass.sum() * scale))
+        joints.append(JointLaw(law.z_grid, law.pz, conds))
+    batch = measures.LawBatch(joints)
+    conds = [c for law in joints for c in law.conditionals]
+    _assert_same_tables(batch.x_stack, [c.x_marginal() for c in conds])
+    _assert_same_tables(batch.y_stack, [c.y_marginal() for c in conds])
+    for law in joints:
+        gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
+        columns = compose_structural_model(law, gen)._outcome_columns[0]
+        _assert_same_tables(columns, [
+            GridDistribution(c.y_edges, c.mass[:, j] / s)
+            for c in law.conditionals for j, s in enumerate(c.mass.sum(axis=0)) if s > 0
+        ])
 
 
 def test_stack_size_guard(monkeypatch):
@@ -612,6 +627,16 @@ def test_grid_distribution_validation():
         GridDistribution(np.array([0.0, 1.0]), np.array([-0.2, 1.2]))
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((5.0, 0.5),))
+    for edges, masses, match in [
+        ([0.0, 1.0, 2.0], [0.5, np.nan], "bin masses must be finite"),
+        ([0.0, 1.0, 2.0], [1.5, -0.5], "non-negative"),
+        ([0.0, 1.0, 2.0], [0.5, 0.6], "total mass"),
+        ([0.0, 2.0, 1.0], [0.5, 0.5], "strictly increasing"),
+        ([0.0, np.inf, 2.0], [0.5, 0.5], "edges must be finite"),
+        ([0.0, 1.0], [0.5, 0.5], "len\\(edges\\)"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            GridDistribution(np.array(edges), np.array(masses))
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,8 @@ from conftest import (
     assert_tuple_plan,
     bernoulli_support_jump_law,
     location_family_law,
+    one_pair_fosd_violation,
+    one_pair_winf_distance,
     pair_loop_fosd,
     pair_loop_jump,
     pair_loop_moment,
@@ -445,9 +447,9 @@ def test_statistic_makes_one_kernel_call_per_axis(rng, monkeypatch, name):
     calls = count_kernel_calls(monkeypatch)
     run = make_test(name)[1]
     first = run(law)
-    assert sorted(map(id, calls)) == sorted([id(law.x_stack), id(law.y_stack)])
+    assert sorted(map(id, calls)) == sorted([id(law.batch.x_stack), id(law.batch.y_stack)])
     assert run(law) == first and len(calls) == 4
-    assert built == [law.x_stack, law.y_stack]
+    assert built == [law.batch.x_stack, law.batch.y_stack]
 
 
 def criterion8_laws(bins):
@@ -611,8 +613,9 @@ def test_empty_batch_is_refused():
 @pytest.mark.parametrize("kind", ["plain", "atoms", "gaps", "atoms+gaps"])
 def test_stacked_pair_measures_match_one_pair_definitions(rng, kind):
     """``winf_distances`` and ``fosd_violations`` over a ragged stack give
-    each pair's ``winf_distance`` and ``fosd_violation`` exactly, in either
-    order and paired with itself."""
+    each pair's one-pair oracle exactly, in either order and paired with
+    itself, and so do the one-pair calls ``winf_distance`` and
+    ``fosd_violation``."""
     for _ in range(10):
         margs = [random_marginal(rng, "atoms" in kind, "gaps" in kind) for _ in range(5)]
         stack = GridStack.of(margs)
@@ -620,8 +623,10 @@ def test_stacked_pair_measures_match_one_pair_definitions(rng, kind):
         winf = winf_distances(stack, a, b)
         fosd = fosd_violations(stack, a, b)
         for k, (i, j) in enumerate(zip(a, b)):
-            assert winf[k] == winf_distance(margs[i], margs[j])
-            assert fosd[k] == fosd_violation(margs[i], margs[j])
+            want = one_pair_winf_distance(margs[i], margs[j])
+            assert winf[k] == want == winf_distance(margs[i], margs[j])
+            want = one_pair_fosd_violation(margs[i], margs[j])
+            assert fosd[k] == want == fosd_violation(margs[i], margs[j])
 
 
 def test_moment_needs_three_z_points():
@@ -803,9 +808,20 @@ def test_make_test_registry():
         ("moment", {"alpha": [1.0]}),
         ("moment", {"alpha": -1}),
         ("moment", {"kx": 0.0}),
+        ("fosd", {"tol": float("nan")}),
+        ("fosd", {"tol": float("inf")}),
+        ("jump", {"K": float("nan")}),
+        ("jump", {"K": "inf"}),
+        ("jump", {"z_star": float("nan")}),
+        ("sure-decrease", {"K": float("-inf")}),
+        ("moment", {"alpha": float("nan")}),
+        ("moment", {"ky": float("inf")}),
     ]:
         with pytest.raises(ValidationError):
             make_test(name, **params)
+    for bad in ({"alpha": float("nan")}, {"kx": float("inf")}, {"c_bound": float("nan")}):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ContinuityParams(**{"alpha": 2, "beta": 1, "gamma": 2, "delta": 1, **bad})
 
 
 @pytest.mark.parametrize(
