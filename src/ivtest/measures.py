@@ -460,6 +460,15 @@ class GridDistribution:
         lo, hi = min(locs) - pad, max(locs) + pad
         return cls(np.array([lo, hi]), np.array([0.0]), tuple(atoms))
 
+    @classmethod
+    def _of_checked(cls, edges: np.ndarray, masses: np.ndarray) -> "GridDistribution":
+        """The atom-free law on ``edges`` and ``masses`` that a checked law
+        has passed already, built without checking them again; both arrays
+        are read-only."""
+        law = cls.__new__(cls)
+        law.__dict__.update(edges=edges, masses=masses, atoms=())
+        return law
+
     # -- exact CDF profile --------------------------------------------------
 
     @cached_property
@@ -571,13 +580,18 @@ class Conditional2D:
         if abs(total - 1.0) > INPUT_TOL:
             raise ValidationError("conditional mass matrix must sum to 1")
 
+    def _marginal(self, edges: np.ndarray, axis: int) -> GridDistribution:
+        # the edges are checked, and the sums of checked cell masses are
+        # non-negative and add to 1 within INPUT_TOL
+        return GridDistribution._of_checked(edges, _as_readonly(self.mass.sum(axis=axis)))
+
     @cached_property
     def _x_marginal(self) -> GridDistribution:
-        return GridDistribution(self.x_edges, self.mass.sum(axis=0))
+        return self._marginal(self.x_edges, 0)
 
     @cached_property
     def _y_marginal(self) -> GridDistribution:
-        return GridDistribution(self.y_edges, self.mass.sum(axis=1))
+        return self._marginal(self.y_edges, 1)
 
     def x_marginal(self) -> GridDistribution:
         """The x marginal, built once per conditional; every caller shares it,

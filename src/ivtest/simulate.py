@@ -44,7 +44,8 @@ class DGPSpec:
     forces weight 0.  First-stage kinds: location (z + u), scale
     ((1 + z) * u), jump (u + jump_size past jump_at), sign_flip (-z + u),
     custom.  Outcome kinds: location (x + v), jump (x + v + outcome_jump_size
-    past outcome_jump_at), custom.
+    past outcome_jump_at), custom.  A custom function is given copies of its
+    inputs, so writing into them changes no other draw.
     """
 
     name: str
@@ -88,14 +89,15 @@ class DGPSpec:
             return u + self.jump_size * (z >= self.jump_at)
         if self.first_stage == "sign_flip":
             return -z + u
-        return np.asarray(self.first_stage_fn(z, u), dtype=float)
+        # a custom stage gets copies: the draws it is given are shared
+        return np.asarray(self.first_stage_fn(z.copy(), u.copy()), dtype=float)
 
     def outcome_values(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.outcome == "location":
             return x + v
         if self.outcome == "jump":
             return x + v + self.outcome_jump_size * (x >= self.outcome_jump_at)
-        return np.asarray(self.outcome_fn(x, v), dtype=float)
+        return np.asarray(self.outcome_fn(x.copy(), v.copy()), dtype=float)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DGPSpec":
@@ -158,30 +160,52 @@ class Dataset:
         return cls(flat.reshape(-1, 3), seed, spec_name)
 
 
-def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
-    """Forward-simulate n rows; deterministic in (spec, n, seed).
+class RankDraw:
+    """One seed's latent ranks ``t_u``, ``t_v``, ``t_z``, drawn once, and the
+    quantiles taken of them.
 
-    Latent ranks are drawn first and never depend on z; with a valid
-    instrument the z draw in turn never reads them.
+    Every spec sampled from one draw sees the same ranks (common random
+    numbers), as every spec sampled with one seed always has.  Each law's
+    quantile at each rank stream is taken once per draw; laws are keyed by
+    value, so equal laws held as distinct objects share it.  Latent ranks
+    never depend on z, and with a valid instrument the z draw in turn never
+    reads them.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    t_u = rng.uniform(size=n)
-    t_v = rng.uniform(size=n)
-    t_z = rng.uniform(size=n)
-    u = np.asarray(spec.u_law.quantile(t_u))
-    v = np.asarray(spec.v_law.quantile(t_v))
-    z_indep = np.asarray(spec.z_law.quantile(t_z))
-    if spec.copula_weight == 0.0:
-        z = z_indep
-    else:
-        rank = t_u if spec.copula_target == "u" else t_v
-        z_tied = np.asarray(spec.z_law.quantile(rank))
-        z = (1.0 - spec.copula_weight) * z_indep + spec.copula_weight * z_tied
-    x = spec.first_stage_values(z, u)
-    y = spec.outcome_values(x, v)
-    return Dataset(np.column_stack([y, x, z]), seed, spec.name)
+
+    def __init__(self, n: int, seed: int):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n must be a positive integer: {n!r}")
+        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+        self.seed = seed
+        # drawn in this order, which fixes the bits of every seeded sample
+        self.ranks = {stream: rng.uniform(size=n) for stream in ("u", "v", "z")}
+        self._quantiles: dict[tuple, np.ndarray] = {}
+
+    def quantile(self, law: GridDistribution, stream: str) -> np.ndarray:
+        """``law.quantile`` at the ranks of ``stream``, taken once per draw."""
+        atoms = np.array(law.atoms, dtype=float)
+        key = (stream, law.edges.tobytes(), law.masses.tobytes(), atoms.tobytes())
+        if key not in self._quantiles:
+            self._quantiles[key] = np.asarray(law.quantile(self.ranks[stream]))
+        return self._quantiles[key]
+
+    def sample(self, spec: DGPSpec) -> Dataset:
+        """The rows of ``spec`` at these ranks."""
+        u = self.quantile(spec.u_law, "u")
+        v = self.quantile(spec.v_law, "v")
+        z = self.quantile(spec.z_law, "z")
+        if spec.copula_weight != 0.0:
+            z_tied = self.quantile(spec.z_law, spec.copula_target)
+            z = (1.0 - spec.copula_weight) * z + spec.copula_weight * z_tied
+        x = spec.first_stage_values(z, u)
+        y = spec.outcome_values(x, v)
+        return Dataset(np.column_stack([y, x, z]), self.seed, spec.name)
+
+
+def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
+    """Forward-simulate n rows; deterministic in (spec, n, seed): the one-spec
+    case of :class:`RankDraw`."""
+    return RankDraw(n, seed).sample(spec)
 
 
 def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
@@ -189,7 +213,8 @@ def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw
     for name, b in (("y_bins", y_bins), ("x_bins", x_bins), ("z_bins", z_bins)):
         if b < 2:
             raise ValidationError(f"{name} must be at least 2")
-    y, x, z = data.rows[:, 0], data.rows[:, 1], data.rows[:, 2]
+    # one column per axis, each contiguous, for the searches below
+    y, x, z = np.ascontiguousarray(data.rows.T)
 
     def axis_edges(vals: np.ndarray, bins: int) -> np.ndarray:
         lo, hi = float(vals.min()), float(vals.max())
@@ -324,9 +349,11 @@ def run_experiment(
     law from an invalid process and the law induced by its replicating valid
     model are the same object at cell resolution.
 
-    The loop runs replication by replication.  Each replication samples,
-    discretizes and replicates every spec in spec order, with the seed of
-    that replication, and then runs each test once over all of its laws,
+    The loop runs replication by replication.  Each replication draws its
+    latent ranks once, from the seed of that replication, and samples every
+    spec from them (:class:`RankDraw`), exactly as :func:`sample` with that
+    seed would.  It discretizes and replicates every spec in spec order, one
+    dataset at a time, and then runs each test once over all of its laws,
     every spec's law and its twin: a registered test (:func:`make_test`)
     takes them as one :class:`LawBatch`, and any other callable is called
     law by law.  The table is the same, bit for bit, as testing one law at
@@ -342,8 +369,8 @@ def run_experiment(
     ``ivtest.simulate``, in spec order.  Its ``spec``, ``rep`` (0-based) and
     ``elapsed_s`` attributes give the process name, the replication index
     and the wall-clock seconds of that spec's sampling, discretizing and
-    replication plus an equal share of the replication's test pass, so a
-    run's records sum to its wall time.
+    replication plus an equal share of the replication's rank draw and test
+    pass, so a run's records sum to its wall time.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
@@ -354,6 +381,8 @@ def run_experiment(
         raise ValidationError(
             f"nontestability_depth must be None or a non-negative integer: {depth!r}"
         )
+    if not specs:
+        return ExperimentResult({})
     rows = [
         [spec.name] + ([f"{spec.name}@replicated"] if depth is not None else []) for spec in specs
     ]
@@ -364,19 +393,19 @@ def run_experiment(
     per_spec = 2 if depth is not None else 1
     names = [spec.name for spec in specs for _ in range(per_spec)]
     for rep in range(reps):
-        rep_seed = replication_seed(seed, rep)
+        t0 = time.perf_counter()
+        draw = RankDraw(n, replication_seed(seed, rep))
+        draw_s = time.perf_counter() - t0
         laws, own_s = [], []
         for spec in specs:
             t0 = time.perf_counter()
             with _failure_context(spec.name, rep):
-                law = discretize(sample(spec, n, rep_seed), *bins)
+                law = discretize(draw.sample(spec), *bins)
                 laws.append(law)
                 if depth is not None:
                     model, _ = nontestability_demo(law, depth)
                     laws.append(model.induced_law())
             own_s.append(time.perf_counter() - t0)
-        if not laws:
-            continue
         t0 = time.perf_counter()
         batch = LawBatch(laws)
         for name, fn in tests:
@@ -387,7 +416,7 @@ def run_experiment(
                     rejected[i][key] += report.decision == "reject"
                     stat_sum[i][key] += report.statistic
         if log.isEnabledFor(logging.INFO):
-            share = (time.perf_counter() - t0) / len(specs)
+            share = (draw_s + time.perf_counter() - t0) / len(specs)
             for spec, own in zip(specs, own_s):
                 elapsed = own + share
                 log.info(

@@ -451,8 +451,8 @@ def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestRepo
     law's largest grid point when it is None: the distances of all laws'
     neighbour pairs take one quantile call per axis.  Refuses the first law
     that ``z_star`` does not fit."""
-    if K <= 0:
-        raise ValidationError("K must be positive")
+    if not 0 < K < math.inf:  # NaN fails too
+        raise ValidationError(f"K must be positive and finite, not {K}")
     nearest, star, gaps = [], [], []
     for law, offset in zip(batch.laws, batch.offsets.tolist()):
         zs = np.asarray(law.z_grid, dtype=float)
@@ -504,6 +504,8 @@ def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
 def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
     """:func:`monotonicity_test` of every law of ``batch``: all adjacent z
     pairs of all laws take one CDF call per axis."""
+    if not math.isfinite(tol):
+        raise ValidationError(f"tol must be finite, not {tol}")
     lower, first = _adjacent_pairs(batch)
     v = np.maximum(
         fosd_violations(batch.x_stack, lower, lower + 1),
@@ -537,8 +539,8 @@ def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestRepo
     """:func:`monotonicity_sure_decrease_test` of every law of ``batch``,
     from the support bounds of both stacks.  Refuses the first law with
     fewer than 2 z points."""
-    if K <= 0:
-        raise ValidationError("K must be positive")
+    if not 0 < K < math.inf:  # NaN fails too
+        raise ValidationError(f"K must be positive and finite, not {K}")
     for law in batch.laws:
         if len(law.z_grid) < 2:
             raise DegenerateGridError("need at least 2 z points")

@@ -618,6 +618,26 @@ def test_conditional_marginals_built_once(rng):
     assert law.y_marginals()[1] is law.conditionals[1].y_marginal()
 
 
+def test_conditional_marginals_are_not_checked_again(rng, monkeypatch):
+    """A marginal of a checked conditional skips the constructor's checks
+    and is the law that the checked constructor builds from its arrays."""
+    law = random_joint_law(rng, nz=3, ny=4, nx=5)
+    checked = []
+    post_init = GridDistribution.__post_init__
+    monkeypatch.setattr(
+        GridDistribution, "__post_init__", lambda self: checked.append(self) or post_init(self)
+    )
+    margs = law.x_marginals() + law.y_marginals()
+    assert checked == []
+    p = np.linspace(0.0, 1.0, 33)
+    for m in margs:
+        twin = GridDistribution(m.edges, m.masses)
+        assert m.atoms == () and m.to_json_dict() == twin.to_json_dict()
+        assert np.array_equal(m.quantile(p), twin.quantile(p))
+        assert m.support_bounds() == twin.support_bounds()
+    assert len(checked) == len(margs)
+
+
 def test_grid_distribution_validation():
     with pytest.raises(ValidationError):
         GridDistribution(np.array([0.0, 0.0]), np.array([1.0]))  # not increasing

@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ivtest import (
     run_experiment,
     sample,
 )
-from ivtest import measures
+from ivtest import measures, simulate
 from ivtest.measures import Conditional2D, JointLaw, LawBatch
 from ivtest.simulate import replication_seed
 from ivtest.validity import Runner
@@ -58,6 +59,132 @@ def test_sample_copula_weight_one_ties_z_to_u():
     u = d.rows[:, 1] - d.rows[:, 2]
     corr = float(np.corrcoef(d.rows[:, 2], u)[0, 1])
     assert corr > 0.99
+
+
+def direct_sample(spec, n, seed):
+    """One spec's rows computed directly: the three rank streams in the
+    order u, v, z, each law's quantile taken on its own."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    t_u, t_v, t_z = rng.uniform(size=n), rng.uniform(size=n), rng.uniform(size=n)
+    u, v = spec.u_law.quantile(t_u), spec.v_law.quantile(t_v)
+    z = spec.z_law.quantile(t_z)
+    if spec.copula_weight != 0.0:
+        tied = spec.z_law.quantile(t_u if spec.copula_target == "u" else t_v)
+        z = (1.0 - spec.copula_weight) * z + spec.copula_weight * tied
+    x = spec.first_stage_values(z, u)
+    return np.column_stack([spec.outcome_values(x, v), x, z])
+
+
+def shared_draw_specs():
+    """Equal laws held as distinct objects (one read from JSON), different
+    u, v and z laws, both copula targets and weights 0, 0.5 and 1."""
+    skewed = GridDistribution(np.array([0.0, 0.5, 1.0]), np.array([0.3, 0.7]))
+    atomic = GridDistribution(np.array([-1.0, 1.0]), np.array([0.6]), ((0.0, 0.4),))
+    invalid = dict(instrument_valid=False)
+    return [
+        DGPSpec(name="loc"),
+        DGPSpec(name="loc-json", u_law=GridDistribution.from_json_dict(
+            GridDistribution.uniform(0, 1).to_json_dict())),
+        DGPSpec(name="skewed", first_stage="scale", z_law=skewed, u_law=atomic,
+                v_law=GridDistribution.uniform(-1, 2, 3)),
+        DGPSpec(name="half-u", copula_weight=0.5, copula_target="u", **invalid),
+        DGPSpec(name="half-v", z_law=skewed, copula_weight=0.5, copula_target="v", **invalid),
+        DGPSpec(name="tied-v", first_stage="jump", copula_weight=1.0, copula_target="v",
+                outcome="jump", **invalid),
+        DGPSpec(name="tied-u", z_law=GridDistribution(skewed.edges, skewed.masses),
+                copula_weight=1.0, copula_target="u", **invalid),
+    ]
+
+
+def binned_rows(monkeypatch):
+    """Record the rows of every dataset ``run_experiment`` discretizes."""
+    seen = []
+
+    def recording(data, *bins):
+        seen.append((data.spec_name, data.seed, data.rows.tobytes()))
+        return discretize(data, *bins)
+
+    monkeypatch.setattr(simulate, "discretize", recording)
+    return seen
+
+
+def test_solo_sample_matches_the_direct_draw():
+    for spec in shared_draw_specs():
+        d = sample(spec, 300, seed=41)
+        assert d.rows.tobytes() == direct_sample(spec, 300, 41).tobytes()
+        assert (d.seed, d.spec_name) == (41, spec.name)
+
+
+def test_run_experiment_shares_each_replications_draw(monkeypatch):
+    """Every spec of a replication is sampled from one draw of the ranks,
+    and its rows are bit for bit those of a solo ``sample`` with the
+    replication's seed."""
+    specs = shared_draw_specs()
+    seen = binned_rows(monkeypatch)
+    run_experiment(specs, [make_test("fosd")], n=400, reps=3, seed=17, bins=(3, 3, 2))
+    want = []
+    for rep in range(3):
+        rep_seed = replication_seed(17, rep)
+        want += [(s.name, rep_seed, sample(s, 400, rep_seed).rows.tobytes()) for s in specs]
+    assert seen == want
+
+
+def test_shared_draw_takes_each_quantile_once(monkeypatch):
+    """One replication takes one quantile per distinct (law value, rank
+    stream): equal laws given as distinct objects share theirs."""
+    specs = shared_draw_specs()
+    calls = []
+    quantile = GridDistribution.quantile
+
+    def counting(law, p):
+        calls.append(law)
+        return quantile(law, p)
+
+    monkeypatch.setattr(GridDistribution, "quantile", counting)
+    run_experiment(specs, [], n=100, reps=1, seed=3, bins=(3, 3, 2))
+    # uniform(0, 1) at u, v and z (loc; loc-json, half-u and tied-v add
+    # none); atomic at u, uniform(-1, 2, 3) at v and skewed at z (skewed);
+    # skewed at v (half-v); skewed at u (tied-u, whose z law is a copy)
+    assert len(calls) == 8
+    calls.clear()
+    run_experiment(specs[:2], [], n=100, reps=1, seed=3, bins=(3, 3, 2))
+    assert len(calls) == 3
+
+
+def test_custom_stage_writing_into_its_inputs_changes_no_other_spec(monkeypatch):
+    def scribble_first(z, u):
+        z += 100.0
+        u *= -1.0
+        return z + u
+
+    def scribble_outcome(x, v):
+        x[:] = 0.0
+        v -= 7.0
+        return v
+
+    specs = [
+        DGPSpec(name="scribble", first_stage="custom", first_stage_fn=scribble_first,
+                outcome="custom", outcome_fn=scribble_outcome),
+        DGPSpec(name="loc"),
+        DGPSpec(name="tied", instrument_valid=False, copula_weight=1.0, copula_target="v"),
+    ]
+    seen = binned_rows(monkeypatch)
+    run_experiment(specs, [], n=200, reps=1, seed=5, bins=(3, 3, 2))
+    rep_seed = replication_seed(5, 0)
+    assert [rows for _, _, rows in seen] == [
+        direct_sample(s, 200, rep_seed).tobytes() for s in specs
+    ]
+    rows = [np.frombuffer(r).reshape(-1, 3) for _, _, r in seen]
+    # the scribbling stages wrote into copies: the z column is the shared draw
+    assert np.array_equal(rows[0][:, 2], rows[1][:, 2])
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, True])
+def test_a_row_count_that_is_not_a_positive_integer_is_refused(n):
+    with pytest.raises(ValidationError, match="n must be a positive integer"):
+        sample(DGPSpec(name="loc"), n, seed=1)
+    with pytest.raises(ValidationError, match="n must be a positive integer"):
+        run_experiment([DGPSpec(name="loc")], [], n=n, reps=1, seed=1)
 
 
 def test_spec_validation():
@@ -274,7 +401,9 @@ def test_run_experiment_logs_progress_at_info(caplog):
     assert not [r for r in caplog.records if r.name == "ivtest.simulate"]
 
     caplog.set_level(logging.INFO, logger="ivtest.simulate")
-    run_experiment(specs, tests, n=200, reps=2, seed=1)
+    t0 = time.perf_counter()
+    run_experiment(specs, tests, n=20_000, reps=2, seed=1)
+    wall = time.perf_counter() - t0
     records = [r for r in caplog.records if r.name == "ivtest.simulate"]
     # replication-major: every spec of a replication after its test pass
     assert [(r.levelno, r.spec, r.rep) for r in records] == [
@@ -282,6 +411,9 @@ def test_run_experiment_logs_progress_at_info(caplog):
     ]
     assert all(r.elapsed_s >= 0.0 and f"replication {r.rep} of 2" in r.getMessage()
                for r in records)
+    # each spec's share of the rank draw and of the test pass is counted
+    # once: the records sum to the run's wall time, less its untimed glue
+    assert 0.75 * wall <= sum(r.elapsed_s for r in records) <= wall
 
 
 def test_run_experiment_empty_tests():

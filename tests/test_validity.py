@@ -763,6 +763,23 @@ def test_sure_decrease_overlapping_supports_consistent():
     assert r.decision == "consistent"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_direct_calls_refuse_non_finite_thresholds(bad):
+    """Called without ``make_test``, the statistics refuse a threshold that
+    is not finite instead of reporting against it."""
+    law = location_family_law([0.0, 0.25, 0.5, 0.75])
+    for call, message in (
+        (lambda: jump_test(law, bad, 0.75), "K must be positive and finite"),
+        (lambda: jump_tests(law.batch, bad, None), "K must be positive and finite"),
+        (lambda: monotonicity_sure_decrease_test(law, bad), "K must be positive and finite"),
+        (lambda: monotonicity_sure_decrease_tests(law.batch, bad), "K must be positive and finite"),
+        (lambda: monotonicity_test(law, bad), "tol must be finite"),
+        (lambda: monotonicity_tests(law.batch, bad), "tol must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # TestReport plumbing
 # ---------------------------------------------------------------------------
