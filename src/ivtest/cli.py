@@ -212,11 +212,11 @@ def cmd_simulate(args) -> int:
     if not args.input:
         raise ValidationError("simulate needs --input")
     obj = _read_json(args.input)
-    try:
-        specs = [DGPSpec.from_json_dict(s) for s in obj["specs"]]
-        test_objs = obj.get("tests", [])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed simulation config: {exc}") from exc
+    spec_objs = obj.get("specs")
+    if not isinstance(spec_objs, list):
+        raise ValidationError(f"config 'specs' must be a list of objects: {spec_objs!r}")
+    specs = [DGPSpec.from_json_dict(s) for s in spec_objs]
+    test_objs = obj.get("tests", [])
     if not isinstance(test_objs, list):
         raise ValidationError("config 'tests' must be a list")
     tests = []

@@ -721,12 +721,17 @@ class StructuralModel:
         a zero-mass column, which has no law), and each site's first column;
         built on the first ``sample`` call."""
         conds = self.joint.conditionals
-        sums = [c.mass.sum(axis=0) for c in conds]
-        blocks = [(c.y_edges, (c.mass[:, s > 0] / s[s > 0]).T) for c, s in zip(conds, sums)]
+        sums = [c.x_marginal().masses for c in conds]
+        laws = []
+        for c, s in zip(conds, sums):
+            # each normalized column of a checked conditional is a checked law
+            columns = (c.mass[:, s > 0] / s[s > 0]).T
+            columns.setflags(write=False)
+            laws += [GridDistribution._of_checked(c.y_edges, col) for col in columns]
         filled = np.concatenate(sums) > 0
         row_of = np.where(filled, np.cumsum(filled) - 1, -1)
         first = np.cumsum([0] + [len(s) for s in sums])
-        return GridStack.atom_free(blocks), row_of, first[:-1]
+        return GridStack.of(laws), row_of, first[:-1]
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw (y, x, z) rows; the latent pair never reads z.

@@ -7,8 +7,9 @@ stochastic-dominance violations) is computed from that exact profile rather
 than by sampling.  Downstream constructions rely on this measure arithmetic being
 reproducible to float precision.  Many laws stack into one ``GridStack``,
 whose kernel evaluates every point against its own law in one call, bit for
-bit as a call on that law alone; a ``LawBatch`` stacks the marginals of many
-joint laws that way, one stack per axis.
+bit as a call on that law alone.  Every stack is ``GridStack.of`` over laws:
+a ``LawBatch`` stacks the cached marginals of many joint laws' conditionals,
+one stack per axis.
 
 Conventions fixed here and used everywhere else:
 
@@ -104,39 +105,12 @@ def _scalar(out: np.ndarray) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _grid_profile(
-    edges: np.ndarray, masses: np.ndarray, atoms: tuple[tuple[float, float], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints ``B`` with left/right CDF values ``CL``/``CR`` of a grid law.
-
-    Between consecutive breakpoints the CDF is linear from ``CR[k]`` to
-    ``CL[k+1]``; at a breakpoint it jumps from ``CL[k]`` to ``CR[k]`` (atoms
-    only).  The breakpoints are the edges and the atom locations.  The
-    running mass adds, breakpoint by breakpoint, the atom there and then the
-    mass of the piece up to the next breakpoint: the terms are interleaved
-    after a leading 0 and summed by one sequential ``np.cumsum``.  Without
-    atoms every jump term is 0 and every piece is a whole bin, so the profile
-    is ``[0, cumsum(masses)]`` on the edges, which is the same float.
-    """
-    if not atoms:
-        cum = np.zeros(len(edges))
-        np.cumsum(masses, out=cum[1:])
-        return edges, cum, cum
-    locs = np.unique(np.concatenate([edges, [a for a, _ in atoms]]))
-    b = np.clip(np.searchsorted(edges, locs[:-1], side="right") - 1, 0, len(masses) - 1)
-    terms = np.zeros(2 * len(locs))
-    terms[2 * np.searchsorted(locs, [a for a, _ in atoms]) + 1] = [m for _, m in atoms]
-    terms[2::2] = (locs[1:] - locs[:-1]) / np.diff(edges)[b] * masses[b]
-    cum = np.cumsum(terms)
-    return locs, cum[0::2], cum[1::2]
-
-
 class GridStack:
     """The CDF profiles of ``R`` grid laws, stacked flat, and the one exact
     kernel that evaluates their quantiles and CDFs.
 
     Row ``r`` holds the breakpoints ``B`` and left/right CDF values ``CL``/``CR``
-    of law ``r`` (see :func:`_grid_profile`) at the flat positions
+    of law ``r`` (see :attr:`GridDistribution._profile`) at the flat positions
     ``starts[r]:starts[r + 1]``; rows may differ in length.  ``quantile(rows,
     p)`` and ``cdf(rows, x)`` take one row index per point and evaluate the
     whole batch in one pass, with the same arithmetic per element as a call
@@ -161,42 +135,6 @@ class GridStack:
         _refuse_oversize(sum(lengths) + len(lengths), "a stack of grid laws")
         B, CL, CR = (np.concatenate(col) for col in zip(*profiles))
         return cls(B, CL, CR, np.concatenate([[0], np.cumsum(lengths)]))
-
-    @classmethod
-    def atom_free(cls, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> "GridStack":
-        """The stack of atom-free laws given as ``(edges, masses)`` blocks,
-        each row of a block's ``(rows, bins)`` mass matrix one law on the
-        block's edges.
-
-        Every row must already be a checked law: an axis marginal, or a
-        normalized positive-mass column, of a :class:`Conditional2D`, whose
-        constructor checked the edges and masses.  Nothing is checked again
-        here.  Raises ``ValidationError``, before allocating, when the tables
-        would exceed ``MAX_CELL_ENTRIES`` entries.
-        """
-        _refuse_oversize(
-            sum(len(m) * (len(e) + 1) for e, m in blocks), "a stack of grid laws"
-        )
-        edges = [e for e, _ in blocks]
-        masses = [m for _, m in blocks]
-        width = np.array([len(e) for e in edges], dtype=np.intp)
-        row_width = np.repeat(width, [len(m) for m in masses])
-        starts = np.concatenate([[0], np.cumsum(row_width)])
-        # every row reads its block's edges
-        block_start = np.repeat(np.cumsum(width) - width, [len(m) for m in masses])
-        B = np.concatenate(edges)[_ragged_arange(block_start, row_width)]
-        # rows of one width form one matrix, cumulated row by row as a block is
-        cum = np.empty(len(B))
-        for w in np.unique(width).tolist():
-            rows = np.flatnonzero(row_width == w)
-            mat = np.zeros((len(rows), w))
-            np.cumsum(
-                np.concatenate([m for m, k in zip(masses, width) if k == w]),
-                axis=1,
-                out=mat[:, 1:],
-            )
-            cum[(starts[rows][:, None] + np.arange(w)).ravel()] = mat.ravel()
-        return cls(B, cum, cum, starts)
 
     # -- layout -------------------------------------------------------------
 
@@ -476,10 +414,26 @@ class GridDistribution:
         """Breakpoints ``B`` with left/right CDF values ``CL``/``CR``.
 
         Between consecutive breakpoints the CDF is linear from ``CR[k]`` to
-        ``CL[k+1]``; at a breakpoint it jumps from ``CL[k]`` to ``CR[k]``
-        (atoms only).  See :func:`_grid_profile`.
+        ``CL[k+1]``; at a breakpoint it jumps from ``CL[k]`` to ``CR[k]`` (atoms
+        only).  The breakpoints are the edges and the atom locations.  The
+        running mass adds, breakpoint by breakpoint, the atom there and then the
+        mass of the piece up to the next breakpoint: the terms are interleaved
+        after a leading 0 and summed by one sequential ``np.cumsum``.  Without
+        atoms every jump term is 0 and every piece is a whole bin, so the profile
+        is ``[0, cumsum(masses)]`` on the edges, which is the same float.
         """
-        return _grid_profile(self.edges, self.masses, self.atoms)
+        edges, masses, atoms = self.edges, self.masses, self.atoms
+        if not atoms:
+            cum = np.zeros(len(edges))
+            np.cumsum(masses, out=cum[1:])
+            return edges, cum, cum
+        locs = np.unique(np.concatenate([edges, [a for a, _ in atoms]]))
+        b = np.clip(np.searchsorted(edges, locs[:-1], side="right") - 1, 0, len(masses) - 1)
+        terms = np.zeros(2 * len(locs))
+        terms[2 * np.searchsorted(locs, [a for a, _ in atoms]) + 1] = [m for _, m in atoms]
+        terms[2::2] = (locs[1:] - locs[:-1]) / np.diff(edges)[b] * masses[b]
+        cum = np.cumsum(terms)
+        return locs, cum[0::2], cum[1::2]
 
     @cached_property
     def _stack(self) -> GridStack:
@@ -529,13 +483,12 @@ class GridDistribution:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GridDistribution":
         try:
-            return cls(
-                np.asarray(obj["edges"], dtype=float),
-                np.asarray(obj["masses"], dtype=float),
-                tuple((float(a), float(m)) for a, m in obj.get("atoms", [])),
-            )
-        except (KeyError, TypeError) as exc:
+            edges = np.asarray(obj["edges"], dtype=float)
+            masses = np.asarray(obj["masses"], dtype=float)
+            atoms = tuple((float(a), float(m)) for a, m in obj.get("atoms", []))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed distribution object: {exc}") from exc
+        return cls(edges, masses, atoms)
 
     def __repr__(self):
         return (
@@ -612,13 +565,12 @@ class Conditional2D:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Conditional2D":
         try:
-            return cls(
-                np.asarray(obj["y_edges"], dtype=float),
-                np.asarray(obj["x_edges"], dtype=float),
-                np.asarray(obj["mass"], dtype=float),
+            y_edges, x_edges, mass = (
+                np.asarray(obj[key], dtype=float) for key in ("y_edges", "x_edges", "mass")
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed conditional object: {exc}") from exc
+        return cls(y_edges, x_edges, mass)
 
 
 @dataclass(frozen=True)
@@ -711,13 +663,15 @@ class JointLaw:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "JointLaw":
         try:
-            return cls(
-                np.asarray(obj["z_grid"], dtype=float),
-                GridDistribution.from_json_dict(obj["pz"]),
-                tuple(Conditional2D.from_json_dict(c) for c in obj["conditionals"]),
-            )
-        except (KeyError, TypeError) as exc:
+            z_grid = np.asarray(obj["z_grid"], dtype=float)
+            pz, conditionals = obj["pz"], list(obj["conditionals"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed joint-law object: {exc}") from exc
+        return cls(
+            z_grid,
+            GridDistribution.from_json_dict(pz),
+            tuple(Conditional2D.from_json_dict(c) for c in conditionals),
+        )
 
 
 class LawBatch:
@@ -726,11 +680,11 @@ class LawBatch:
 
     Law ``l``'s sites are the stack rows ``offsets[l]:offsets[l + 1]``, in z
     order, so a statistic evaluates every z pair of every law in one kernel
-    call per axis.  Each row is built from its conditional's mass matrix as
-    in a stack of that law alone, so every value keeps its bits.  A law may
-    appear more than once.  :attr:`JointLaw.batch` is the one-law batch.
-    The stacks are built on first use.  An empty batch is refused with
-    ``ValidationError``.
+    call per axis.  The stacks are :meth:`GridStack.of` over the
+    conditionals' cached marginals, so every value keeps the bits of a call
+    on that marginal alone.  A law may appear more than once.
+    :attr:`JointLaw.batch` is the one-law batch.  The stacks are built on
+    first use.  An empty batch is refused with ``ValidationError``.
     """
 
     def __init__(self, laws: Sequence[JointLaw]):
@@ -742,15 +696,11 @@ class LawBatch:
 
     @cached_property
     def x_stack(self) -> GridStack:
-        return GridStack.atom_free(
-            [(c.x_edges, c.mass.sum(axis=0)[None]) for law in self.laws for c in law.conditionals]
-        )
+        return GridStack.of([c.x_marginal() for law in self.laws for c in law.conditionals])
 
     @cached_property
     def y_stack(self) -> GridStack:
-        return GridStack.atom_free(
-            [(c.y_edges, c.mass.sum(axis=1)[None]) for law in self.laws for c in law.conditionals]
-        )
+        return GridStack.of([c.y_marginal() for law in self.laws for c in law.conditionals])
 
 
 # ---------------------------------------------------------------------------

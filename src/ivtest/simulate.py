@@ -69,10 +69,14 @@ class DGPSpec:
             raise ValidationError(f"unknown first stage {self.first_stage!r}")
         if self.outcome not in OUTCOME_KINDS:
             raise ValidationError(f"unknown outcome {self.outcome!r}")
-        if self.first_stage == "custom" and self.first_stage_fn is None:
-            raise ValidationError("custom first stage needs first_stage_fn")
-        if self.outcome == "custom" and self.outcome_fn is None:
-            raise ValidationError("custom outcome needs outcome_fn")
+        if self.first_stage == "custom" and not callable(self.first_stage_fn):
+            raise ValidationError(
+                f"custom first stage needs a callable first_stage_fn: {self.first_stage_fn!r}"
+            )
+        if self.outcome == "custom" and not callable(self.outcome_fn):
+            raise ValidationError(
+                f"custom outcome needs a callable outcome_fn: {self.outcome_fn!r}"
+            )
         if not (0.0 <= self.copula_weight <= 1.0):
             raise ValidationError("copula_weight must lie in [0, 1]")
         if self.instrument_valid and self.copula_weight != 0.0:
@@ -101,6 +105,8 @@ class DGPSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DGPSpec":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"a DGP spec must be an object: {obj!r}")
         kwargs = dict(obj)
         for law_key in ("z_law", "u_law", "v_law"):
             if law_key in kwargs:
@@ -208,11 +214,17 @@ def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
     return RankDraw(n, seed).sample(spec)
 
 
-def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
-    """Empirical joint law on equal-width grids; every z bin must be populated."""
+def _require_bin_counts(y_bins: int, x_bins: int, z_bins: int) -> None:
     for name, b in (("y_bins", y_bins), ("x_bins", x_bins), ("z_bins", z_bins)):
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer: {b!r}")
         if b < 2:
             raise ValidationError(f"{name} must be at least 2")
+
+
+def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
+    """Empirical joint law on equal-width grids; every z bin must be populated."""
+    _require_bin_counts(y_bins, x_bins, z_bins)
     # one column per axis, each contiguous, for the searches below
     y, x, z = np.ascontiguousarray(data.rows.T)
 
@@ -374,6 +386,7 @@ def run_experiment(
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
+    _require_bin_counts(*bins)
     depth = nontestability_depth
     if depth is not None and (
         isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0

@@ -276,6 +276,41 @@ def test_nan_cell_in_joint_law_exits_1(law_file, tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: cell masses must be finite: nan at index (2, 1)\n"
 
 
+def _set(*path):
+    """Set the entry at ``path[:-1]`` of a law object to ``path[-1]``."""
+    def edit(obj):
+        *keys, last, value = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+MALFORMED_LAWS = {
+    "non-numeric-edge": _set("conditionals", 0, "y_edges", 1, "a"),
+    "non-numeric-mass": _set("conditionals", 1, "mass", 0, 0, "a"),
+    "non-numeric-z": _set("z_grid", 0, "a"),
+    "non-numeric-pz-mass": _set("pz", "masses", 0, "a"),
+    "short-atom-pair": _set("pz", "atoms", [[0.5]]),
+    "ragged-mass": _set("conditionals", 2, "mass", 0, [0.25]),
+    "conditionals-not-a-list": _set("conditionals", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_LAWS))
+@pytest.mark.parametrize("command", ["replicate", "test"])
+def test_malformed_joint_law_exits_1(law_file, tmp_path, capsys, command, case):
+    """A value that does not parse is refused with one error line, naming
+    the object it lies in, before any law is built."""
+    obj = json.loads(law_file.read_text())
+    MALFORMED_LAWS[case](obj)
+    path = tmp_path / "bad_law.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
 def test_cmd_test_feasibility_selection(law_file, capsys):
     rc = main(["test", "--input", str(law_file), "--test", "feasibility"])
     assert rc == 0
@@ -369,6 +404,23 @@ BAD_CONFIGS = {
     "negative-depth": {"nontestability_depth": -1},
     "boolean-depth": {"nontestability_depth": True},
     "config-not-an-object": None,
+    "specs-not-a-list": {"specs": {"name": "loc"}},
+    "spec-not-an-object": {"specs": ["loc"]},
+    "non-callable-custom-stage": {
+        "specs": [{"name": "c", "first_stage": "custom", "first_stage_fn": "abc"}]
+    },
+    "non-numeric-law-edge": {
+        "specs": [{"name": "loc", "z_law": {"edges": ["a", 1], "masses": [1]}}]
+    },
+    "non-numeric-law-mass": {
+        "specs": [{"name": "loc", "u_law": {"edges": [0, 1], "masses": ["a"]}}]
+    },
+    "short-atom-pair": {
+        "specs": [{"name": "loc", "v_law": {"edges": [0, 1], "masses": [0.5], "atoms": [[0.5]]}}]
+    },
+    "ragged-law-masses": {
+        "specs": [{"name": "loc", "z_law": {"edges": [0, 1], "masses": [[0.5], [0.25, 0.25]]}}]
+    },
 }
 
 

@@ -1022,18 +1022,18 @@ def test_outcome_columns_built_once_on_first_sample(rng, monkeypatch):
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
     built, stacks = [], []
     post_init = GridDistribution.__post_init__
-    atom_free = GridStack.atom_free.__func__
+    stack_of = GridStack.of.__func__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    def counting_stack(cls, blocks):
-        stacks.append(atom_free(cls, blocks))
+    def counting_stack(cls, stacked):
+        stacks.append(stack_of(cls, stacked))
         return stacks[-1]
 
     monkeypatch.setattr(GridDistribution, "__post_init__", counting)
-    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting_stack))
+    monkeypatch.setattr(GridStack, "of", classmethod(counting_stack))
     model = compose_structural_model(law, gen)
     assert built == [] and stacks == []
     model.sample(500, seed=1)

@@ -347,22 +347,11 @@ def _assert_same_tables(stack, laws):
 
 
 def test_atom_free_stack_is_the_stack_of_its_laws(rng):
-    """Built from mass rows, a stack has the tables of the stacked laws.  The
-    rows come given directly, as the marginals of a ``LawBatch`` and as a
-    model's outcome columns, with totals up to 0.9 ``INPUT_TOL`` off 1,
-    zero-mass bins and zero-mass columns: every one is a law its
-    ``Conditional2D`` already checked, so the stack checks nothing again."""
-    edges = [np.linspace(0.0, 1.0, 5), np.cumsum(rng.uniform(0.1, 1.0, 8))]
-    masses = [rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(7), size=2)]
-    masses[0][1, [0, 3]] = 0.0  # zero-mass edge bins
-    masses[0][1] /= masses[0][1].sum()
-    masses[1][0] *= 1.0 + 0.9 * INPUT_TOL
-    stack = GridStack.atom_free(list(zip(edges, masses)))
-    laws = [GridDistribution(e, m) for e, ms in zip(edges, masses) for m in ms]
-    _assert_same_tables(stack, laws)
-    rows, ps = rng.integers(0, 5, 400), rng.random(400)
-    assert stack.quantile(rows, ps).tobytes() == GridStack.of(laws).quantile(rows, ps).tobytes()
-
+    """The atom-free stacks built from checked conditionals, the marginals of
+    a ``LawBatch`` and a model's outcome columns, have the tables of the
+    stacked laws, with totals up to 0.9 ``INPUT_TOL`` off 1, zero-mass bins
+    and zero-mass columns: every one is a law its ``Conditional2D`` already
+    checked, so the stack checks nothing again."""
     joints = []
     for scale in (1.0 - 0.9 * INPUT_TOL, 1.0, 1.0 + 0.9 * INPUT_TOL):
         law = random_joint_law(rng, nz=3, ny=4, nx=5)
@@ -392,16 +381,18 @@ def test_stack_size_guard(monkeypatch):
     not capped: they allocate in proportion to their points, as a one-law
     call does."""
     laws = [GridDistribution.uniform(0.0, 1.0, 3)] * 4  # 4 rows x 5 slots
-    block = [(np.linspace(0.0, 1.0, 4), np.full((4, 3), 1 / 3))]
+    cond = Conditional2D([0.0, 1.0], np.linspace(0.0, 1.0, 4), np.full((1, 3), 1 / 3))
+    joint = JointLaw([0.125, 0.375, 0.625, 0.875], GridDistribution.uniform(0.0, 1.0, 4),
+                     (cond,) * 4)
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 20)
     stack = GridStack.of(laws)
-    GridStack.atom_free(block)
+    measures.LawBatch([joint]).x_stack
     points = np.linspace(0.0, 1.0, 40)
     rows = np.arange(40) % 4
     assert stack.quantile(rows, points).tobytes() == laws[0].quantile(points).tobytes()
     assert stack.cdf(rows, points).tobytes() == laws[0].cdf(points).tobytes()
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 19)
-    for build in (lambda: GridStack.of(laws), lambda: GridStack.atom_free(block)):
+    for build in (lambda: GridStack.of(laws), lambda: measures.LawBatch([joint]).x_stack):
         with pytest.raises(ValidationError, match="stack of grid laws needs 20 entries"):
             build()
     # a pair of 4-breakpoint rows gathers 16 quantile levels (CL and CR) or

@@ -198,6 +198,15 @@ def test_spec_validation():
         DGPSpec(name="bad", first_stage="custom")  # needs a callable
 
 
+@pytest.mark.parametrize("fn", ["abc", 3])
+def test_custom_stage_that_is_not_callable_is_refused(fn):
+    """Refused when the spec is built, not when replication 0 calls it."""
+    with pytest.raises(ValidationError, match="needs a callable first_stage_fn"):
+        DGPSpec(name="bad", first_stage="custom", first_stage_fn=fn)
+    with pytest.raises(ValidationError, match="needs a callable outcome_fn"):
+        DGPSpec(name="bad", outcome="custom", outcome_fn=fn)
+
+
 def test_first_stage_kinds():
     z = np.array([0.0, 1.0])
     u = np.array([0.5, 0.5])
@@ -275,6 +284,21 @@ def test_discretize_uniform_concentration():
     for c in law.conditionals:
         tv = 0.5 * float(np.abs(c.mass - target).sum())
         assert tv <= 0.02
+
+
+@pytest.mark.parametrize("bad", [4.5, 4.0, "4", True, np.bool_(True), None])
+def test_discretize_refuses_a_bin_count_that_is_not_an_integer(bad):
+    data = sample(DGPSpec(name="loc"), 200, seed=1)
+    for k, name in enumerate(("y_bins", "x_bins", "z_bins")):
+        bins = [4, 4, 4]
+        bins[k] = bad
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer: "):
+            discretize(data, *bins)
+        # refused before replication 0 is sampled
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer: "):
+            run_experiment([DGPSpec(name="loc")], [], n=200, reps=1, seed=1, bins=tuple(bins))
+    law = discretize(data, np.int64(4), np.int32(4), 4)
+    assert law.conditionals[0].mass.shape == (4, 4) and len(law.z_grid) == 4
 
 
 def test_discretize_single_z_bin_rejected_but_two_work():

@@ -437,13 +437,13 @@ def test_statistic_makes_one_kernel_call_per_axis(rng, monkeypatch, name):
     its y stack, whatever the number of sites; the stacks are built once."""
     law = random_joint_law(rng, nz=7, ny=5, nx=6)
     built = []
-    atom_free = GridStack.atom_free.__func__
+    stack_of = GridStack.of.__func__
 
-    def counting(cls, blocks):
-        built.append(atom_free(cls, blocks))
+    def counting(cls, stacked):
+        built.append(stack_of(cls, stacked))
         return built[-1]
 
-    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting))
+    monkeypatch.setattr(GridStack, "of", classmethod(counting))
     calls = count_kernel_calls(monkeypatch)
     run = make_test(name)[1]
     first = run(law)
@@ -586,13 +586,13 @@ def test_batch_makes_one_kernel_call_per_axis(rng, monkeypatch, name):
     laws = [random_joint_law(rng, nz, 5, 6) for nz in (3, 7, 4)]
     laws.append(laws[1])
     built = []
-    atom_free = GridStack.atom_free.__func__
+    stack_of = GridStack.of.__func__
 
-    def counting(cls, blocks):
-        built.append(atom_free(cls, blocks))
+    def counting(cls, stacked):
+        built.append(stack_of(cls, stacked))
         return built[-1]
 
-    monkeypatch.setattr(GridStack, "atom_free", classmethod(counting))
+    monkeypatch.setattr(GridStack, "of", classmethod(counting))
     calls = count_kernel_calls(monkeypatch)
     batch = LawBatch(laws)
     run = make_test(name)[1]
