@@ -121,10 +121,10 @@ def _config_bins(value) -> tuple[int, int, int]:
 
 
 def _config_int(obj: dict, key: str, default: int) -> int:
-    try:
-        return int(obj.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config {key!r} must be an integer: {exc}") from exc
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ValidationError(f"config {key!r} must be an integer: {value!r}")
+    return value
 
 
 def _effective_seed(args) -> int:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateGridError, ValidationError
 from .measures import (
@@ -173,6 +172,10 @@ def _birkhoff_tuples(p: np.ndarray) -> TupleCoupling:
     ends within ``(support - 1)**2 + 1`` terms.  A tuple is a permutation's
     first ``m`` coordinates.
     """
+    # imported here, not at module level: loading scipy would triple the
+    # start-up time of every command that builds no witness
+    from scipy.optimize import linear_sum_assignment
+
     m, support = p.shape
     slack = np.clip(1.0 - p.sum(axis=0), 0.0, None)
     cum = np.concatenate([[0.0], np.cumsum(slack)])
@@ -238,6 +241,7 @@ def discrete_generator_feasible(
     vertices are exactly the injective tuples (Koenig 1916; Birkhoff 1946).
     The certificate names the value with the largest column sum; the witness
     is a Birkhoff decomposition of the matrix padded to doubly stochastic.
+    Only the witness loads scipy (``linear_sum_assignment``), on first use.
 
     Returns ``(True, TupleCoupling)`` or ``(False, InfeasibilityCertificate)``.
     """

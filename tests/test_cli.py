@@ -389,6 +389,9 @@ BAD_CONFIGS = {
     "non-numeric-parameter": {"tests": [{"name": "fosd", "tol": "abc"}]},
     "non-numeric-n": {"n": "abc"},
     "non-numeric-reps": {"reps": [3]},
+    "fractional-n": {"n": 2.5},
+    "boolean-reps": {"reps": True},
+    "string-n": {"n": "2000"},
     "two-bins": {"bins": [4, 4]},
     "non-integer-bins": {"bins": [4, "four", 4]},
     "bins-not-a-list": {"bins": 4},
@@ -464,6 +467,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
     assert "replication" not in err  # refused before any data is sampled
     if case.endswith("-depth"):
         assert "nontestability_depth" in err
+    if case.endswith(("-n", "-reps")):
+        assert f"config '{case.rsplit('-', 1)[1]}' must be an integer" in err
     if case in BAD_TEST_FLAGS or case.startswith(("nan-", "infinite-")):
         assert "must be finite" in err
     if case == "non-numeric-csv-field":

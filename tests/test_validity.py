@@ -29,6 +29,7 @@ from ivtest import (
 )
 
 from ivtest.measures import (
+    INPUT_TOL,
     Conditional2D,
     GridStack,
     JointLaw,
@@ -257,6 +258,40 @@ def test_feasibility_many_sites_and_values():
     col = laws.sum(axis=0)
     assert cert.x_index == int(np.argmax(col))
     assert cert.excess == pytest.approx(float(col.max()) - 1.0, abs=1e-12)
+
+
+def random_feasible_conditionals(rng):
+    """Mixtures of injective tuples: some values in no tuple (zero columns),
+    some in every tuple (column sum 1, exactly when the weights are dyadic)."""
+    support = int(rng.integers(2, 9))
+    m = int(rng.integers(2, support + 1))
+    values = rng.permutation(support)
+    used = values[: int(rng.integers(m, support + 1))]  # the rest are zero columns
+    always = used[: int(rng.integers(0, m + 1))]
+    free = used[len(always):]
+    if rng.random() < 0.5:
+        weights = np.full(16, 1.0 / 16.0)
+    else:
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 13))))
+    laws = np.zeros((m, support))
+    for w in weights:
+        t = rng.permutation(np.concatenate([always, rng.choice(free, m - len(always), replace=False)]))
+        laws[np.arange(m), t] += w
+    return laws, always
+
+
+def test_feasibility_witness_properties():
+    rng = np.random.default_rng(22)
+    full_columns = 0
+    for _ in range(300):
+        laws, always = random_feasible_conditionals(rng)
+        full_columns += int(np.all(laws.sum(axis=0)[always] == 1.0)) * len(always)
+        feasible, witness = discrete_generator_feasible(laws)
+        assert feasible
+        assert np.all(witness.weights > 0.0)
+        # distinct coordinates, weights summing to 1, the term bound, marginals
+        assert_tuple_plan(laws, witness.tuples, witness.weights, atol=INPUT_TOL)
+    assert full_columns > 100  # the exactly-unit column sums are exercised
 
 
 # ---------------------------------------------------------------------------
