@@ -1,7 +1,7 @@
 """Command-line driver: replicate, feasibility, test, simulate.
 
-Exit codes: 0 clean run, 1 input error, 2 domain refusal (atomic marginals
-or infeasible discrete first stage in ``replicate``).  Statistical decisions
+Exit codes: 0 clean run, 1 input error, 2 domain refusal (x-marginals atomic
+at grid resolution, in ``replicate`` or ``simulate``).  Statistical decisions
 are data, not exit codes.  Only ``simulate`` draws random numbers and takes
 ``--seed``, which the environment variable ``IVT_SEED`` overrides.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IVTestError, NonAtomicityError, ValidationError
 from .generator import collision_fraction
-from .measures import JointLaw
+from .measures import JointLaw, _require_int
 from .simulate import (
     Dataset,
     DGPSpec,
@@ -34,6 +34,10 @@ from .validity import (
     make_test,
     witness_report,
 )
+
+
+# what a simulate config that leaves out "n", "reps" or "bins" runs with
+SIMULATE_N, SIMULATE_REPS, SIMULATE_BINS = 10_000, 200, [4, 4, 4]
 
 
 @functools.cache
@@ -76,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     files(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=7, help="RNG seed (IVT_SEED overrides)")
-    p.add_argument("--bins", default="4,4,4")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--reps", type=int, default=200)
     return parser
 
 
@@ -114,19 +115,6 @@ def _parse_bins(spec: str) -> tuple[int, int, int]:
     return y, x, z
 
 
-def _config_bins(value) -> tuple[int, int, int]:
-    if not (isinstance(value, list) and len(value) == 3 and all(type(v) is int for v in value)):
-        raise ValidationError(f"config 'bins' must be a list of three integers: {value!r}")
-    return value[0], value[1], value[2]
-
-
-def _config_int(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise ValidationError(f"config {key!r} must be an integer: {value!r}")
-    return value
-
-
 def _effective_seed(args) -> int:
     env = os.environ.get("IVT_SEED")
     if env is not None:
@@ -141,11 +129,7 @@ def cmd_replicate(args) -> int:
     if not args.input:
         raise ValidationError("replicate needs --input")
     law = JointLaw.from_json_dict(_read_json(args.input))
-    try:
-        model, error = nontestability_demo(law, args.depth)
-    except NonAtomicityError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+    model, error = nontestability_demo(law, args.depth)
     gen = model.generator
     collision = collision_fraction(gen)
     payload = model.to_json_dict()
@@ -225,20 +209,17 @@ def cmd_simulate(args) -> int:
             raise ValidationError(f"each config test needs a 'name': {t!r}")
         t = dict(t)
         tests.append(make_test(t.pop("name"), **t))
-    n = _config_int(obj, "n", args.n)
-    reps = _config_int(obj, "reps", args.reps)
-    if reps < 1:
-        raise ValidationError("reps must be at least 1")
-    bins = _config_bins(obj["bins"]) if "bins" in obj else _parse_bins(args.bins)
-    depth = obj.get("nontestability_depth")
+    bins = obj.get("bins", SIMULATE_BINS)
+    if not (isinstance(bins, list) and len(bins) == 3):
+        raise ValidationError(f"config 'bins' must be a list of three integers: {bins!r}")
     result = run_experiment(
         specs,
         tests,
-        n=n,
-        reps=reps,
+        n=_require_int("config 'n'", obj.get("n", SIMULATE_N), 1),
+        reps=_require_int("config 'reps'", obj.get("reps", SIMULATE_REPS), 1),
         seed=_effective_seed(args),
-        bins=bins,
-        nontestability_depth=depth,
+        bins=tuple(bins),
+        nontestability_depth=obj.get("nontestability_depth"),
     )
     if args.format == "json":
         _write_text(args.output, json.dumps(result.to_json_dict()))
@@ -261,7 +242,7 @@ def main(argv=None) -> int:
     except NonAtomicityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, IVTestError) as exc:
+    except IVTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,6 +62,7 @@ from .measures import (
     GridStack,
     JointLaw,
     Site,
+    _require_int,
     sites_of,
 )
 
@@ -500,12 +501,11 @@ def build_generator(
     atoms the cut is binary.  The result holds these shifts as one pattern
     per z cell, and nothing of size ``n_u_cells`` per row.  Raises
     ``NonAtomicityError`` when a marginal carries point masses and
-    ``ValidationError``, before allocating, when the latent cells, or the
-    interval codes of every site at every latent cell, would exceed
-    ``MAX_CELL_ENTRIES`` entries.
+    ``ValidationError`` for a depth that is not a non-negative integer and,
+    before allocating, when the latent cells, or the interval codes of every
+    site at every latent cell, would exceed ``MAX_CELL_ENTRIES`` entries.
     """
-    if depth < 0:
-        raise ValidationError("depth must be non-negative")
+    depth = _require_int("depth", depth, 0)
     sites = sites_of(pz, z_grid)
     if len(marginals) != len(sites):
         raise ValidationError("need one x-marginal per z site")
@@ -740,9 +740,10 @@ class StructuralModel:
         x through each row's site marginal, y through its (site, x bin)
         column law.  Every point is evaluated on its own, so the draws are
         taken in z order, where the searches run over sorted keys, and the
-        rows are put back in draw order."""
-        if n < 1:
-            raise ValidationError("need n >= 1")
+        rows are put back in draw order.  ``n`` must be a positive and
+        ``seed`` a non-negative integer."""
+        n = _require_int("n", n, 1)
+        seed = _require_int("seed", seed, 0)
         gen = self.generator
         rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         u = rng.uniform(size=n)

@@ -65,6 +65,17 @@ def _require_finite(what: str, values: np.ndarray) -> None:
         raise ValidationError(f"{what} must be finite: {values[at]} at index {index}")
 
 
+def _require_int(what: str, value, least: int) -> int:
+    """``value`` as a plain ``int``; a bool, a non-integer or a value below
+    ``least`` raises ``ValidationError``.  NumPy integers are accepted and
+    converted, so what is built from the result writes to JSON."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer: {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be at least {least}: {value!r}")
+    return int(value)
+
+
 def _require_increasing(what: str, edges: np.ndarray) -> None:
     """Refuse edges that are not finite and strictly increasing.  Increasing
     edges with finite ends are all finite, so the element-wise finite check
@@ -383,6 +394,7 @@ class GridDistribution:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, bins: int = 1) -> "GridDistribution":
+        bins = _require_int("bins", bins, 1)
         edges = np.linspace(lo, hi, bins + 1)
         return cls(edges, np.full(bins, 1.0 / bins))
 

@@ -26,7 +26,8 @@ from .generator import (
     compose_structural_model,
     verify_replication,
 )
-from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch, _require_finite
+from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch
+from .measures import _require_finite, _require_int
 from .validity import Runner, TestReport, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
@@ -175,14 +176,14 @@ class RankDraw:
     quantile at each rank stream is taken once per draw; laws are keyed by
     value, so equal laws held as distinct objects share it.  Latent ranks
     never depend on z, and with a valid instrument the z draw in turn never
-    reads them.
+    reads them.  ``n`` must be a positive and ``seed`` a non-negative
+    integer.
     """
 
     def __init__(self, n: int, seed: int):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n must be a positive integer: {n!r}")
-        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        self.seed = seed
+        n = _require_int("n", n, 1)
+        self.seed = _require_int("seed", seed, 0)
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed,)))
         # drawn in this order, which fixes the bits of every seeded sample
         self.ranks = {stream: rng.uniform(size=n) for stream in ("u", "v", "z")}
         self._quantiles: dict[tuple, np.ndarray] = {}
@@ -214,17 +215,17 @@ def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
     return RankDraw(n, seed).sample(spec)
 
 
-def _require_bin_counts(y_bins: int, x_bins: int, z_bins: int) -> None:
-    for name, b in (("y_bins", y_bins), ("x_bins", x_bins), ("z_bins", z_bins)):
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer: {b!r}")
-        if b < 2:
-            raise ValidationError(f"{name} must be at least 2")
+def _require_bin_counts(y_bins: int, x_bins: int, z_bins: int) -> tuple[int, int, int]:
+    return (
+        _require_int("y_bins", y_bins, 2),
+        _require_int("x_bins", x_bins, 2),
+        _require_int("z_bins", z_bins, 2),
+    )
 
 
 def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
     """Empirical joint law on equal-width grids; every z bin must be populated."""
-    _require_bin_counts(y_bins, x_bins, z_bins)
+    y_bins, x_bins, z_bins = _require_bin_counts(y_bins, x_bins, z_bins)
     # one column per axis, each contiguous, for the searches below
     y, x, z = np.ascontiguousarray(data.rows.T)
 
@@ -383,17 +384,19 @@ def run_experiment(
     and the wall-clock seconds of that spec's sampling, discretizing and
     replication plus an equal share of the replication's rank draw and test
     pass, so a run's records sum to its wall time.
+
+    ``n`` and ``reps`` must be positive integers, ``seed`` and a set
+    ``nontestability_depth`` non-negative ones, and each bin count an
+    integer of at least 2; anything else raises ``ValidationError`` before
+    any draw.
     """
-    if reps < 1:
-        raise ValidationError("need reps >= 1")
-    _require_bin_counts(*bins)
+    n = _require_int("n", n, 1)
+    reps = _require_int("reps", reps, 1)
+    seed = _require_int("seed", seed, 0)
+    bins = _require_bin_counts(*bins)
     depth = nontestability_depth
-    if depth is not None and (
-        isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0
-    ):
-        raise ValidationError(
-            f"nontestability_depth must be None or a non-negative integer: {depth!r}"
-        )
+    if depth is not None:
+        depth = _require_int("nontestability_depth", depth, 0)
     if not specs:
         return ExperimentResult({})
     rows = [

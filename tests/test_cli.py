@@ -20,8 +20,9 @@ from ivtest import (
     make_test,
     sample,
 )
-from ivtest import validity
+from ivtest import cli, validity
 from ivtest.cli import build_parser, main
+from ivtest.simulate import ExperimentResult
 from ivtest.validity import REGISTRY
 
 from conftest import assert_tuple_plan, bernoulli_support_jump_law, location_family_law
@@ -406,6 +407,7 @@ BAD_CONFIGS = {
     "fractional-depth": {"nontestability_depth": 2.5},
     "negative-depth": {"nontestability_depth": -1},
     "boolean-depth": {"nontestability_depth": True},
+    "whole-float-depth": {"nontestability_depth": 2.0},
     "config-not-an-object": None,
     "specs-not-a-list": {"specs": {"name": "loc"}},
     "spec-not-an-object": {"specs": ["loc"]},
@@ -463,7 +465,7 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
         argv = ["simulate", "--input", str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "replication" not in err  # refused before any data is sampled
     if case.endswith("-depth"):
         assert "nontestability_depth" in err
@@ -473,6 +475,76 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
         assert "must be finite" in err
     if case == "non-numeric-csv-field":
         assert "row 3" in err and "'two'" in err
+
+
+SIMULATE_SEEDS = {
+    "negative-seed-flag": (["--seed", "-1"], None, "seed must be at least 0: -1"),
+    "negative-IVT_SEED": ([], "-3", "seed must be at least 0: -3"),
+    "non-integer-IVT_SEED": (
+        [], "abc", "IVT_SEED must be an integer: invalid literal for int() with base 10: 'abc'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SIMULATE_SEEDS))
+def test_simulate_refuses_a_bad_seed_with_one_error_line(tmp_path, capsys, monkeypatch, case):
+    flags, env, message = SIMULATE_SEEDS[case]
+    monkeypatch.delenv("IVT_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("IVT_SEED", env)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"specs": [{"name": "loc"}], "n": 200, "reps": 1}))
+    assert main(["simulate", "--input", str(path), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["replicate", "feasibility", "test", "simulate"])
+def test_each_command_needs_an_input(capsys, command):
+    assert main([command]) == 1
+    assert capsys.readouterr().err == f"error: {command} needs --input\n"
+
+
+def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("y,x,z\n1,2,3\n4,5,6\n")
+    assert main(["test", "--input", str(path), "--bins", "4,x,4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --bins must be Y,X,Z integers: invalid literal for int() with base 10: 'x'\n"
+    )
+
+
+def test_simulate_refusal_of_an_atomic_law_exits_2(tmp_path, capsys):
+    """``main`` turns a ``NonAtomicityError`` into exit 2 in every command:
+    here a jump first stage leaves the x-marginals of the outer z bins one
+    bin wide, and their replication is refused."""
+    path = tmp_path / "config.json"
+    config = {"specs": [{"name": "j", "first_stage": "jump"}], "n": 2000, "nontestability_depth": 2}
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: spec 'j', replication 0: x-marginals at z sites [0, 3] are atomic at grid"
+        " resolution\n"
+    )
+
+
+def test_simulate_config_defaults(tmp_path, monkeypatch):
+    """A config that leaves out ``n``, ``reps`` or ``bins`` runs with
+    10 000 rows, 200 replications and 4 bins per axis."""
+    seen = {}
+
+    def fake(specs, tests, **kwargs):
+        seen.update(kwargs)
+        return ExperimentResult({})
+
+    monkeypatch.setattr(cli, "run_experiment", fake)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"specs": [{"name": "loc"}]}))
+    assert main(["simulate", "--input", str(path), "--seed", "3"]) == 0
+    assert seen == {
+        "n": 10_000, "reps": 200, "seed": 3, "bins": (4, 4, 4), "nontestability_depth": None
+    }
 
 
 def test_simulate_deterministic_csv(sim_config, tmp_path):
@@ -537,7 +609,7 @@ SUBCOMMAND_OPTIONS = {
     "feasibility": {"--input", "--output"},
     "test": {"--input", "--output", "--format", "--bins", "--test",
              "--K", "--tol", "--alpha", "--beta", "--gamma", "--delta"},
-    "simulate": {"--input", "--output", "--format", "--seed", "--bins", "--n", "--reps"},
+    "simulate": {"--input", "--output", "--format", "--seed"},
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -1088,6 +1089,25 @@ def test_sampling_a_zero_mass_column_is_refused(rng):
     object.__setattr__(gen, "marginals", tuple(random_joint_law(rng).x_marginals()))
     with pytest.raises(ValidationError, match="zero conditional mass"):
         model.sample(2_000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (2.5, 1, "n must be an integer: 2.5"),
+        (True, 1, "n must be an integer: True"),
+        (0, 1, "n must be at least 1: 0"),
+        (10, 1.5, "seed must be an integer: 1.5"),
+        (10, -1, "seed must be at least 0: -1"),
+    ],
+)
+def test_sample_refuses_a_count_or_seed_that_is_not_an_integer(rng, n, seed, message):
+    law = random_joint_law(rng)
+    model = compose_structural_model(law, build_generator(law.x_marginals(), law.pz, law.z_grid, 2))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        model.sample(n, seed)
+    # numpy integers are integers
+    assert model.sample(np.int64(50), np.uint32(7)).tobytes() == model.sample(50, 7).tobytes()
 
 
 def oracle_cases(rng):

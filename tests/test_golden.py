@@ -47,6 +47,13 @@ SIMULATE_CONFIG = {
 }
 
 
+# every constant of the default test list away from its REGISTRY default
+CONSTANT_FLAGS = [
+    "--K", "0.25", "--tol", "0.05",
+    "--alpha", "3", "--beta", "0.5", "--gamma", "1.5", "--delta", "2",
+]
+
+
 def dataset_csv_text(n=10_000, seed=7):
     """A valid location process drawn with numpy alone, so the input does not
     move with the package's sampler."""
@@ -87,7 +94,11 @@ def commands() -> dict[str, tuple[int, list[str]]]:
                 code, ["replicate", "--input", f"{law}.json", "--depth", str(depth)]
             )
     for source in ("random.json", "gap.json", "rows.csv"):
-        for tests, flags in (("default", []), ("feasibility", ["--test", "feasibility"])):
+        for tests, flags in (
+            ("default", []),
+            ("feasibility", ["--test", "feasibility"]),
+            ("constants", CONSTANT_FLAGS),
+        ):
             for fmt in ("json", "csv"):
                 out[f"test {source} {tests} {fmt}"] = (
                     0, ["test", "--input", source, *flags, "--format", fmt]

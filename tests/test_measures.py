@@ -1,6 +1,7 @@
 """Measure primitives against independent numeric oracles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -680,6 +681,56 @@ def test_grid_distribution_refuses_non_finite(args, message):
 def test_conditional_refuses_non_finite(y_edges, x_edges, mass, message):
     with pytest.raises(ValidationError, match=message):
         Conditional2D(np.array(y_edges), np.array(x_edges), np.array(mass))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([[0.0, 1.0]], [[1.0]]), "edges and masses must be one-dimensional"),
+        (([0.0], []), "need at least one bin"),
+        (([0.0, 1.0], [1.2], ((0.5, -0.2),)), "atom masses must be non-negative"),
+        (([0.0, 1.0], [0.5], ((0.5, 0.25), (0.5, 0.25))), "atom locations must be distinct"),
+    ],
+    ids=["not-1-d", "one-edge", "negative-atom", "duplicate-atoms"],
+)
+def test_grid_distribution_refuses_malformed(args, message):
+    edges, masses, *atoms = args
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GridDistribution(np.array(edges), np.array(masses), *atoms)
+
+
+@pytest.mark.parametrize(
+    "y_edges, x_edges, mass, message",
+    [
+        ([0.0, 1.0], [0.0, 1.0], [1.0], "mass must be a matrix"),
+        ([0.0, 1.0], [0.0, 1.0], [[0.5, 0.5]], "edge lengths do not match the mass matrix"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0], [[1.5, -0.5]], "cell masses must be non-negative"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0], [[0.5, 0.6]], "conditional mass matrix must sum to 1"),
+    ],
+    ids=["not-a-matrix", "shape-mismatch", "negative-cell", "sum-not-1"],
+)
+def test_conditional_refuses_malformed(y_edges, x_edges, mass, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Conditional2D(np.array(y_edges), np.array(x_edges), np.array(mass))
+
+
+@pytest.mark.parametrize(
+    "bins, message",
+    [(0, "bins must be at least 1: 0"), (2.5, "bins must be an integer: 2.5"),
+     (True, "bins must be an integer: True")],
+)
+def test_uniform_refuses_a_bin_count_that_is_not_a_positive_integer(bins, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        GridDistribution.uniform(0.0, 1.0, bins)
+
+
+def test_joint_law_refuses_a_count_mismatch_and_an_empty_grid():
+    cond = Conditional2D(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([[1.0]]))
+    pz = GridDistribution.uniform(0.0, 1.0, 2)
+    with pytest.raises(ValidationError, match="^need one conditional per z value$"):
+        JointLaw([0.25, 0.75], pz, (cond,))
+    with pytest.raises(ValidationError, match="^empty z grid$"):
+        JointLaw([], pz, ())
 
 
 def test_grid_distribution_json_roundtrip(rng):

@@ -1,7 +1,9 @@
 """Harness behavior: determinism, discretization convergence, experiments."""
 
 import hashlib
+import json
 import logging
+import re
 import time
 
 import numpy as np
@@ -19,6 +21,7 @@ from ivtest import (
     discretize,
     make_test,
     nontestability_demo,
+    product_conditional,
     run_experiment,
     sample,
 )
@@ -179,12 +182,58 @@ def test_custom_stage_writing_into_its_inputs_changes_no_other_spec(monkeypatch)
     assert np.array_equal(rows[0][:, 2], rows[1][:, 2])
 
 
-@pytest.mark.parametrize("n", [0, -3, 2.5, True])
-def test_a_row_count_that_is_not_a_positive_integer_is_refused(n):
-    with pytest.raises(ValidationError, match="n must be a positive integer"):
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (0, "n must be at least 1: 0"),
+        (-3, "n must be at least 1: -3"),
+        (2.5, "n must be an integer: 2.5"),
+        (True, "n must be an integer: True"),
+    ],
+)
+def test_a_row_count_that_is_not_a_positive_integer_is_refused(n, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         sample(DGPSpec(name="loc"), n, seed=1)
-    with pytest.raises(ValidationError, match="n must be a positive integer"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         run_experiment([DGPSpec(name="loc")], [], n=n, reps=1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be at least 0: -1"), (1.5, "seed must be an integer: 1.5")],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sample(DGPSpec(name="loc"), 10, seed)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"reps": True}, "reps must be an integer: True"),
+        ({"reps": 2.5}, "reps must be an integer: 2.5"),
+        ({"reps": 0}, "reps must be at least 1: 0"),
+        ({"seed": 1.5}, "seed must be an integer: 1.5"),
+        ({"seed": -1}, "seed must be at least 0: -1"),
+        ({"nontestability_depth": True}, "nontestability_depth must be an integer: True"),
+        ({"nontestability_depth": 2.0}, "nontestability_depth must be an integer: 2.0"),
+        ({"nontestability_depth": -1}, "nontestability_depth must be at least 0: -1"),
+    ],
+)
+def test_run_experiment_refuses_counts_seeds_and_depths_that_are_not_integers(kwargs, message):
+    args = {"n": 200, "reps": 1, "seed": 1, **kwargs}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_experiment([DGPSpec(name="loc")], [], **args)
+
+
+def test_numpy_integer_arguments_give_the_same_table_in_plain_json():
+    specs, tests = [DGPSpec(name="loc")], [make_test("fosd")]
+    plain = run_experiment(specs, tests, n=400, reps=2, seed=4, bins=(3, 3, 3),
+                           nontestability_depth=2)
+    numpy = run_experiment(specs, tests, n=np.int64(400), reps=np.int64(2), seed=np.uint32(4),
+                           bins=(np.int64(3),) * 3, nontestability_depth=np.int32(2))
+    assert json.dumps(numpy.to_json_dict()) == json.dumps(plain.to_json_dict())
+    assert numpy.to_csv_text() == plain.to_csv_text()
 
 
 def test_spec_validation():
@@ -196,6 +245,17 @@ def test_spec_validation():
         DGPSpec(name="bad", instrument_valid=False, copula_weight=2.0)
     with pytest.raises(ValidationError):
         DGPSpec(name="bad", first_stage="custom")  # needs a callable
+    with pytest.raises(ValidationError, match="^unknown outcome 'warp'$"):
+        DGPSpec(name="bad", outcome="warp")
+    with pytest.raises(ValidationError, match="^copula_target must be 'u' or 'v'$"):
+        DGPSpec(name="bad", instrument_valid=False, copula_weight=0.5, copula_target="z")
+
+
+def test_product_conditional_refuses_atoms():
+    atomic = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
+    for y, x in ((atomic, GridDistribution.uniform(0, 1)), (GridDistribution.uniform(0, 1), atomic)):
+        with pytest.raises(ValidationError, match="^product conditionals require atom-free"):
+            product_conditional(y, x)
 
 
 @pytest.mark.parametrize("fn", ["abc", 3])
@@ -642,6 +702,28 @@ def test_demo_constant_conditionals_depth0(rng):
     same = JointLaw([1 / 6, 0.5, 5 / 6], pz, conds)
     _, err = nontestability_demo(same, 0)
     assert err == 0.0
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [
+        (True, "depth must be an integer: True"),
+        (2.0, "depth must be an integer: 2.0"),
+        (2.5, "depth must be an integer: 2.5"),
+        (-1, "depth must be at least 0: -1"),
+    ],
+)
+def test_demo_refuses_a_depth_that_is_not_a_non_negative_integer(rng, depth, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        nontestability_demo(random_joint_law(rng), depth)
+
+
+def test_demo_at_a_numpy_integer_depth_writes_the_same_json(rng):
+    law = random_joint_law(rng)
+    model, err = nontestability_demo(law, np.int64(3))
+    plain, _ = nontestability_demo(law, 3)
+    assert err == 0.0 and type(model.generator.depth) is int
+    assert json.dumps(model.to_json_dict()) == json.dumps(plain.to_json_dict())
 
 
 def test_demo_refuses_atomic_marginal():

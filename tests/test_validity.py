@@ -209,6 +209,31 @@ def test_feasibility_rejects_unnormalized():
         discrete_generator_feasible([[0.7, 0.7], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: minimal_collision_mass([], [1.0]), "p must be a non-empty vector"),
+        (lambda: minimal_collision_mass([[0.5, 0.5]], [1.0]), "p must be a non-empty vector"),
+        (lambda: minimal_collision_mass([0.5, 0.5], [1.5, -0.5]), "q has negative entries"),
+        (lambda: minimal_collision_mass([0.5, 0.5], [1.0]), "p and q must share a support"),
+        (lambda: instrumental_inequality([]), "need at least one conditional"),
+        (
+            lambda: instrumental_inequality([np.full((2, 2), 0.25), np.full((1, 4), 0.25)]),
+            "conditionals must be matrices of equal shape",
+        ),
+        (
+            lambda: discrete_generator_feasible([[0.5, 0.5], [0.5, 0.5]], [1.0]),
+            "need one weight per z point",
+        ),
+    ],
+    ids=["empty", "not-a-vector", "negative", "two-supports", "no-conditionals",
+         "unequal-shapes", "weights-length"],
+)
+def test_discrete_inputs_are_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 def test_feasibility_duality_with_mcm(rng):
     for _ in range(100):
         n = int(rng.integers(2, 5))
@@ -850,6 +875,9 @@ def test_make_test_registry():
         test_name, fn = make_test(name)
         report = fn(law)
         assert report.test_name == test_name
+    # z_star=None is jump's default, each law's largest grid point
+    explicit = make_test("jump", z_star=None)[1](law)
+    assert explicit.to_json_dict() == make_test("jump")[1](law).to_json_dict()
     for name, params in [
         ("nope", {}),
         (["fosd"], {}),
