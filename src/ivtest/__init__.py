@@ -13,7 +13,6 @@ from .errors import (
     IVTestError,
     MarginalMismatchError,
     NonAtomicityError,
-    NonInvertibleError,
     ValidationError,
 )
 from .generator import (
@@ -23,7 +22,6 @@ from .generator import (
     collision_fraction,
     compose_structural_model,
     group_collision_matrix,
-    invert_generator,
     verify_replication,
 )
 from .measures import (
@@ -77,7 +75,6 @@ __all__ = [
     "LawBatch",
     "MarginalMismatchError",
     "NonAtomicityError",
-    "NonInvertibleError",
     "StructuralModel",
     "TestReport",
     "TupleCoupling",
@@ -92,7 +89,6 @@ __all__ = [
     "fosd_violation",
     "group_collision_matrix",
     "instrumental_inequality",
-    "invert_generator",
     "jump_test",
     "make_test",
     "minimal_collision_mass",

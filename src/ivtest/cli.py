@@ -2,8 +2,8 @@
 
 Exit codes: 0 clean run, 1 input error, 2 domain refusal (x-marginals atomic
 at grid resolution, in ``replicate`` or ``simulate``).  Statistical decisions
-are data, not exit codes.  Only ``simulate`` draws random numbers and takes
-``--seed``, which the environment variable ``IVT_SEED`` overrides.
+are data, not exit codes.  Only ``simulate`` draws random numbers; its one
+seed is ``--seed``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a size/power experiment from a spec config")
     files(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=7, help="RNG seed (IVT_SEED overrides)")
+    p.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
     return parser
 
 
@@ -113,16 +112,6 @@ def _parse_bins(spec: str) -> tuple[int, int, int]:
     except ValueError as exc:
         raise ValidationError(f"--bins must be Y,X,Z integers: {exc}") from exc
     return y, x, z
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("IVT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"IVT_SEED must be an integer: {exc}") from exc
-    return args.seed
 
 
 def cmd_replicate(args) -> int:
@@ -166,23 +155,19 @@ def cmd_feasibility(args) -> int:
     return 0
 
 
-def _load_law(args) -> JointLaw:
-    if not args.input:
-        raise ValidationError("test needs --input")
-    path = args.input
-    if path.endswith(".csv"):
-        data = Dataset.from_csv_text(_read_text(path))
-        return discretize(data, *_parse_bins(args.bins))
-    return JointLaw.from_json_dict(_read_json(path))
-
-
 def cmd_test(args) -> int:
     runners = []
     for name in args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]:
         defaults, _ = REGISTRY[name]
         params = {k: getattr(args, k) for k in defaults if getattr(args, k, None) is not None}
-        runners.append(make_test(name, **params)[1])  # bad constants fail before the input is read
-    law = _load_law(args)
+        runners.append(make_test(name, **params)[1])
+    bins = _parse_bins(args.bins)  # bad constants and bins fail before the input is read
+    if not args.input:
+        raise ValidationError("test needs --input")
+    if args.input.endswith(".csv"):
+        law = discretize(Dataset.from_csv_text(_read_text(args.input)), *bins)
+    else:
+        law = JointLaw.from_json_dict(_read_json(args.input))
     reports = [run(law) for run in runners]
     if args.format == "csv":
         lines = ["test,statistic,threshold,decision"] + [r.csv_row() for r in reports]
@@ -217,7 +202,7 @@ def cmd_simulate(args) -> int:
         tests,
         n=_require_int("config 'n'", obj.get("n", SIMULATE_N), 1),
         reps=_require_int("config 'reps'", obj.get("reps", SIMULATE_REPS), 1),
-        seed=_effective_seed(args),
+        seed=args.seed,
         bins=tuple(bins),
         nontestability_depth=obj.get("nontestability_depth"),
     )

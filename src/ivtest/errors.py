@@ -21,9 +21,5 @@ class MarginalMismatchError(IVTestError):
     """A generator was paired with a joint law it was not built from."""
 
 
-class NonInvertibleError(IVTestError):
-    """The generator cannot be inverted at the queried resolution."""
-
-
 class DegenerateGridError(ValidationError):
     """The z-grid is too small for the requested test."""

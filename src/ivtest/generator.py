@@ -48,12 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    MarginalMismatchError,
-    NonAtomicityError,
-    NonInvertibleError,
-    ValidationError,
-)
+from .errors import MarginalMismatchError, NonAtomicityError, ValidationError
 from . import measures
 from .measures import (
     INPUT_TOL,
@@ -65,6 +60,12 @@ from .measures import (
     _require_int,
     sites_of,
 )
+
+
+def _arity(k: int) -> int:
+    """Latent cuts per level under a pz with ``k`` atoms: one shift per atom
+    and two for the continuum halves, so 2 without atoms."""
+    return k + 2
 
 
 def _refuse_oversize(depth: int, arity: int, sites: int) -> None:
@@ -105,27 +106,28 @@ class GeneratorMap:
     ``cells[r]`` is the pattern of z-cell row ``r``: its ``depth`` shift
     digits, one per level, read as one base-``arity`` numeral, most
     significant first, which is also the row's image of latent cell 0;
-    :meth:`image_cells` turns it into the row's image cells.  Rows
-    ``0..k-1`` belong to the atoms of pz (``atoms``, in z order); the
-    remaining ``2**depth`` rows are the continuum cells
-    ``[cuts[i], cuts[i+1])`` in z order, so continuum rows ``2i`` and
-    ``2i+1`` are the two halves of row ``i`` one level up.  Every pattern
-    must lie in ``[0, arity**depth)``; anything else, or a vector whose shape
-    is not ``(rows,)``, raises ``ValidationError`` at construction,
-    ``dataclasses.replace`` included.  The site layout and the continuum law
-    are derived from ``pz`` and ``z_grid`` on first use, unless
+    :meth:`image_cells` turns it into the row's image cells.  ``arity`` is
+    derived from pz: k + 2 for its k atoms.  Rows ``0..k-1`` belong to the
+    atoms of pz (``atoms``, in z order); the remaining ``2**depth`` rows are
+    the continuum cells ``[cuts[i], cuts[i+1])`` in z order, so continuum
+    rows ``2i`` and ``2i+1`` are the two halves of row ``i`` one level up.
+    The depth must be a non-negative integer and every pattern must lie in
+    ``[0, arity**depth)``; anything else, or a vector whose shape is not
+    ``(rows,)``, raises ``ValidationError`` at construction,
+    ``dataclasses.replace`` included.  The site layout and the continuum
+    law are derived from ``pz`` and ``z_grid`` on first use, unless
     :func:`build_generator`, which has derived them already, hands them over
     (and :meth:`from_json_dict` passes on those of the generator it rebuilds).
     """
 
     depth: int
-    arity: int
     pz: GridDistribution
     z_grid: np.ndarray
     marginals: tuple[GridDistribution, ...]
     cells: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", _require_int("depth", self.depth, 0))
         zg = np.array(self.z_grid, dtype=float)
         zg.setflags(write=False)
         object.__setattr__(self, "z_grid", zg)
@@ -152,6 +154,10 @@ class GeneratorMap:
         gen.__dict__.update(sites=sites, _continuum=continuum)
         gen.__init__(*fields)
         return gen
+
+    @cached_property
+    def arity(self) -> int:
+        return _arity(len(self._atom_sites))
 
     @property
     def n_u_cells(self) -> int:
@@ -352,14 +358,10 @@ class GeneratorMap:
             src, dst, count = src[hit], dst[hit], count[match[hit]]
         return key_of, len(keys), np.flatnonzero(shared), shared[key_of], src, dst, count
 
-    def image_cells(self, rows, cells=None) -> np.ndarray:
+    def image_cells(self, rows, cells) -> np.ndarray:
         """Image cell of latent cell ``cells`` under z-cell row ``rows``,
-        elementwise; with ``cells`` None, the images of all latent cells of
-        each row, shape ``(len(rows), n_u_cells)``."""
+        elementwise, broadcasting as NumPy does."""
         (hi, hi_row), (lo, lo_row) = self._half_tables
-        if cells is None:
-            both = hi[hi_row[rows]][:, :, None] + lo[lo_row[rows]][:, None, :]
-            return both.reshape(len(rows), -1)
         c_hi, c_lo = np.divmod(cells, lo.shape[1])
         return hi[hi_row[rows], c_hi] + lo[lo_row[rows], c_lo]
 
@@ -417,7 +419,6 @@ class GeneratorMap:
             rebuilt.sites,
             rebuilt._continuum,
             depth,
-            arity,
             rebuilt.pz,
             rebuilt.z_grid,
             rebuilt.marginals,
@@ -513,7 +514,7 @@ def build_generator(
         if any(mass > 0 for _, mass in m.atoms):
             raise NonAtomicityError("conditional x-marginals must be non-atomic")
     k = sum(1 for s in sites if s.kind == "atom")
-    arity = k + 2 if k > 0 else 2
+    arity = _arity(k)
     continuum = _continuum_law(pz, sites)
     _refuse_oversize(depth, arity, len(sites))
 
@@ -523,7 +524,7 @@ def build_generator(
     if not _already_one_to_one(marginals, sites, arity**depth):
         cells = _shift_patterns(k, arity, depth, continuum[1] is not None)
     return GeneratorMap._with_layout(
-        sites, continuum, depth, arity, pz, z_grid, tuple(marginals), cells
+        sites, continuum, depth, pz, z_grid, tuple(marginals), cells
     )
 
 
@@ -843,55 +844,3 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
         worst = max(worst, tv)
     return float(worst)
 
-
-def invert_generator(gen: GeneratorMap, x: float, u: float) -> str:
-    """Recover the z-cell address that maps u's cell onto x's cell: ``"j+1"``
-    for atom j, and for a continuum cell one digit per level, ``k+1`` for a
-    left half and ``k+2`` for a right half.
-
-    Each site that holds a piece finds the image cell ``j`` whose interval
-    ``[q(j/n), q((j+1)/n))`` holds x, the last one closed at the top.  The
-    candidate is ``j = floor(n F(x))`` from the site's CDF, confirmed by the
-    quantiles at ``j/n`` and ``(j+1)/n``: two levels per site, in one stacked
-    call.  Only where rounding defeats that check is the site's whole
-    quantile grid searched.  Row r sends u's latent cell c to ``c ⊕ σ_r``, so
-    the site's matching pieces are those whose rows carry the shift pattern
-    ``j ⊖ c``.  Raises ``NonInvertibleError`` when the generator has a single
-    z group (nothing to distinguish) or when no cell or two or more cells
-    match (depth too small for this point).
-    """
-    if len(gen.cells) <= 1:
-        raise NonInvertibleError("generator has a single z group at this resolution")
-    n = gen.n_u_cells
-    c = min(int(u * n), n - 1)
-    cell, site, _ = gen.pieces
-    used, slot = np.unique(site, return_inverse=True)
-    stack = gen.marginal_stack
-    j = np.clip(np.floor(n * stack.cdf(used, x)).astype(np.int64), 0, n)
-    levels = np.column_stack([j, np.minimum(j + 1, n)]) / n
-    q = stack.quantile(np.repeat(used, 2), levels.ravel()).reshape(-1, 2)
-    below = (j == 0) & (q[:, 0] > x)  # x lies below the site's support
-    j[below] = -1
-    for i in np.flatnonzero(~below & ~((q[:, 0] <= x) & ((j == n) | (x < q[:, 1])))):
-        qs = gen.marginals[used[i]].quantile(np.arange(n + 1) / n)
-        j[i] = int(np.searchsorted(qs, x, side="right")) - 1
-    # the top image interval is closed: its upper end, level 1's quantile, is x's cell too
-    image = np.where((j == n) & (x == stack.support_bounds()[1][used]), n - 1, j)
-    # the pattern that sends c onto each site's image cell; -1, never a
-    # pattern, where x lies in none of the site's image intervals
-    want = np.where(
-        (image >= 0) & (image < n), _digit_difference(image, c, gen.arity, gen.depth), -1
-    )
-    matches = np.unique(cell[gen.cells[cell] == want[slot]])
-    if len(matches) == 0:
-        raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
-    if len(matches) > 1:
-        raise NonInvertibleError(
-            f"{len(matches)} z cells match at this resolution; increase depth"
-        )
-    row, k = int(matches[0]), len(gen.atoms)
-    if row < k:
-        return str(row + 1)
-    # the leading 1 keeps the zeros of a depth-bit numeral, even at depth 0
-    bits = format((1 << gen.depth) | (row - k), "b")[1:]
-    return "".join(str(k + 1 + int(b)) for b in bits)

@@ -19,7 +19,6 @@ from ivtest import (
     EmptyBinError,
     GridDistribution,
     JointLaw,
-    NonInvertibleError,
     TestReport,
     ValidationError,
     population_law,
@@ -425,34 +424,6 @@ def pairwise_group_collision_matrix(gen, agree=None):
     nz = mass > 0
     out[nz] = hits[nz] / mass[nz]
     return labels.tolist(), out
-
-
-def piece_loop_invert(gen, x, u):
-    """``generator.invert_generator`` one piece and one ``quantile`` call at a
-    time, reading image cells from :func:`refine_and_shift_cells`.
-
-    The oracle for the vectorised inversion: same matches, same errors.
-    """
-    if len(gen.cells) <= 1:
-        raise NonInvertibleError("generator has a single z group at this resolution")
-    n = gen.n_u_cells
-    j = min(int(u * n), n - 1)
-    grid = np.arange(n + 1) / n
-    perms = refine_and_shift_cells(gen)
-    matches = set()
-    for row, si, _ in zip(*gen.pieces):
-        c = int(perms[row, j])
-        qs = gen.marginals[si].quantile(grid[[c, c + 1]])
-        lo, hi = float(qs[0]), float(qs[1])
-        if lo <= x < hi or (c == n - 1 and x == hi):
-            matches.add(int(row))
-    if not matches:
-        raise NonInvertibleError(f"no z cell maps u={u} onto x={x}")
-    if len(matches) > 1:
-        raise NonInvertibleError(
-            f"{len(matches)} z cells match at this resolution; increase depth"
-        )
-    return "".join(str(d) for d in address_digits(gen, next(iter(matches))))
 
 
 def pair_quantile_moment(xm1, xm2, ym1, ym2, power):

@@ -8,7 +8,6 @@ A change that moves an entry lists it in CHANGES.md.
 """
 
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -19,7 +18,6 @@ import test_golden  # noqa: E402
 
 
 def main() -> int:
-    os.environ.pop("IVT_SEED", None)  # simulate's seed comes from its flag
     old = json.loads(test_golden.TABLE.read_text()) if test_golden.TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as directory:
         new = test_golden.current_digests(Path(directory))

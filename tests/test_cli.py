@@ -478,20 +478,13 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
 
 
 SIMULATE_SEEDS = {
-    "negative-seed-flag": (["--seed", "-1"], None, "seed must be at least 0: -1"),
-    "negative-IVT_SEED": ([], "-3", "seed must be at least 0: -3"),
-    "non-integer-IVT_SEED": (
-        [], "abc", "IVT_SEED must be an integer: invalid literal for int() with base 10: 'abc'"
-    ),
+    "negative-seed-flag": (["--seed", "-1"], "seed must be at least 0: -1"),
 }
 
 
 @pytest.mark.parametrize("case", list(SIMULATE_SEEDS))
-def test_simulate_refuses_a_bad_seed_with_one_error_line(tmp_path, capsys, monkeypatch, case):
-    flags, env, message = SIMULATE_SEEDS[case]
-    monkeypatch.delenv("IVT_SEED", raising=False)
-    if env is not None:
-        monkeypatch.setenv("IVT_SEED", env)
+def test_simulate_refuses_a_bad_seed_with_one_error_line(tmp_path, capsys, case):
+    flags, message = SIMULATE_SEEDS[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"specs": [{"name": "loc"}], "n": 200, "reps": 1}))
     assert main(["simulate", "--input", str(path), *flags]) == 1
@@ -504,9 +497,12 @@ def test_each_command_needs_an_input(capsys, command):
     assert capsys.readouterr().err == f"error: {command} needs --input\n"
 
 
-def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys):
-    path = tmp_path / "rows.csv"
-    path.write_text("y,x,z\n1,2,3\n4,5,6\n")
+@pytest.mark.parametrize("name", ["rows.csv", "missing.csv"])
+def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys, name):
+    """Bad bin counts are refused before the input is read, even an input
+    that does not exist."""
+    (tmp_path / "rows.csv").write_text("y,x,z\n1,2,3\n4,5,6\n")
+    path = tmp_path / name
     assert main(["test", "--input", str(path), "--bins", "4,x,4"]) == 1
     assert capsys.readouterr().err == (
         "error: --bins must be Y,X,Z integers: invalid literal for int() with base 10: 'x'\n"
@@ -558,22 +554,16 @@ def test_simulate_deterministic_csv(sim_config, tmp_path):
     assert header == "spec,test,rejection_rate,reps,mean_statistic"
 
 
-def test_simulate_seed_env_override(sim_config, tmp_path):
-    out1, out2, out3 = (tmp_path / f"{k}.csv" for k in "abc")
-    import os
-
-    main(["simulate", "--input", str(sim_config), "--seed", "7", "--format", "csv",
-          "--output", str(out1)])
-    os.environ["IVT_SEED"] = "8"
-    try:
-        main(["simulate", "--input", str(sim_config), "--seed", "7", "--format", "csv",
-              "--output", str(out2)])
-    finally:
-        del os.environ["IVT_SEED"]
-    main(["simulate", "--input", str(sim_config), "--seed", "8", "--format", "csv",
-          "--output", str(out3)])
-    assert out2.read_bytes() == out3.read_bytes()
-    assert out1.read_bytes() != out2.read_bytes()
+def test_simulate_output_depends_on_its_flags_alone(sim_config, tmp_path, monkeypatch):
+    """An ``IVT_<FLAG>`` environment variable for each ``simulate`` flag,
+    seed included, set to another value, changes no byte of the output."""
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["simulate", "--input", str(sim_config), "--seed", "7", "--format", "csv", "--output"]
+    assert main([*argv, str(out1)]) == 0
+    for flag in SUBCOMMAND_OPTIONS["simulate"]:
+        monkeypatch.setenv(f"IVT_{flag[2:].upper()}", "8")
+    assert main([*argv, str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_simulate_zero_reps_exit1(tmp_path):

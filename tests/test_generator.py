@@ -3,7 +3,7 @@
 import itertools
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from ivtest import (
     GridDistribution,
     MarginalMismatchError,
     NonAtomicityError,
-    NonInvertibleError,
     ValidationError,
     build_generator,
     collision_fraction,
     compose_structural_model,
     group_collision_matrix,
-    invert_generator,
     verify_replication,
 )
 from ivtest import generator, measures
@@ -37,7 +35,6 @@ from conftest import (
     pairwise_group_collision_matrix,
     pairwise_image_codes,
     perturbed_law,
-    piece_loop_invert,
     random_joint_law,
     refine_and_shift_cells,
     replay_induced_conditional,
@@ -47,13 +44,9 @@ from conftest import (
 )
 
 
-def address_str(gen, row):
-    return "".join(str(d) for d in address_digits(gen, row))
-
-
 def all_images(gen):
     """Every row's image cells through the kernel, shape ``(rows, n_u_cells)``."""
-    return gen.image_cells(np.arange(len(gen.cells)))
+    return gen.image_cells(np.arange(len(gen.cells))[:, None], np.arange(gen.n_u_cells))
 
 
 def pointwise_collision_oracle(gen, u_points=256):
@@ -613,10 +606,9 @@ def shift_table_cases():
             yield f"atoms{k}@{depth}", atomic_setup(k), depth
 
 
-def test_nine_atoms_spell_two_character_digits():
-    """Nine atoms make arity 11 and the continuum digits 10 and 11: the group
-    labels sort as strings, "10" and "11" before "2", and inversion spells
-    every row's address, two-character digits included."""
+def test_nine_atoms_sort_two_character_group_labels():
+    """Nine atoms make arity 11 and the continuum group labels 10 and 11,
+    which sort as strings, before "2"."""
     atoms = tuple(((j + 1) / 10, 0.04) for j in range(9))
     pz = GridDistribution(np.array([0.0, 1.0]), np.array([0.64]), atoms)
     nine = ([GridDistribution.uniform(0, 1)] * 10, pz, [a for a, _ in atoms] + [0.95])
@@ -628,15 +620,6 @@ def test_nine_atoms_spell_two_character_digits():
         assert np.max(np.abs(mat - oracle)) <= 1e-15, depth
         tops = ["10", "11"] if depth else [""]
         assert labels == sorted([str(j + 1) for j in range(9)] + tops), depth
-    rng = np.random.default_rng(9)
-    spelled = set()
-    for z in [a for a, _ in atoms] + list(rng.uniform(0, 1, 40)):
-        u = float(rng.uniform())
-        x = float(gen(z, u))
-        got = invert_generator(gen, x, u)
-        assert got == piece_loop_invert(gen, x, u)
-        spelled.add(got)
-    assert {"9", "1010", "1011", "1110", "1111"} <= spelled
 
 
 def test_image_cells_match_level_by_level_oracle():
@@ -1149,10 +1132,37 @@ def test_generator_rejects_out_of_range_shifts():
         with pytest.raises(ValidationError, match=r"pattern must lie in \[0, 4\)"):
             replace(gen, cells=bad)
         with pytest.raises(ValidationError, match=r"pattern must lie in \[0, 4\)"):
-            GeneratorMap(gen.depth, gen.arity, pz, zg, tuple(margs), bad)
+            GeneratorMap(gen.depth, pz, zg, tuple(margs), bad)
     for bad in (gen.cells[:, None], gen.cells[:3]):
         with pytest.raises(ValidationError, match="shape"):
             replace(gen, cells=bad)
+
+
+def test_generator_checks_its_depth_and_derives_its_arity(rng):
+    """The fields are depth, pz, z grid, marginals and patterns.  The arity
+    is read off pz (k + 2 for k atoms), so no ``replace`` can make it
+    disagree with the JSON that ``from_json_dict`` accepts; a depth that is
+    not a non-negative integer is refused by name, and a NumPy one is
+    stored as a plain int."""
+    assert [f.name for f in fields(GeneratorMap)] == ["depth", "pz", "z_grid", "marginals", "cells"]
+    law = random_joint_law(rng)
+    setup = (law.x_marginals(), law.pz, law.z_grid)
+    gen = build_generator(*setup, 3)
+    assert gen.arity == 2
+    with pytest.raises(TypeError, match="arity"):
+        replace(gen, arity=3)
+    for bad, message in (
+        (2.5, "depth must be an integer: 2.5"),
+        (True, "depth must be an integer: True"),
+        (-1, "depth must be at least 0: -1"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(gen, depth=bad)
+    same = replace(gen, depth=np.int64(3))
+    assert type(same.depth) is int
+    assert GeneratorMap.from_json_dict(same.to_json_dict(), *setup).cells.tolist() == gen.cells.tolist()
+    atomic = build_generator(*atomic_setup(2), 2)
+    assert atomic.arity == atomic.to_json_dict()["arity"] == 4
 
 
 def test_replay_oracle_sees_a_non_permutation_row(rng, monkeypatch):
@@ -1181,121 +1191,6 @@ def test_verify_rejects_mismatched_shapes(rng):
         verify_replication(model, random_joint_law(rng, nz=2, ny=4, nx=4))
     with pytest.raises(MarginalMismatchError):
         verify_replication(model, random_joint_law(rng, nz=3, ny=5, nx=4))
-
-
-# ---------------------------------------------------------------------------
-# inversion
-# ---------------------------------------------------------------------------
-
-
-def test_invert_depth1_identical_uniform():
-    margs, pz, zg = identical_conditional_setup()
-    gen = build_generator(margs, pz, zg, 1)
-    # the permuted half sends the first latent cell to the second image cell
-    assert invert_generator(gen, x=0.75, u=0.25) == "1"
-    assert invert_generator(gen, x=0.25, u=0.25) == "2"
-
-
-def test_invert_depth0_refuses():
-    margs, pz, zg = identical_conditional_setup()
-    gen = build_generator(margs, pz, zg, 0)
-    with pytest.raises(NonInvertibleError):
-        invert_generator(gen, x=0.5, u=0.5)
-
-
-def test_invert_from_support_alone():
-    pz = GridDistribution(
-        np.array([-0.5, 4.5]), np.array([0.0]), ((0.0, 0.5), (4.0, 0.5))
-    )
-    margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(4, 5, 2)]
-    gen = build_generator(margs, pz, [0.0, 4.0], 0)
-    assert invert_generator(gen, x=4.5, u=0.3) == "2"
-    assert invert_generator(gen, x=0.5, u=0.3) == "1"
-
-
-def test_invert_roundtrip_when_injective():
-    margs, pz, zg = identical_conditional_setup()
-    gen = build_generator(margs, pz, zg, 4)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = float(rng.uniform(0, 1))
-        u = float(rng.uniform(0, 1))
-        x = gen(z, u)
-        addr = invert_generator(gen, x, u)
-        rows, _ = gen.locate(z)
-        assert address_str(gen, rows[0]) == addr
-
-
-def invert_outcome(invert, gen, x, u):
-    try:
-        return invert(gen, x, u)
-    except NonInvertibleError as exc:
-        return f"NonInvertibleError: {exc}"
-
-
-def test_invert_matches_piece_loop_oracle():
-    """The one-pass inversion returns the per-piece loop's address or error
-    on every inversion case above and on 200 random points at depth 6."""
-    identical = identical_conditional_setup()
-    pz = GridDistribution(np.array([-0.5, 4.5]), np.array([0.0]), ((0.0, 0.5), (4.0, 0.5)))
-    margs = [GridDistribution.uniform(0, 1, 2), GridDistribution.uniform(4, 5, 2)]
-    support = build_generator(margs, pz, [0.0, 4.0], 0)
-    depth1 = build_generator(*identical, 1)
-    cases = [(depth1, 0.75, 0.25), (depth1, 0.25, 0.25), (support, 4.5, 0.3), (support, 0.5, 0.3),
-             (build_generator(*identical, 0), 0.5, 0.5)]
-    rng = np.random.default_rng(3)
-    depth4 = build_generator(*identical, 4)
-    for _ in range(50):
-        z, u = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        cases.append((depth4, depth4(z, u), u))
-    depth6 = [build_generator(*setup, 6) for setup in (identical, partial_setup(), atomic_setup(2))]
-    for i in range(200):
-        gen = depth6[i % 3]
-        cases.append((gen, float(rng.uniform(0, 1)), float(rng.uniform(0, 1))))
-    outcomes = []
-    for gen, x, u in cases:
-        got = invert_outcome(invert_generator, gen, x, u)
-        assert got == invert_outcome(piece_loop_invert, gen, x, u), (gen.depth, x, u)
-        outcomes.append(got)
-    # addresses and every kind of refusal occur
-    for kind in ("single z group", "no z cell maps", "z cells match"):
-        assert any(kind in o for o in outcomes), kind
-    assert len({o for o in outcomes if not o.startswith("NonInvertibleError")}) > 10
-
-
-def test_invert_on_image_cell_boundaries_matches_piece_loop_oracle(monkeypatch):
-    """x on every image-cell boundary and its float neighbours, on x-marginals
-    with support gaps under a pz with atoms: where rounding defeats the
-    two-level check on ``floor(n F(x))``, the whole-grid search decides, and
-    every outcome is the per-piece loop's."""
-    pz = GridDistribution(np.array([0.0, 0.5, 1.0]), np.array([0.3, 0.3]), ((0.1, 0.2), (0.3, 0.2)))
-    margs = [
-        GridDistribution(np.array([0.0, 0.3, 0.5, 1.0]), np.array([0.3, 0.0, 0.7])),
-        GridDistribution(np.array([0.0, 0.1, 0.7, 1.0]), np.array([0.0, 0.75, 0.25])),
-        GridDistribution(np.array([0.0, 0.2, 0.6, 0.9, 1.0]), np.array([0.1, 0.0, 0.7, 0.2])),
-        GridDistribution(np.array([0.0, 0.3, 0.5, 1.0]), np.array([0.3, 0.0, 0.7])),
-    ]
-    grid_searches = []
-    one_law = GridDistribution.quantile
-
-    def counted(self, p):  # the whole-grid search is the only one-law call on a marginal
-        if any(self is m for m in margs):
-            grid_searches.append(np.size(p))
-        return one_law(self, p)
-
-    rng = np.random.default_rng(5)
-    for depth in (1, 2, 3):
-        gen = build_generator(margs, pz, [0.1, 0.3, 0.4, 0.8], depth)
-        n = gen.n_u_cells
-        grid_searches.clear()
-        bounds = np.concatenate([m.quantile(np.arange(n + 1) / n) for m in margs])
-        xs = np.unique(np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0)]))
-        for x, u in zip(xs, rng.uniform(size=len(xs))):
-            with monkeypatch.context() as mp:
-                mp.setattr(GridDistribution, "quantile", counted)
-                got = invert_outcome(invert_generator, gen, float(x), float(u))
-            assert got == invert_outcome(piece_loop_invert, gen, float(x), float(u)), (depth, x, u)
-        assert grid_searches and set(grid_searches) == {n + 1}, depth
 
 
 # ---------------------------------------------------------------------------
