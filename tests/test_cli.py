@@ -497,16 +497,31 @@ def test_each_command_needs_an_input(capsys, command):
     assert capsys.readouterr().err == f"error: {command} needs --input\n"
 
 
-@pytest.mark.parametrize("name", ["rows.csv", "missing.csv"])
-def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys, name):
-    """Bad bin counts are refused before the input is read, even an input
-    that does not exist."""
+@pytest.mark.parametrize("name", ["rows.csv", "missing.csv", "law.json", "missing.json"])
+def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys, law_file, name):
+    """Bad bin counts are refused before the input is read, whatever its
+    type, even an input that does not exist."""
     (tmp_path / "rows.csv").write_text("y,x,z\n1,2,3\n4,5,6\n")
     path = tmp_path / name
     assert main(["test", "--input", str(path), "--bins", "4,x,4"]) == 1
     assert capsys.readouterr().err == (
         "error: --bins must be Y,X,Z integers: invalid literal for int() with base 10: 'x'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "bins, reason",
+    [
+        ("4,4", "not enough values to unpack (expected 3, got 2)"),
+        ("4,4,4,4", "too many values to unpack (expected 3)"),
+        ("4,,4", "invalid literal for int() with base 10: ''"),
+    ],
+)
+def test_cmd_test_refuses_bin_counts_that_are_not_three(law_file, capsys, bins, reason):
+    """``--bins`` needs exactly three comma-separated integers, checked
+    before a law file is read."""
+    assert main(["test", "--input", str(law_file), "--bins", bins]) == 1
+    assert capsys.readouterr().err == f"error: --bins must be Y,X,Z integers: {reason}\n"
 
 
 def test_simulate_refusal_of_an_atomic_law_exits_2(tmp_path, capsys):

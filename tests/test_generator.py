@@ -1165,6 +1165,38 @@ def test_generator_checks_its_depth_and_derives_its_arity(rng):
     assert atomic.arity == atomic.to_json_dict()["arity"] == 4
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_arity_counts_one_shift_per_atom_and_two_halves(k):
+    """Under a pz with k atoms every level has k + 2 cuts: the latent grid
+    has (k + 2)**depth cells, every pattern lies below it, and the JSON
+    records the same arity that ``from_json_dict`` checks."""
+    setup = atomic_setup(k)
+    for depth in (0, 1, 2):
+        gen = build_generator(*setup, depth)
+        assert gen.arity == k + 2 and gen.n_u_cells == (k + 2) ** depth, depth
+        assert len(gen.cells) == k + 2**depth and gen.cells.max() < gen.n_u_cells, depth
+        obj = json.loads(json.dumps(gen.to_json_dict()))
+        assert obj["arity"] == k + 2, depth
+        assert GeneratorMap.from_json_dict(obj, *setup).arity == k + 2, depth
+        with pytest.raises(ValidationError, match=f"arity {k + 1} does not match this pz's {k + 2}"):
+            GeneratorMap.from_json_dict(dict(obj, arity=k + 1), *setup)
+
+
+def test_image_cells_broadcast_rows_against_cells():
+    """``image_cells`` is elementwise under NumPy broadcasting: a scalar row
+    against a vector of cells, a column of rows against a row of cells, and
+    two scalars all read the same table."""
+    gen = build_generator(*atomic_setup(2), 3)
+    images = all_images(gen)
+    cells = np.arange(gen.n_u_cells)
+    for row in range(len(gen.cells)):
+        assert np.array_equal(gen.image_cells(row, cells), images[row]), row
+        assert int(gen.image_cells(row, 5)) == images[row, 5], row
+    rows = np.array([0, 3, 1])
+    assert gen.image_cells(rows[:, None], cells[None, ::7]).shape == (3, len(cells[::7]))
+    assert np.array_equal(gen.image_cells(rows[:, None], cells[None, ::7]), images[rows][:, ::7])
+
+
 def test_replay_oracle_sees_a_non_permutation_row(rng, monkeypatch):
     """The replay is load-bearing: an expansion that duplicates an image
     cell makes it miss the law, while the true expansion replays it."""
