@@ -22,6 +22,7 @@ from .measures import JointLaw, _require_int
 from .simulate import (
     Dataset,
     DGPSpec,
+    _require_bin_counts,
     discretize,
     nontestability_demo,
     run_experiment,
@@ -111,7 +112,7 @@ def _parse_bins(spec: str) -> tuple[int, int, int]:
         y, x, z = (int(v) for v in spec.split(","))
     except ValueError as exc:
         raise ValidationError(f"--bins must be Y,X,Z integers: {exc}") from exc
-    return y, x, z
+    return _require_bin_counts(y, x, z)
 
 
 def cmd_replicate(args) -> int:

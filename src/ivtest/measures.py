@@ -22,7 +22,9 @@ Conventions fixed here and used everywhere else:
   ``GridDistribution`` and ``Conditional2D``, and of ``JointLaw`` through
   ``sites_of``, which the ``from_json_dict`` readers call.  What is built
   from checked laws (a ``GridStack``, a ``LawBatch``, a generator's tables)
-  checks them no further.
+  checks them no further, and neither do the laws counted inside the
+  package: a marginal summed from a checked conditional, and a conditional
+  of cell counts divided by their sum, go through ``_of_checked``.
 """
 
 from __future__ import annotations
@@ -544,6 +546,19 @@ class Conditional2D:
             raise ValidationError("cell masses must be non-negative")
         if abs(total - 1.0) > INPUT_TOL:
             raise ValidationError("conditional mass matrix must sum to 1")
+
+    @classmethod
+    def _of_checked(
+        cls, y_edges: np.ndarray, x_edges: np.ndarray, mass: np.ndarray
+    ) -> "Conditional2D":
+        """The conditional on ``y_edges`` and ``x_edges`` with cell masses
+        ``mass``, built without the checks of the constructor: the edges
+        are finite and strictly increasing, and the matrix is counts divided
+        by their sum, so it is finite, non-negative and sums to 1.  All
+        three arrays are read-only."""
+        cond = cls.__new__(cls)
+        cond.__dict__.update(y_edges=y_edges, x_edges=x_edges, mass=mass)
+        return cond
 
     def _marginal(self, edges: np.ndarray, axis: int) -> GridDistribution:
         # the edges are checked, and the sums of checked cell masses are

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import logging
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,11 +28,22 @@ from .generator import (
     verify_replication,
 )
 from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch
-from .measures import _require_finite, _require_int
+from .measures import _refuse_oversize, _require_finite, _require_increasing, _require_int
 from .validity import Runner, TestReport, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
 OUTCOME_KINDS = ("location", "jump", "custom")
+
+# Largest bin count on an axis that is binned by comparisons (see
+# _bin_index); above it each row is searched with np.searchsorted.
+# Comparisons take one pass over the values per interior edge, a search
+# about log2(bins) steps per value.  On a 2-core x86_64 Xeon, on twelve
+# stacked 10^4-value axes, comparisons took 0.08 ms against 1.64 ms at 4
+# bins and 1.9 against 5.8 ms at 64, and the two broke even near 300 bins;
+# on one 10^6-value axis they took 29 against 43 ms at 64 bins and broke
+# even near 110.  The cut keeps comparisons ahead at every size measured,
+# and their count within the int8 it is kept in.
+COMPARE_MAX_BINS = 64
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +58,8 @@ class DGPSpec:
     ((1 + z) * u), jump (u + jump_size past jump_at), sign_flip (-z + u),
     custom.  Outcome kinds: location (x + v), jump (x + v + outcome_jump_size
     past outcome_jump_at), custom.  A custom function is given copies of its
-    inputs, so writing into them changes no other draw.
+    inputs, so writing into them changes no other draw, and must give one
+    value per row.
     """
 
     name: str
@@ -95,14 +108,14 @@ class DGPSpec:
         if self.first_stage == "sign_flip":
             return -z + u
         # a custom stage gets copies: the draws it is given are shared
-        return np.asarray(self.first_stage_fn(z.copy(), u.copy()), dtype=float)
+        return _one_per_row("first stage", self.first_stage_fn(z.copy(), u.copy()), z)
 
     def outcome_values(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.outcome == "location":
             return x + v
         if self.outcome == "jump":
             return x + v + self.outcome_jump_size * (x >= self.outcome_jump_at)
-        return np.asarray(self.outcome_fn(x.copy(), v.copy()), dtype=float)
+        return _one_per_row("outcome", self.outcome_fn(x.copy(), v.copy()), x)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DGPSpec":
@@ -116,6 +129,16 @@ class DGPSpec:
             return cls(**kwargs)
         except TypeError as exc:
             raise ValidationError(f"malformed DGP spec: {exc}") from exc
+
+
+def _one_per_row(what: str, values, rows: np.ndarray) -> np.ndarray:
+    """A custom stage's ``values`` as floats, refused unless there is one per row."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != rows.shape:
+        raise ValidationError(
+            f"custom {what} must give one value per row: shape {out.shape}, not {rows.shape}"
+        )
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +219,9 @@ class RankDraw:
             self._quantiles[key] = np.asarray(law.quantile(self.ranks[stream]))
         return self._quantiles[key]
 
-    def sample(self, spec: DGPSpec) -> Dataset:
-        """The rows of ``spec`` at these ranks."""
+    def columns(self, spec: DGPSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The y, x and z values of ``spec``'s rows at these ranks, not yet
+        checked for finite values."""
         u = self.quantile(spec.u_law, "u")
         v = self.quantile(spec.v_law, "v")
         z = self.quantile(spec.z_law, "z")
@@ -205,60 +229,129 @@ class RankDraw:
             z_tied = self.quantile(spec.z_law, spec.copula_target)
             z = (1.0 - spec.copula_weight) * z + spec.copula_weight * z_tied
         x = spec.first_stage_values(z, u)
-        y = spec.outcome_values(x, v)
-        return Dataset(np.column_stack([y, x, z]), self.seed, spec.name)
+        return spec.outcome_values(x, v), x, z
 
 
 def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
     """Forward-simulate n rows; deterministic in (spec, n, seed): the one-spec
     case of :class:`RankDraw`."""
-    return RankDraw(n, seed).sample(spec)
+    draw = RankDraw(n, seed)
+    return Dataset(np.column_stack(draw.columns(spec)), draw.seed, spec.name)
 
 
 def _require_bin_counts(y_bins: int, x_bins: int, z_bins: int) -> tuple[int, int, int]:
-    return (
+    """The three bin counts as plain ints, each at least 2, whose table of
+    z * y * x cells has at most ``MAX_CELL_ENTRIES`` entries."""
+    bins = (
         _require_int("y_bins", y_bins, 2),
         _require_int("x_bins", x_bins, 2),
         _require_int("z_bins", z_bins, 2),
     )
+    _refuse_oversize(math.prod(bins), "a {}x{}x{} cell table".format(*bins))
+    return bins
 
 
-def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
-    """Empirical joint law on equal-width grids; every z bin must be populated."""
-    y_bins, x_bins, z_bins = _require_bin_counts(y_bins, x_bins, z_bins)
-    # one column per axis, each contiguous, for the searches below
-    y, x, z = np.ascontiguousarray(data.rows.T)
+def _axis_edges(lo: float, hi: float, bins: int) -> np.ndarray:
+    if hi <= lo:
+        hi = lo + 1.0
+    return np.linspace(lo, hi, bins + 1)
 
-    def axis_edges(vals: np.ndarray, bins: int) -> np.ndarray:
-        lo, hi = float(vals.min()), float(vals.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        return np.linspace(lo, hi, bins + 1)
 
-    y_edges = axis_edges(y, y_bins)
-    x_edges = axis_edges(x, x_bins)
-    if float(z.max()) == float(z.min()):
-        # constant instrument: a single populated bin is the whole grid
-        z_bins = 1
-        z_edges = np.array([z.min() - 0.5, z.min() + 0.5])
-    else:
-        z_edges = axis_edges(z, z_bins)
-    # histogramdd's binning: half-open bins, the last edge closed; every value
-    # lies inside its axis' edges, so one bincount over the flat index counts all
-    zi, yi, xi = (
-        np.minimum(np.searchsorted(e, v, side="right") - 1, len(e) - 2)
-        for e, v in ((z_edges, z), (y_edges, y), (x_edges, x))
-    )
-    cells = np.bincount((zi * y_bins + yi) * x_bins + xi, minlength=z_bins * y_bins * x_bins)
-    cells = cells.reshape(z_bins, y_bins, x_bins).astype(float)
-    counts = cells.sum(axis=(1, 2))
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per value in row ``s`` of ``values``, its bin among the edges in row
+    ``s`` of ``edges``: ``min(searchsorted(e, v, "right") - 1, bins - 1)``,
+    half-open bins with the last one closed, as in ``np.histogramdd``.
+
+    For strictly increasing edges and a value at or above the first, that
+    is the number of interior edges at or below it, ``sum (v >= e_k)`` over
+    ``k = 1..bins-1``, which has no rounding to get wrong.  Up to
+    ``COMPARE_MAX_BINS`` bins it is counted so, one comparison of every row
+    per edge; above, each row is searched.  The last edge only closes the
+    last bin, which the clip does anyway, so ``+inf`` may stand for it, and
+    ``+inf`` interior edges leave the bins past them empty.  Every index is
+    clipped into ``0..bins-1``."""
+    bins = edges.shape[1] - 1
+    if bins <= COMPARE_MAX_BINS:
+        idx = np.zeros(values.shape, dtype=np.int8)
+        for k in range(1, bins):
+            idx += values >= edges[:, k, None]
+        return idx
+    idx = np.empty(values.shape, dtype=np.intp)
+    for out, e, v in zip(idx, edges, values):
+        out[:] = np.clip(np.searchsorted(e, v, side="right") - 1, 0, bins - 1)
+    return idx
+
+
+def _count_cells(block: np.ndarray, y_bins: int, x_bins: int, z_bins: int):
+    """Every spec's equal-width grid and its cell counts, from one pass over
+    ``block``, the ``(specs, 3, n)`` stack of each spec's y, x and z values.
+
+    Returns each spec's ``(y_edges, x_edges, z_edges)`` and the ``(specs,
+    z_bins, y_bins, x_bins)`` tensor of counts, from one ``bincount``.  A
+    constant instrument takes the one z bin ``[z - 0.5, z + 0.5]``, the
+    first z slab of its counts."""
+    grids = []
+    for (y_lo, x_lo, z_lo), (y_hi, x_hi, z_hi) in zip(
+        block.min(axis=2).tolist(), block.max(axis=2).tolist()
+    ):
+        if z_hi == z_lo:
+            z_edges = np.array([z_lo - 0.5, z_lo + 0.5])
+        else:
+            z_edges = _axis_edges(z_lo, z_hi, z_bins)
+        grids.append((_axis_edges(y_lo, y_hi, y_bins), _axis_edges(x_lo, x_hi, x_bins), z_edges))
+    z_rows = np.full((len(grids), z_bins + 1), np.inf)
+    for row, (_, _, e) in zip(z_rows, grids):
+        row[: len(e) - 1] = e[:-1]  # a one-bin axis has no interior edge
+    # the flat index ((spec * z_bins + z) * y_bins + y) * x_bins + x
+    cells = z_bins * y_bins * x_bins
+    flat = _bin_index(block[:, 2], z_rows).astype(np.intp)
+    flat *= y_bins
+    flat += _bin_index(block[:, 0], np.array([y for y, _, _ in grids]))
+    flat *= x_bins
+    flat += _bin_index(block[:, 1], np.array([x for _, x, _ in grids]))
+    flat += np.arange(0, len(grids) * cells, cells)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=len(grids) * cells)
+    return grids, counts.reshape(len(grids), z_bins, y_bins, x_bins)
+
+
+def _law_of_counts(
+    cells: np.ndarray, y_edges: np.ndarray, x_edges: np.ndarray, z_edges: np.ndarray
+) -> JointLaw:
+    """The empirical law of one spec's ``(z, y, x)`` cell counts on its
+    grid (see :func:`_count_cells`); every z bin must be populated."""
+    mass = cells[: len(z_edges) - 1].astype(float)
+    counts = mass.sum(axis=(1, 2))
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise EmptyBinError(f"z bin {empty[0]} received no samples")
-    conds = [Conditional2D(y_edges, x_edges, mat / mat.sum()) for mat in cells]
+    # linspace collapses the edges of a range that is narrow for its magnitude
+    _require_increasing("y edges", y_edges)
+    _require_increasing("x edges", x_edges)
+    mass /= counts[:, None, None]
+    for a in (y_edges, x_edges, mass):
+        a.setflags(write=False)
+    conds = tuple(Conditional2D._of_checked(y_edges, x_edges, m) for m in mass)
     pz = GridDistribution(z_edges, counts / counts.sum())
-    z_grid = 0.5 * (z_edges[:-1] + z_edges[1:])
-    return JointLaw(z_grid, pz, tuple(conds))
+    return JointLaw(0.5 * (z_edges[:-1] + z_edges[1:]), pz, conds)
+
+
+def discretize(data: Dataset, y_bins: int, x_bins: int, z_bins: int) -> JointLaw:
+    """Empirical joint law on equal-width grids; every z bin must be populated.
+
+    Each axis is cut into equal-width bins from its smallest to its largest
+    value (a constant axis spans ``[v, v + 1]``, and a constant z takes the
+    one bin ``[z - 0.5, z + 0.5]``).  Bins are half open and the last one is
+    closed, as in ``np.histogramdd``: a value's bin is the number of interior
+    edges at or below it, counted by comparisons on an axis of at most
+    ``COMPARE_MAX_BINS`` bins and by binary search above that.  A bin count
+    below 2, or a table of more than ``MAX_CELL_ENTRIES`` z * y * x cells,
+    raises ``ValidationError`` before any binning.  This is the one-dataset
+    call of the kernel that :func:`run_experiment` bins each replication
+    with.
+    """
+    bins = _require_bin_counts(y_bins, x_bins, z_bins)
+    grids, cells = _count_cells(np.ascontiguousarray(data.rows.T)[None], *bins)
+    return _law_of_counts(cells[0], *grids[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +413,62 @@ def _failure_context(spec_name: str, rep: int):
         raise IVTestError(f"spec {spec_name!r}, replication {rep}: {exc!r}") from exc
 
 
+def _replication_laws(
+    specs: Sequence[DGPSpec],
+    draw: RankDraw,
+    bins: tuple[int, int, int],
+    depth: int | None,
+    rep: int,
+) -> tuple[list[JointLaw], list[float]]:
+    """The laws of replication ``rep``, each spec's law followed by its twin
+    when ``depth`` is set, and the seconds each spec took on its own.
+
+    Every spec's rows are sampled from ``draw`` into one ``(specs, 3, n)``
+    block, which is checked for finite values once and binned in one pass
+    (:func:`_count_cells`).  Each law is then built from its counts and
+    replicated, in spec order; a spec's own seconds are its sampling,
+    building and replication.  A failure is raised with the prefix of its
+    spec, and the one raised is the first that a spec-by-spec loop of
+    :func:`sample`, :func:`discretize` and :func:`nontestability_demo` meets:
+    a spec that cannot be sampled, or whose rows are not finite, is raised
+    once every earlier spec's law is built."""
+    block = np.empty((len(specs), 3, len(draw.ranks["u"])))
+    own_s = [0.0] * len(specs)
+    failure, sampled = None, len(specs)
+    for i, spec in enumerate(specs):
+        t0 = time.perf_counter()
+        try:
+            with _failure_context(spec.name, rep):
+                block[i, 0], block[i, 1], block[i, 2] = draw.columns(spec)
+        except IVTestError as exc:
+            failure, sampled = exc, i
+            break
+        own_s[i] += time.perf_counter() - t0
+    finite = np.isfinite(block[:sampled]).all(axis=(1, 2))
+    if not finite.all():
+        sampled = int(np.argmin(finite))
+        try:
+            with _failure_context(specs[sampled].name, rep):
+                _require_finite("rows", block[sampled].T)
+        except IVTestError as exc:
+            failure = exc
+    laws = []
+    if sampled:
+        grids, cells = _count_cells(block[:sampled], *bins)
+    for i in range(sampled):
+        t0 = time.perf_counter()
+        with _failure_context(specs[i].name, rep):
+            law = _law_of_counts(cells[i], *grids[i])
+            laws.append(law)
+            if depth is not None:
+                model, _ = nontestability_demo(law, depth)
+                laws.append(model.induced_law())
+        own_s[i] += time.perf_counter() - t0
+    if failure is not None:
+        raise failure
+    return laws, own_s
+
+
 def _reports(fn: Callable, batch: LawBatch, spec_names: Sequence[str], rep: int) -> list:
     """The report of ``fn`` on every law of ``batch``, ``spec_names[i]``
     naming law i's process.  A registered test's runner takes the whole batch
@@ -365,15 +514,18 @@ def run_experiment(
     The loop runs replication by replication.  Each replication draws its
     latent ranks once, from the seed of that replication, and samples every
     spec from them (:class:`RankDraw`), exactly as :func:`sample` with that
-    seed would.  It discretizes and replicates every spec in spec order, one
-    dataset at a time, and then runs each test once over all of its laws,
-    every spec's law and its twin: a registered test (:func:`make_test`)
-    takes them as one :class:`LawBatch`, and any other callable is called
-    law by law.  The table is the same, bit for bit, as testing one law at
-    a time.  A failure is raised with the prefix ``spec '<name>',
-    replication <r>:`` of the law that failed; when one replication holds
-    several failures, the one raised is the first in this order, which is
-    not always the first of a spec-by-spec loop.  A batched call that fails
+    seed would.  It bins every spec's rows in one pass, into one tensor of
+    cell counts, and builds and replicates each spec's law from its counts
+    in spec order, each law the same, bit for bit, as :func:`discretize` of
+    that spec's sample; of the failures there, the one raised is the first
+    a spec-by-spec loop meets.  It then runs each test once over all of its
+    laws, every spec's law and its twin: a registered test
+    (:func:`make_test`) takes them as one :class:`LawBatch`, and any other
+    callable is called law by law.  The table is the same, bit for bit, as
+    testing one law at a time.  A failure is raised with the prefix ``spec '<name>',
+    replication <r>:`` of the law that failed; when one replication's tests
+    fail on several laws, the one raised is the first in this order, which
+    is not always the first of a spec-by-spec loop.  A batched call that fails
     is replayed law by law to find that law; if every law passes alone, a
     refusal (the table cap on the whole batch) leaves the law-by-law table,
     and any other error is raised as it is.
@@ -381,14 +533,15 @@ def run_experiment(
     After each replication's tests, one INFO record per spec is logged on
     ``ivtest.simulate``, in spec order.  Its ``spec``, ``rep`` (0-based) and
     ``elapsed_s`` attributes give the process name, the replication index
-    and the wall-clock seconds of that spec's sampling, discretizing and
-    replication plus an equal share of the replication's rank draw and test
-    pass, so a run's records sum to its wall time.
+    and the wall-clock seconds of that spec's sampling, law building and
+    replication plus an equal share of the rest of the replication (its rank
+    draw, binning pass and test pass), so a run's records sum to its wall
+    time.
 
     ``n`` and ``reps`` must be positive integers, ``seed`` and a set
     ``nontestability_depth`` non-negative ones, and each bin count an
-    integer of at least 2; anything else raises ``ValidationError`` before
-    any draw.
+    integer of at least 2, with at most ``MAX_CELL_ENTRIES`` z * y * x cells;
+    anything else raises ``ValidationError`` before any draw.
     """
     n = _require_int("n", n, 1)
     reps = _require_int("reps", reps, 1)
@@ -411,18 +564,7 @@ def run_experiment(
     for rep in range(reps):
         t0 = time.perf_counter()
         draw = RankDraw(n, replication_seed(seed, rep))
-        draw_s = time.perf_counter() - t0
-        laws, own_s = [], []
-        for spec in specs:
-            t0 = time.perf_counter()
-            with _failure_context(spec.name, rep):
-                law = discretize(draw.sample(spec), *bins)
-                laws.append(law)
-                if depth is not None:
-                    model, _ = nontestability_demo(law, depth)
-                    laws.append(model.induced_law())
-            own_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
+        laws, own_s = _replication_laws(specs, draw, bins, depth, rep)
         batch = LawBatch(laws)
         for name, fn in tests:
             for k, report in enumerate(_reports(fn, batch, names, rep)):
@@ -432,7 +574,7 @@ def run_experiment(
                     rejected[i][key] += report.decision == "reject"
                     stat_sum[i][key] += report.statistic
         if log.isEnabledFor(logging.INFO):
-            share = (draw_s + time.perf_counter() - t0) / len(specs)
+            share = (time.perf_counter() - t0 - sum(own_s)) / len(specs)
             for spec, own in zip(specs, own_s):
                 elapsed = own + share
                 log.info(

@@ -509,6 +509,17 @@ def test_cmd_test_refuses_bin_counts_that_do_not_parse(tmp_path, capsys, law_fil
     )
 
 
+@pytest.mark.parametrize("name", ["rows.csv", "law.json"])
+def test_cmd_test_refuses_a_cell_table_past_the_cap(tmp_path, capsys, law_file, name):
+    """``--bins 300,300,300`` asks for 2.7e7 cells, past the cap: refused
+    with one error line before the input is read."""
+    (tmp_path / "rows.csv").write_text("y,x,z\n1,2,3\n4,5,6\n")
+    assert main(["test", "--input", str(tmp_path / name), "--bins", "300,300,300"]) == 1
+    assert capsys.readouterr().err == (
+        "error: a 300x300x300 cell table needs 27000000 entries, more than 16777216\n"
+    )
+
+
 @pytest.mark.parametrize(
     "bins, reason",
     [

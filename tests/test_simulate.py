@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivtest import (
     DGPSpec,
@@ -27,8 +29,8 @@ from ivtest import (
 )
 from ivtest import measures, simulate
 from ivtest.measures import Conditional2D, JointLaw, LawBatch
-from ivtest.simulate import replication_seed
-from ivtest.validity import Runner
+from ivtest.simulate import COMPARE_MAX_BINS, replication_seed
+from ivtest.validity import Runner, TestReport
 
 from conftest import per_bin_discretize, random_joint_law
 
@@ -100,14 +102,16 @@ def shared_draw_specs():
 
 
 def binned_rows(monkeypatch):
-    """Record the rows of every dataset ``run_experiment`` discretizes."""
+    """Record the rows of every spec ``run_experiment`` bins, in the order
+    binned, as the bytes of an ``(n, 3)`` array."""
     seen = []
+    count_cells = simulate._count_cells
 
-    def recording(data, *bins):
-        seen.append((data.spec_name, data.seed, data.rows.tobytes()))
-        return discretize(data, *bins)
+    def recording(block, *bins):
+        seen.extend(np.ascontiguousarray(rows.T).tobytes() for rows in block)
+        return count_cells(block, *bins)
 
-    monkeypatch.setattr(simulate, "discretize", recording)
+    monkeypatch.setattr(simulate, "_count_cells", recording)
     return seen
 
 
@@ -128,7 +132,7 @@ def test_run_experiment_shares_each_replications_draw(monkeypatch):
     want = []
     for rep in range(3):
         rep_seed = replication_seed(17, rep)
-        want += [(s.name, rep_seed, sample(s, 400, rep_seed).rows.tobytes()) for s in specs]
+        want += [sample(s, 400, rep_seed).rows.tobytes() for s in specs]
     assert seen == want
 
 
@@ -174,10 +178,8 @@ def test_custom_stage_writing_into_its_inputs_changes_no_other_spec(monkeypatch)
     seen = binned_rows(monkeypatch)
     run_experiment(specs, [], n=200, reps=1, seed=5, bins=(3, 3, 2))
     rep_seed = replication_seed(5, 0)
-    assert [rows for _, _, rows in seen] == [
-        direct_sample(s, 200, rep_seed).tobytes() for s in specs
-    ]
-    rows = [np.frombuffer(r).reshape(-1, 3) for _, _, r in seen]
+    assert seen == [direct_sample(s, 200, rep_seed).tobytes() for s in specs]
+    rows = [np.frombuffer(r).reshape(-1, 3) for r in seen]
     # the scribbling stages wrote into copies: the z column is the shared draw
     assert np.array_equal(rows[0][:, 2], rows[1][:, 2])
 
@@ -431,6 +433,100 @@ def test_discretize_empty_z_bin_matches_per_bin_oracle():
             fn(data, 2, 2, 4)
 
 
+def test_discretize_refuses_collapsed_edges():
+    """Values 1e16 + {0, 2, 4} are 2 apart at a spacing of 2: four bins
+    between them need edges that do not exist, and linspace repeats one."""
+    y = 1e16 + np.array([0.0, 2.0, 4.0] * 4)
+    rows = np.column_stack([y, np.arange(12.0), np.arange(12.0) % 2])
+    data = Dataset(rows, seed=0, spec_name="collapsed")
+    with pytest.raises(ValidationError, match="^y edges must be strictly increasing$"):
+        discretize(data, 4, 2, 2)
+    assert discretize(data, 2, 2, 2).conditionals[0].y_edges.tolist() == [1e16, 1e16 + 2, 1e16 + 4]
+
+
+@pytest.mark.parametrize("y_bins", [2, COMPARE_MAX_BINS + 1])
+def test_discretize_refuses_a_range_past_the_largest_float(y_bins):
+    """y from -1e308 to 1e308 spans more than the largest float: linspace
+    gives NaN edges, which are refused with a ValidationError, whichever
+    binning path runs."""
+    rows = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 1.0], [0.0, 0.5, 0.5]])
+    with np.errstate(all="ignore"), pytest.raises(
+        ValidationError, match="^y edges must be finite: nan at index 0$"
+    ):
+        discretize(Dataset(rows, seed=0, spec_name="wide"), y_bins, 2, 2)
+
+
+BIN_COUNTS = [*range(2, COMPARE_MAX_BINS + 1), COMPARE_MAX_BINS + 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lo=st.floats(-1e12, 1e12),
+    spans=st.lists(st.floats(1e-6, 1e12), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bin_index_matches_searchsorted_on_edges_and_their_neighbours(lo, spans, seed):
+    """The comparison count, and the search above the cut, give
+    histogramdd's bin of every value at or above the first edge: each edge,
+    the float on either side of it and values between, at every bin count
+    up to the cut and one past it.  A row padded with +inf past its first
+    edge puts every value in bin 0."""
+    rng = np.random.default_rng(seed)
+    for bins in BIN_COUNTS:
+        edges = np.array([np.linspace(lo, lo + span, bins + 1) for span in spans])
+        edges = edges[(np.diff(edges, axis=1) > 0).all(axis=1)]
+        if not len(edges):
+            continue
+        values = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+             rng.uniform(edges[:, :1], edges[:, -1:], (len(edges), 16))],
+            axis=1,
+        )
+        values = np.maximum(values, edges[:, :1])
+        padded = np.full(bins + 1, np.inf)
+        padded[0] = edges[0, 0]
+        edges, values = np.vstack([edges, padded]), np.vstack([values, values[0]])
+        want = [np.minimum(np.searchsorted(e, v, "right") - 1, bins - 1)
+                for e, v in zip(edges, values)]
+        assert np.array_equal(simulate._bin_index(values, edges), want), bins
+
+
+def edge_valued_spec():
+    """Integer y, x and z values, which sit on the edges of many grids; z
+    takes the seven values 0..6, so every grid of up to 6 z bins fills."""
+    return DGPSpec(
+        name="edges",
+        first_stage="custom", first_stage_fn=lambda z, u: np.floor(5.0 * u),
+        outcome="custom", outcome_fn=lambda x, v: np.floor(5.0 * v),
+        z_law=GridDistribution.from_atoms([(float(k), 1 / 7) for k in range(7)]),
+    )
+
+
+@pytest.mark.parametrize("bins", [(8, 5, 3), (2, 7, 6), (4, COMPARE_MAX_BINS + 8, 3)])
+def test_each_replications_laws_are_discretize_of_each_sample(bins):
+    """The laws ``run_experiment`` tests are, bit for bit, ``discretize``
+    and the per-bin oracle of each spec's sample with the replication's
+    seed: every first stage, a constant instrument (one z bin) and values
+    on the edges, at bin counts below and past the cut."""
+    specs = [DGPSpec(name=kind, first_stage=kind)
+             for kind in ("location", "scale", "jump", "sign_flip")]
+    specs += [DGPSpec(name="const-z", z_law=GridDistribution.point_mass(0.5)), edge_valued_spec()]
+    seen = []
+
+    def recording(law):
+        seen.append(law)
+        return TestReport("record", 0.0, 1.0)
+
+    run_experiment(specs, [("record", recording)], n=3_000, reps=2, seed=11, bins=bins)
+    assert len(seen) == 2 * len(specs)
+    for k, law in enumerate(seen):
+        rep, spec = divmod(k, len(specs))
+        data = sample(specs[spec], 3_000, replication_seed(11, rep))
+        assert_same_law(law, discretize(data, *bins))
+        assert_same_law(law, per_bin_discretize(data, *bins))
+    assert len(seen[4].z_grid) == 1
+
+
 def test_discretize_sample_converges_sqrt_n():
     """TV against the analytic conditional roughly halves as n quadruples."""
     flat = DGPSpec(
@@ -517,6 +613,82 @@ def test_run_experiment_propagates_spec_context():
         run_experiment(
             [bad], [make_test("fosd")], n=50, reps=1, seed=1, bins=(2, 2, 30)
         )
+
+
+def stage_that_raises(z, u):
+    raise ArithmeticError("stage c is broken")
+
+
+def nan_at_row_5(z, u):
+    return np.where(np.arange(len(z)) == 5, np.nan, z + u)
+
+
+# a spec whose rows are not finite; one whose custom stage raises; one that
+# leaves z bin 1 of 3 empty; one with collapsed y edges at bins (4, 2, 2)
+NAN_ROWS = dict(first_stage="custom", first_stage_fn=nan_at_row_5)
+RAISES = dict(first_stage="custom", first_stage_fn=stage_that_raises)
+EMPTY_Z_BIN = dict(z_law=GridDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)]))
+COLLAPSED_Y = dict(outcome="custom", outcome_fn=lambda x, v: 1e16 + 2.0 * np.floor(3.0 * v))
+
+
+@pytest.mark.parametrize(
+    "b, c, error, message",
+    [
+        (EMPTY_Z_BIN, NAN_ROWS, EmptyBinError, "z bin 1 received no samples"),
+        (COLLAPSED_Y, RAISES, ValidationError, "y edges must be strictly increasing"),
+        (NAN_ROWS, EMPTY_Z_BIN, ValidationError, "rows must be finite: nan at index (5, 0)"),
+        (NAN_ROWS, RAISES, ValidationError, "rows must be finite: nan at index (5, 0)"),
+    ],
+)
+def test_run_experiment_raises_the_first_failure_in_spec_order(b, c, error, message):
+    """Of three specs the second fails and the third fails too, at a stage
+    that the stacked path reaches before the second's: the error raised is
+    the second's, as a spec-by-spec loop of sample and discretize meets it,
+    type, message and prefix.  A non-finite row is named by its index among
+    its own spec's rows."""
+    specs = [DGPSpec(name="a"), DGPSpec(name="b", **b), DGPSpec(name="c", **c)]
+    with pytest.raises(IVTestError) as info:
+        run_experiment(specs, [make_test("fosd")], n=400, reps=1, seed=3, bins=(4, 2, 3))
+    assert type(info.value) is error
+    assert str(info.value) == f"spec 'b', replication 0: {message}"
+
+
+def test_run_experiment_replicates_every_earlier_law_before_a_later_spec_fails():
+    """An earlier spec's refused replication comes before a later spec's
+    failure to sample."""
+    specs = [DGPSpec(name="a", first_stage="jump", jump_size=50.0),
+             DGPSpec(name="b", **RAISES)]
+    with pytest.raises(NonAtomicityError, match="^spec 'a', replication 0: x-marginals"):
+        run_experiment(specs, [], n=400, reps=1, seed=3, bins=(4, 4, 2), nontestability_depth=2)
+
+
+@pytest.mark.parametrize(
+    "fn, shape", [(lambda z, u: 1.0, "()"), (lambda z, u: z[:, None], "(50, 1)")]
+)
+def test_custom_stage_must_give_one_value_per_row(fn, shape):
+    spec = DGPSpec(name="odd", first_stage="custom", first_stage_fn=fn)
+    message = re.escape(f"custom first stage must give one value per row: shape {shape}, not (50,)")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        sample(spec, 50, seed=1)
+    with pytest.raises(ValidationError, match=f"^spec 'odd', replication 0: {message}$"):
+        run_experiment([DGPSpec(name="loc"), spec], [], n=50, reps=1, seed=1)
+
+
+def test_cell_table_cap_boundaries(monkeypatch):
+    """A z * y * x table at the cap is counted; one entry past it is refused
+    by discretize and run_experiment before any binning."""
+    data = sample(DGPSpec(name="loc"), 500, seed=2)
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 3 * 4 * 5)
+    law = discretize(data, 3, 4, 5)
+    assert len(law.z_grid) == 5 and law.conditionals[0].mass.shape == (3, 4)
+    run_experiment([DGPSpec(name="loc")], [], n=500, reps=1, seed=2, bins=(5, 4, 3))
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 3 * 4 * 5 - 1)
+    monkeypatch.setattr(simulate, "_count_cells", None)  # never reached
+    message = "^a 3x4x5 cell table needs 60 entries, more than 59$"
+    with pytest.raises(ValidationError, match=message):
+        discretize(data, 3, 4, 5)
+    with pytest.raises(ValidationError, match=message.replace("3x4x5", "5x4x3")):
+        run_experiment([DGPSpec(name="loc")], [], n=500, reps=1, seed=2, bins=(5, 4, 3))
 
 
 def test_run_experiment_wraps_foreign_errors():
