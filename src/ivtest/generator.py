@@ -68,7 +68,7 @@ def _arity(k: int) -> int:
     return k + 2
 
 
-def _refuse_oversize(depth: int, arity: int, sites: int) -> None:
+def _refuse_deep(depth: int, arity: int, sites: int) -> None:
     """Raise ``ValidationError`` when the interval codes of the latent cells
     of a depth at all ``sites`` exceed ``MAX_CELL_ENTRIES``.  The codes are
     what collision accounting builds, one row per class of equal marginals,
@@ -135,7 +135,7 @@ class GeneratorMap:
         cells = np.array(self.cells, dtype=np.int64)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        _refuse_oversize(self.depth, self.arity, len(self.marginals))
+        _refuse_deep(self.depth, self.arity, len(self.marginals))
         rows = len(self.atoms) + (2**self.depth if self._continuum[1] is not None else 0)
         if cells.shape != (rows,):
             raise ValidationError(f"cell pattern shape is not ({rows},), one per z-cell row")
@@ -516,7 +516,7 @@ def build_generator(
     k = sum(1 for s in sites if s.kind == "atom")
     arity = _arity(k)
     continuum = _continuum_law(pz, sites)
-    _refuse_oversize(depth, arity, len(sites))
+    _refuse_deep(depth, arity, len(sites))
 
     cells = np.zeros(k, dtype=np.int64)
     # purely atomic z with pairwise distinct image cells keeps the base map:
@@ -554,12 +554,7 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Raises ``ValidationError``, before allocating, when the result would
     exceed ``MAX_CELL_ENTRIES`` entries.
     """
-    total = int(lengths.sum())
-    if total > MAX_CELL_ENTRIES:
-        raise ValidationError(
-            f"collision accounting needs a gather of {total} entries, "
-            f"more than {MAX_CELL_ENTRIES}"
-        )
+    measures._refuse_oversize(int(lengths.sum()), "a collision accounting gather")
     return measures._ragged_arange(starts, lengths)
 
 
@@ -756,7 +751,7 @@ class StructuralModel:
         rows, sites = gen.locate(z)
         x = gen.marginal_stack.quantile(sites, gen.permuted_level(rows, u[order]))
         columns, row_of, first = self._outcome_columns
-        column = row_of[first[sites] + self.joint.batch.x_stack.bin_of(sites, x)]
+        column = row_of[first[sites] + self.joint.batch.stack.bin_of(sites, x)]
         if np.any(column < 0):
             raise ValidationError("sampled an x bin with zero conditional mass")
         out = np.empty((n, 3))

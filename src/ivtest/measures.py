@@ -8,8 +8,8 @@ than by sampling.  Downstream constructions rely on this measure arithmetic bein
 reproducible to float precision.  Many laws stack into one ``GridStack``,
 whose kernel evaluates every point against its own law in one call, bit for
 bit as a call on that law alone.  Every stack is ``GridStack.of`` over laws:
-a ``LawBatch`` stacks the cached marginals of many joint laws' conditionals,
-one stack per axis.
+a ``LawBatch`` stacks the cached x and y marginals of many joint laws'
+conditionals as one stack, x rows first.
 
 Conventions fixed here and used everywhere else:
 
@@ -129,7 +129,8 @@ class GridStack:
     whole batch in one pass, with the same arithmetic per element as a call
     on one law, so every value keeps its bits.  Each point is searched
     against its own row exactly, with no float offset to round a tie away
-    (see :meth:`_rank`).  A :class:`GridDistribution` is the one-row stack,
+    (see :meth:`_rank`); :meth:`quantile_sorted` searches lines of sorted
+    levels at their ends.  A :class:`GridDistribution` is the one-row stack,
     called with ``rows`` None, which searches its only row directly.  Tables
     are built on first use.
     """
@@ -191,11 +192,11 @@ class GridStack:
         if strict is True or strict is False:
             k = np.searchsorted(keys, point, side="right" if strict else "left")
         else:
-            k = np.where(
-                strict,
-                np.searchsorted(keys, point, side="right"),
-                np.searchsorted(keys, point, side="left"),
-            )
+            # each side searches its own points only
+            strict = np.broadcast_to(strict, point.shape)
+            k = np.empty(point.shape, dtype=np.intp)
+            k[strict] = np.searchsorted(keys, point[strict], side="right")
+            k[~strict] = np.searchsorted(keys, point[~strict], side="left")
         # a NaN key sorts after every key of every row
         return np.minimum(k - self.starts[rows], self._length[rows])
 
@@ -245,6 +246,16 @@ class GridStack:
         entry = self._slots[2]
         return tuple(c[entry] for c in cols)
 
+    def _clip_levels(self, rows, ps: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The levels ``ps`` clipped into ``[0, top]`` of their rows, and the
+        rows' ``top``, ``lo`` and ``hi`` (see :attr:`_ends`); ``rows`` None
+        reads the only row.  A level outside ``[0, 1]`` beyond ``INPUT_TOL``
+        raises ``ValidationError``."""
+        if ps.size and (ps.min() < -INPUT_TOL or ps.max() > 1.0 + INPUT_TOL):
+            raise ValidationError("probability level outside [0, 1]")
+        top, lo, hi = (e[0] if rows is None else e[rows] for e in self._ends)
+        return np.minimum(np.maximum(ps, 0.0), top), top, lo, hi
+
     def quantile(self, rows, p, strict=False) -> np.ndarray:
         """Generalized inverse CDF ``inf {x: F(x) >= p}`` of row ``rows`` at
         level ``p``, pointwise, linear in bins; level 1 gives the support's
@@ -252,21 +263,44 @@ class GridStack:
         ``inf {x: F(x) > p}``, for all points or one flag per point.  ``rows``
         None evaluates a one-row stack, which takes one ``strict`` for all.
         """
-        Bk, CLk, CRk, Bp, CRp, span, denom, safe = self._quantile_table
         ps = np.asarray(p, dtype=float)
         if rows is not None:
             rows, ps = self._batch(rows, ps)
-        if ps.size and (ps.min() < -INPUT_TOL or ps.max() > 1.0 + INPUT_TOL):
-            raise ValidationError("probability level outside [0, 1]")
-        top, lo, hi = self._ends
+        ps, top, lo, hi = self._clip_levels(rows, ps)
         if rows is None:
-            top, lo, hi = top[0], lo[0], hi[0]
-            ps = np.minimum(np.maximum(ps, 0.0), top)
             k = np.searchsorted(self.CR, ps, side="right" if strict else "left")
         else:
-            top, lo, hi = top[rows], lo[rows], hi[rows]
-            ps = np.minimum(np.maximum(ps, 0.0), top)
             k = self._rank(self._cr_keys, rows, ps, strict) + self.starts[rows] + rows
+        return self._quantile_at(k, ps, top, lo, hi, strict)
+
+    def quantile_sorted(self, rows, p) -> np.ndarray:
+        """``quantile(rows[:, None], p)`` for an ``(m, n)`` array of levels,
+        each line ``p[i]`` non-decreasing, bit for bit.
+
+        A level's rank among its row's ``CR`` is monotone in the level, so
+        where the ranks of a line's first and last level agree, every level
+        between has that rank: such a line is searched at its two ends only
+        and reads its table entries once, broadcast over its levels.  A line
+        whose end ranks differ, as where a level rounds onto one of the
+        row's ``CR``, is searched level by level.
+        """
+        rows = np.asarray(rows, dtype=np.intp)[:, None]
+        ps, top, lo, hi = self._clip_levels(rows, np.asarray(p, dtype=float))
+        slot = self.starts[rows] + rows
+        k = self._rank(self._cr_keys, rows, ps[:, [0, -1]], False) + slot
+        out = self._quantile_at(k[:, :1], ps, top, lo, hi, False)
+        split = np.flatnonzero(k[:, 0] != k[:, 1])
+        if len(split):
+            r, ps = rows[split], ps[split]
+            k = self._rank(self._cr_keys, r, ps, False) + slot[split]
+            out[split] = self._quantile_at(k, ps, top[split], lo[split], hi[split], False)
+        return out
+
+    def _quantile_at(self, k, ps, top, lo, hi, strict) -> np.ndarray:
+        """The quantile at clipped levels ``ps`` whose table slots are ``k``
+        (see :attr:`_quantile_table`), for rows with ends ``top``, ``lo`` and
+        ``hi``; every argument broadcasts against ``ps``."""
+        Bk, CLk, CRk, Bp, CRp, span, denom, safe = self._quantile_table
         # jump at B[k] covers p when CL[k] < p <= CR[k] (or <= for strict).
         # The level that exhausts the mass is the support's upper end, even
         # when rounding leaves the cumulative mass a few ulps off 1; for the
@@ -702,16 +736,18 @@ class JointLaw:
 
 
 class LawBatch:
-    """Joint laws stacked for the statistics: one x stack and one y stack
-    over every z site of every law.
+    """Joint laws stacked for the statistics: one stack of the x and y
+    marginals of every z site of every law.
 
-    Law ``l``'s sites are the stack rows ``offsets[l]:offsets[l + 1]``, in z
-    order, so a statistic evaluates every z pair of every law in one kernel
-    call per axis.  The stacks are :meth:`GridStack.of` over the
-    conditionals' cached marginals, so every value keeps the bits of a call
-    on that marginal alone.  A law may appear more than once.
-    :attr:`JointLaw.batch` is the one-law batch.  The stacks are built on
-    first use.  An empty batch is refused with ``ValidationError``.
+    Law ``l``'s sites are ``offsets[l]:offsets[l + 1]``, in z order; site
+    ``s``'s x marginal is stack row ``s`` and its y marginal row
+    ``sites + s``, so a statistic evaluates both axes of every z pair of
+    every law in one kernel call (see :meth:`rows`).  The stack is
+    :meth:`GridStack.of` over the conditionals' cached marginals, so every
+    value keeps the bits of a call on that marginal alone.  A law may appear
+    more than once.  :attr:`JointLaw.batch` is the one-law batch.  The stack
+    is built on first use.  An empty batch is refused with
+    ``ValidationError``.
     """
 
     def __init__(self, laws: Sequence[JointLaw]):
@@ -720,14 +756,17 @@ class LawBatch:
             raise ValidationError("need at least one law")
         sites = [len(law.conditionals) for law in self.laws]
         self.offsets = np.concatenate([[0], np.cumsum(sites, dtype=np.intp)])
+        self.sites = int(self.offsets[-1])
 
     @cached_property
-    def x_stack(self) -> GridStack:
-        return GridStack.of([c.x_marginal() for law in self.laws for c in law.conditionals])
+    def stack(self) -> GridStack:
+        conds = [c for law in self.laws for c in law.conditionals]
+        return GridStack.of([c.x_marginal() for c in conds] + [c.y_marginal() for c in conds])
 
-    @cached_property
-    def y_stack(self) -> GridStack:
-        return GridStack.of([c.y_marginal() for law in self.laws for c in law.conditionals])
+    def rows(self, sites: np.ndarray) -> np.ndarray:
+        """The stack rows of ``sites``: their x rows, then their y rows, as
+        a ``(2, len(sites))`` array."""
+        return np.stack([sites, sites + self.sites])
 
 
 # ---------------------------------------------------------------------------

@@ -318,13 +318,17 @@ def _law_of_counts(
     cells: np.ndarray, y_edges: np.ndarray, x_edges: np.ndarray, z_edges: np.ndarray
 ) -> JointLaw:
     """The empirical law of one spec's ``(z, y, x)`` cell counts on its
-    grid (see :func:`_count_cells`); every z bin must be populated."""
+    grid (see :func:`_count_cells`); every z bin must be populated.  The
+    z edges are checked first: edges that collapse or overflow leave bins
+    empty, and the error names that cause."""
+    # linspace collapses the edges of a range that is narrow for its
+    # magnitude, and overflows to NaN on one wider than the largest float
+    _require_increasing("z edges", z_edges)
     mass = cells[: len(z_edges) - 1].astype(float)
     counts = mass.sum(axis=(1, 2))
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise EmptyBinError(f"z bin {empty[0]} received no samples")
-    # linspace collapses the edges of a range that is narrow for its magnitude
     _require_increasing("y edges", y_edges)
     _require_increasing("x edges", x_edges)
     mass /= counts[:, None, None]

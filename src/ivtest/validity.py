@@ -338,11 +338,12 @@ def _groups(keys: Sequence) -> list[list[int]]:
 
 
 def _pair_quantile_moments(
-    xs: GridStack, ys: GridStack, first: np.ndarray, second: np.ndarray, power: float
+    stack: GridStack, first: np.ndarray, second: np.ndarray, power: float
 ) -> list[float]:
     """E[((Qx1-Qx2)^2 + (Qy1-Qy2)^2)^(power/2)] under the common-level
-    coupling for every pair of rows ``first[i]`` (1) and ``second[i]`` (2) of
-    the x stack ``xs`` and the y stack ``ys``.
+    coupling for every pair ``i``: the x rows ``first[0, i]`` (1) and
+    ``second[0, i]`` (2) and the y rows ``first[1, i]`` and ``second[1, i]``
+    of ``stack`` (see :meth:`LawBatch.rows`).
 
     The four quantile functions of a pair are piecewise linear between their
     merged CDF breakpoints, so on each segment the integrand is a function of
@@ -353,18 +354,22 @@ def _pair_quantile_moments(
     integrand has a kink: with one kink at the middle of a single segment the
     error is 2.5e-3 at power 0.5 and 3.8e-4 at power 1.
 
-    The nodes of every segment of every pair take one quantile call per
-    stack, but the weighted sums are not batched: every segment's sum is one
-    1-D ``_GL_WEIGHTS @ v``, added to its pair's total in segment order, as a
-    loop over segments adds them.  A batched ``vals @ w``, ``einsum`` or
-    ``(v * w).sum`` rounds differently from the 1-D dot on most 16-vectors
-    (1671 to 1910 of 2000 random ones), which would move the seeded simulate
-    output.
+    The nodes of every segment of every pair, on both axes, take one
+    :meth:`GridStack.quantile_sorted` call: a segment lies between
+    consecutive levels of its pair, so its nodes mostly share one rank.
+    Every segment's weighted sum is the 1-D dot ``_GL_WEIGHTS @ v``:
+    ``np.vecdot`` of each row with the weights calls that same dot.  A
+    batched ``vals @ w``, ``einsum`` or ``(v * w).sum`` does not: each
+    rounds differently on a fifth to a third of random 16-vectors, which
+    would move the seeded simulate output.  A tier-1 test pins ``vecdot``
+    to the 1-D dot bit for bit on random rows at scales 1e-10 to 1e10.
+    Each pair's total adds its segments' sums to 0.0 in segment order, as
+    ``np.add.at`` accumulates repeated indices, and as a loop over the
+    segments would.
     """
-    lx, px = _pair_entries(xs, first, second, (xs.CL, xs.CR))
-    ly, py = _pair_entries(ys, first, second, (ys.CL, ys.CR))
-    lev = np.clip(np.concatenate([lx, ly]), 0.0, 1.0)
-    pair = np.concatenate([px, py])
+    n = first.shape[1]
+    lev, pair = _pair_entries(stack, first.ravel(), second.ravel(), (stack.CL, stack.CR))
+    lev, pair = np.clip(lev, 0.0, 1.0), pair % n  # a pair's x and y levels merge
     order = np.lexsort((lev, pair))
     lev, pair = lev[order], pair[order]
     distinct = np.ones(len(lev), dtype=bool)
@@ -374,18 +379,15 @@ def _pair_quantile_moments(
     inside = pair[1:] == pair[:-1]
     a, b, seg_pair = ps[:-1][inside], ps[1:][inside], pair[1:][inside]
     half = 0.5 * (b - a)
-    t = (half[:, None] * _GL_NODES + (0.5 * (a + b))[:, None]).ravel()
-    node_pair = np.repeat(seg_pair, len(_GL_NODES))
-    rows = np.concatenate([first[node_pair], second[node_pair]])
-    qx = xs.quantile(rows, np.tile(t, 2)).reshape(2, -1)
-    qy = ys.quantile(rows, np.tile(t, 2)).reshape(2, -1)
-    dx, dy = qx[0] - qx[1], qy[0] - qy[1]
-    vals = ((dx * dx + dy * dy) ** (power / 2.0)).reshape(len(half), len(_GL_NODES))
-    # one 1-D dot per segment, added in segment order
-    totals = [0.0] * len(first)
-    for i, h, v in zip(seg_pair.tolist(), half.tolist(), vals):
-        totals[i] += h * float(_GL_WEIGHTS @ v)
-    return totals
+    t = half[:, None] * _GL_NODES + (0.5 * (a + b))[:, None]
+    # x1, x2, y1, y2 of every segment
+    rows = np.stack([first[:, seg_pair], second[:, seg_pair]], axis=1).ravel()
+    q = stack.quantile_sorted(rows, np.tile(t, (4, 1))).reshape(4, len(half), len(_GL_NODES))
+    dx, dy = q[0] - q[1], q[2] - q[3]
+    vals = (dx * dx + dy * dy) ** (power / 2.0)
+    totals = np.zeros(n)
+    np.add.at(totals, seg_pair, half * np.vecdot(vals, _GL_WEIGHTS))
+    return totals.tolist()
 
 
 def _adjacent_pairs(batch: LawBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -410,14 +412,15 @@ def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> Te
 
 def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> list[TestReport]:
     """:func:`continuity_moment_statistic` of every law of ``batch``: the
-    moments of all adjacent z pairs of all laws take one quantile call per
-    axis.  Refuses the first law with fewer than 3 z points."""
+    moments of all adjacent z pairs of all laws, on both axes, take one
+    quantile call on the batch's stack.  Refuses the first law with fewer
+    than 3 z points."""
     for law in batch.laws:
         if len(law.z_grid) < 3:
             raise DegenerateGridError("need at least 3 z points for the moment test")
     power, gap_expo = params.moment_exponents()
     lower, first = _adjacent_pairs(batch)
-    moments = _pair_quantile_moments(batch.x_stack, batch.y_stack, lower, lower + 1, power)
+    moments = _pair_quantile_moments(batch.stack, batch.rows(lower), batch.rows(lower + 1), power)
     reports = []
     for law, a in zip(batch.laws, first.tolist()):
         gaps = np.diff(np.asarray(law.z_grid, dtype=float)).tolist()
@@ -453,8 +456,8 @@ def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
 def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestReport]:
     """:func:`jump_test` of every law of ``batch`` at ``z_star``, or at each
     law's largest grid point when it is None: the distances of all laws'
-    neighbour pairs take one quantile call per axis.  Refuses the first law
-    that ``z_star`` does not fit."""
+    neighbour pairs, on both axes, take one quantile call on the batch's
+    stack.  Refuses the first law that ``z_star`` does not fit."""
     if not 0 < K < math.inf:  # NaN fails too
         raise ValidationError(f"K must be positive and finite, not {K}")
     nearest, star, gaps = [], [], []
@@ -473,9 +476,8 @@ def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestRepo
         star.extend([offset + i_star] * len(others[:3]))
         gaps.append([float(abs(zs[i] - at)) for i in others[:3]])
     nearest, star = np.array(nearest), np.array(star)
-    dists = np.maximum(
-        winf_distances(batch.x_stack, nearest, star), winf_distances(batch.y_stack, nearest, star)
-    ).tolist()
+    dists = winf_distances(batch.stack, batch.rows(nearest).ravel(), batch.rows(star).ravel())
+    dists = np.maximum(*dists.reshape(2, -1)).tolist()
     reports, k = [], 0
     for law_gaps in gaps:
         d, k = dists[k : k + len(law_gaps)], k + len(law_gaps)
@@ -507,14 +509,13 @@ def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
 
 def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
     """:func:`monotonicity_test` of every law of ``batch``: all adjacent z
-    pairs of all laws take one CDF call per axis."""
+    pairs of all laws, on both axes, take one CDF call on the batch's
+    stack."""
     if not math.isfinite(tol):
         raise ValidationError(f"tol must be finite, not {tol}")
     lower, first = _adjacent_pairs(batch)
-    v = np.maximum(
-        fosd_violations(batch.x_stack, lower, lower + 1),
-        fosd_violations(batch.y_stack, lower, lower + 1),
-    )
+    v = fosd_violations(batch.stack, batch.rows(lower).ravel(), batch.rows(lower + 1).ravel())
+    v = np.maximum(*v.reshape(2, -1))
     reports = []
     for a, b in zip(first[:-1].tolist(), first[1:].tolist()):
         # the first pair attaining the largest positive violation, or none
@@ -541,19 +542,18 @@ def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
 
 def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestReport]:
     """:func:`monotonicity_sure_decrease_test` of every law of ``batch``,
-    from the support bounds of both stacks.  Refuses the first law with
+    from the support bounds of the batch's stack.  Refuses the first law with
     fewer than 2 z points."""
     if not 0 < K < math.inf:  # NaN fails too
         raise ValidationError(f"K must be positive and finite, not {K}")
     for law in batch.laws:
         if len(law.z_grid) < 2:
             raise DegenerateGridError("need at least 2 z points")
-    # lo[s, axis] and hi[s, axis] bound stack row s's support.  The laws
-    # with z z-points are evaluated together: gap[l, i, j, axis] for i < j,
-    # in that order, so argmax names law l's first pair attaining its worst
-    # gap
-    (x_lo, x_hi), (y_lo, y_hi) = batch.x_stack.support_bounds(), batch.y_stack.support_bounds()
-    lo, hi = np.column_stack([x_lo, y_lo]), np.column_stack([x_hi, y_hi])
+    # lo[s, axis] and hi[s, axis] bound site s's support on that axis.  The
+    # laws with z z-points are evaluated together: gap[l, i, j, axis] for
+    # i < j, in that order, so argmax names law l's first pair attaining its
+    # worst gap
+    lo, hi = (b.reshape(2, -1).T for b in batch.stack.support_bounds())
     sizes = [len(law.z_grid) for law in batch.laws]
     reports: list[TestReport | None] = [None] * len(sizes)
     for group in _groups(sizes):

@@ -427,10 +427,10 @@ def pairwise_group_collision_matrix(gen, agree=None):
 
 
 def pair_quantile_moment(xm1, xm2, ym1, ym2, power):
-    """``validity._pair_quantile_moments`` of one pair of laws, each
-    coordinate's two laws stacked as rows 0 and 1."""
-    xs, ys = GridStack.of([xm1, xm2]), GridStack.of([ym1, ym2])
-    return _pair_quantile_moments(xs, ys, np.array([0]), np.array([1]), power)[0]
+    """``validity._pair_quantile_moments`` of one pair of laws on their
+    one stack: the x laws are rows 0 and 1, the y laws rows 2 and 3."""
+    stack = GridStack.of([xm1, xm2, ym1, ym2])
+    return _pair_quantile_moments(stack, np.array([[0], [2]]), np.array([[1], [3]]), power)[0]
 
 
 def segment_loop_quantile_moment(xm1, xm2, ym1, ym2, power):

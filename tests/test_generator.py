@@ -464,10 +464,10 @@ def test_match_gather_cap_boundaries(monkeypatch):
     8 x 8 entry pairs are gathered at the cap and refused one entry past it.
     The match gather is built once per generator, so each cap gets a
     generator of its own."""
-    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 64)
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 64)
     assert collision_fraction(collision_case("random-0")) == 1.0
-    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 63)
-    with pytest.raises(ValidationError, match="gather of 64 entries"):
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 63)
+    with pytest.raises(ValidationError, match="accounting gather needs 64 entries"):
         collision_fraction(collision_case("random-0"))
 
 
@@ -492,10 +492,10 @@ def test_match_gather_built_once_per_generator(monkeypatch):
     assert "_match_gather" not in shifted.__dict__
     assert abs(collision_fraction(shifted) - pairwise_collision_fraction(shifted)) <= 1e-15
     assert len(coded) == 2
-    monkeypatch.setattr(generator, "MAX_CELL_ENTRIES", 63)
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 63)
     refused = collision_case("random-0")
     for account in (collision_fraction, group_collision_matrix, collision_fraction):
-        with pytest.raises(ValidationError, match="gather of 64 entries"):
+        with pytest.raises(ValidationError, match="accounting gather needs 64 entries"):
             account(refused)
         assert "_match_gather" not in refused.__dict__
     assert len(coded) == 5

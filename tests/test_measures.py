@@ -365,8 +365,9 @@ def test_atom_free_stack_is_the_stack_of_its_laws(rng):
         joints.append(JointLaw(law.z_grid, law.pz, conds))
     batch = measures.LawBatch(joints)
     conds = [c for law in joints for c in law.conditionals]
-    _assert_same_tables(batch.x_stack, [c.x_marginal() for c in conds])
-    _assert_same_tables(batch.y_stack, [c.y_marginal() for c in conds])
+    _assert_same_tables(
+        batch.stack, [c.x_marginal() for c in conds] + [c.y_marginal() for c in conds]
+    )
     for law in joints:
         gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
         columns = compose_structural_model(law, gen)._outcome_columns[0]
@@ -387,15 +388,20 @@ def test_stack_size_guard(monkeypatch):
                      (cond,) * 4)
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 20)
     stack = GridStack.of(laws)
-    measures.LawBatch([joint]).x_stack
     points = np.linspace(0.0, 1.0, 40)
     rows = np.arange(40) % 4
     assert stack.quantile(rows, points).tobytes() == laws[0].quantile(points).tobytes()
     assert stack.cdf(rows, points).tobytes() == laws[0].cdf(points).tobytes()
     monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 19)
-    for build in (lambda: GridStack.of(laws), lambda: measures.LawBatch([joint]).x_stack):
-        with pytest.raises(ValidationError, match="stack of grid laws needs 20 entries"):
-            build()
+    with pytest.raises(ValidationError, match="stack of grid laws needs 20 entries"):
+        GridStack.of(laws)
+    # the batch stacks the joint's 4 x rows of 4 breakpoints and its 4 y
+    # rows of 2: 20 + 12 entries
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 32)
+    measures.LawBatch([joint]).stack
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 31)
+    with pytest.raises(ValidationError, match="stack of grid laws needs 32 entries"):
+        measures.LawBatch([joint]).stack
     # a pair of 4-breakpoint rows gathers 16 quantile levels (CL and CR) or
     # 8 breakpoints
     pairs = np.array([0, 1]), np.array([2, 3])

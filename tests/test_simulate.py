@@ -442,18 +442,28 @@ def test_discretize_refuses_collapsed_edges():
     with pytest.raises(ValidationError, match="^y edges must be strictly increasing$"):
         discretize(data, 4, 2, 2)
     assert discretize(data, 2, 2, 2).conditionals[0].y_edges.tolist() == [1e16, 1e16 + 2, 1e16 + 4]
+    # the same values as z: the collapsed edges leave z bins empty, and the
+    # error names the edges
+    data = Dataset(rows[:, [1, 2, 0]], seed=0, spec_name="collapsed")
+    with pytest.raises(ValidationError, match="^z edges must be strictly increasing$"):
+        discretize(data, 2, 2, 4)
 
 
 @pytest.mark.parametrize("y_bins", [2, COMPARE_MAX_BINS + 1])
 def test_discretize_refuses_a_range_past_the_largest_float(y_bins):
-    """y from -1e308 to 1e308 spans more than the largest float: linspace
-    gives NaN edges, which are refused with a ValidationError, whichever
-    binning path runs."""
+    """y, or z, from -1e308 to 1e308 spans more than the largest float:
+    linspace gives NaN edges, which are refused with a ValidationError,
+    whichever binning path runs."""
     rows = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 1.0], [0.0, 0.5, 0.5]])
     with np.errstate(all="ignore"), pytest.raises(
         ValidationError, match="^y edges must be finite: nan at index 0$"
     ):
         discretize(Dataset(rows, seed=0, spec_name="wide"), y_bins, 2, 2)
+    # the same values as z, whose NaN edges leave z bins empty
+    with np.errstate(all="ignore"), pytest.raises(
+        ValidationError, match="^z edges must be finite: nan at index 0$"
+    ):
+        discretize(Dataset(rows[:, [1, 2, 0]], seed=0, spec_name="wide"), 2, 2, y_bins)
 
 
 BIN_COUNTS = [*range(2, COMPARE_MAX_BINS + 1), COMPARE_MAX_BINS + 1]
@@ -624,11 +634,16 @@ def nan_at_row_5(z, u):
 
 
 # a spec whose rows are not finite; one whose custom stage raises; one that
-# leaves z bin 1 of 3 empty; one with collapsed y edges at bins (4, 2, 2)
+# leaves z bin 1 of 3 empty; one with collapsed y edges at bins (4, 2, 2);
+# one whose z edges collapse at 3 z bins, and one whose z edges overflow to
+# NaN, each of which leaves z bins empty too
 NAN_ROWS = dict(first_stage="custom", first_stage_fn=nan_at_row_5)
 RAISES = dict(first_stage="custom", first_stage_fn=stage_that_raises)
 EMPTY_Z_BIN = dict(z_law=GridDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)]))
 COLLAPSED_Y = dict(outcome="custom", outcome_fn=lambda x, v: 1e16 + 2.0 * np.floor(3.0 * v))
+COLLAPSED_Z = dict(z_law=GridDistribution.from_atoms([(1e16 + d, 1 / 3) for d in (0.0, 2.0, 4.0)]))
+with np.errstate(over="ignore"):  # the law's edges are 2e308 apart
+    OVERFLOWED_Z = dict(z_law=GridDistribution.from_atoms([(z, 1 / 3) for z in (-1e308, 0.0, 1e308)]))
 
 
 @pytest.mark.parametrize(
@@ -638,6 +653,8 @@ COLLAPSED_Y = dict(outcome="custom", outcome_fn=lambda x, v: 1e16 + 2.0 * np.flo
         (COLLAPSED_Y, RAISES, ValidationError, "y edges must be strictly increasing"),
         (NAN_ROWS, EMPTY_Z_BIN, ValidationError, "rows must be finite: nan at index (5, 0)"),
         (NAN_ROWS, RAISES, ValidationError, "rows must be finite: nan at index (5, 0)"),
+        (COLLAPSED_Z, NAN_ROWS, ValidationError, "z edges must be strictly increasing"),
+        (OVERFLOWED_Z, RAISES, ValidationError, "z edges must be finite: nan at index 0"),
     ],
 )
 def test_run_experiment_raises_the_first_failure_in_spec_order(b, c, error, message):
@@ -647,7 +664,7 @@ def test_run_experiment_raises_the_first_failure_in_spec_order(b, c, error, mess
     type, message and prefix.  A non-finite row is named by its index among
     its own spec's rows."""
     specs = [DGPSpec(name="a"), DGPSpec(name="b", **b), DGPSpec(name="c", **c)]
-    with pytest.raises(IVTestError) as info:
+    with np.errstate(all="ignore"), pytest.raises(IVTestError) as info:
         run_experiment(specs, [make_test("fosd")], n=400, reps=1, seed=3, bins=(4, 2, 3))
     assert type(info.value) is error
     assert str(info.value) == f"spec 'b', replication 0: {message}"
@@ -733,12 +750,14 @@ def test_run_experiment_names_the_spec_whose_law_a_test_refuses():
 
 def test_run_experiment_tests_law_by_law_where_the_batch_is_refused(monkeypatch):
     """A batch whose pair gather the table cap refuses, though each of its
-    laws fits, is tested one law at a time, with the same table."""
+    laws fits, is tested one law at a time, with the same table.  One law's
+    moment gather holds 3 pairs x 2 axes x 2 rows x 2 level columns x 5
+    breakpoints = 120 entries, and the two laws' batch 240."""
     specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
     tests = [make_test("moment"), make_test("fosd", tol=0.1)]
     want = run_experiment(specs, tests, n=500, reps=2, seed=4).to_csv_text()
     laws = [discretize(sample(spec, 500, replication_seed(4, 0)), 4, 4, 4) for spec in specs]
-    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 80)
+    monkeypatch.setattr(measures, "MAX_CELL_ENTRIES", 160)
     for law in laws:
         tests[0][1](law)
     with pytest.raises(ValidationError, match="pair gather"):
