@@ -17,10 +17,7 @@ import numpy as np
 from ivtest import (
     ContinuityParams,
     GridDistribution,
-    continuity_moment_statistic,
-    jump_test,
-    monotonicity_sure_decrease_test,
-    monotonicity_test,
+    make_test,
     population_law,
     product_conditional,
 )
@@ -37,7 +34,9 @@ def location_conditional(z, x_bins=8, y_bins=16):
     )
 
 
-def show(report):
+def show(law, name, **params):
+    """Run the registered test ``name`` with ``params`` on ``law`` and print its report."""
+    report = make_test(name, **params)[1](law)
     print(f"  {report.test_name:>14}: statistic {report.statistic:.4f}  -> {report.decision}")
 
 
@@ -55,7 +54,7 @@ law_jumpy = population_law(
     ),
 )
 print("separated supports (U[0,1] vs U[3,4]):")
-show(jump_test(law_jumpy, K=1.0, z_star=1.0))
+show(law_jumpy, "jump", K=1.0, z_star=1.0)
 
 # ---------------------------------------------------------------------------
 # 2. The smooth location family passes both continuity checks.
@@ -65,10 +64,10 @@ zs = [0.0, 0.2, 0.3, 0.35]
 pz_edges = np.array([-0.025, 0.1, 0.25, 0.325, 0.4])
 pz = GridDistribution(pz_edges, np.diff(pz_edges) / np.diff(pz_edges).sum())
 law_smooth = population_law(zs, pz, location_conditional)
-params = ContinuityParams(alpha=2, beta=1, gamma=2, delta=1)
-print(f"\nsmooth location family (moment bound C = {params.c_bound}):")
-show(continuity_moment_statistic(law_smooth, params))
-show(jump_test(law_smooth, K=1.0, z_star=0.35))
+constants = dict(alpha=2, beta=1, gamma=2, delta=1)
+print(f"\nsmooth location family (moment bound C = {ContinuityParams(**constants).c_bound}):")
+show(law_smooth, "moment", **constants)
+show(law_smooth, "jump", K=1.0, z_star=0.35)
 
 # and a law that jumps between the two finest grid points diverges
 law_break = population_law(
@@ -77,7 +76,7 @@ law_break = population_law(
     lambda z: location_conditional(z if z < 0.325 else z + 3.0),
 )
 print("\nsame grid with a hidden support jump at the finest gap:")
-show(continuity_moment_statistic(law_break, params))
+show(law_break, "moment", **constants)
 
 # ---------------------------------------------------------------------------
 # 3. Monotone versus sign-flipped first stage.
@@ -94,8 +93,8 @@ law_flip = population_law(
     ),
 )
 print("\nmonotone location family vs sign-flipped first stage (FOSD, tol 0):")
-show(monotonicity_test(law_mono, tol=0.0))
-show(monotonicity_test(law_flip, tol=0.0))
+show(law_mono, "fosd", tol=0.0)
+show(law_flip, "fosd", tol=0.0)
 
 # ---------------------------------------------------------------------------
 # 4. A sure decrease: supports [5,6] then [0,1] as z rises.
@@ -111,4 +110,4 @@ law_drop = population_law(
     ),
 )
 print("\nwhole treatment support drops by 4 as z rises (threshold K = 3):")
-show(monotonicity_sure_decrease_test(law_drop, K=3.0))
+show(law_drop, "sure-decrease", K=3.0)

@@ -24,14 +24,7 @@ from .generator import (
     group_collision_matrix,
     verify_replication,
 )
-from .measures import (
-    Conditional2D,
-    GridDistribution,
-    JointLaw,
-    LawBatch,
-    fosd_violation,
-    winf_distance,
-)
+from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch
 from .simulate import (
     Dataset,
     DGPSpec,
@@ -48,15 +41,11 @@ from .validity import (
     InfeasibilityCertificate,
     TestReport,
     TupleCoupling,
-    continuity_moment_statistic,
     discrete_generator_feasible,
     feasibility_report,
     instrumental_inequality,
-    jump_test,
     make_test,
     minimal_collision_mass,
-    monotonicity_sure_decrease_test,
-    monotonicity_test,
 )
 
 __all__ = [
@@ -82,25 +71,19 @@ __all__ = [
     "build_generator",
     "collision_fraction",
     "compose_structural_model",
-    "continuity_moment_statistic",
     "discrete_generator_feasible",
     "discretize",
     "feasibility_report",
-    "fosd_violation",
     "group_collision_matrix",
     "instrumental_inequality",
-    "jump_test",
     "make_test",
     "minimal_collision_mass",
-    "monotonicity_sure_decrease_test",
-    "monotonicity_test",
     "nontestability_demo",
     "population_law",
     "product_conditional",
     "run_experiment",
     "sample",
     "verify_replication",
-    "winf_distance",
 ]
 
 __version__ = "0.1.0"

@@ -39,6 +39,9 @@ from .validity import (
 # what a simulate config that leaves out "n", "reps" or "bins" runs with
 SIMULATE_N, SIMULATE_REPS, SIMULATE_BINS = 10_000, 200, [4, 4, 4]
 
+# what ``ivtest test`` runs when no --test is given
+DEFAULT_TESTS = ("fosd", "sure-decrease", "jump", "pearl", "moment")
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--bins", default="4,4,4", help="Y,X,Z bin counts for dataset input")
     p.add_argument("--test", action="append", choices=tuple(REGISTRY), dest="tests",
-                   help="test to run (repeatable; default: all applicable)")
+                   help=f"test to run (repeatable; default: {', '.join(DEFAULT_TESTS)})")
     # no defaults here: a flag left out takes the test's default in REGISTRY
     p.add_argument("--K", type=float, help="jump / sure-decrease threshold")
     p.add_argument("--tol", type=float, help="FOSD tolerance")
@@ -158,7 +161,7 @@ def cmd_feasibility(args) -> int:
 
 def cmd_test(args) -> int:
     runners = []
-    for name in args.tests or ["fosd", "sure-decrease", "jump", "pearl", "moment"]:
+    for name in args.tests or DEFAULT_TESTS:
         defaults, _ = REGISTRY[name]
         params = {k: getattr(args, k) for k in defaults if getattr(args, k, None) is not None}
         runners.append(make_test(name, **params)[1])

@@ -796,9 +796,13 @@ def _pair_max(values: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Sup over probability levels of the quantile gap between rows
-    ``first[i]`` and ``second[i]`` of ``stack``, for every pair, in one
-    quantile call over all pairs (see :func:`winf_distance`).
+    """Sup over probability levels of the quantile gap ``|Q_a(p) - Q_b(p)|``
+    between rows ``a = first[i]`` and ``b = second[i]`` of ``stack``, for
+    every pair, in one quantile call over all pairs.
+
+    This equals the infimum over couplings of the almost-sure bound on
+    ``|X_a - X_b|`` in one dimension, attained by the comonotone coupling.
+    Two laws ``a`` and ``b`` alone are rows 0 and 1 of ``GridStack.of([a, b])``.
 
     Quantile functions are piecewise linear between the levels of the pair's
     four ``CL``/``CR`` columns, so the gap's one-sided limits there give the
@@ -820,28 +824,13 @@ def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> n
 
 
 def fosd_violations(stack: GridStack, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Largest violation ``max_x (F_upper(x) - F_lower(x))`` of rows
-    ``lower[i]`` and ``upper[i]`` of ``stack``, 0 when dominated, for every
-    pair, in one CDF call over all pairs: both CDF limits of both rows at the
-    pair's breakpoints (duplicates leave a maximum unchanged)."""
+    """Largest violation ``max_x (F_upper(x) - F_lower(x))`` of first-order
+    stochastic dominance of row ``upper[i]`` over row ``lower[i]`` of
+    ``stack``, 0 when dominated, for every pair, in one CDF call over all
+    pairs: both CDF limits of both rows at the pair's breakpoints
+    (duplicates leave a maximum unchanged)."""
     xs, pair = _pair_entries(stack, lower, upper, (stack.B,))
     n = len(xs)
     rows = np.concatenate([upper[pair], lower[pair], upper[pair], lower[pair]])
     F = stack.cdf(rows, np.tile(xs, 4), left=np.repeat([False, True], 2 * n)).reshape(4, n)
     return np.maximum(_pair_max(np.maximum(F[0] - F[1], F[2] - F[3]), pair), 0.0)
-
-
-def winf_distance(a: GridDistribution, b: GridDistribution) -> float:
-    """Sup over probability levels of the quantile gap ``|Q_a(p) - Q_b(p)|``:
-    :func:`winf_distances` on the two-law stack.
-
-    This equals the infimum over couplings of the almost-sure bound on
-    ``|X_a - X_b|`` in one dimension, attained by the comonotone coupling.
-    """
-    return float(winf_distances(GridStack.of([a, b]), np.array([0]), np.array([1]))[0])
-
-
-def fosd_violation(lower: GridDistribution, upper: GridDistribution) -> float:
-    """Largest violation ``max_x (F_upper(x) - F_lower(x))``, 0 when
-    dominated: :func:`fosd_violations` on the two-law stack."""
-    return float(fosd_violations(GridStack.of([lower, upper]), np.array([0]), np.array([1]))[0])

@@ -11,6 +11,12 @@ tests here presuppose either Hoelder-continuity constants or monotone
 first/second stages and reject observed laws that no model in the
 restricted class can generate.
 
+Each statistic of joint laws is one function of a ``LawBatch`` that
+reports on every law of the batch; one law is ``law.batch``.
+``make_test(name, **params)`` binds a statistic to its constants, and
+refuses bad constants before any law is seen.  ``instrumental_inequality``
+and ``feasibility_report`` take raw conditionals instead.
+
 The cross-z joint coupling of the observed process is not identified from
 the data, so every process-level statistic below is evaluated under the
 comonotone (common quantile level) coupling, coordinate by coordinate.  In
@@ -42,6 +48,12 @@ from .measures import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _require_positive(what: str, value: float) -> None:
+    """Refuse a constant that is not positive and finite; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{what} must be positive and finite, not {value}")
+
+
 @dataclass(frozen=True)
 class ContinuityParams:
     """Hoelder constants of the two stages and the derived rejection bound.
@@ -64,13 +76,11 @@ class ContinuityParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "ky", "kx"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite")
+            _require_positive(name, getattr(self, name))
         if self.c_bound is None:
             c = 2.0 * max(self.ky * self.kx ** (self.beta / self.alpha), self.ky * self.kx)
             object.__setattr__(self, "c_bound", c)
-        if not 0 < self.c_bound < math.inf:
-            raise ValidationError("c_bound must be positive and finite")
+        _require_positive("c_bound", self.c_bound)
 
     def moment_exponents(self) -> tuple[float, float]:
         """(moment power, gap power) for the path-regularity moment ratio.
@@ -398,21 +408,17 @@ def _adjacent_pairs(batch: LawBatch) -> tuple[np.ndarray, np.ndarray]:
     return lower, batch.offsets - np.arange(len(batch.offsets))
 
 
-def continuity_moment_statistic(joint: JointLaw, params: ContinuityParams) -> TestReport:
-    """Moment-ratio check of path regularity between neighbouring z values.
+def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> list[TestReport]:
+    """Moment-ratio check of path regularity between neighbouring z values,
+    one report per law of ``batch``.
 
     For every adjacent z pair the comonotone moment of the joint displacement
     is divided by the gap raised to the certifying exponent; the statistic is
     the worst ratio among the three smallest gaps, standing in for the limit
     as the gap shrinks.  Rejection (statistic above ``c_bound``) means no
     model with the given constants can generate the law.
-    """
-    return continuity_moment_statistics(joint.batch, params)[0]
 
-
-def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> list[TestReport]:
-    """:func:`continuity_moment_statistic` of every law of ``batch``: the
-    moments of all adjacent z pairs of all laws, on both axes, take one
+    The moments of all adjacent z pairs of all laws, on both axes, take one
     quantile call on the batch's stack.  Refuses the first law with fewer
     than 3 z points."""
     for law in batch.laws:
@@ -442,24 +448,20 @@ def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> l
     return reports
 
 
-def jump_test(joint: JointLaw, K: float, z_star: float) -> TestReport:
-    """Detect an almost-sure jump of size above K at ``z_star``.
+def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestReport]:
+    """Detect an almost-sure jump of size above K at ``z_star``, or at each
+    law's largest grid point when it is None, one report per law of
+    ``batch``.
 
     For the nearest grid neighbours of ``z_star`` the statistic is the
     smallest coordinate-wise comonotone a.s. displacement bound; it exceeding
     K means the displacement stays above K as the gap shrinks, which no
     continuous-path model allows under the maintained constants.
-    """
-    return jump_tests(joint.batch, K, z_star)[0]
 
-
-def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestReport]:
-    """:func:`jump_test` of every law of ``batch`` at ``z_star``, or at each
-    law's largest grid point when it is None: the distances of all laws'
-    neighbour pairs, on both axes, take one quantile call on the batch's
-    stack.  Refuses the first law that ``z_star`` does not fit."""
-    if not 0 < K < math.inf:  # NaN fails too
-        raise ValidationError(f"K must be positive and finite, not {K}")
+    The distances of all laws' neighbour pairs, on both axes, take one
+    quantile call on the batch's stack.  Refuses the first law that
+    ``z_star`` does not fit."""
+    _require_positive("K", K)
     nearest, star, gaps = [], [], []
     for law, offset in zip(batch.laws, batch.offsets.tolist()):
         zs = np.asarray(law.z_grid, dtype=float)
@@ -497,20 +499,16 @@ def jump_tests(batch: LawBatch, K: float, z_star: float | None) -> list[TestRepo
 # ---------------------------------------------------------------------------
 
 
-def monotonicity_test(joint: JointLaw, tol: float) -> TestReport:
-    """Check first-order stochastic dominance of both marginals along z.
+def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
+    """Check first-order stochastic dominance of both marginals along z, one
+    report per law of ``batch``.
 
     A model with monotone stages moves the whole conditional law upward in z,
     so any adjacent pair with F_{z2}(x) > F_{z1}(x) + tol (in x or y) is a
     violation; the statistic is the largest such CDF excess.
-    """
-    return monotonicity_tests(joint.batch, tol)[0]
 
-
-def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
-    """:func:`monotonicity_test` of every law of ``batch``: all adjacent z
-    pairs of all laws, on both axes, take one CDF call on the batch's
-    stack."""
+    All adjacent z pairs of all laws, on both axes, take one CDF call on the
+    batch's stack."""
     if not math.isfinite(tol):
         raise ValidationError(f"tol must be finite, not {tol}")
     lower, first = _adjacent_pairs(batch)
@@ -529,23 +527,18 @@ def monotonicity_tests(batch: LawBatch, tol: float) -> list[TestReport]:
     return reports
 
 
-def monotonicity_sure_decrease_test(joint: JointLaw, K: float) -> TestReport:
-    """Reject when some coordinate surely falls by more than K as z rises.
+def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestReport]:
+    """Reject when some coordinate surely falls by more than K as z rises,
+    one report per law of ``batch``.
 
     If the entire support at the larger z sits more than K below the entire
     support at the smaller z, every coupling realizes the decrease with
     probability one, contradicting monotone stages.  The statistic is the
     largest such support gap over ordered z pairs and coordinates.
-    """
-    return monotonicity_sure_decrease_tests(joint.batch, K)[0]
 
-
-def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestReport]:
-    """:func:`monotonicity_sure_decrease_test` of every law of ``batch``,
-    from the support bounds of the batch's stack.  Refuses the first law with
-    fewer than 2 z points."""
-    if not 0 < K < math.inf:  # NaN fails too
-        raise ValidationError(f"K must be positive and finite, not {K}")
+    Computed from the support bounds of the batch's stack.  Refuses the
+    first law with fewer than 2 z points."""
+    _require_positive("K", K)
     for law in batch.laws:
         if len(law.z_grid) < 2:
             raise DegenerateGridError("need at least 2 z points")
@@ -579,9 +572,10 @@ def monotonicity_sure_decrease_tests(batch: LawBatch, K: float) -> list[TestRepo
 
 @dataclass(frozen=True)
 class Runner:
-    """A registered test bound to its parameters: ``runner(law)`` is one
-    law's report, and ``runner.batch(laws)`` the report of every law of a
-    :class:`LawBatch`, in law order.  One law is the one-law batch."""
+    """A registered test bound to its checked parameters, as
+    :func:`make_test` builds it: ``runner.batch(laws)`` is the report of
+    every law of a :class:`LawBatch`, in law order, and ``runner(law)`` one
+    law's report, from its one-law batch."""
 
     batch: Callable[[LawBatch], list[TestReport]]
 
@@ -589,8 +583,21 @@ class Runner:
         return self.batch(law.batch)[0]
 
 
+# Each build refuses bad constants before any law is seen.
+
+
+def _sure_decrease(K):
+    _require_positive("K", K)
+    return lambda laws: monotonicity_sure_decrease_tests(laws, K)
+
+
+def _jump(K, z_star):
+    _require_positive("K", K)
+    return lambda laws: jump_tests(laws, K, z_star)
+
+
 def _moment(**params):
-    cp = ContinuityParams(**params)  # refuses bad constants before any law is seen
+    cp = ContinuityParams(**params)
     return lambda laws: continuity_moment_statistics(laws, cp)
 
 
@@ -604,11 +611,8 @@ def _run_feasibility(law: JointLaw) -> TestReport:
 # wrapper installed on ``ivtest.validity.<function>`` sees every call.
 REGISTRY = {
     "fosd": ({"tol": 0.0}, lambda tol: lambda laws: monotonicity_tests(laws, tol)),
-    "sure-decrease": (
-        {"K": 1.0},
-        lambda K: lambda laws: monotonicity_sure_decrease_tests(laws, K),
-    ),
-    "jump": ({"K": 1.0, "z_star": None}, lambda K, z_star: lambda laws: jump_tests(laws, K, z_star)),
+    "sure-decrease": ({"K": 1.0}, _sure_decrease),
+    "jump": ({"K": 1.0, "z_star": None}, _jump),
     "pearl": ({}, lambda: lambda laws: instrumental_inequalities(laws)),
     "moment": (
         {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0, "ky": 1.0, "kx": 1.0},
@@ -625,8 +629,9 @@ def make_test(name: str, **params):
 
     Parameters not given take the defaults in ``REGISTRY``; ``jump``'s
     ``z_star`` defaults to each law's largest grid point.  Unknown names,
-    unknown parameters, values that are not finite numbers and constants the
-    test refuses raise ``ValidationError``.
+    unknown parameters, bools, values that are not finite numbers and
+    constants the test refuses (a ``K`` or moment constant that is not
+    positive) raise ``ValidationError`` here, before any law is seen.
     """
     if not isinstance(name, str) or name not in REGISTRY:
         raise ValidationError(f"unknown test name {name!r}")
@@ -638,6 +643,10 @@ def make_test(name: str, **params):
     for key, value in params.items():
         if value is None and defaults[key] is None:
             continue
+        if isinstance(value, (bool, np.bool_)):  # float(True) would be 1.0
+            raise ValidationError(
+                f"parameter {key!r} of test {name!r} must be a number, not {value!r}"
+            )
         try:
             bound[key] = float(value)
         except (TypeError, ValueError) as exc:

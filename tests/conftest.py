@@ -507,9 +507,9 @@ def one_pair_fosd_violation(lower, upper):
 
 
 def pair_loop_fosd(law, tol):
-    """``validity.monotonicity_test`` one adjacent z pair at a time through
-    :func:`one_pair_fosd_violation`: the per-pair oracle for the stacked
-    statistic."""
+    """``validity.monotonicity_tests`` of one law, one adjacent z pair at a
+    time through :func:`one_pair_fosd_violation`: the per-pair oracle for
+    the stacked statistic."""
     xms, yms = law.x_marginals(), law.y_marginals()
     worst, worst_pair = 0.0, -1.0
     for i in range(len(law.z_grid) - 1):
@@ -525,8 +525,9 @@ def pair_loop_fosd(law, tol):
 
 
 def pair_loop_sure_decrease(law, K):
-    """``validity.monotonicity_sure_decrease_test`` over ordered z pairs and
-    coordinates in loops, from each marginal's ``support_bounds``."""
+    """``validity.monotonicity_sure_decrease_tests`` of one law over ordered
+    z pairs and coordinates in loops, from each marginal's
+    ``support_bounds``."""
     bounds = [(c.x_marginal().support_bounds(), c.y_marginal().support_bounds())
               for c in law.conditionals]
     worst, worst_pair = -np.inf, -1.0
@@ -540,7 +541,7 @@ def pair_loop_sure_decrease(law, K):
 
 
 def pair_loop_jump(law, K, z_star):
-    """``validity.jump_test`` one neighbour at a time through
+    """``validity.jump_tests`` of one law, one neighbour at a time through
     :func:`one_pair_winf_distance`."""
     zs = np.asarray(law.z_grid, dtype=float)
     i_star = int(np.where(zs == z_star)[0][0])
@@ -562,8 +563,8 @@ def pair_loop_jump(law, K, z_star):
 
 
 def pair_loop_moment(law, params):
-    """``validity.continuity_moment_statistic`` one adjacent z pair at a time
-    through :func:`segment_loop_quantile_moment`."""
+    """``validity.continuity_moment_statistics`` of one law, one adjacent z
+    pair at a time through :func:`segment_loop_quantile_moment`."""
     zs = np.asarray(law.z_grid, dtype=float)
     if len(zs) < 3:
         raise DegenerateGridError("need at least 3 z points for the moment test")

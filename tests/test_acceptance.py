@@ -17,17 +17,14 @@ from ivtest import (
     discrete_generator_feasible,
     discretize,
     group_collision_matrix,
-    jump_test,
     make_test,
     minimal_collision_mass,
-    monotonicity_sure_decrease_test,
-    monotonicity_test,
     nontestability_demo,
     run_experiment,
     sample,
 )
 from ivtest.cli import main as cli_main
-from ivtest.validity import ContinuityParams, continuity_moment_statistic
+from ivtest.validity import ContinuityParams, continuity_moment_statistics
 
 from conftest import (
     bernoulli_support_jump_law,
@@ -189,12 +186,12 @@ def test_criterion_5_minimal_collision_mass():
 
 def test_criterion_6_continuity_tests():
     law_b = bernoulli_support_jump_law()
-    rj = jump_test(law_b, K=1.0, z_star=1.0)
+    rj = make_test("jump", K=1.0, z_star=1.0)[1](law_b)
     ok_jump = rj.decision == "reject" and abs(rj.statistic - 3.0) <= 1e-9
 
     law_s = smooth_location_law(gaps=(0.2, 0.1, 0.05))
     params = ContinuityParams(alpha=2, beta=1, gamma=2, delta=1)
-    rm = continuity_moment_statistic(law_s, params)
+    rm = continuity_moment_statistics(law_s.batch, params)[0]
     ok_moment = rm.decision == "consistent"
     verdict(
         6,
@@ -212,7 +209,7 @@ def test_criterion_6_continuity_tests():
 
 def test_criterion_7_monotonicity_tests():
     law_loc = location_family_law([0.0, 0.25, 0.5, 0.75])
-    r_loc = monotonicity_test(law_loc, tol=0.0)
+    r_loc = make_test("fosd", tol=0.0)[1](law_loc)
     ok_loc = r_loc.statistic == 0.0 and r_loc.decision == "consistent"
 
     specs = [DGPSpec(name="flip", first_stage="sign_flip")]
@@ -232,7 +229,7 @@ def test_criterion_7_monotonicity_tests():
             GD.uniform(5, 6, 4) if z < 0.5 else GD.uniform(0, 1, 4),
         ),
     )
-    r_sd = monotonicity_sure_decrease_test(law_sd, K=3.0)
+    r_sd = make_test("sure-decrease", K=3.0)[1](law_sd)
     ok_sd = r_sd.decision == "reject" and abs(r_sd.statistic - 4.0) <= 1e-9
     verdict(
         7,

@@ -403,6 +403,9 @@ BAD_CONFIGS = {
     "nan-moment-constant": {"tests": [{"name": "moment", "alpha": float("nan")}]},
     "nan-tolerance": {"tests": [{"name": "fosd", "tol": float("nan")}]},
     "infinite-jump-constant": {"tests": [{"name": "jump", "K": float("inf")}]},
+    "zero-K-constant": {"tests": [{"name": "jump", "K": 0}]},
+    "boolean-tolerance": {"tests": [{"name": "fosd", "tol": True}]},
+    "boolean-K-constant": {"tests": [{"name": "jump", "K": False}]},
     "string-depth": {"nontestability_depth": "abc"},
     "fractional-depth": {"nontestability_depth": 2.5},
     "negative-depth": {"nontestability_depth": -1},
@@ -435,6 +438,8 @@ BAD_TEST_FLAGS = {
     "nan-K-flag": ["--test", "jump", "--K", "nan"],
     "infinite-K-flag": ["--test", "jump", "--K", "inf"],
     "nan-alpha-flag": ["--test", "moment", "--alpha", "nan"],
+    "zero-K-flag": ["--test", "jump", "--K", "0"],
+    "negative-K-flag": ["--test", "sure-decrease", "--K", "-1"],
 }
 
 
@@ -471,8 +476,12 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
         assert "nontestability_depth" in err
     if case.endswith(("-n", "-reps")):
         assert f"config '{case.rsplit('-', 1)[1]}' must be an integer" in err
-    if case in BAD_TEST_FLAGS or case.startswith(("nan-", "infinite-")):
+    if case.startswith(("nan-", "infinite-")):
         assert "must be finite" in err
+    if case.startswith(("zero-K", "negative-K")):
+        assert "K must be positive and finite" in err
+    if case.startswith(("boolean-tolerance", "boolean-K")):
+        assert "must be a number" in err
     if case == "non-numeric-csv-field":
         assert "row 3" in err and "'two'" in err
 

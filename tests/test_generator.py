@@ -747,9 +747,9 @@ def test_monotone_model_class_soundness():
     law = location_family_law([0.0, 0.25, 0.5, 0.75])
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 3)
     model = compose_structural_model(law, gen)
-    from ivtest import monotonicity_test
+    from ivtest import make_test
 
-    report = monotonicity_test(model.induced_law(), tol=0.0)
+    report = make_test("fosd", tol=0.0)[1](model.induced_law())
     assert report.statistic == 0.0
     assert report.decision == "consistent"
 

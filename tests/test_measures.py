@@ -15,11 +15,9 @@ from ivtest import (
     ValidationError,
     build_generator,
     compose_structural_model,
-    fosd_violation,
-    winf_distance,
 )
 from ivtest import measures
-from ivtest.measures import INPUT_TOL, GridStack
+from ivtest.measures import INPUT_TOL, GridStack, fosd_violations, winf_distances
 
 from conftest import (
     element_json_dict,
@@ -116,7 +114,8 @@ def test_quantile_right_level_one_is_support_upper_end():
     assert d.quantile_right(1.0) == d.quantile(1.0) == 1.0
     assert d.quantile_right(np.array([0.25, 0.5, 1.0])).tolist() == [0.5, 1.0, 1.0]
     # the quantile functions differ by at most 0.5, at p = 0.5
-    assert winf_distance(d, GridDistribution.uniform(0, 1)) == 0.5
+    stack = GridStack.of([d, GridDistribution.uniform(0, 1)])
+    assert winf_distances(stack, np.array([0]), np.array([1])).tolist() == [0.5]
 
 
 def test_quantile_matches_oracle_on_random_mixtures(rng):
@@ -492,10 +491,12 @@ def test_split_exactness_and_reassembly_random(rng):
 
 def test_winf_examples():
     u = GridDistribution.uniform(0, 1)
-    assert winf_distance(u, u) == 0.0
+    stack = GridStack.of([u, GridDistribution.uniform(3, 4), GridDistribution.uniform(0.2, 1.2)])
+    same, apart, near = winf_distances(stack, np.array([0, 0, 0]), np.array([0, 1, 2]))
+    assert same == 0.0
     # supports separated by 3: every quantile moves by exactly 3
-    assert winf_distance(u, GridDistribution.uniform(3, 4)) == pytest.approx(3.0)
-    assert winf_distance(u, GridDistribution.uniform(0.2, 1.2)) == pytest.approx(0.2)
+    assert apart == pytest.approx(3.0)
+    assert near == pytest.approx(0.2)
 
 
 def test_winf_matches_dense_level_scan(rng):
@@ -504,7 +505,7 @@ def test_winf_matches_dense_level_scan(rng):
         d2 = GridDistribution(np.sort(rng.uniform(0, 2, 5)), rng.dirichlet(np.ones(4)))
         ps = np.linspace(1e-9, 1.0, 100_001)
         dense = float(np.max(np.abs(d1.quantile(ps) - d2.quantile(ps))))
-        got = winf_distance(d1, d2)
+        got = winf_distances(GridStack.of([d1, d2]), np.array([0]), np.array([1]))[0]
         assert got >= dense - 1e-12
         assert got == pytest.approx(dense, abs=1e-3)
 
@@ -514,7 +515,7 @@ def test_winf_dominates_support_gap(rng):
         g = float(rng.uniform(0.3, 2.0))
         a = GridDistribution.uniform(0, 1, 3)
         b = GridDistribution.uniform(1 + g, 2 + g, 3)
-        assert winf_distance(a, b) >= g - 1e-12
+        assert winf_distances(GridStack.of([a, b]), np.array([0]), np.array([1]))[0] >= g - 1e-12
 
 
 def test_distance_symmetry_and_triangle(rng):
@@ -522,9 +523,12 @@ def test_distance_symmetry_and_triangle(rng):
         GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         for _ in range(12)
     ]
-    for a, b, c in zip(dists[::3], dists[1::3], dists[2::3]):
-        assert winf_distance(a, b) == pytest.approx(winf_distance(b, a), abs=1e-9)
-        assert winf_distance(a, c) <= winf_distance(a, b) + winf_distance(b, c) + 1e-9
+    stack = GridStack.of(dists)
+    for a in range(0, 12, 3):
+        b, c = a + 1, a + 2
+        ab, ba, ac, bc = winf_distances(stack, np.array([a, b, a, b]), np.array([b, a, c, c]))
+        assert ab == pytest.approx(ba, abs=1e-9)
+        assert ac <= ab + bc + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +539,13 @@ def test_distance_symmetry_and_triangle(rng):
 def test_fosd_examples():
     u = GridDistribution.uniform(0, 1)
     shifted = GridDistribution.uniform(0.5, 1.5)
-    assert fosd_violation(u, shifted) == 0.0
-    assert fosd_violation(u, u) == 0.0
-    assert fosd_violation(shifted, u) == pytest.approx(0.5, abs=1e-12)
+    # (lower, upper) pairs: (u, shifted), (u, u), (shifted, u)
+    up, same, down = fosd_violations(
+        GridStack.of([u, shifted]), np.array([0, 0, 1]), np.array([1, 0, 0])
+    )
+    assert up == 0.0
+    assert same == 0.0
+    assert down == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mutual_fosd_bounds_cdf_distance(rng):
@@ -546,7 +554,8 @@ def test_mutual_fosd_bounds_cdf_distance(rng):
         base = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         other = GridDistribution(np.sort(rng.uniform(0, 2, 4)), rng.dirichlet(np.ones(3)))
         tol = float(rng.uniform(0.0, 0.5))
-        if fosd_violation(base, other) <= tol and fosd_violation(other, base) <= tol:
+        both = fosd_violations(GridStack.of([base, other]), np.array([0, 1]), np.array([1, 0]))
+        if both[0] <= tol and both[1] <= tol:
             dense = float(np.max(np.abs(oracle_cdf(base, xs) - oracle_cdf(other, xs))))
             assert dense <= tol + 1e-9
 
