@@ -49,7 +49,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MarginalMismatchError, NonAtomicityError, ValidationError
-from . import measures
 from .measures import (
     INPUT_TOL,
     MAX_CELL_ENTRIES,
@@ -57,6 +56,7 @@ from .measures import (
     GridStack,
     JointLaw,
     Site,
+    _ragged_arange,
     _require_int,
     sites_of,
 )
@@ -349,7 +349,7 @@ class GeneratorMap:
             first = np.searchsorted(key_class, Q)
             size = np.searchsorted(key_class, Q, side="right") - first
             match = np.repeat(np.arange(len(count)), size)
-            dst = _ragged_arange(first, size)
+            dst = _ragged_arange(first, size, "a collision accounting gather")
             want = P[match] * n + _digit_difference(
                 key_pattern[dst], delta[match], self.arity, self.depth
             )
@@ -548,16 +548,6 @@ def _digit_difference(b, a, arity: int, depth: int) -> np.ndarray:
     return out
 
 
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(s, s + l)`` for every paired start and length, concatenated.
-
-    Raises ``ValidationError``, before allocating, when the result would
-    exceed ``MAX_CELL_ENTRIES`` entries.
-    """
-    measures._refuse_oversize(int(lengths.sum()), "a collision accounting gather")
-    return measures._ragged_arange(starts, lengths)
-
-
 def _marginal_classes(
     marginals: Sequence[GridDistribution],
 ) -> tuple[list[GridDistribution], np.ndarray]:
@@ -597,7 +587,8 @@ def _code_matches(codes: np.ndarray, arity: int, depth: int):
     # pair every entry with each entry of its run, itself included, then drop itself
     coded = flat[order]
     src = np.repeat(order, run)
-    dst = order[_ragged_arange(np.searchsorted(coded, coded), run)]
+    starts = np.searchsorted(coded, coded)
+    dst = order[_ragged_arange(starts, run, "a collision accounting gather")]
     distinct = src != dst
     (P, a), (Q, b) = np.divmod(src[distinct], n), np.divmod(dst[distinct], n)
     key = (P * n_classes + Q) * n + _digit_difference(b, a, arity, depth)

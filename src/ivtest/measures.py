@@ -87,10 +87,14 @@ def _require_increasing(what: str, edges: np.ndarray) -> None:
         raise ValidationError(f"{what} must be strictly increasing")
 
 
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(s, s + l)`` for every paired start and length, concatenated."""
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray, what: str) -> np.ndarray:
+    """``arange(s, s + l)`` for every paired start and length, concatenated.
+    Raises ``ValidationError``, naming the gather ``what``, before allocating
+    when the result would exceed ``MAX_CELL_ENTRIES`` entries."""
+    total = int(lengths.sum())
+    _refuse_oversize(total, what)
     skip = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(starts, lengths) + np.arange(int(lengths.sum())) - skip
+    return np.repeat(starts, lengths) + np.arange(total) - skip
 
 
 def _refuse_oversize(entries: int, what: str) -> None:
@@ -785,9 +789,18 @@ def _pair_entries(
     offsets = len(stack.B) * np.arange(len(columns))
     starts = stack.starts[rows][:, None, :] + offsets[None, :, None]
     lengths = np.broadcast_to(stack._length[rows][:, None, :], starts.shape)
-    _refuse_oversize(int(lengths.sum()), "a pair gather")
-    values = np.concatenate(columns)[_ragged_arange(starts.ravel(), lengths.ravel())]
+    flat = _ragged_arange(starts.ravel(), lengths.ravel(), "a pair gather")
+    values = np.concatenate(columns)[flat]
     return values, np.repeat(np.arange(len(rows)), lengths.sum(axis=(1, 2)))
+
+
+def _distinct_levels(lev: np.ndarray, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(pair, level)`` entries, sorted by pair and then by level."""
+    order = np.lexsort((lev, pair))
+    lev, pair = lev[order], pair[order]
+    distinct = np.ones(len(lev), dtype=bool)
+    distinct[1:] = (lev[1:] != lev[:-1]) | (pair[1:] != pair[:-1])
+    return lev[distinct], pair[distinct]
 
 
 def _pair_max(values: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -809,10 +822,10 @@ def winf_distances(stack: GridStack, first: np.ndarray, second: np.ndarray) -> n
     sup exactly.  Every level is evaluated as a left limit and as a right
     limit on both rows.  Left limits count at levels in ``(0, 1]`` and right
     limits at levels in ``[0, 1]``: every row's ``CL`` starts at 0, where the
-    right limit is the support's lower end.  Duplicates leave a maximum
-    unchanged.
+    right limit is the support's lower end.  Each distinct level of a pair
+    is evaluated once.
     """
-    lev, pair = _pair_entries(stack, first, second, (stack.CL, stack.CR))
+    lev, pair = _distinct_levels(*_pair_entries(stack, first, second, (stack.CL, stack.CR)))
     n = len(lev)
     rows = np.concatenate([first[pair], first[pair], second[pair], second[pair]])
     strict = np.tile(np.repeat([False, True], n), 2)

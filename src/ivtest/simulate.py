@@ -29,7 +29,7 @@ from .generator import (
 )
 from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch
 from .measures import _refuse_oversize, _require_finite, _require_increasing, _require_int
-from .validity import Runner, TestReport, minimal_collision_mass
+from .validity import Runner, minimal_collision_mass
 
 FIRST_STAGE_KINDS = ("location", "scale", "jump", "sign_flip", "custom")
 OUTCOME_KINDS = ("location", "jump", "custom")
@@ -143,11 +143,9 @@ def _one_per_row(what: str, values, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sampled (y, x, z) rows with their provenance."""
+    """Sampled or read (y, x, z) rows."""
 
     rows: np.ndarray
-    seed: int
-    spec_name: str
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -165,7 +163,7 @@ class Dataset:
         return buf.getvalue()
 
     @classmethod
-    def from_csv_text(cls, text: str, seed: int = 0, spec_name: str = "file") -> "Dataset":
+    def from_csv_text(cls, text: str) -> "Dataset":
         """Parse ``y,x,z`` rows; every field is read by ``float``, in one pass."""
         lines = list(filter(None, text.strip().splitlines()))
         if not lines or lines[0].replace(" ", "") != "y,x,z":
@@ -187,7 +185,7 @@ class Dataset:
                 except ValueError as exc:
                     raise ValidationError(f"malformed dataset row {i}: {exc}") from exc
             raise
-        return cls(flat.reshape(-1, 3), seed, spec_name)
+        return cls(flat.reshape(-1, 3))
 
 
 class RankDraw:
@@ -205,8 +203,8 @@ class RankDraw:
 
     def __init__(self, n: int, seed: int):
         n = _require_int("n", n, 1)
-        self.seed = _require_int("seed", seed, 0)
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed,)))
+        seed = _require_int("seed", seed, 0)
+        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
         # drawn in this order, which fixes the bits of every seeded sample
         self.ranks = {stream: rng.uniform(size=n) for stream in ("u", "v", "z")}
         self._quantiles: dict[tuple, np.ndarray] = {}
@@ -236,7 +234,7 @@ def sample(spec: DGPSpec, n: int, seed: int) -> Dataset:
     """Forward-simulate n rows; deterministic in (spec, n, seed): the one-spec
     case of :class:`RankDraw`."""
     draw = RankDraw(n, seed)
-    return Dataset(np.column_stack(draw.columns(spec)), draw.seed, spec.name)
+    return Dataset(np.column_stack(draw.columns(spec)))
 
 
 def _require_bin_counts(y_bins: int, x_bins: int, z_bins: int) -> tuple[int, int, int]:
@@ -427,8 +425,8 @@ def _replication_laws(
     """The laws of replication ``rep``, each spec's law followed by its twin
     when ``depth`` is set, and the seconds each spec took on its own.
 
-    Every spec's rows are sampled from ``draw`` into one ``(specs, 3, n)``
-    block, which is checked for finite values once and binned in one pass
+    Every spec's rows are sampled from ``draw`` and checked for finite
+    values into one ``(specs, 3, n)`` block, which is binned in one pass
     (:func:`_count_cells`).  Each law is then built from its counts and
     replicated, in spec order; a spec's own seconds are its sampling,
     building and replication.  A failure is raised with the prefix of its
@@ -444,18 +442,11 @@ def _replication_laws(
         try:
             with _failure_context(spec.name, rep):
                 block[i, 0], block[i, 1], block[i, 2] = draw.columns(spec)
+                _require_finite("rows", block[i].T)
         except IVTestError as exc:
             failure, sampled = exc, i
             break
         own_s[i] += time.perf_counter() - t0
-    finite = np.isfinite(block[:sampled]).all(axis=(1, 2))
-    if not finite.all():
-        sampled = int(np.argmin(finite))
-        try:
-            with _failure_context(specs[sampled].name, rep):
-                _require_finite("rows", block[sampled].T)
-        except IVTestError as exc:
-            failure = exc
     laws = []
     if sampled:
         grids, cells = _count_cells(block[:sampled], *bins)
@@ -473,32 +464,29 @@ def _replication_laws(
     return laws, own_s
 
 
-def _reports(fn: Callable, batch: LawBatch, spec_names: Sequence[str], rep: int) -> list:
-    """The report of ``fn`` on every law of ``batch``, ``spec_names[i]``
-    naming law i's process.  A registered test's runner takes the whole batch
-    in one call; any other callable, and a batched call that fails, run law
-    by law, so that an error names the spec of the law that raised it.  A
-    batch that the table cap alone refuses is thus still tested, but a batched
-    call that fails with a foreign error on laws that pass one at a time is a
-    defect of the batched code, and that error is raised."""
-    failure = None
-    if isinstance(fn, Runner):
-        try:
-            return fn.batch(batch)
-        except Exception as exc:
-            failure = exc
+def _reports(fn: Runner, batch: LawBatch, spec_names: Sequence[str], rep: int) -> list:
+    """The report of ``fn`` on every law of ``batch``, from one batched
+    call.  A batched call that fails is replayed law by law, so that an
+    error names the spec of the law that raised it, ``spec_names[i]`` for
+    law i.  If every law passes alone, a refusal (the table cap on the whole
+    batch) leaves the law-by-law reports, and any other error is a defect of
+    the batched code and is raised."""
+    try:
+        return fn.batch(batch)
+    except Exception as exc:
+        failure = exc
     reports = []
     for law, name in zip(batch.laws, spec_names):
         with _failure_context(name, rep):
             reports.append(fn(law))
-    if failure is not None and not isinstance(failure, IVTestError):
+    if not isinstance(failure, IVTestError):
         raise failure
     return reports
 
 
 def run_experiment(
     specs: Sequence[DGPSpec],
-    tests: Sequence[tuple[str, Callable[[JointLaw], TestReport]]],
+    tests: Sequence[tuple[str, Runner]],
     n: int,
     reps: int,
     seed: int,
@@ -507,32 +495,25 @@ def run_experiment(
 ) -> ExperimentResult:
     """Size/power table: rejection rate of every test on every process.
 
-    With ``nontestability_depth`` set, each replicated law is first passed
+    ``tests`` are ``(name, runner)`` pairs from :func:`make_test`.  With
+    ``nontestability_depth`` set, each replicated law is first passed
     through :func:`nontestability_demo` and the resulting valid-instrument
-    model's induced law is tested as well, under the process name suffixed
-    with ``@replicated``.  Those twin rows belong to the null class by
-    construction, which is what bounds any test's power by its size here: a
-    law from an invalid process and the law induced by its replicating valid
-    model are the same object at cell resolution.
+    model's induced law is tested as well, in the row of the process name
+    suffixed with ``@replicated``.  Those twin rows belong to the null class
+    by construction, which is what bounds any test's power by its size here:
+    a law from an invalid process and the law induced by its replicating
+    valid model are the same object at cell resolution.
 
-    The loop runs replication by replication.  Each replication draws its
-    latent ranks once, from the seed of that replication, and samples every
-    spec from them (:class:`RankDraw`), exactly as :func:`sample` with that
-    seed would.  It bins every spec's rows in one pass, into one tensor of
-    cell counts, and builds and replicates each spec's law from its counts
-    in spec order, each law the same, bit for bit, as :func:`discretize` of
-    that spec's sample; of the failures there, the one raised is the first
-    a spec-by-spec loop meets.  It then runs each test once over all of its
-    laws, every spec's law and its twin: a registered test
-    (:func:`make_test`) takes them as one :class:`LawBatch`, and any other
-    callable is called law by law.  The table is the same, bit for bit, as
-    testing one law at a time.  A failure is raised with the prefix ``spec '<name>',
-    replication <r>:`` of the law that failed; when one replication's tests
-    fail on several laws, the one raised is the first in this order, which
-    is not always the first of a spec-by-spec loop.  A batched call that fails
-    is replayed law by law to find that law; if every law passes alone, a
-    refusal (the table cap on the whole batch) leaves the law-by-law table,
-    and any other error is raised as it is.
+    Each replication draws its latent ranks once, from its own seed, and
+    samples every spec from them, exactly as :func:`sample` with that seed
+    would (:class:`RankDraw`).  Its laws, each spec's law and then its twin,
+    are bit for bit :func:`discretize` of each sample, and each test takes
+    them in one batched call (:func:`_reports`).  Row k of the table tallies
+    law k of every replication, so the table is the same, bit for bit, as
+    testing one law at a time.  A failure is raised with the prefix ``spec
+    '<name>', replication <r>:`` of the law that failed: of a replication's
+    sampling and law building, the first failure a spec-by-spec loop meets;
+    of its tests, the first in test order and then law order.
 
     After each replication's tests, one INFO record per spec is logged on
     ``ivtest.simulate``, in spec order.  Its ``spec``, ``rep`` (0-based) and
@@ -544,8 +525,10 @@ def run_experiment(
 
     ``n`` and ``reps`` must be positive integers, ``seed`` and a set
     ``nontestability_depth`` non-negative ones, and each bin count an
-    integer of at least 2, with at most ``MAX_CELL_ENTRIES`` z * y * x cells;
-    anything else raises ``ValidationError`` before any draw.
+    integer of at least 2, with at most ``MAX_CELL_ENTRIES`` z * y * x cells.
+    Every test must be a :func:`make_test` runner, and test names and row
+    names must be unique.  Anything else raises ``ValidationError`` before
+    any draw.
     """
     n = _require_int("n", n, 1)
     reps = _require_int("reps", reps, 1)
@@ -554,29 +537,32 @@ def run_experiment(
     depth = nontestability_depth
     if depth is not None:
         depth = _require_int("nontestability_depth", depth, 0)
+    for name, fn in tests:
+        if not isinstance(fn, Runner):
+            raise ValidationError(f"test {name!r} must be a make_test runner, not {fn!r}")
+    # row k is law k of a replication's batch: each spec's law, then its twin
+    suffixes = ("", "@replicated") if depth is not None else ("",)
+    rows = [spec.name + suffix for spec in specs for suffix in suffixes]
+    test_names = [name for name, _ in tests]
+    for what, names in (("row", rows), ("test", test_names)):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValidationError(f"{what} name {repeated[0]!r} is not unique")
     if not specs:
         return ExperimentResult({})
-    rows = [
-        [spec.name] + ([f"{spec.name}@replicated"] if depth is not None else []) for spec in specs
-    ]
-    # tallies per spec: a later spec of the same name replaces an earlier one's rows
-    rejected = [{(row, name): 0 for row in r for name, _ in tests} for r in rows]
-    stat_sum = [{(row, name): 0.0 for row in r for name, _ in tests} for r in rows]
-    # the laws of a replication: each spec's law, then its twin
-    per_spec = 2 if depth is not None else 1
-    names = [spec.name for spec in specs for _ in range(per_spec)]
+    spec_names = [spec.name for spec in specs for _ in suffixes]
+    rejected = [[0] * len(tests) for _ in rows]
+    stat_sum = [[0.0] * len(tests) for _ in rows]
     for rep in range(reps):
         t0 = time.perf_counter()
         draw = RankDraw(n, replication_seed(seed, rep))
         laws, own_s = _replication_laws(specs, draw, bins, depth, rep)
         batch = LawBatch(laws)
-        for name, fn in tests:
-            for k, report in enumerate(_reports(fn, batch, names, rep)):
-                i, j = divmod(k, per_spec)
-                key = (rows[i][j], name)
-                with _failure_context(names[k], rep):
-                    rejected[i][key] += report.decision == "reject"
-                    stat_sum[i][key] += report.statistic
+        for t, (_, fn) in enumerate(tests):
+            for k, report in enumerate(_reports(fn, batch, spec_names, rep)):
+                with _failure_context(spec_names[k], rep):
+                    rejected[k][t] += report.decision == "reject"
+                    stat_sum[k][t] += report.statistic
         if log.isEnabledFor(logging.INFO):
             share = (time.perf_counter() - t0 - sum(own_s)) / len(specs)
             for spec, own in zip(specs, own_s):
@@ -586,14 +572,11 @@ def run_experiment(
                     spec.name, rep, reps, elapsed,
                     extra={"spec": spec.name, "rep": rep, "elapsed_s": elapsed},
                 )
-    results: dict[tuple[str, str], CellStats] = {}
-    for i, r in enumerate(rows):
-        for row in r:
-            for name, _ in tests:
-                results[(row, name)] = CellStats(
-                    rejected[i][(row, name)] / reps, reps, stat_sum[i][(row, name)] / reps
-                )
-    return ExperimentResult(results)
+    return ExperimentResult({
+        (row, name): CellStats(rejected[k][t] / reps, reps, stat_sum[k][t] / reps)
+        for k, row in enumerate(rows)
+        for t, name in enumerate(test_names)
+    })
 
 
 # ---------------------------------------------------------------------------

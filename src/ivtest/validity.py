@@ -39,6 +39,7 @@ from .measures import (
     GridStack,
     JointLaw,
     LawBatch,
+    _distinct_levels,
     _pair_entries,
     fosd_violations,
     winf_distances,
@@ -379,12 +380,8 @@ def _pair_quantile_moments(
     """
     n = first.shape[1]
     lev, pair = _pair_entries(stack, first.ravel(), second.ravel(), (stack.CL, stack.CR))
-    lev, pair = np.clip(lev, 0.0, 1.0), pair % n  # a pair's x and y levels merge
-    order = np.lexsort((lev, pair))
-    lev, pair = lev[order], pair[order]
-    distinct = np.ones(len(lev), dtype=bool)
-    distinct[1:] = (lev[1:] != lev[:-1]) | (pair[1:] != pair[:-1])
-    ps, pair = lev[distinct], pair[distinct]
+    # a pair's x and y levels merge
+    ps, pair = _distinct_levels(np.clip(lev, 0.0, 1.0), pair % n)
     # the segments between a pair's consecutive distinct levels
     inside = pair[1:] == pair[:-1]
     a, b, seg_pair = ps[:-1][inside], ps[1:][inside], pair[1:][inside]

@@ -411,6 +411,11 @@ BAD_CONFIGS = {
     "negative-depth": {"nontestability_depth": -1},
     "boolean-depth": {"nontestability_depth": True},
     "whole-float-depth": {"nontestability_depth": 2.0},
+    "duplicate-test-name": {"tests": [{"name": "fosd"}, {"name": "fosd"}]},
+    "duplicate-spec-name": {"specs": [{"name": "loc"}, {"name": "loc", "first_stage": "sign_flip"}]},
+    "spec-named-like-a-twin": {
+        "specs": [{"name": "loc"}, {"name": "loc@replicated"}], "nontestability_depth": 2
+    },
     "config-not-an-object": None,
     "specs-not-a-list": {"specs": {"name": "loc"}},
     "spec-not-an-object": {"specs": ["loc"]},
@@ -482,6 +487,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
         assert "K must be positive and finite" in err
     if case.startswith(("boolean-tolerance", "boolean-K")):
         assert "must be a number" in err
+    if case.startswith(("duplicate-", "spec-named-")):
+        assert "is not unique" in err
     if case == "non-numeric-csv-field":
         assert "row 3" in err and "'two'" in err
 

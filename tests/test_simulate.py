@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,6 @@ def test_solo_sample_matches_the_direct_draw():
     for spec in shared_draw_specs():
         d = sample(spec, 300, seed=41)
         assert d.rows.tobytes() == direct_sample(spec, 300, 41).tobytes()
-        assert (d.seed, d.spec_name) == (41, spec.name)
 
 
 def test_run_experiment_shares_each_replications_draw(monkeypatch):
@@ -373,7 +373,7 @@ def test_discretize_single_z_bin_rejected_but_two_work():
 
 def test_discretize_identical_rows_point_mass():
     rows = np.tile(np.array([[1.0, 2.0, 3.0]]), (50, 1))
-    data = Dataset(rows, seed=0, spec_name="const")
+    data = Dataset(rows)
     law = discretize(data, 2, 2, 2)
     # everything lands in one (y, x) cell of the populated z bin
     assert max(float(c.mass.max()) for c in law.conditionals) == 1.0
@@ -383,7 +383,7 @@ def test_discretize_empty_z_bin_error():
     rows = np.column_stack(
         [np.linspace(0, 1, 50), np.linspace(0, 1, 50), np.concatenate([np.zeros(25), np.ones(25)])]
     )
-    data = Dataset(rows, seed=0, spec_name="gap")
+    data = Dataset(rows)
     with pytest.raises(EmptyBinError):
         discretize(data, 2, 2, 5)  # middle z bins are empty
 
@@ -414,12 +414,12 @@ def test_discretize_matches_per_bin_oracle_on_edges():
     # value sits on an edge, and 4 on the closed last one
     grid = np.array([[y, x, z] for y in range(5) for x in range(5) for z in range(5)], float)
     rows = np.concatenate([grid, grid[grid[:, 2] == 4.0], grid[::7]])
-    data = Dataset(rows, seed=0, spec_name="edges")
+    data = Dataset(rows)
     law = discretize(data, 4, 4, 4)
     assert_same_law(law, per_bin_discretize(data, 4, 4, 4))
     assert law.conditionals[3].mass[3, 3] > 0  # (4, 4, 4) lands in the last cell
     # constant instrument: one z bin around the single value
-    const = Dataset(np.column_stack([rows[:, :2], np.full(len(rows), 2.0)]), 0, "const")
+    const = Dataset(np.column_stack([rows[:, :2], np.full(len(rows), 2.0)]))
     law = discretize(const, 3, 2, 5)
     assert_same_law(law, per_bin_discretize(const, 3, 2, 5))
     assert law.pz.edges.tolist() == [1.5, 2.5]
@@ -427,7 +427,7 @@ def test_discretize_matches_per_bin_oracle_on_edges():
 
 def test_discretize_empty_z_bin_matches_per_bin_oracle():
     rows = np.column_stack([np.arange(6.0), np.arange(6.0), [0, 0, 0, 4, 4, 1]])
-    data = Dataset(rows, seed=0, spec_name="gap")
+    data = Dataset(rows)
     for fn in (discretize, per_bin_discretize):
         with pytest.raises(EmptyBinError, match="^z bin 2 received no samples$"):
             fn(data, 2, 2, 4)
@@ -438,13 +438,13 @@ def test_discretize_refuses_collapsed_edges():
     between them need edges that do not exist, and linspace repeats one."""
     y = 1e16 + np.array([0.0, 2.0, 4.0] * 4)
     rows = np.column_stack([y, np.arange(12.0), np.arange(12.0) % 2])
-    data = Dataset(rows, seed=0, spec_name="collapsed")
+    data = Dataset(rows)
     with pytest.raises(ValidationError, match="^y edges must be strictly increasing$"):
         discretize(data, 4, 2, 2)
     assert discretize(data, 2, 2, 2).conditionals[0].y_edges.tolist() == [1e16, 1e16 + 2, 1e16 + 4]
     # the same values as z: the collapsed edges leave z bins empty, and the
     # error names the edges
-    data = Dataset(rows[:, [1, 2, 0]], seed=0, spec_name="collapsed")
+    data = Dataset(rows[:, [1, 2, 0]])
     with pytest.raises(ValidationError, match="^z edges must be strictly increasing$"):
         discretize(data, 2, 2, 4)
 
@@ -458,12 +458,12 @@ def test_discretize_refuses_a_range_past_the_largest_float(y_bins):
     with np.errstate(all="ignore"), pytest.raises(
         ValidationError, match="^y edges must be finite: nan at index 0$"
     ):
-        discretize(Dataset(rows, seed=0, spec_name="wide"), y_bins, 2, 2)
+        discretize(Dataset(rows), y_bins, 2, 2)
     # the same values as z, whose NaN edges leave z bins empty
     with np.errstate(all="ignore"), pytest.raises(
         ValidationError, match="^z edges must be finite: nan at index 0$"
     ):
-        discretize(Dataset(rows[:, [1, 2, 0]], seed=0, spec_name="wide"), 2, 2, y_bins)
+        discretize(Dataset(rows[:, [1, 2, 0]]), 2, 2, y_bins)
 
 
 BIN_COUNTS = [*range(2, COMPARE_MAX_BINS + 1), COMPARE_MAX_BINS + 1]
@@ -527,7 +527,8 @@ def test_each_replications_laws_are_discretize_of_each_sample(bins):
         seen.append(law)
         return TestReport("record", 0.0, 1.0)
 
-    run_experiment(specs, [("record", recording)], n=3_000, reps=2, seed=11, bins=bins)
+    record = Runner(lambda laws: [recording(law) for law in laws.laws])
+    run_experiment(specs, [("record", record)], n=3_000, reps=2, seed=11, bins=bins)
     assert len(seen) == 2 * len(specs)
     for k, law in enumerate(seen):
         rep, spec = divmod(k, len(specs))
@@ -614,6 +615,48 @@ def test_run_experiment_empty_tests():
 def test_run_experiment_rejects_zero_reps():
     with pytest.raises(ValidationError):
         run_experiment([DGPSpec(name="loc")], [], n=100, reps=0, seed=1)
+
+
+def no_draw(*args):
+    raise AssertionError("a replication was drawn")
+
+
+FLIP = DGPSpec(name="flip", first_stage="sign_flip")
+
+
+@pytest.mark.parametrize(
+    "specs, tests, depth, message",
+    [
+        ([FLIP], [make_test("fosd"), make_test("fosd")], None, "test name 'fosd' is not unique"),
+        ([DGPSpec(name="a"), replace(FLIP, name="a")], [make_test("fosd")], None,
+         "row name 'a' is not unique"),
+        ([DGPSpec(name="a"), replace(FLIP, name="a@replicated")], [make_test("fosd")], 3,
+         "row name 'a@replicated' is not unique"),
+        ([FLIP], [make_test("fosd"), ("plain", lambda law: None)], None,
+         "test 'plain' must be a make_test runner, not <function"),
+    ],
+    ids=["duplicate-test", "duplicate-spec", "spec-named-like-a-twin", "plain-callable"],
+)
+def test_run_experiment_refuses_before_any_draw(monkeypatch, specs, tests, depth, message):
+    """Repeated test or row names, which would add two tests into one row
+    or let one spec's rows replace another's, and a test that is not a
+    ``make_test`` runner are refused before any replication is drawn."""
+    monkeypatch.setattr(simulate, "RankDraw", no_draw)
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        run_experiment(specs, tests, n=200, reps=1, seed=1, nontestability_depth=depth)
+
+
+def test_a_spec_named_like_a_twin_is_refused_only_with_a_depth():
+    """Without a depth there are no twin rows, so a spec may be named
+    ``a@replicated``; each row is its own spec's."""
+    specs = [DGPSpec(name="a"), replace(FLIP, name="a@replicated")]
+    tests = [make_test("fosd")]
+    res = run_experiment(specs, tests, n=2_000, reps=3, seed=1)
+    for spec in specs:
+        alone = run_experiment([spec], tests, n=2_000, reps=3, seed=1)
+        assert res.entries[(spec.name, "fosd")] == alone.entries[(spec.name, "fosd")]
+    with pytest.raises(ValidationError, match="^row name 'a@replicated' is not unique$"):
+        run_experiment(specs, tests, n=2_000, reps=3, seed=1, nontestability_depth=3)
 
 
 def test_run_experiment_propagates_spec_context():
@@ -728,7 +771,7 @@ def test_run_experiment_wraps_foreign_errors():
 
 def test_run_experiment_names_the_spec_whose_law_a_test_refuses():
     """A batched test that refuses one law raises that law's error, type
-    kept, with its spec and replication; a plain callable's error too."""
+    kept, with its spec and replication; a foreign error too."""
     specs = [
         DGPSpec(name="loc"),
         DGPSpec(name="const-z", z_law=GridDistribution.point_mass(0.5)),  # one z bin
@@ -745,7 +788,8 @@ def test_run_experiment_names_the_spec_whose_law_a_test_refuses():
         return make_test("fosd")[1](law)
 
     with pytest.raises(IVTestError, match=r"^spec 'const-z', replication 0: ValueError"):
-        run_experiment(specs, [("picky", picky)], n=200, reps=1, seed=1)
+        run_experiment(specs, [("picky", Runner(lambda laws: [picky(law) for law in laws.laws]))],
+                       n=200, reps=1, seed=1)
 
 
 def test_run_experiment_tests_law_by_law_where_the_batch_is_refused(monkeypatch):
@@ -838,11 +882,12 @@ def test_run_experiment_raises_a_defect_of_the_batched_code():
 
 
 def test_run_experiment_names_the_spec_of_a_report_it_cannot_read():
-    """A callable whose result is not a TestReport fails as an IVTestError
+    """A runner whose report is not a TestReport fails as an IVTestError
     naming the spec and replication of the law it was given."""
     specs = [DGPSpec(name="loc"), DGPSpec(name="scale", first_stage="scale")]
     with pytest.raises(IVTestError, match=r"^spec 'loc', replication 0: AttributeError"):
-        run_experiment(specs, [("none", lambda law: None)], n=200, reps=1, seed=1)
+        run_experiment(specs, [("none", Runner(lambda laws: [None for law in laws.laws]))],
+                       n=200, reps=1, seed=1)
 
 
 def test_run_experiment_without_specs_is_empty():
