@@ -168,7 +168,7 @@ def cmd_test(args) -> int:
     bins = _parse_bins(args.bins)  # bad constants and bins fail before the input is read
     if not args.input:
         raise ValidationError("test needs --input")
-    if args.input.endswith(".csv"):
+    if args.input.lower().endswith(".csv"):
         law = discretize(Dataset.from_csv_text(_read_text(args.input)), *bins)
     else:
         law = JointLaw.from_json_dict(_read_json(args.input))

@@ -9,7 +9,6 @@ and reproducible bit for bit.
 
 from __future__ import annotations
 
-import io
 import itertools
 import logging
 import math
@@ -156,19 +155,30 @@ class Dataset:
         object.__setattr__(self, "rows", rows)
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("y,x,z\n")
-        for y, x, z in self.rows:
-            buf.write(f"{float(y)!r},{float(x)!r},{float(z)!r}\n")
-        return buf.getvalue()
+        values = map(repr, self.rows.ravel().tolist())
+        return "y,x,z\n" + ("{},{},{}\n" * len(self.rows)).format(*values)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Dataset":
-        """Parse ``y,x,z`` rows; every field is read by ``float``, in one pass."""
+        """Parse ``y,x,z`` rows; values are those ``float`` gives.
+
+        NumPy's C reader reads the body first: it converts each field with
+        the string-to-double routine that ``float`` calls.  ``float`` reads
+        the rest of its grammar (``1_0``, non-ASCII digits) and names a bad
+        row.
+        """
         lines = list(filter(None, text.strip().splitlines()))
         if not lines or lines[0].replace(" ", "") != "y,x,z":
             raise ValidationError("dataset CSV must start with header y,x,z")
         body = lines[1:]
+        if body:  # first, as loadtxt warns on empty input
+            try:
+                rows = np.loadtxt(body, dtype=float, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass  # float reads the body below, or names the bad row
+            else:
+                if rows.shape == (len(body), 3):
+                    return cls(rows)
         commas = list(map(str.count, body, itertools.repeat(",")))
         if commas.count(2) != len(body):
             i = next(i for i, c in enumerate(commas) if c != 2)

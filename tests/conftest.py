@@ -4,9 +4,11 @@ oracle, the eager-table sampling oracle, the two-search z lookup oracle,
 the address spelling, the pairwise image-code, agreement and collision
 oracles, the piece-loop inversion oracle, the one-pair moment and its
 segment-loop oracle, the one-pair W-infinity and FOSD oracles, the
-per-pair statistic oracles, the breakpoint-loop profile oracle and the
-masked quantile/CDF and per-bin discretize oracles."""
+per-pair statistic oracles, the breakpoint-loop profile oracle, the
+masked quantile/CDF and per-bin discretize oracles and the float-loop
+dataset CSV oracle."""
 
+import itertools
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -693,6 +695,30 @@ def per_bin_discretize(data, y_bins, x_bins, z_bins):
     pz = GridDistribution(z_edges, counts / counts.sum())
     z_grid = 0.5 * (z_edges[:-1] + z_edges[1:])
     return JointLaw(z_grid, pz, tuple(conds))
+
+
+def float_loop_csv_rows(text):
+    """The (n, 3) rows of a dataset CSV with every field read by ``float``, in
+    one pass, or the ``ValidationError`` that names the bad header or row.
+    A header-only text gives (0, 3) rows, which ``Dataset`` refuses."""
+    lines = list(filter(None, text.strip().splitlines()))
+    if not lines or lines[0].replace(" ", "") != "y,x,z":
+        raise ValidationError("dataset CSV must start with header y,x,z")
+    body = lines[1:]
+    commas = list(map(str.count, body, itertools.repeat(",")))
+    if commas.count(2) != len(body):
+        i = next(i for i, c in enumerate(commas) if c != 2)
+        raise ValidationError(f"malformed dataset row {i + 1}: need 3 fields, got {body[i]!r}")
+    try:
+        flat = np.fromiter(map(float, ",".join(body).split(",")), float, 3 * len(body))
+    except ValueError:
+        for i, row in enumerate(body, 1):
+            try:
+                list(map(float, row.split(",")))
+            except ValueError as exc:
+                raise ValidationError(f"malformed dataset row {i}: {exc}") from exc
+        raise
+    return flat.reshape(-1, 3)
 
 
 def assert_tuple_plan(laws, tuples, weights, atol):

@@ -250,6 +250,17 @@ def test_cmd_test_dataset_csv_autodiscretized(tmp_path, capsys):
     assert report["decision"] == "consistent"
 
 
+def test_cmd_test_reads_upper_case_csv_suffix_as_csv(tmp_path, capsys):
+    text = sample(DGPSpec(name="loc"), 2_000, seed=4).to_csv_text()
+    reports = []
+    for name in ("rows.csv", "ROWS.CSV"):
+        (tmp_path / name).write_text(text)
+        assert main(["test", "--input", str(tmp_path / name), "--format", "csv"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert reports[0].startswith("test,statistic,threshold,decision\n")
+
+
 MALFORMED_CSVS = {
     "header-only": "y,x,z\n",
     "ragged-row": "y,x,z\n1,2,3\n4,5\n",

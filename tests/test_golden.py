@@ -4,7 +4,8 @@ writes on fixed inputs, against the table in ``golden/cli_digests.json``.
 The inputs are built here from fixed seeds: the random 8^3 law
 ``random_joint_law(default_rng(20240817))``, ``support_gap_law`` on the same
 seed (pz atoms and a zero-mass bin), a 10^4-row dataset CSV drawn with numpy
-alone, two feasibility inputs and a simulate config.  A change that moves an
+alone, a dataset CSV that only ``float`` reads whole, two feasibility inputs
+and a simulate config.  A change that moves an
 output moves its entry; ``golden/rewrite.py`` rewrites the table and prints
 the entries that moved.
 """
@@ -64,6 +65,21 @@ def dataset_csv_text(n=10_000, seed=7):
     return "y,x,z\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(y.tolist(), x.tolist(), z.tolist()))
 
 
+def grammar_csv_bytes(n=2_000, seed=8):
+    """A location process like ``dataset_csv_text``'s, ten times wider, written
+    with CRLF endings, a blank line every 500 rows, spaces around fields and a
+    last row of underscore literals, ``2_0,1_5,1_0``."""
+    rng = np.random.default_rng(seed)
+    z = 10.0 * rng.uniform(size=n)
+    x = z + 10.0 * rng.uniform(size=n)
+    y = x + 10.0 * rng.uniform(size=n)
+    rows = "".join(
+        f" {a!r} ,{b!r}, {c!r}\r\n" + ("\r\n" if i % 500 == 499 else "")
+        for i, (a, b, c) in enumerate(zip(y.tolist(), x.tolist(), z.tolist()))
+    )
+    return (" y , x , z \r\n" + rows + "2_0,1_5,1_0\r\n\r\n").encode()
+
+
 def write_inputs(directory: Path) -> None:
     laws = {
         "random": random_joint_law(np.random.default_rng(LAW_SEED)),
@@ -72,6 +88,7 @@ def write_inputs(directory: Path) -> None:
     for name, law in laws.items():
         (directory / f"{name}.json").write_text(json.dumps(law.to_json_dict()))
     (directory / "rows.csv").write_text(dataset_csv_text())
+    (directory / "grammar.csv").write_bytes(grammar_csv_bytes())
     feasibility = {
         "feasible": [[0.5, 0.3, 0.2, 0.0], [0.0, 0.5, 0.3, 0.2], [0.2, 0.0, 0.5, 0.3]],
         "infeasible": [[0.7, 0.3], [0.5, 0.5]],
@@ -103,6 +120,10 @@ def commands() -> dict[str, tuple[int, list[str]]]:
                 out[f"test {source} {tests} {fmt}"] = (
                     0, ["test", "--input", source, *flags, "--format", fmt]
                 )
+    for fmt in ("json", "csv"):
+        out[f"test grammar.csv default {fmt}"] = (
+            0, ["test", "--input", "grammar.csv", "--format", fmt]
+        )
     for case in ("feasible", "infeasible"):
         out[f"feasibility {case}"] = (0, ["feasibility", "--input", f"{case}.json"])
     for fmt in ("csv", "json"):

@@ -4,7 +4,9 @@ import hashlib
 import json
 import logging
 import re
+import struct
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +35,7 @@ from ivtest.measures import Conditional2D, JointLaw, LawBatch
 from ivtest.simulate import COMPARE_MAX_BINS, replication_seed
 from ivtest.validity import Runner, TestReport
 
-from conftest import per_bin_discretize, random_joint_law
+from conftest import float_loop_csv_rows, per_bin_discretize, random_joint_law
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,121 @@ def test_dataset_csv_refuses_malformed(case):
     text, message = BAD_CSVS[case]
     with pytest.raises(ValidationError, match=message):
         Dataset.from_csv_text(text)
+
+
+def csv_outcome(parse, text):
+    """The bytes of the rows ``parse`` gives, or the type and message it
+    raises; warnings are raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(text).rows.tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def assert_parses_as_float_loop(text):
+    want = csv_outcome(lambda t: Dataset(float_loop_csv_rows(t)), text)
+    assert csv_outcome(Dataset.from_csv_text, text) == want
+
+
+# random float64 bit patterns, written as repr or with 17 significant digits
+BIT_PATTERN_FIELDS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+).flatmap(lambda v: st.sampled_from([repr(v), "%.17g" % v]))
+
+# 1-40 digits with an optional point, exponents by the subnormal and overflow edges
+EDGE_DIGIT_FIELDS = st.builds(
+    lambda sign, digits, point, exp: f"{sign}{digits[:point]}.{digits[point:]}e{exp}"
+    if point <= len(digits) else f"{sign}{digits}e{exp}",
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=40),
+    st.integers(0, 41),
+    st.one_of(st.integers(-345, -300), st.integers(280, 330)),
+)
+
+# forms that only float reads, with a signed zero and spaced fields among them
+FLOAT_ONLY_FIELDS = st.sampled_from(["1_0", "١٢", "1_0e-1_0", "-0.0", " 1.5 ", "\t2"])
+# forms that neither reads whole, or that split a row
+REFUSED_FIELDS = st.sampled_from(
+    ["#1", '"1"', "inf", "0x10", "1d5", "", " ", "1\x0c2", "3\x854", "5\u20286"]
+)
+
+ROW_BREAKS = st.sampled_from(["\n", "\r\n", "\n\n", "\r", "\x0c", "\x85", "\u2028", "\n \n"])
+
+
+def csv_texts(fields, min_fields=3, max_fields=3):
+    """Dataset CSV texts whose rows hold ``fields``, three to a row or, with
+    other bounds, as many as the bounds allow."""
+    rows = st.lists(fields, min_size=min_fields, max_size=max_fields)
+    return st.builds(
+        lambda header, rows, breaks: header + "".join(
+            brk + ",".join(row) for row, brk in zip(rows, breaks)
+        ) + "\n",
+        st.sampled_from(["y,x,z", " y , x , z "]),
+        st.lists(rows, min_size=1, max_size=5),
+        st.lists(ROW_BREAKS, min_size=5, max_size=5),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_texts(st.one_of(BIT_PATTERN_FIELDS, EDGE_DIGIT_FIELDS)))
+def test_dataset_csv_matches_float_loop_bitwise_on_numbers(text):
+    assert_parses_as_float_loop(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_texts(st.one_of(BIT_PATTERN_FIELDS, FLOAT_ONLY_FIELDS)))
+def test_dataset_csv_matches_float_loop_on_float_only_grammar(text):
+    assert_parses_as_float_loop(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_texts(st.one_of(BIT_PATTERN_FIELDS, FLOAT_ONLY_FIELDS, REFUSED_FIELDS), 2, 4))
+def test_dataset_csv_refuses_as_float_loop(text):
+    assert_parses_as_float_loop(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [text for text, _ in BAD_CSVS.values()]
+    + ["\r\n y , x , z \r\n\r\n 1.5 ,2, -3e2\r\n\n\t4,1_0,+.25 \r\n\n", "y,x,z\n1,2,3\n \n4,5,6\n"],
+    ids=[*BAD_CSVS, "float-grammar", "whitespace-line"],
+)
+def test_dataset_csv_matches_float_loop_on_fixed_cases(text):
+    assert_parses_as_float_loop(text)
+
+
+def test_dataset_csv_header_only_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-empty"):
+            Dataset.from_csv_text("y,x,z\n")
+
+
+def test_dataset_csv_plain_body_is_one_loadtxt_result(monkeypatch):
+    loadtxt, read = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    rows = Dataset.from_csv_text("y,x,z\n1,2,3\n 4 , 5e-1 ,-6\n").rows
+    assert len(read) == 1 and rows is read[0]
+    assert rows.tolist() == [[1.0, 2.0, 3.0], [4.0, 0.5, -6.0]]
+
+
+def test_dataset_csv_writer_matches_float_repr_loop():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, size=300, dtype=np.uint64).view(np.float64)
+    rows = np.concatenate([
+        [[-0.0, 5e-324, 1e16], [1e-5, 1.7976931348623157e308, -1.7976931348623157e308]],
+        rng.normal(scale=1e3, size=(40, 3)),
+        bits[np.isfinite(bits)][:240].reshape(-1, 3),
+    ])
+    want = "y,x,z\n" + "".join(f"{float(y)!r},{float(x)!r},{float(z)!r}\n" for y, x, z in rows)
+    assert Dataset(rows).to_csv_text() == want
 
 
 # ---------------------------------------------------------------------------
