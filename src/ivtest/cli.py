@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
+    try:  # as UTF-8, less the byte-order mark that spreadsheets write
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 

@@ -56,16 +56,11 @@ from .measures import (
     GridStack,
     JointLaw,
     Site,
+    _latent_ranks,
     _ragged_arange,
     _require_int,
     sites_of,
 )
-
-
-def _arity(k: int) -> int:
-    """Latent cuts per level under a pz with ``k`` atoms: one shift per atom
-    and two for the continuum halves, so 2 without atoms."""
-    return k + 2
 
 
 def _refuse_deep(depth: int, arity: int, sites: int) -> None:
@@ -85,12 +80,21 @@ def _refuse_deep(depth: int, arity: int, sites: int) -> None:
     )
 
 
-def _continuum_law(
-    pz: GridDistribution, sites: Sequence[Site]
-) -> tuple[float, GridDistribution | None]:
-    """Bin mass of pz and its atom-free law normalised to 1 (None without
-    bins): pz itself when it has no atoms and its bins sum to exactly 1."""
-    mass = sum(s.mass for s in sites if s.kind == "bin")
+def _layout(pz: GridDistribution) -> tuple[int, int, bool]:
+    """Atom rows, arity and whether continuum rows exist, read off pz: a row
+    and a latent cut per level for each atom, zero-mass ones too, two cuts
+    for the continuum halves (so arity 2 without atoms), and continuum rows
+    iff a bin carries mass.  Exact for every layout that :func:`sites_of`
+    accepts, where each atom and positive-mass bin has a z value of its own."""
+    k = len(pz.atoms)
+    return k, k + 2, bool(pz.masses.max() > 0)
+
+
+def _continuum_law(pz: GridDistribution) -> tuple[float, GridDistribution | None]:
+    """Bin mass of pz, summed in bin order, and its atom-free law normalised
+    to 1 (None without bins): pz itself when it has no atoms and its bins
+    sum to exactly 1."""
+    mass = sum(pz.masses.tolist())
     if mass <= 0:
         return 0.0, None
     if mass == 1.0 and not pz.atoms:
@@ -111,13 +115,13 @@ class GeneratorMap:
     atoms of pz (``atoms``, in z order); the remaining ``2**depth`` rows are
     the continuum cells ``[cuts[i], cuts[i+1])`` in z order, so continuum
     rows ``2i`` and ``2i+1`` are the two halves of row ``i`` one level up.
-    The depth must be a non-negative integer and every pattern must lie in
-    ``[0, arity**depth)``; anything else, or a vector whose shape is not
-    ``(rows,)``, raises ``ValidationError`` at construction,
-    ``dataclasses.replace`` included.  The site layout and the continuum
-    law are derived from ``pz`` and ``z_grid`` on first use, unless
-    :func:`build_generator`, which has derived them already, hands them over
-    (and :meth:`from_json_dict` passes on those of the generator it rebuilds).
+    The constructor, ``dataclasses.replace`` included, checks all that
+    :func:`build_generator` refuses: a z grid that does not pair with pz, a
+    marginal count other than one per site, a marginal with a positive-mass
+    atom (``NonAtomicityError``), a depth that is not a non-negative integer
+    within the cap, and patterns that are not a ``(rows,)`` vector in
+    ``[0, arity**depth)``.  It derives the site layout and the continuum law
+    once.
     """
 
     depth: int
@@ -135,6 +139,10 @@ class GeneratorMap:
         cells = np.array(self.cells, dtype=np.int64)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
+        if len(self.marginals) != len(self.sites):
+            raise ValidationError("need one x-marginal per z site")
+        if any(mass > 0 for m in self.marginals for _, mass in m.atoms):
+            raise NonAtomicityError("conditional x-marginals must be non-atomic")
         _refuse_deep(self.depth, self.arity, len(self.marginals))
         rows = len(self.atoms) + (2**self.depth if self._continuum[1] is not None else 0)
         if cells.shape != (rows,):
@@ -144,20 +152,9 @@ class GeneratorMap:
         if cells.size and (cells.min() < 0 or cells.max() >= self.n_u_cells):
             raise ValidationError(f"every cell pattern must lie in [0, {self.n_u_cells})")
 
-    @classmethod
-    def _with_layout(
-        cls, sites: list[Site], continuum: tuple[float, GridDistribution | None], *fields
-    ) -> "GeneratorMap":
-        """Construct from ``fields`` with :attr:`sites` and :attr:`_continuum`
-        already known, so that neither is derived again."""
-        gen = cls.__new__(cls)
-        gen.__dict__.update(sites=sites, _continuum=continuum)
-        gen.__init__(*fields)
-        return gen
-
     @cached_property
     def arity(self) -> int:
-        return _arity(len(self._atom_sites))
+        return _layout(self.pz)[1]
 
     @property
     def n_u_cells(self) -> int:
@@ -183,7 +180,7 @@ class GeneratorMap:
 
     @cached_property
     def _continuum(self) -> tuple[float, GridDistribution | None]:
-        return _continuum_law(self.pz, self.sites)
+        return _continuum_law(self.pz)
 
     @cached_property
     def cuts(self) -> np.ndarray:
@@ -395,8 +392,9 @@ class GeneratorMap:
         """Rebuild from the wire format; cell geometry is recomputed from pz.
 
         Raises ``ValidationError`` for a depth, arity or pattern that is not
-        an int (bools and floats included), an arity or row count other than
-        the rebuilt generator's, or a pattern outside ``[0, arity**depth)``.
+        an int (bools and floats included), a depth past the cap, an arity or
+        row count other than the layout read off pz (:func:`_layout`), or a
+        pattern outside ``[0, arity**depth)``; the constructor checks the rest.
         """
         try:
             depth, arity, patterns = obj["depth"], obj["arity"], list(obj["cells"])
@@ -404,26 +402,21 @@ class GeneratorMap:
             raise ValidationError(f"malformed generator object: {exc}") from exc
         if type(depth) is not int or type(arity) is not int:
             raise ValidationError("malformed generator object: depth and arity must be integers")
-        rebuilt = build_generator(marginals, pz, z_grid, depth)
-        if arity != rebuilt.arity:
-            raise ValidationError(f"arity {arity} does not match this pz's {rebuilt.arity}")
-        if len(patterns) != len(rebuilt.cells):
+        depth = _require_int("depth", depth, 0)
+        k, want, continuum = _layout(pz)
+        _refuse_deep(depth, want, len(marginals))
+        if arity != want:
+            raise ValidationError(f"arity {arity} does not match this pz's {want}")
+        rows = k + (2**depth if continuum else 0)
+        if len(patterns) != rows:
             raise ValidationError(
-                f"{len(patterns)} cell patterns for the {len(rebuilt.cells)} z-cell rows of this pz"
+                f"{len(patterns)} cell patterns for the {rows} z-cell rows of this pz"
             )
         # checked before conversion, which a pattern past int64 would fail
-        n = rebuilt.n_u_cells
+        n = want**depth
         if not all(type(p) is int and 0 <= p < n for p in patterns):
             raise ValidationError(f"every cell pattern must be an integer in [0, {n})")
-        return cls._with_layout(
-            rebuilt.sites,
-            rebuilt._continuum,
-            depth,
-            rebuilt.pz,
-            rebuilt.z_grid,
-            rebuilt.marginals,
-            patterns,
-        )
+        return cls(depth, pz, z_grid, tuple(marginals), patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +433,7 @@ def _interval_codes(marginals: Sequence[GridDistribution], n: int) -> np.ndarray
     notion of collision.
     """
     grid = np.arange(n + 1) / n
-    qs = np.array([m.quantile(grid) for m in marginals])
+    qs = np.reshape([m.quantile(grid) for m in marginals], (len(marginals), n + 1))
     lo, hi = qs[:, :-1].ravel(), qs[:, 1:].ravel()
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
@@ -451,18 +444,14 @@ def _interval_codes(marginals: Sequence[GridDistribution], n: int) -> np.ndarray
     return codes.reshape(len(marginals), n)
 
 
-def _already_one_to_one(
-    marginals: Sequence[GridDistribution], sites: Sequence[Site], n_cells: int
-) -> bool:
-    """True when no two atom sites share an image cell and no continuum exists.
+def _already_one_to_one(marginals: Sequence[GridDistribution], n_cells: int) -> bool:
+    """True when no two sites of a purely atomic z law share an image cell.
 
     A continuum site always collides with itself (nearby z share the map), so
     the shortcut only applies to purely atomic z laws.  Under the identity
     permutations latent cell c lands on image cell c at every site, so each
     column of interval codes must hold distinct codes.
     """
-    if any(s.kind == "bin" and s.mass > 0 for s in sites):
-        return False
     columns = np.sort(_interval_codes(marginals, n_cells), axis=0)
     return not np.any(columns[1:] == columns[:-1])
 
@@ -500,32 +489,20 @@ def build_generator(
     shifts every digit by j, and the continuum halves take the two remaining
     shifts, ``k+1`` for a left half and ``k`` for a right half.  Without
     atoms the cut is binary.  The result holds these shifts as one pattern
-    per z cell, and nothing of size ``n_u_cells`` per row.  Raises
-    ``NonAtomicityError`` when a marginal carries point masses and
-    ``ValidationError`` for a depth that is not a non-negative integer and,
-    before allocating, when the latent cells, or the interval codes of every
-    site at every latent cell, would exceed ``MAX_CELL_ENTRIES`` entries.
+    per z cell, and nothing of size ``n_u_cells`` per row.  The row layout
+    is read off pz (:func:`_layout`), and a depth that is not a non-negative
+    integer or past the cap of :func:`_refuse_deep` is refused before
+    anything is allocated; :class:`GeneratorMap` makes every other check.
     """
     depth = _require_int("depth", depth, 0)
-    sites = sites_of(pz, z_grid)
-    if len(marginals) != len(sites):
-        raise ValidationError("need one x-marginal per z site")
-    for m in marginals:
-        if any(mass > 0 for _, mass in m.atoms):
-            raise NonAtomicityError("conditional x-marginals must be non-atomic")
-    k = sum(1 for s in sites if s.kind == "atom")
-    arity = _arity(k)
-    continuum = _continuum_law(pz, sites)
-    _refuse_deep(depth, arity, len(sites))
-
+    k, arity, continuum = _layout(pz)
+    _refuse_deep(depth, arity, len(marginals))
     cells = np.zeros(k, dtype=np.int64)
     # purely atomic z with pairwise distinct image cells keeps the base map:
     # every shift is 0
-    if not _already_one_to_one(marginals, sites, arity**depth):
-        cells = _shift_patterns(k, arity, depth, continuum[1] is not None)
-    return GeneratorMap._with_layout(
-        sites, continuum, depth, pz, z_grid, tuple(marginals), cells
-    )
+    if continuum or not _already_one_to_one(marginals, arity**depth):
+        cells = _shift_patterns(k, arity, depth, continuum)
+    return GeneratorMap(depth, pz, z_grid, tuple(marginals), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +673,27 @@ class StructuralModel:
     normalised.  Both latents are uniform on [0, 1) and the instrument is
     drawn without reading them, so the instrument is independent by
     construction.
+
+    The replication certificate rests on the generator's x-marginals being
+    the joint's: the constructor, ``dataclasses.replace`` included, raises
+    ``MarginalMismatchError`` when they differ in count, grid or, beyond
+    ``INPUT_TOL``, mass.
     """
 
     generator: GeneratorMap
     joint: JointLaw
+
+    def __post_init__(self):
+        margs = self.joint.x_marginals()
+        if len(margs) != len(self.generator.marginals):
+            raise MarginalMismatchError("site counts differ")
+        for a, b in zip(margs, self.generator.marginals):
+            if a is b:
+                continue  # the generator was built from this marginal itself
+            if len(a.masses) != len(b.masses) or np.max(np.abs(a.edges - b.edges)) > 0:
+                raise MarginalMismatchError("marginal grids differ")
+            if 0.5 * float(np.abs(a.masses - b.masses).sum()) > INPUT_TOL:
+                raise MarginalMismatchError("marginal masses differ beyond tolerance")
 
     @cached_property
     def _outcome_columns(self) -> tuple[GridStack, np.ndarray, np.ndarray]:
@@ -729,13 +723,8 @@ class StructuralModel:
         taken in z order, where the searches run over sorted keys, and the
         rows are put back in draw order.  ``n`` must be a positive and
         ``seed`` a non-negative integer."""
-        n = _require_int("n", n, 1)
-        seed = _require_int("seed", seed, 0)
+        u, v, w = _latent_ranks(n, seed)
         gen = self.generator
-        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        u = rng.uniform(size=n)
-        v = rng.uniform(size=n)
-        w = rng.uniform(size=n)
         # the quantile is non-decreasing, so sorting its levels sorts z
         order = np.argsort(w)
         z = gen.pz.quantile(w[order])
@@ -745,7 +734,7 @@ class StructuralModel:
         column = row_of[first[sites] + self.joint.batch.stack.bin_of(sites, x)]
         if np.any(column < 0):
             raise ValidationError("sampled an x bin with zero conditional mass")
-        out = np.empty((n, 3))
+        out = np.empty((len(u), 3))
         out[order] = np.column_stack([columns.quantile(column, v[order]), x, z])
         return out
 
@@ -770,22 +759,10 @@ class StructuralModel:
 
 def compose_structural_model(joint: JointLaw, gen: GeneratorMap) -> StructuralModel:
     """Pair ``gen`` with ``joint`` as the model whose outcome stage realizes
-    each conditional outcome law by a quantile transform.
-
-    Nothing is built here: ``sample`` reads the outcome laws off the joint's
-    columns.  Raises ``MarginalMismatchError`` when the generator was built
-    from different x-marginals than the joint law provides.
+    each conditional outcome law by a quantile transform: ``StructuralModel(gen,
+    joint)``, which raises ``MarginalMismatchError`` when the generator was
+    built from other x-marginals than the joint law provides.
     """
-    margs = joint.x_marginals()
-    if len(margs) != len(gen.marginals):
-        raise MarginalMismatchError("site counts differ")
-    for a, b in zip(margs, gen.marginals):
-        if a is b:
-            continue  # the generator was built from this marginal itself
-        if len(a.masses) != len(b.masses) or np.max(np.abs(a.edges - b.edges)) > 0:
-            raise MarginalMismatchError("marginal grids differ")
-        if 0.5 * float(np.abs(a.masses - b.masses).sum()) > INPUT_TOL:
-            raise MarginalMismatchError("marginal masses differ beyond tolerance")
     return StructuralModel(gen, joint)
 
 
@@ -796,17 +773,17 @@ def verify_replication(model: StructuralModel, joint: JointLaw) -> float:
     The induced law is the model's own joint law, by a certificate rather
     than a replay.  At a z site, z-cell row ``r`` sends latent cell ``c`` to
     the probability levels ``[j/n, (j + 1)/n)`` of the site's x-marginal,
-    with ``j = gen.image_cells(r, c)``.  ``GeneratorMap`` admits only patterns
-    in ``[0, arity**depth)``, whose digits are shifts in ``[0, arity)``, and
-    a digitwise rotation by such shifts is a
-    permutation of ``0..n-1``, so these ``n`` intervals each occur once and
-    telescope onto ``[0, 1)``: each x bin receives exactly its column sum,
-    whatever the permutation and however the bin edges cut the cells.  The
-    outcome stage splits each column sum down its column in proportion to
-    the cell masses, so every (y, x) cell gets exactly its own mass from
-    every z cell, and averaging over the z cells of a site (weights summing
-    to 1) keeps it.  A site that no z cell serves, a zero-mass pz bin, holds
-    vacuously.
+    with ``j = gen.image_cells(r, c)``; the model's constructor checked that
+    marginal against the joint's.  ``GeneratorMap`` admits only patterns in
+    ``[0, arity**depth)``, whose digits are shifts in ``[0, arity)``, and a
+    digitwise rotation by such shifts is a permutation of ``0..n-1``, so
+    these ``n`` intervals each occur once and telescope onto ``[0, 1)``:
+    each x bin receives exactly its column sum, whatever the permutation
+    and however the bin edges cut the cells.  The outcome stage splits each
+    column sum down its column in proportion to the cell masses, so every
+    (y, x) cell gets exactly its own mass from every z cell, and averaging
+    over the z cells of a site (weights summing to 1) keeps it.  A site
+    that no z cell serves, a zero-mass pz bin, holds vacuously.
 
     The comparison itself is exact: every float mass is an exact rational,
     and the gap of a site whose two tables differ is summed in

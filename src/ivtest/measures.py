@@ -78,6 +78,15 @@ def _require_int(what: str, value, least: int) -> int:
     return int(value)
 
 
+def _latent_ranks(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n`` uniform ranks of each of u, v and z, drawn in this order
+    from ``seed``'s stream, which fixes the bits of every seeded sample.
+    ``n`` must be a positive and ``seed`` a non-negative integer."""
+    n = _require_int("n", n, 1)
+    rng = np.random.default_rng(np.random.SeedSequence((_require_int("seed", seed, 0),)))
+    return rng.uniform(size=n), rng.uniform(size=n), rng.uniform(size=n)
+
+
 def _require_increasing(what: str, edges: np.ndarray) -> None:
     """Refuse edges that are not finite and strictly increasing.  Increasing
     edges with finite ends are all finite, so the element-wise finite check
@@ -439,16 +448,14 @@ class GridDistribution:
         return cls(edges, np.full(bins, 1.0 / bins))
 
     @classmethod
-    def point_mass(cls, loc: float, pad: float = 0.5) -> "GridDistribution":
-        return cls(np.array([loc - pad, loc + pad]), np.array([0.0]), ((loc, 1.0),))
+    def point_mass(cls, loc: float) -> "GridDistribution":
+        return cls.from_atoms([(loc, 1.0)])
 
     @classmethod
-    def from_atoms(
-        cls, atoms: Sequence[tuple[float, float]], pad: float = 0.5
-    ) -> "GridDistribution":
+    def from_atoms(cls, atoms: Sequence[tuple[float, float]]) -> "GridDistribution":
+        """Purely atomic law on one empty bin reaching 0.5 past the outer atoms."""
         locs = [a for a, _ in atoms]
-        lo, hi = min(locs) - pad, max(locs) + pad
-        return cls(np.array([lo, hi]), np.array([0.0]), tuple(atoms))
+        return cls(np.array([min(locs) - 0.5, max(locs) + 0.5]), np.array([0.0]), tuple(atoms))
 
     @classmethod
     def _of_checked(cls, edges: np.ndarray, masses: np.ndarray) -> "GridDistribution":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .generator import (
     compose_structural_model,
     verify_replication,
 )
-from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch
+from .measures import Conditional2D, GridDistribution, JointLaw, LawBatch, _latent_ranks
 from .measures import _refuse_oversize, _require_finite, _require_increasing, _require_int
 from .validity import Runner, minimal_collision_mass
 
@@ -58,7 +59,10 @@ class DGPSpec:
     custom.  Outcome kinds: location (x + v), jump (x + v + outcome_jump_size
     past outcome_jump_at), custom.  A custom function is given copies of its
     inputs, so writing into them changes no other draw, and must give one
-    value per row.
+    value per row.  The name, a field of every CSV row of an experiment,
+    must be a string without commas or line breaks, ``instrument_valid`` a
+    bool, and each jump constant a finite number, which is stored as a
+    float; anything else raises ``ValidationError``.
     """
 
     name: str
@@ -78,6 +82,20 @@ class DGPSpec:
     outcome_fn: Callable | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or any(c in self.name for c in ",\n\r"):
+            raise ValidationError(
+                f"spec name must be a string without commas or line breaks: {self.name!r}"
+            )
+        if not isinstance(self.instrument_valid, (bool, np.bool_)):
+            raise ValidationError(f"instrument_valid must be a bool: {self.instrument_valid!r}")
+        for key in ("jump_size", "jump_at", "outcome_jump_size", "outcome_jump_at"):
+            value = getattr(self, key)
+            if isinstance(value, (np.integer, np.floating)):
+                value = value.item()
+            # NaN fails the comparison; an int past the float range has no float
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"{key} must be a finite number: {value!r}")
+            object.__setattr__(self, key, float(value))
         if self.first_stage not in FIRST_STAGE_KINDS:
             raise ValidationError(f"unknown first stage {self.first_stage!r}")
         if self.outcome not in OUTCOME_KINDS:
@@ -212,11 +230,7 @@ class RankDraw:
     """
 
     def __init__(self, n: int, seed: int):
-        n = _require_int("n", n, 1)
-        seed = _require_int("seed", seed, 0)
-        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-        # drawn in this order, which fixes the bits of every seeded sample
-        self.ranks = {stream: rng.uniform(size=n) for stream in ("u", "v", "z")}
+        self.ranks = dict(zip(("u", "v", "z"), _latent_ranks(n, seed)))
         self._quantiles: dict[tuple, np.ndarray] = {}
 
     def quantile(self, law: GridDistribution, stream: str) -> np.ndarray:

@@ -646,7 +646,7 @@ def make_test(name: str, **params):
             )
         try:
             bound[key] = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past the float range
             raise ValidationError(f"parameter {key!r} of test {name!r}: {exc}") from exc
         if not math.isfinite(bound[key]):
             raise ValidationError(f"parameter {key!r} of test {name!r} must be finite, not {value}")

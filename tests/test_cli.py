@@ -261,6 +261,22 @@ def test_cmd_test_reads_upper_case_csv_suffix_as_csv(tmp_path, capsys):
     assert reports[0].startswith("test,statistic,threshold,decision\n")
 
 
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, capsys, law_file):
+    """A leading UTF-8 byte-order mark, which spreadsheets write, is
+    dropped: a CSV and a JSON input give the same report with one."""
+    csv = tmp_path / "rows.csv"
+    csv.write_text(sample(DGPSpec(name="loc"), 2_000, seed=4).to_csv_text())
+    for path in (csv, law_file):
+        reports = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            copy = tmp_path / f"{name}{path.suffix}"
+            copy.write_bytes(bom + path.read_bytes())
+            assert main(["test", "--input", str(copy), "--format", "csv"]) == 0, path
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1], path
+        assert reports[0].startswith("test,statistic,threshold,decision\n")
+
+
 MALFORMED_CSVS = {
     "header-only": "y,x,z\n",
     "ragged-row": "y,x,z\n1,2,3\n4,5\n",
@@ -417,6 +433,7 @@ BAD_CONFIGS = {
     "zero-K-constant": {"tests": [{"name": "jump", "K": 0}]},
     "boolean-tolerance": {"tests": [{"name": "fosd", "tol": True}]},
     "boolean-K-constant": {"tests": [{"name": "jump", "K": False}]},
+    "huge-integer-K-constant": {"tests": [{"name": "jump", "K": 10**400}]},
     "string-depth": {"nontestability_depth": "abc"},
     "fractional-depth": {"nontestability_depth": 2.5},
     "negative-depth": {"nontestability_depth": -1},
@@ -445,6 +462,11 @@ BAD_CONFIGS = {
     "ragged-law-masses": {
         "specs": [{"name": "loc", "z_law": {"edges": [0, 1], "masses": [[0.5], [0.25, 0.25]]}}]
     },
+    # a spec name is a field of every CSV row; a string flag is truthy
+    "numeric-spec-name": {"specs": [{"name": 5}]},
+    "spec-name-with-a-comma": {"specs": [{"name": "a,b"}]},
+    "string-instrument-valid": {"specs": [{"name": "loc", "instrument_valid": "no"}]},
+    "string-jump-size": {"specs": [{"name": "j", "first_stage": "jump", "jump_size": "x"}]},
 }
 
 

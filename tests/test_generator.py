@@ -13,6 +13,7 @@ from ivtest import (
     GridDistribution,
     MarginalMismatchError,
     NonAtomicityError,
+    StructuralModel,
     ValidationError,
     build_generator,
     collision_fraction,
@@ -815,6 +816,28 @@ def test_compose_rejects_marginal_mismatch(rng):
         compose_structural_model(law, gen)
 
 
+def test_model_constructor_refuses_a_law_it_was_not_built_from(rng):
+    """The model's own constructor, ``dataclasses.replace`` included, makes
+    the marginal-match check, with ``compose_structural_model``'s types and
+    messages: no model certifies replication error 0.0 for a law whose
+    x-marginals its generator was not built from."""
+    law = random_joint_law(rng, nz=4, ny=4, nx=4)
+    gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
+    model = StructuralModel(gen, law)
+    for other, message in (
+        (random_joint_law(rng, nz=3, ny=4, nx=4), "site counts differ"),
+        (random_joint_law(rng, nz=4, ny=4, nx=5), "marginal grids differ"),
+        (random_joint_law(rng, nz=4, ny=4, nx=4), "marginal masses differ beyond tolerance"),
+    ):
+        for build in (
+            lambda: compose_structural_model(other, gen),
+            lambda: StructuralModel(gen, other),
+            lambda: replace(model, joint=other),
+        ):
+            with pytest.raises(MarginalMismatchError, match=f"^{message}$"):
+                build()
+
+
 def test_model_sampling_never_reads_z_for_latents(rng):
     law = random_joint_law(rng, nz=3, ny=4, nx=4)
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 2)
@@ -1165,6 +1188,32 @@ def test_generator_checks_its_depth_and_derives_its_arity(rng):
     assert atomic.arity == atomic.to_json_dict()["arity"] == 4
 
 
+def test_generator_constructor_refuses_what_the_build_refuses():
+    """Direct construction and ``dataclasses.replace`` refuse every input
+    that ``build_generator`` refuses, with the same error type and message:
+    a marginal too few, a positive-mass marginal atom, a z grid that does
+    not pair with pz, and a depth past the cap."""
+    margs, pz, zg = identical_conditional_setup()
+    gen = build_generator(margs, pz, zg, 2)
+    atomic = GridDistribution(np.array([0.0, 1.0]), np.array([0.9]), ((0.5, 0.1),))
+    for edit, error, message in (
+        (dict(marginals=margs[:3]), ValidationError, "need one x-marginal per z site"),
+        (dict(marginals=[atomic, *margs[1:]]), NonAtomicityError,
+         "conditional x-marginals must be non-atomic"),
+        (dict(z_grid=zg[:3]), ValidationError, "pz bin 3 has positive mass but no z value"),
+        (dict(depth=40), ValidationError,
+         "depth 40 at arity 2 needs more than 16777216 latent cells or interval codes"),
+    ):
+        setup = {**dict(marginals=margs, pz=pz, z_grid=zg, depth=2), **edit}
+        for build in (
+            lambda: build_generator(**setup),
+            lambda: replace(gen, **edit),
+            lambda: GeneratorMap(setup["depth"], pz, setup["z_grid"], setup["marginals"], gen.cells),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_arity_counts_one_shift_per_atom_and_two_halves(k):
     """Under a pz with k atoms every level has k + 2 cuts: the latent grid
@@ -1253,6 +1302,26 @@ def test_generator_json_roundtrip():
         rows = compose_structural_model(law, gen).sample(2000, seed=7)
         again = compose_structural_model(law, back).sample(2000, seed=7)
         assert again.tobytes() == rows.tobytes(), (name, depth)
+
+
+def test_json_load_builds_no_interval_codes(monkeypatch):
+    """The reader checks the wire format against the row layout read off
+    pz and builds no generator to learn it: on an atom-only pz at depth 8,
+    where a build codes every site's 5**8 latent cells, loading codes
+    nothing and round-trips."""
+    pz = GridDistribution.from_atoms([(0.0, 0.3), (1.0, 0.3), (2.0, 0.4)])
+    setup = ([GridDistribution.uniform(0.0, 1.0, 2)] * 3, pz, [0.0, 1.0, 2.0])
+    gen = build_generator(*setup, 8)
+    assert gen.arity == 5 and gen.cells.tolist() == [0, 97656, 195312]
+    text = json.dumps(gen.to_json_dict())
+
+    def refuse(*args):
+        raise AssertionError("interval codes built")
+
+    monkeypatch.setattr(generator, "_interval_codes", refuse)
+    back = GeneratorMap.from_json_dict(json.loads(text), *setup)
+    assert json.dumps(back.to_json_dict()) == text
+    assert back.cells.tolist() == gen.cells.tolist()
 
 
 def test_generator_json_rejects_bad_rows():
