@@ -7,11 +7,12 @@ Two seeded Monte Carlo experiments.
 Restricted class: maintain monotone stages, then the FOSD check separates a
 sign-flipped first stage from a monotone one essentially perfectly.
 
-Unrestricted class: every replicated law is certified to lie in the null
-class (the demo pass constructs the replicating valid-instrument model), so
-the best any test can do against the invalid processes is what it already
-does against some null member: power is bounded by size.  The twin rows
-(suffix ``@replicated``) are those constructed null members.
+Unrestricted class: every law is passed through the replication demo, which
+builds a first stage replicating each x-marginal exactly.  The twin rows
+(suffix ``@replicated``) test the law the built model induces, which is the
+source law object itself: its outcome stage still reads the drawn z's site,
+so the twins are not certified null members, and their rows repeat the
+source rows.
 """
 
 from ivtest import DGPSpec, make_test, run_experiment

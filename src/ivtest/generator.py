@@ -90,13 +90,11 @@ def _layout(pz: GridDistribution) -> tuple[int, int, bool]:
     return k, k + 2, bool(pz.masses.max() > 0)
 
 
-def _continuum_law(pz: GridDistribution) -> tuple[float, GridDistribution | None]:
+def _continuum_law(pz: GridDistribution) -> tuple[float, GridDistribution]:
     """Bin mass of pz, summed in bin order, and its atom-free law normalised
-    to 1 (None without bins): pz itself when it has no atoms and its bins
-    sum to exactly 1."""
+    to 1: pz itself when it has no atoms and its bins sum to exactly 1.  Read
+    only when a bin carries mass (:func:`_layout`)."""
     mass = sum(pz.masses.tolist())
-    if mass <= 0:
-        return 0.0, None
     if mass == 1.0 and not pz.atoms:
         return mass, pz
     masses = np.asarray(pz.masses) / mass if mass != 1.0 else pz.masses
@@ -120,8 +118,9 @@ class GeneratorMap:
     marginal count other than one per site, a marginal with a positive-mass
     atom (``NonAtomicityError``), a depth that is not a non-negative integer
     within the cap, and patterns that are not a ``(rows,)`` vector in
-    ``[0, arity**depth)``.  It derives the site layout and the continuum law
-    once.
+    ``[0, arity**depth)``.  It derives the site layout once and reads the
+    row layout off pz once (:func:`_layout`); the continuum law and the z
+    table are built on first use.
     """
 
     depth: int
@@ -144,7 +143,8 @@ class GeneratorMap:
         if any(mass > 0 for m in self.marginals for _, mass in m.atoms):
             raise NonAtomicityError("conditional x-marginals must be non-atomic")
         _refuse_deep(self.depth, self.arity, len(self.marginals))
-        rows = len(self.atoms) + (2**self.depth if self._continuum[1] is not None else 0)
+        k, _, continuum = self._layout
+        rows = k + (2**self.depth if continuum else 0)
         if cells.shape != (rows,):
             raise ValidationError(f"cell pattern shape is not ({rows},), one per z-cell row")
         # a digitwise rotation is a bijection, which the replication
@@ -153,8 +153,13 @@ class GeneratorMap:
             raise ValidationError(f"every cell pattern must lie in [0, {self.n_u_cells})")
 
     @cached_property
+    def _layout(self) -> tuple[int, int, bool]:
+        """Atom rows, arity and whether continuum rows exist (:func:`_layout`)."""
+        return _layout(self.pz)
+
+    @property
     def arity(self) -> int:
-        return _layout(self.pz)[1]
+        return self._layout[1]
 
     @property
     def n_u_cells(self) -> int:
@@ -179,17 +184,16 @@ class GeneratorMap:
         return np.array([self.sites[i].z_value for i in self._atom_sites], dtype=float)
 
     @cached_property
-    def _continuum(self) -> tuple[float, GridDistribution | None]:
+    def _continuum(self) -> tuple[float, GridDistribution]:
         return _continuum_law(self.pz)
 
     @cached_property
     def cuts(self) -> np.ndarray:
         """Equal-mass cut points of the continuum cells; empty without bins."""
-        _, cont = self._continuum
-        if cont is None:
+        if not self._layout[2]:
             return np.empty(0)
         m = 2**self.depth
-        cuts = np.asarray(cont.quantile(np.arange(m + 1) / m))
+        cuts = np.asarray(self._continuum[1].quantile(np.arange(m + 1) / m))
         cuts.setflags(write=False)
         return cuts
 
@@ -201,63 +205,44 @@ class GeneratorMap:
         hi = np.array([self.sites[i].hi for i in idx], dtype=float)
         return lo, hi, np.array(idx, dtype=np.int64)
 
-    def _bin_site(self, z: np.ndarray) -> np.ndarray:
-        """Site of the positive-mass bin holding each z, or -1."""
-        lo, hi, idx = self._bins
-        if len(lo) == 0:
-            return np.full(z.shape, -1, dtype=np.int64)
-        j = np.clip(np.searchsorted(lo, z, side="right") - 1, 0, len(lo) - 1)
-        return np.where((z >= lo[j]) & (z < hi[j]), idx[j], -1)
-
-    def _continuum_row(self, z: np.ndarray) -> np.ndarray:
-        last = max(len(self.cuts) - 2, 0)
-        return len(self.atoms) + np.clip(np.searchsorted(self.cuts, z, side="right") - 1, 0, last)
-
     @cached_property
-    def _breakpoints(self) -> np.ndarray:
-        """The cut points and the positive-mass bin edges, merged in z order."""
-        lo, hi, _ = self._bins
-        return np.union1d(self.cuts, np.concatenate([lo, hi]))
+    def _z_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The z table that :meth:`locate` and :attr:`pieces` read.
 
-    @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lookup table of :meth:`locate`.
-
-        The breakpoints and the atoms, merged into ``start``, cut the z line
-        into segments ``[start[i-1], start[i])``, ``i = 0..len(start)``, with
-        ``start[-1]`` read as -inf.  Inside a segment every z has one cell row
-        and one site (-1 where no positive-mass bin holds it), found at its
-        lower end; only a z equal to an atom differs.  Returns ``start``, the
-        atom at each segment's lower end (NaN, which equals no z, where there
-        is none) and the ``(4, segments)`` table of the row and site of the
-        segment and of that atom.
+        The cut points and the positive-mass bin edges, merged in z order
+        into ``bp``, cut the z line into segments ``[bp[i-1], bp[i])``,
+        ``i = 0..len(bp)``, with ``bp[-1]`` read as -inf.  Off the atoms,
+        every z of a segment has the continuum row and the site (-1 where no
+        positive-mass bin holds it) of the segment's lower end.  Returns
+        ``bp`` and the row and site of every segment, -1 for both below
+        every breakpoint.
         """
-        start = np.union1d(self._breakpoints, self.atoms)
-        k = len(self.atoms)
-        held = np.full((4, len(start) + 1), -1, dtype=np.int64)
-        held[:2, 1:] = self._continuum_row(start), self._bin_site(start)
-        atom_z = np.full(len(start) + 1, np.nan)
-        if k:
-            j = np.minimum(np.searchsorted(self.atoms, start), k - 1)
-            hit = np.flatnonzero(self.atoms[j] == start)
-            atom_z[hit + 1] = start[hit]
-            held[2:, hit + 1] = j[hit], self._atom_sites[j[hit]]
-        return start, atom_z, held
+        lo, hi, idx = self._bins
+        bp = np.union1d(self.cuts, np.concatenate([lo, hi]))
+        row = np.full(len(bp) + 1, -1, dtype=np.int64)
+        site = row.copy()
+        k, last = self._layout[0], max(len(self.cuts) - 2, 0)
+        row[1:] = k + np.clip(np.searchsorted(self.cuts, bp, side="right") - 1, 0, last)
+        j = np.clip(np.searchsorted(lo, bp, side="right") - 1, 0, len(lo) - 1)
+        site[1:] = np.where((bp >= lo[j]) & (bp < hi[j]), idx[j], -1)
+        return bp, row, site
 
     def locate(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Cell row and site index of every z value, from one search of the
-        merged breakpoints and atoms (see :attr:`_segments`).
+        z table (:attr:`_z_table`) and, when pz has atoms, one of the atoms.
 
         Atoms match first; any other z must lie in a positive-mass bin of pz,
         and raises ``ValidationError`` otherwise.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        start, atom_z, held = self._segments
-        i = np.searchsorted(start, zs, side="right")
-        pair = held[:2].take(i, axis=1)
+        bp, row, site = self._z_table
+        i = np.searchsorted(bp, zs, side="right")
+        rows, sites = row[i], site[i]
         if len(self.atoms):
-            pair = np.where(atom_z[i] == zs, held[2:].take(i, axis=1), pair)
-        rows, sites = pair
+            j = np.minimum(np.searchsorted(self.atoms, zs), len(self.atoms) - 1)
+            hit = self.atoms[j] == zs
+            rows = np.where(hit, j, rows)
+            sites = np.where(hit, self._atom_sites[j], sites)
         if np.any(sites < 0):
             raise ValidationError(f"z value {zs[sites < 0][0]} carries no conditional")
         return rows, sites
@@ -268,19 +253,19 @@ class GeneratorMap:
 
         A piece, one site inside one cell, is the largest unit on which the
         map is a single function.  Each atom row is one piece; the continuum
-        pieces are the positive-mass segments between the merged cut points
-        and bin edges, which come out in z order.
+        pieces are the positive-mass segments of the z table
+        (:attr:`_z_table`) that a bin holds, which come out in z order.
         """
+        k, _, continuum = self._layout
         atom_mass = np.array([self.sites[i].mass for i in self._atom_sites], dtype=float)
-        cell, site, weight = [np.arange(len(self.atoms))], [self._atom_sites], [atom_mass]
-        mass, cont = self._continuum
-        if cont is not None:
-            bp = self._breakpoints
+        cell, site, weight = [np.arange(k)], [self._atom_sites], [atom_mass]
+        if continuum:
+            mass, cont = self._continuum
+            bp, row, at = self._z_table
             w = mass * np.diff(cont.cdf_left(bp))
-            s = self._bin_site(bp[:-1])
-            keep = (s >= 0) & (w > 0)
-            cell.append(self._continuum_row(bp[:-1][keep]))
-            site.append(s[keep])
+            keep = (at[1:-1] >= 0) & (w > 0)
+            cell.append(row[1:-1][keep])
+            site.append(at[1:-1][keep])
             weight.append(w[keep])
         return np.concatenate(cell), np.concatenate(site), np.concatenate(weight)
 
@@ -391,10 +376,11 @@ class GeneratorMap:
     ) -> "GeneratorMap":
         """Rebuild from the wire format; cell geometry is recomputed from pz.
 
-        Raises ``ValidationError`` for a depth, arity or pattern that is not
-        an int (bools and floats included), a depth past the cap, an arity or
-        row count other than the layout read off pz (:func:`_layout`), or a
-        pattern outside ``[0, arity**depth)``; the constructor checks the rest.
+        Raises ``ValidationError`` for a missing key, a depth, arity or
+        pattern that is not an int (bools and floats included), a pattern
+        past int64, and an arity other than the built generator's; the
+        constructor checks the rest, the depth cap, the row count and the
+        pattern range included.
         """
         try:
             depth, arity, patterns = obj["depth"], obj["arity"], list(obj["cells"])
@@ -402,21 +388,13 @@ class GeneratorMap:
             raise ValidationError(f"malformed generator object: {exc}") from exc
         if type(depth) is not int or type(arity) is not int:
             raise ValidationError("malformed generator object: depth and arity must be integers")
-        depth = _require_int("depth", depth, 0)
-        k, want, continuum = _layout(pz)
-        _refuse_deep(depth, want, len(marginals))
-        if arity != want:
-            raise ValidationError(f"arity {arity} does not match this pz's {want}")
-        rows = k + (2**depth if continuum else 0)
-        if len(patterns) != rows:
-            raise ValidationError(
-                f"{len(patterns)} cell patterns for the {rows} z-cell rows of this pz"
-            )
         # checked before conversion, which a pattern past int64 would fail
-        n = want**depth
-        if not all(type(p) is int and 0 <= p < n for p in patterns):
-            raise ValidationError(f"every cell pattern must be an integer in [0, {n})")
-        return cls(depth, pz, z_grid, tuple(marginals), patterns)
+        if not all(type(p) is int and -(2**63) <= p < 2**63 for p in patterns):
+            raise ValidationError("every cell pattern must be an integer within int64")
+        gen = cls(depth, pz, z_grid, tuple(marginals), patterns)
+        if arity != gen.arity:
+            raise ValidationError(f"arity {arity} does not match this pz's {gen.arity}")
+        return gen
 
 
 # ---------------------------------------------------------------------------

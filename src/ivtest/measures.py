@@ -455,6 +455,8 @@ class GridDistribution:
     def from_atoms(cls, atoms: Sequence[tuple[float, float]]) -> "GridDistribution":
         """Purely atomic law on one empty bin reaching 0.5 past the outer atoms."""
         locs = [a for a, _ in atoms]
+        if not locs:
+            raise ValidationError("need at least one atom")
         return cls(np.array([min(locs) - 0.5, max(locs) + 0.5]), np.array([0.0]), tuple(atoms))
 
     @classmethod
@@ -577,6 +579,8 @@ class Conditional2D:
         object.__setattr__(self, "y_edges", _as_readonly(self.y_edges))
         object.__setattr__(self, "x_edges", _as_readonly(self.x_edges))
         object.__setattr__(self, "mass", _as_readonly(self.mass))
+        if self.y_edges.ndim != 1 or self.x_edges.ndim != 1:
+            raise ValidationError("y and x edges must be one-dimensional")
         if self.mass.ndim != 2:
             raise ValidationError("mass must be a matrix")
         ny, nx = self.mass.shape
@@ -707,6 +711,8 @@ class JointLaw:
     def __post_init__(self):
         object.__setattr__(self, "z_grid", _as_readonly(self.z_grid))
         object.__setattr__(self, "conditionals", tuple(self.conditionals))
+        if self.z_grid.ndim != 1:
+            raise ValidationError("z grid must be one-dimensional")
         if len(self.z_grid) != len(self.conditionals):
             raise ValidationError("need one conditional per z value")
         if len(self.z_grid) == 0:

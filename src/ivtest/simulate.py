@@ -61,8 +61,8 @@ class DGPSpec:
     inputs, so writing into them changes no other draw, and must give one
     value per row.  The name, a field of every CSV row of an experiment,
     must be a string without commas or line breaks, ``instrument_valid`` a
-    bool, and each jump constant a finite number, which is stored as a
-    float; anything else raises ``ValidationError``.
+    bool, and ``copula_weight`` and each jump constant a finite number,
+    which is stored as a float; anything else raises ``ValidationError``.
     """
 
     name: str
@@ -88,7 +88,8 @@ class DGPSpec:
             )
         if not isinstance(self.instrument_valid, (bool, np.bool_)):
             raise ValidationError(f"instrument_valid must be a bool: {self.instrument_valid!r}")
-        for key in ("jump_size", "jump_at", "outcome_jump_size", "outcome_jump_at"):
+        numbers = ("copula_weight", "jump_size", "jump_at", "outcome_jump_size", "outcome_jump_at")
+        for key in numbers:
             value = getattr(self, key)
             if isinstance(value, (np.integer, np.floating)):
                 value = value.item()
@@ -521,12 +522,13 @@ def run_experiment(
 
     ``tests`` are ``(name, runner)`` pairs from :func:`make_test`.  With
     ``nontestability_depth`` set, each replicated law is first passed
-    through :func:`nontestability_demo` and the resulting valid-instrument
-    model's induced law is tested as well, in the row of the process name
-    suffixed with ``@replicated``.  Those twin rows belong to the null class
-    by construction, which is what bounds any test's power by its size here:
-    a law from an invalid process and the law induced by its replicating
-    valid model are the same object at cell resolution.
+    through :func:`nontestability_demo` and the resulting model's induced
+    law is tested as well, in the row of the process name suffixed with
+    ``@replicated``.  That twin is the source law object itself: the model's
+    first stage replicates every x-marginal, but its outcome stage reads the
+    site of the drawn z, so the twin is not certified to be a
+    valid-instrument law or a null-class member, and its row repeats the
+    source row.
 
     Each replication draws its latent ranks once, from its own seed, and
     samples every spec from them, exactly as :func:`sample` with that seed

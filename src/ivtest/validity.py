@@ -429,9 +429,8 @@ def continuity_moment_statistics(batch: LawBatch, params: ContinuityParams) -> l
         gaps = np.diff(np.asarray(law.z_grid, dtype=float)).tolist()
         # Python's float power: numpy's rounds differently on many gaps
         ratios = [m / g**gap_expo for m, g in zip(moments[a : a + len(gaps)], gaps)]
-        order = np.argsort(gaps)[:3]
-        statistic = max(ratios[i] for i in order)
-        finest = sorted(order, key=lambda i: gaps[i])
+        finest = np.argsort(gaps)[:3]  # the three smallest gaps, in gap order
+        statistic = max(ratios[i] for i in finest)
         diagnostics = {"n_pairs": float(len(gaps)), "max_ratio_all": float(max(ratios))}
         for rank, i in enumerate(finest):
             diagnostics[f"gap_{rank}"] = gaps[i]

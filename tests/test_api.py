@@ -1,4 +1,8 @@
-"""The package's export list."""
+"""The package's export list and the Python version it declares."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -62,6 +66,21 @@ def test_one_law_spellings_are_gone():
                  "continuity_moment_statistic", "winf_distance", "fosd_violation"):
         assert not hasattr(ivtest, name), name
         assert not hasattr(ivtest.validity, name) and not hasattr(ivtest.measures, name), name
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every source, test and demo file parses with the grammar of the
+    oldest Python that ``requires-python`` in pyproject.toml admits."""
+    root = Path(__file__).resolve().parents[1]
+    floor = re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$', (root / "pyproject.toml").read_text(), re.M
+    )
+    version = (int(floor[1]), int(floor[2]))
+    assert version == (3, 10)
+    files = [f for d in ("src/ivtest", "tests", "demos") for f in sorted((root / d).glob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_stacked_pair_measures_on_a_two_law_stack():

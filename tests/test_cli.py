@@ -467,6 +467,31 @@ BAD_CONFIGS = {
     "spec-name-with-a-comma": {"specs": [{"name": "a,b"}]},
     "string-instrument-valid": {"specs": [{"name": "loc", "instrument_valid": "no"}]},
     "string-jump-size": {"specs": [{"name": "j", "first_stage": "jump", "jump_size": "x"}]},
+    # the copula weight is a finite number like the jump constants
+    "boolean-copula-weight": {
+        "specs": [{"name": "c", "instrument_valid": False, "copula_weight": True}]
+    },
+    "string-copula-weight": {
+        "specs": [{"name": "c", "instrument_valid": False, "copula_weight": "x"}]
+    },
+}
+
+
+# law files whose arrays have the wrong number of dimensions, as edits of a
+# two-site law
+ONE_CELL = {"y_edges": [0.0, 1.0], "x_edges": [0.0, 1.0], "mass": [[1.0]]}
+TWO_SITE_LAW = {
+    "z_grid": [0.25, 0.75],
+    "pz": {"edges": [0.0, 0.5, 1.0], "masses": [0.5, 0.5]},
+    "conditionals": [ONE_CELL, ONE_CELL],
+}
+BAD_LAWS = {
+    "nested-z-grid-law": {"z_grid": [[0.25], [0.75]]},
+    "scalar-z-grid-law": {"z_grid": 0.5, "conditionals": [ONE_CELL]},
+    "two-dimensional-edges-law": {
+        "conditionals": [{**ONE_CELL, "y_edges": [[0.0], [1.0]], "x_edges": [[0.0], [1.0]]},
+                         ONE_CELL]
+    },
 }
 
 
@@ -484,9 +509,18 @@ BAD_TEST_FLAGS = {
 @pytest.mark.parametrize(
     "case",
     ["missing-csv-input", "non-numeric-csv-field", "non-numeric-weights", *BAD_TEST_FLAGS,
-     *BAD_CONFIGS],
+     *BAD_CONFIGS, *BAD_LAWS],
 )
 def test_bad_input_exits_1(tmp_path, capsys, case):
+    if case in BAD_LAWS:
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({**TWO_SITE_LAW, **BAD_LAWS[case]}))
+        for command in ("replicate", "test"):
+            assert main([command, "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "must be one-dimensional" in err
+        return
     if case in BAD_TEST_FLAGS:
         argv = ["test", "--input", str(tmp_path / "missing.csv"), *BAD_TEST_FLAGS[case]]
     elif case == "missing-csv-input":
@@ -520,6 +554,8 @@ def test_bad_input_exits_1(tmp_path, capsys, case):
         assert "K must be positive and finite" in err
     if case.startswith(("boolean-tolerance", "boolean-K")):
         assert "must be a number" in err
+    if case.endswith("-copula-weight"):
+        assert "copula_weight must be a finite number" in err
     if case.startswith(("duplicate-", "spec-named-")):
         assert "is not unique" in err
     if case == "non-numeric-csv-field":

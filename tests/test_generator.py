@@ -199,9 +199,10 @@ def test_shift_patterns_closed_form_match_level_loop(k, depth):
 
 @pytest.mark.parametrize("case", ["random", "atoms and a gap"])
 def test_build_derives_the_site_layout_once(monkeypatch, case):
-    """One build makes one ``sites_of`` call and one continuum-law build,
-    and nothing done with the generator afterwards makes another;
-    ``dataclasses.replace`` derives both anew."""
+    """One build makes one ``sites_of`` call and no continuum-law build; the
+    continuum law is built once, on first use, and nothing done with the
+    generator afterwards makes another call; ``dataclasses.replace``
+    derives the sites anew."""
     calls = []
     for name in ("sites_of", "_continuum_law"):
         real = getattr(generator, name)
@@ -211,29 +212,30 @@ def test_build_derives_the_site_layout_once(monkeypatch, case):
     rng = np.random.default_rng(5)
     law = random_joint_law(rng, nz=4, ny=4, nx=4) if case == "random" else support_gap_law(rng)
     gen = build_generator(law.x_marginals(), law.pz, law.z_grid, 4)
-    assert sorted(calls) == ["_continuum_law", "sites_of"]
+    assert calls == ["sites_of"]
     model = compose_structural_model(law, gen)
     assert verify_replication(model, law) == 0.0
     json.dumps(model.to_json_dict())
     model.sample(100, seed=0)
     collision_fraction(gen)
     group_collision_matrix(gen)
-    assert len(calls) == 2
+    assert sorted(calls) == ["_continuum_law", "sites_of"]
     replace(gen, cells=gen.cells)
-    assert sorted(calls) == ["_continuum_law", "_continuum_law", "sites_of", "sites_of"]
+    assert sorted(calls) == ["_continuum_law", "sites_of", "sites_of"]
 
 
 @pytest.mark.parametrize("case", ["random", "atoms and a gap"])
 def test_json_load_derives_the_site_layout_once(monkeypatch, case):
-    """Loading a generator from JSON makes one ``sites_of`` call and one
-    continuum-law build, those of the generator it rebuilds, and the loaded
-    generator needs no other: it dumps the same JSON and samples the same
-    rows."""
+    """Loading a generator from JSON makes one ``sites_of`` call, that of
+    the generator it rebuilds, and the loaded generator needs no other and
+    one continuum-law build, on first use: it dumps the same JSON and
+    samples the same rows."""
     rng = np.random.default_rng(5)
     law = random_joint_law(rng, nz=4, ny=4, nx=4) if case == "random" else support_gap_law(rng)
     setup = (law.x_marginals(), law.pz, law.z_grid)
     gen = build_generator(*setup, 4)
     text = json.dumps(gen.to_json_dict())
+    rows = compose_structural_model(law, gen).sample(500, seed=3)
     calls = []
     for name in ("sites_of", "_continuum_law"):
         real = getattr(generator, name)
@@ -241,12 +243,11 @@ def test_json_load_derives_the_site_layout_once(monkeypatch, case):
             generator, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
         )
     back = GeneratorMap.from_json_dict(json.loads(text), *setup)
-    assert sorted(calls) == ["_continuum_law", "sites_of"]
+    assert calls == ["sites_of"]
     assert json.dumps(back.to_json_dict()) == text
-    rows = compose_structural_model(law, gen).sample(500, seed=3)
     assert compose_structural_model(law, back).sample(500, seed=3).tobytes() == rows.tobytes()
     collision_fraction(back)
-    assert len(calls) == 2
+    assert sorted(calls) == ["_continuum_law", "sites_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -1305,10 +1306,10 @@ def test_generator_json_roundtrip():
 
 
 def test_json_load_builds_no_interval_codes(monkeypatch):
-    """The reader checks the wire format against the row layout read off
-    pz and builds no generator to learn it: on an atom-only pz at depth 8,
-    where a build codes every site's 5**8 latent cells, loading codes
-    nothing and round-trips."""
+    """The reader checks the wire format and constructs the generator it
+    returns, which checks the rest without a build: on an atom-only pz at
+    depth 8, where a build codes every site's 5**8 latent cells, loading
+    codes nothing and round-trips."""
     pz = GridDistribution.from_atoms([(0.0, 0.3), (1.0, 0.3), (2.0, 0.4)])
     setup = ([GridDistribution.uniform(0.0, 1.0, 2)] * 3, pz, [0.0, 1.0, 2.0])
     gen = build_generator(*setup, 8)
@@ -1339,14 +1340,15 @@ def test_generator_json_rejects_bad_rows():
         ({"cells": [3, 2, 1, None]}, "must be an integer"),
         ({"cells": [[1, 1], [1, 0], [0, 1], [0, 0]]}, "must be an integer"),
         ({"cells": [{"z_addr": "11", "shifts": [1, 1]}] * 4}, "must be an integer"),
-        ({"cells": [3, 2, 1, 4]}, r"integer in \[0, 4\)"),
-        ({"cells": [3, 2, 1, -1]}, r"integer in \[0, 4\)"),
-        ({"cells": [3, 2, 1, 2**70]}, r"integer in \[0, 4\)"),
+        ({"cells": [3, 2, 1, 4]}, r"must lie in \[0, 4\)"),
+        ({"cells": [3, 2, 1, -1]}, r"must lie in \[0, 4\)"),
+        ({"cells": [3, 2, 1, 2**70]}, "integer within int64"),
         # a wrong row count
-        ({"cells": [3, 2, 1]}, "3 cell patterns for the 4 z-cell rows"),
-        ({"cells": [3, 2, 1, 0, 0]}, "5 cell patterns for the 4 z-cell rows"),
-        ({"cells": []}, "0 cell patterns for the 4 z-cell rows"),
-        ({"depth": 3}, "4 cell patterns for the 8 z-cell rows"),
+        ({"cells": [3, 2, 1]}, r"shape is not \(4,\)"),
+        ({"cells": [3, 2, 1, 0, 0]}, r"shape is not \(4,\)"),
+        ({"cells": []}, r"shape is not \(4,\)"),
+        ({"depth": 3}, r"shape is not \(8,\)"),
+        ({"depth": -1}, "depth must be at least 0"),
         # a depth or arity that is not an integer, or the wrong arity
         ({"depth": 2.9}, "depth and arity must be integers"),
         ({"depth": 2.0}, "depth and arity must be integers"),

@@ -721,8 +721,10 @@ def test_grid_distribution_refuses_malformed(args, message):
         ([0.0, 1.0], [0.0, 1.0], [[0.5, 0.5]], "edge lengths do not match the mass matrix"),
         ([0.0, 1.0], [0.0, 1.0, 2.0], [[1.5, -0.5]], "cell masses must be non-negative"),
         ([0.0, 1.0], [0.0, 1.0, 2.0], [[0.5, 0.6]], "conditional mass matrix must sum to 1"),
+        ([[0.0], [1.0]], [0.0, 1.0], [[1.0]], "y and x edges must be one-dimensional"),
+        ([0.0, 1.0], [[0.0], [1.0]], [[1.0]], "y and x edges must be one-dimensional"),
     ],
-    ids=["not-a-matrix", "shape-mismatch", "negative-cell", "sum-not-1"],
+    ids=["not-a-matrix", "shape-mismatch", "negative-cell", "sum-not-1", "y-not-1-d", "x-not-1-d"],
 )
 def test_conditional_refuses_malformed(y_edges, x_edges, mass, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -746,6 +748,14 @@ def test_joint_law_refuses_a_count_mismatch_and_an_empty_grid():
         JointLaw([0.25, 0.75], pz, (cond,))
     with pytest.raises(ValidationError, match="^empty z grid$"):
         JointLaw([], pz, ())
+    for z_grid in ([[0.25], [0.75]], 0.5):
+        with pytest.raises(ValidationError, match="^z grid must be one-dimensional$"):
+            JointLaw(z_grid, pz, (cond, cond))
+
+
+def test_from_atoms_refuses_no_atoms():
+    with pytest.raises(ValidationError, match="^need at least one atom$"):
+        GridDistribution.from_atoms([])
 
 
 def test_grid_distribution_json_roundtrip(rng):

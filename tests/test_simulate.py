@@ -255,6 +255,18 @@ def test_spec_validation():
         DGPSpec(name="bad", instrument_valid=False, copula_weight=0.5, copula_target="z")
 
 
+def test_copula_weight_is_a_finite_number_stored_as_a_float():
+    """``copula_weight`` passes the rule of the jump constants: a bool, a
+    string or NaN is refused by name, and an int or NumPy number is kept
+    as a plain float."""
+    for bad in (True, "x", float("nan"), 10**400):
+        with pytest.raises(ValidationError, match="^copula_weight must be a finite number"):
+            DGPSpec(name="bad", instrument_valid=False, copula_weight=bad)
+    for weight in (1, np.float32(0.5), np.int64(0)):
+        spec = DGPSpec(name="ok", instrument_valid=False, copula_weight=weight)
+        assert type(spec.copula_weight) is float and spec.copula_weight == weight
+
+
 def test_product_conditional_refuses_atoms():
     atomic = GridDistribution(np.array([0.0, 1.0]), np.array([0.5]), ((0.5, 0.5),))
     for y, x in ((atomic, GridDistribution.uniform(0, 1)), (GridDistribution.uniform(0, 1), atomic)):
